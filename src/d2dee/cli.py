@@ -1,6 +1,7 @@
 """Command-line front end: validate | solve | trace | sweep.
 
-Exit codes: 0 ok, 1 infeasible problem, 2 validation failure.  The default
+Exit codes: 0 ok, 1 infeasible problem, 2 validation failure, 3 config
+error (a malformed or invalid config document or option).  The default
 output directory comes from --out or the D2DEE_OUT environment variable.
 """
 
@@ -32,6 +33,7 @@ from .solver import InfeasibleProblem
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_VALIDATION = 2
+EXIT_CONFIG = 3
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -99,7 +101,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return EXIT_CONFIG
     out = _out_dir(args)
 
     try:
@@ -146,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INFEASIBLE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return EXIT_CONFIG
     return EXIT_OK
 
 

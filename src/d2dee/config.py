@@ -52,14 +52,14 @@ DEFAULTS: dict = {
         "eps_power_w": 1e-5,
         "max_outer_iters": 10,
         "budget_tol_rel": 1e-6,
-        "grid_points": 256,
-        "line_search_tol_rel": 1e-8,
         "phase2_mode": "coupled",
     },
 }
 
 _DB_KEYS = ("sir_threshold_d2d", "sir_threshold_cell")
 _SWEEP_VARS = ("lambda_d_ref", "lambda_c_ref", "budget_d2d")
+# knobs of the retired grid/golden-section search, still in older saved configs
+_RETIRED = {("solver", "grid_points"), ("solver", "line_search_tol_rel")}
 
 
 @dataclass
@@ -116,6 +116,8 @@ def _resolve(doc: dict) -> ExperimentConfig:
             if not isinstance(value, dict):
                 _fail(key, "expected a mapping")
             for sub, sval in value.items():
+                if (key, sub) in _RETIRED:
+                    continue
                 if sub not in cfg[key]:
                     _fail(f"{key}.{sub}", "unknown key")
                 cfg[key][sub] = sval

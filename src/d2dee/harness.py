@@ -207,11 +207,21 @@ def _sweep_config(cfg: ExperimentConfig, variable: str, value: float) -> Experim
     return cfg.with_overrides(**{key: value})
 
 
+def _note(row: dict, exc: ValueError, prefix: str = "") -> None:
+    """Append a point's failure to its ``infeasible_bands`` cell."""
+    if isinstance(exc, InfeasibleProblem):
+        text = f"{prefix}band={exc.band} constraint={exc.constraint}"
+    else:
+        text = f"{prefix}error={exc}"
+    row["infeasible_bands"] += ("; " if row["infeasible_bands"] else "") + text
+
+
 def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     """One joint solve plus one fixed-cellular baseline per grid point.
 
-    Infeasible points are recorded in-row (empty metric columns, offending
-    band and constraint noted) and the sweep continues.
+    A failing point is recorded in-row and the sweep continues: its metric
+    columns stay empty and ``infeasible_bands`` names the offending band and
+    constraint, or carries ``error=<message>`` for an invalid grid value.
     """
     sweep = cfg["sweep"]
     variable, grid = sweep["variable"], sweep["grid"]
@@ -220,22 +230,16 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     m = cfg["num_bands"]
     rows = []
     for index, value in enumerate(grid):
-        point_cfg = _sweep_config(cfg, variable, value)
-        system = build_system(point_cfg)
-        row: dict = {
-            "index": index,
-            "swept_variable": variable,
-            "swept_value": _cell(value),
-            "band_params_md5": _band_hash(system),
-            "infeasible_bands": "",
-        }
-        for i in range(m):
-            row[f"p_d2d_w_{i}"] = ""
-            row[f"p_cell_w_{i}"] = ""
-        row.update(
-            ee_d2d_total="", ee_cell_total="", ee_total="",
-            baseline_ee_d2d_total="", iterations="", converged="",
-        )
+        row = dict.fromkeys(sweep_fieldnames(m), "")
+        row.update(index=index, swept_variable=variable, swept_value=_cell(value))
+        try:
+            point_cfg = _sweep_config(cfg, variable, value)
+            system = build_system(point_cfg)
+        except ValueError as exc:
+            _note(row, exc)
+            rows.append(row)
+            continue
+        row["band_params_md5"] = _band_hash(system)
         try:
             result = optimize_powers(system, solver_options(point_cfg))
             for i in range(m):
@@ -246,18 +250,15 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
             row["ee_total"] = _cell(result.metrics.ee_total)
             row["iterations"] = result.trace.iterations
             row["converged"] = result.trace.converged
-        except InfeasibleProblem as exc:
-            row["infeasible_bands"] = f"band={exc.band} constraint={exc.constraint}"
+        except ValueError as exc:
+            _note(row, exc)
         try:
             base = baseline_fixed_cell(
                 system, point_cfg["baseline_p_cell_w"], solver_options(point_cfg)
             )
             row["baseline_ee_d2d_total"] = _cell(base.metrics.ee_d2d_total)
-        except InfeasibleProblem as exc:
-            note = f"baseline: band={exc.band} constraint={exc.constraint}"
-            row["infeasible_bands"] = (
-                row["infeasible_bands"] + "; " + note if row["infeasible_bands"] else note
-            )
+        except ValueError as exc:
+            _note(row, exc, "baseline: ")
         rows.append(row)
     return rows
 

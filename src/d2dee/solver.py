@@ -6,8 +6,12 @@ efficiency over the substituted variable x = exp(cd * lambda_c *
 The substitution turns each band objective into (ln x)^(alpha/2) / x, a
 unimodal function on (1, inf) with stationary point exp(alpha/2), and the
 QoS caps become a per-band box in x.  Phase two fixes the D2D powers and
-maximizes cellular energy efficiency per band, with the single power
-budget of either phase handled by bisection on its Lagrange multiplier.
+maximizes cellular energy efficiency per band, stationary at
+(2c/alpha)^(alpha/2).  The single power budget of either phase is handled
+by bisection on its Lagrange multiplier mu.  Each per-band maximum is the
+best of the box ends and the stationary root clamped into the box, ties
+going to the lowest point; at mu > 0 the root is bisected from a bracket
+with closed-form ends (see each phase's argmax).
 
 The model's energy efficiency depends on transmit powers only through
 their ratio and a 1/P factor, so the joint problem has no interior scale
@@ -21,8 +25,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .model import (
     BandParams,
@@ -52,9 +54,6 @@ __all__ = [
     "check_feasible",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 class InfeasibleProblem(ValueError):
     """A QoS or budget constraint cannot be met; names the offending piece."""
 
@@ -67,21 +66,20 @@ class InfeasibleProblem(ValueError):
 @dataclass
 class SolveOptions:
     """Solver tolerances; the power-change tolerance doubles as the
-    anchor for degenerate bands whose objective has no interior optimum."""
+    anchor for degenerate bands whose objective has no interior optimum.
+    The per-band maximizers are closed-form candidates and need none."""
 
     eps_power_w: float = 1e-5
     max_outer_iters: int = 10
     budget_tol_rel: float = 1e-6
-    grid_points: int = 256
-    line_search_tol_rel: float = 1e-8
     phase2_mode: str = "coupled"  # or "paper_literal"
 
     def __post_init__(self):
-        for name in ("eps_power_w", "budget_tol_rel", "line_search_tol_rel"):
+        for name in ("eps_power_w", "budget_tol_rel"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.max_outer_iters < 1 or self.grid_points < 2:
-            raise ValueError("max_outer_iters and grid_points must be positive")
+        if self.max_outer_iters < 1:
+            raise ValueError("max_outer_iters must be positive")
         if self.phase2_mode not in ("coupled", "paper_literal"):
             raise ValueError("phase2_mode must be 'coupled' or 'paper_literal'")
 
@@ -216,6 +214,22 @@ def curvature_interval(alpha: float) -> tuple[float, float]:
 # feasible boxes
 
 
+def _cell_margin(band: BandParams, band_index: int) -> float:
+    """Cellular outage budget left to D2D interference, -ln(1-theta_c) - cc*lambda_c."""
+    cap_exp = -math.log(1.0 - band.outage_cap_cell)
+    cc_lc = band.coeff_cell() * band.density_cell
+    if cap_exp <= cc_lc:
+        # cc grows as T^(2/alpha): the cap is reachable only below t_max
+        t_max = band.sir_threshold_cell * (cap_exp / cc_lc) ** (band.pathloss_exponent / 2.0)
+        raise InfeasibleProblem(
+            "cellular outage cap unreachable at any power: "
+            f"sir_threshold_cell must be below {t_max:.3g} on band {band_index}",
+            band=band_index,
+            constraint="qos_cell",
+        )
+    return cap_exp - cc_lc
+
+
 def x_feasible_box(band: BandParams, p_cell_w: float, band_index: int = 0) -> FeasibleBox:
     """QoS and power-cap bounds on x for one band at a fixed cellular power.
 
@@ -227,14 +241,7 @@ def x_feasible_box(band: BandParams, p_cell_w: float, band_index: int = 0) -> Fe
     cc = band.coeff_cell()
     ld, lc = band.density_d2d, band.density_cell
     hi = math.exp(-cd * ld) / (1.0 - band.outage_cap_d2d)
-    budget_cell_exp = -math.log(1.0 - band.outage_cap_cell) - cc * lc
-    if budget_cell_exp <= 0.0:
-        raise InfeasibleProblem(
-            "cellular outage cap unreachable at any power",
-            band=band_index,
-            constraint="qos_cell",
-        )
-    lo_qos = math.exp(cc * cd * lc * ld / budget_cell_exp)
+    lo_qos = math.exp(cc * cd * lc * ld / _cell_margin(band, band_index))
     lo_cap = math.exp(
         cd * lc * (p_cell_w / band.max_power_d2d_w) ** (2.0 / band.pathloss_exponent)
     )
@@ -256,39 +263,16 @@ def x_feasible_box(band: BandParams, p_cell_w: float, band_index: int = 0) -> Fe
 # 1-D maximization helpers
 
 
-def _golden_max(f, a: float, b: float, tol_rel: float) -> tuple[float, float]:
-    """Golden-section maximization on [a, b] for a unimodal bracket."""
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while (b - a) > tol_rel * max(abs(b), 1.0):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = f(x2)
+def _rising_root(g, a: float, b: float) -> float:
+    """Root of g increasing on [a, b] with g(a) < 0 <= g(b), to adjacent floats."""
+    while True:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            return b
+        if g(mid) < 0.0:
+            a = mid
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = f(x1)
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
-
-
-def _maximize_on_interval(f, lo: float, hi: float, grid_points: int, tol_rel: float) -> float:
-    """Grid-seeded golden-section argmax; ties resolve to the lowest point."""
-    if hi <= lo:
-        return lo
-    grid = np.geomspace(lo, hi, grid_points) if lo > 0 else np.linspace(lo, hi, grid_points)
-    grid[0], grid[-1] = lo, hi
-    vals = np.array([f(x) for x in grid])
-    j = int(np.argmax(vals))  # argmax takes the first max: lowest candidate
-    a = float(grid[max(j - 1, 0)])
-    b = float(grid[min(j + 1, grid_points - 1)])
-    x_ref, v_ref = _golden_max(f, a, b, tol_rel)
-    # keep the grid point on exact ties for determinism
-    if v_ref > vals[j]:
-        return x_ref
-    return float(grid[j])
+            b = mid
 
 
 def _dual_bisect(solve_at_mu, total_power, budget: float, opts: SolveOptions):
@@ -351,8 +335,8 @@ def solve_d2d_phase(
     flags: list[str] = []
     boxed: list[int] = []
     boxes: dict[int, FeasibleBox] = {}
-    objs: dict[int, object] = {}
     powers: dict[int, object] = {}
+    terms: dict[int, tuple[float, float, float]] = {}
     fixed_power = 0.0
 
     for i, band in enumerate(bands):
@@ -383,8 +367,8 @@ def solve_d2d_phase(
             * math.exp(-band.coeff_d2d() * band.density_d2d)
             / (cdlc**k * p_cell[i])
         )
-        objs[i] = lambda x, amp=amp, k=k: amp * math.log(x) ** k / x
         powers[i] = lambda x, pc=p_cell[i], c=cdlc, k=k: pc * (c / math.log(x)) ** k
+        terms[i] = (amp, k, p_cell[i] * cdlc**k)
 
     budget = system.budget_d2d_w
     min_spend = fixed_power + math.fsum(powers[i](boxes[i].hi) for i in boxed)
@@ -393,18 +377,27 @@ def solve_d2d_phase(
             "D2D budget infeasible under QoS caps", band=None, constraint="budget_d2d"
         )
 
-    def solve_at_mu(mu: float) -> dict[int, float]:
-        out = {}
-        for i in boxed:
-            f = lambda x, i=i, mu=mu: objs[i](x) - mu * powers[i](x)
-            out[i] = _maximize_on_interval(
-                f, boxes[i].lo, boxes[i].hi, opts.grid_points, opts.line_search_tol_rel
-            )
-        return out
+    def argmax(i: int, mu: float) -> float:
+        # In u = ln x the objective is A u^k e^(-u) - mu B u^(-k), B = P_c (cd lc)^k;
+        # its slope has the sign of mu B k - phi(u), phi = A u^(2k) (u-k) e^(-u),
+        # which is zero at u = k and peaks once, at u_p.
+        amp, k, b = terms[i]
+        lo, hi = boxes[i].lo, boxes[i].hi
+        if mu == 0.0:
+            u = k
+        else:
+            phi = lambda u: amp * u ** (2.0 * k) * (u - k) * math.exp(-u)
+            u_p = 0.5 * (3.0 * k + 1.0 + math.sqrt((3.0 * k + 1.0) ** 2 - 8.0 * k * k))
+            if phi(u_p) <= mu * b * k:
+                return hi  # the objective rises everywhere
+            u = _rising_root(lambda u: phi(u) - mu * b * k, k, u_p)
+        f = lambda x: amp * math.log(x) ** k / x - mu * powers[i](x)
+        return max((lo, min(max(math.exp(u), lo), hi), hi), key=f)
 
     def total_power(dec: dict[int, float]) -> float:
         return fixed_power + math.fsum(powers[i](dec[i]) for i in boxed)
 
+    solve_at_mu = lambda mu: {i: argmax(i, mu) for i in boxed}
     dec, mu, met = _dual_bisect(solve_at_mu, total_power, budget, opts)
     if not met and total_power(dec) > budget:
         # duality gap: scale the implied powers onto the budget, then clamp.
@@ -451,13 +444,7 @@ def _cell_bounds(band: BandParams, p_d2d: float, band_index: int) -> tuple[float
             band=band_index,
             constraint="qos_d2d",
         )
-    cell_margin = -math.log(1.0 - band.outage_cap_cell) - cc * lc
-    if cell_margin <= 0.0:
-        raise InfeasibleProblem(
-            "cellular outage cap unreachable at any power",
-            band=band_index,
-            constraint="qos_cell",
-        )
+    cell_margin = _cell_margin(band, band_index)
     lo = p_d2d * (cc * ld / cell_margin) ** k if ld > 0 else 0.0
     hi = p_d2d * (d2d_margin / (cd * lc)) ** k if lc > 0 else math.inf
     hi = min(hi, band.max_power_cell_w)
@@ -530,34 +517,31 @@ def solve_cell_phase(
         for band in bands
     ]
 
-    def h(i: int, p: float) -> float:
-        return kconst[i] * math.exp(-coef[i] * p ** (-2.0 / alpha[i])) / p
-
-    def clamp_interior(i: int) -> float:
-        if coef[i] <= 0.0:
-            return eff_lo[i]
-        p_star = (2.0 * coef[i] / alpha[i]) ** (alpha[i] / 2.0)
-        return min(max(p_star, eff_lo[i]), bounds[i][1])
-
-    def solve_at_mu(mu: float) -> list[float]:
+    def argmax(i: int, mu: float) -> float:
+        # In s = p^(-2/alpha) the slope of K e^(-cs) / p - mu p is psi(s) - mu,
+        # psi = K e^(-cs) s^alpha (beta s - 1) with beta = 2c/alpha, which is zero
+        # at 1/beta and peaks once, at the larger root of
+        # c beta s^2 - (c + alpha beta + beta) s + alpha.
+        c, a, lo, hi = coef[i], alpha[i], eff_lo[i], bounds[i][1]
+        if c <= 0.0:
+            return lo  # no D2D interference: the objective falls everywhere
         if mu == 0.0:
-            return [clamp_interior(i) for i in range(m)]
-        out = []
-        for i in range(m):
-            f = lambda p, i=i, mu=mu: h(i, p) - mu * p
-            out.append(
-                _maximize_on_interval(
-                    f, eff_lo[i], bounds[i][1], opts.grid_points, opts.line_search_tol_rel
-                )
-            )
-        return out
+            root = (2.0 * c / a) ** (a / 2.0)
+        else:
+            beta = 2.0 * c / a
+            psi = lambda s: kconst[i] * math.exp(-c * s) * s**a * (beta * s - 1.0)
+            q = c + a * beta + beta
+            s_p = (q + math.sqrt(q * q - 4.0 * c * beta * a)) / (2.0 * c * beta)
+            if psi(s_p) <= mu:
+                return lo  # the objective falls everywhere
+            root = _rising_root(lambda s: psi(s) - mu, 1.0 / beta, s_p) ** (-a / 2.0)
+        f = lambda p: kconst[i] * math.exp(-c * p ** (-2.0 / a)) / p - mu * p
+        return max((lo, min(max(root, lo), hi), hi), key=f)
 
-    def total_power(dec: list[float]) -> float:
-        return math.fsum(dec)
-
-    dec, mu, met = _dual_bisect(solve_at_mu, total_power, system.budget_cell_w, opts)
-    if not met and total_power(dec) > system.budget_cell_w:
-        scale = system.budget_cell_w / total_power(dec)
+    solve_at_mu = lambda mu: [argmax(i, mu) for i in range(m)]
+    dec, mu, met = _dual_bisect(solve_at_mu, math.fsum, system.budget_cell_w, opts)
+    if not met and math.fsum(dec) > system.budget_cell_w:
+        scale = system.budget_cell_w / math.fsum(dec)
         dec = [min(max(p * scale, eff_lo[i]), bounds[i][1]) for i, p in enumerate(dec)]
         flags.append("cellular budget met by proportional scaling (duality gap)")
     diag = {"mu": mu, "flags": flags, "bounds": bounds, "mode": "coupled"}

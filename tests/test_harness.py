@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from d2dee import ExperimentConfig, build_system, load_config, save_config
-from d2dee.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main
+from d2dee.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main
 from d2dee.harness import (
     read_csv,
     run_solve,
@@ -52,6 +52,23 @@ class TestConfig:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"bandwidht_hz": 1e6}))
         with pytest.raises(ValueError, match="bandwidht_hz"):
+            load_config(path)
+
+    def test_retired_solver_keys_ignored(self, tmp_path):
+        # configs saved while the solver had a grid/golden-section search
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"solver": {"grid_points": 256,
+                                               "line_search_tol_rel": 1e-8,
+                                               "eps_power_w": 1e-6}}))
+        cfg = load_config(path)
+        assert cfg["solver"]["eps_power_w"] == 1e-6
+        assert "grid_points" not in cfg["solver"]
+        assert "line_search_tol_rel" not in cfg["solver"]
+
+    def test_unknown_solver_key_named(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"solver": {"grid_point": 256}}))
+        with pytest.raises(ValueError, match="solver.grid_point"):
             load_config(path)
 
     def test_negative_value_named(self, tmp_path):
@@ -139,6 +156,12 @@ class TestSolveAndTrace:
         code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == EXIT_INFEASIBLE
 
+    def test_config_error_exit(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"num_bands": 0}))
+        code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+
     def test_trace_rows_and_termination(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         save_config(ExperimentConfig().with_overrides(**acc5_overrides()), cfg_path)
@@ -215,6 +238,18 @@ class TestSweep:
         assert rows[0]["ee_d2d_total"] != ""
         assert "constraint=" in rows[1]["infeasible_bands"]
         assert rows[1]["ee_d2d_total"] == ""
+
+    def test_invalid_grid_value_recorded_and_run_continues(self, tmp_path):
+        out = tmp_path / "out"
+        code = main(["sweep", "--out", str(out), "--sweep-var", "lambda_d_ref",
+                     "--sweep-grid", "1e-4,-1e-4,2e-4"])
+        assert code == EXIT_OK
+        rows = read_csv(out / "sweep.csv")
+        assert len(rows) == 3
+        assert rows[1]["infeasible_bands"] == (
+            "error=config field 'lambda_d_ref': must be nonnegative")
+        assert rows[1]["ee_d2d_total"] == "" and rows[1]["baseline_ee_d2d_total"] == ""
+        assert all(r["infeasible_bands"].startswith("band=") for r in (rows[0], rows[2]))
 
     def test_joint_and_baseline_share_band_hash(self):
         rows = run_sweep(self.sweep_cfg())

@@ -156,6 +156,20 @@ class TestFeasibleBox:
         assert err.value.constraint == "qos_cell"
         assert err.value.band == 2
 
+    def test_cellular_cap_message_names_largest_threshold(self, make_band):
+        # cc grows as T^(2/alpha), so the cap is reachable exactly while
+        # T < T * (-ln(1 - theta_c) / (cc * lambda_c))^(alpha/2)
+        band = make_band(sir_threshold_cell=1.0)
+        cap_exp = -math.log(1 - band.outage_cap_cell)
+        t_max = (cap_exp / (band.coeff_cell() * band.density_cell)) ** 2
+        with pytest.raises(InfeasibleProblem, match="cellular outage cap unreachable") as err:
+            x_feasible_box(band, 0.3)
+        assert f"sir_threshold_cell must be below {t_max:.3g}" in str(err.value)
+        # just below it, with little D2D interference, the box is nonempty
+        ok = make_band(sir_threshold_cell=0.99 * t_max, density_d2d=1e-9,
+                       outage_cap_d2d=0.5, max_power_d2d_w=1e3)
+        assert not x_feasible_box(ok, 0.3).empty
+
     def test_empty_box_reported(self, make_band):
         # heavy same-class interference: the D2D cap alone is unreachable
         band = make_band(density_d2d=1e-2, outage_cap_cell=0.5)
@@ -240,6 +254,23 @@ class TestPhaseOne:
         assert diag["mu"] > 0
         assert (budget - spent) <= 1e-6 * budget  # complementary slackness
         assert all(xi > math.exp(2.0) for xi in x)  # pushed up to save power
+
+    def test_budget_bound_powers_maximize_penalized_objective(self, make_band, make_system):
+        # at the settled multiplier every band's power maximizes EE_d - mu*P_d
+        # over its whole box, checked on a fine grid through the public model
+        band = slack_band(make_band)
+        system = make_system(bands=[band, band], budget_d2d_w=2.5e-8)
+        _, p_d, diag = solve_d2d_phase(system, [0.3, 0.3])
+        mu = diag["mu"]
+        assert mu > 0 and not diag["flags"]
+        for i, band in enumerate(system.bands):
+            box = x_feasible_box(band, 0.3, i)
+            grid = np.geomspace(power_from_x(band, 0.3, box.hi),
+                                power_from_x(band, 0.3, box.lo), 10_000)
+            penalized = lambda p: ee_per_band(band, 0.3, p)[0] - mu * p
+            best = penalized(p_d[i])
+            top = max(penalized(float(p)) for p in grid)
+            assert top <= best + 1e-12 * abs(best)
 
     def test_budget_infeasible_under_qos(self, make_band, make_system):
         # minimum spend at the QoS ceiling exceeds the budget
@@ -352,6 +383,23 @@ class TestPhaseTwo:
         assert spent <= budget * (1 + 1e-12)
         assert (budget - spent) <= 1e-6 * budget
         assert diag["mu"] > 0
+
+    def test_budget_bound_powers_maximize_penalized_objective(self, make_band, make_system):
+        # same system as the dual-bisection test: each band's cellular power
+        # maximizes EE_c - mu*P_c over its whole box
+        band = make_band(outage_cap_d2d=0.9999, outage_cap_cell=0.999999)
+        c = band.coeff_cell() * band.density_d2d * 0.02**0.5
+        system = make_system(bands=[band, band], budget_cell_w=1.2 * (c / 2) ** 2)
+        p_c, diag = solve_cell_phase(system, [0.02, 0.02])
+        mu = diag["mu"]
+        assert mu > 0 and not diag["flags"]
+        for i, band in enumerate(system.bands):
+            lo, hi = diag["bounds"][i]
+            assert lo <= p_c[i] <= hi
+            penalized = lambda p: ee_per_band(band, p, 0.02)[1] - mu * p
+            best = penalized(p_c[i])
+            top = max(penalized(float(p)) for p in np.geomspace(lo, hi, 10_000))
+            assert top <= best + 1e-12 * abs(best)
 
 
 def cap_pinned_system(make_band):
