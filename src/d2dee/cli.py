@@ -42,7 +42,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="output directory (default: $D2DEE_OUT or .)")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--trials", type=int, default=None)
-    sub.add_argument("--workers", type=int, default=None)
+    sub.add_argument("--workers", type=int, default=None,
+                     help="Monte Carlo chunks; they run on up to one process per usable "
+                          "CPU, and the estimate depends on the chunk count only")
     sub.add_argument("--phase2-mode", choices=["coupled", "paper_literal"], default=None)
 
 

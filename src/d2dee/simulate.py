@@ -13,11 +13,18 @@ chunks, each driven by an independent splittable substream keyed by
 seed, workers) reproduce the estimate bit for bit; changing ``workers``
 only repartitions the trials.  The generator behind the substreams is
 recorded in every estimate record.
+
+The chunks run on min(non-empty chunks, usable CPUs) processes: in this
+process when that is one, otherwise on a process pool that lives only for
+the call.  A chunk's successes depend on its substream alone, so the pool
+size never changes a bit of the estimate.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +143,21 @@ def sir_value(signal_power: float, interference_power: float) -> float:
     return signal_power / interference_power
 
 
+class _Buffers:
+    """Uniform and exponential draw buffers of one chunk, grown on demand."""
+
+    def __init__(self):
+        self.uniform = self.expo = np.empty(0)
+
+    def views(self, total: int) -> tuple[np.ndarray, np.ndarray]:
+        if total > self.uniform.size:
+            # an eighth of headroom, which later blocks' Poisson totals
+            # rarely exceed; pages beyond a block's total are never touched
+            size = max(total, self.uniform.size * 9 // 8)
+            self.uniform, self.expo = np.empty(size), np.empty(size)
+        return self.uniform[:total], self.expo[:total]
+
+
 def _interference_block(
     n: int,
     density: float,
@@ -143,22 +165,27 @@ def _interference_block(
     alpha: float,
     window_radius_m: float,
     rng: np.random.Generator,
+    buffers: _Buffers,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Aggregate weighted interference of one class for a block of trials.
 
     With radii r = R*sqrt(u) for u uniform on (0,1), the path-loss factor is
     r^(-alpha) = R^(-alpha) * u^(-alpha/2), so the uniform draw is used
     directly.  Per-trial sums run over contiguous segments; empty segments
-    (zero interferers) are patched to exactly zero.
+    (zero interferers) are patched to exactly zero.  The draws fill
+    ``buffers`` in place, in the same order and with the same float
+    operations as fresh arrays would, so the result is the same bits.
     """
     counts = rng.poisson(density * math.pi * window_radius_m**2, n)
     total = int(counts.sum())
     if total == 0:
         return np.zeros(n), counts
-    u = rng.random(total)
-    gains = rng.standard_exponential(total)
+    u, contrib = buffers.views(total)
+    rng.random(out=u)
+    rng.standard_exponential(out=contrib)
     with np.errstate(divide="ignore"):
-        contrib = gains * u ** (-alpha / 2.0)
+        np.power(u, -alpha / 2.0, out=u)
+    np.multiply(contrib, u, out=contrib)
     ends = np.cumsum(counts)
     starts = np.minimum(ends - counts, total - 1)
     agg = np.add.reduceat(contrib, starts)
@@ -167,7 +194,7 @@ def _interference_block(
 
 
 def _sir_block(
-    scenario: SimScenario, which: str, n: int, rng: np.random.Generator
+    scenario: SimScenario, which: str, n: int, rng: np.random.Generator, buffers: _Buffers
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Signal and interference powers for n trials of one link class.
 
@@ -188,16 +215,16 @@ def _sir_block(
         raise ValueError("which must be 'd2d' or 'cell'")
     signal = rng.standard_exponential(n) * link ** (-alpha)
     itf_same, counts_same = _interference_block(
-        n, dens_same, 1.0, alpha, scenario.window_radius_m, rng
+        n, dens_same, 1.0, alpha, scenario.window_radius_m, rng, buffers
     )
     itf_cross, counts_cross = _interference_block(
-        n, dens_cross, cross_weight, alpha, scenario.window_radius_m, rng
+        n, dens_cross, cross_weight, alpha, scenario.window_radius_m, rng, buffers
     )
     return signal, itf_same + itf_cross, counts_same, counts_cross
 
 
 def _realize_one(scenario: SimScenario, which: str, rng: np.random.Generator) -> SirSample:
-    signal, itf, counts_same, counts_cross = _sir_block(scenario, which, 1, rng)
+    signal, itf, counts_same, counts_cross = _sir_block(scenario, which, 1, rng, _Buffers())
     if which == "d2d":
         n_d, n_c = int(counts_same[0]), int(counts_cross[0])
     else:
@@ -218,6 +245,34 @@ def realize_sir_d2d(scenario: SimScenario, rng: np.random.Generator) -> SirSampl
 def realize_sir_cell(scenario: SimScenario, rng: np.random.Generator) -> SirSample:
     """One SIR realization at the typical base station (roles swapped)."""
     return _realize_one(scenario, "cell", rng)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_size(trials: int, workers: int) -> int:
+    """Processes for one estimate: one per non-empty chunk, at most one per usable CPU."""
+    return min(trials, workers, _usable_cpus())
+
+
+def _chunk_successes(
+    scenario: SimScenario, which: str, threshold: float, chunk: int, n_chunk: int
+) -> int:
+    """Successes among the ``n_chunk`` trials of one chunk, on its own substream."""
+    rng = _substream(scenario.seed, chunk)
+    buffers = _Buffers()
+    successes = 0
+    done = 0
+    while done < n_chunk:
+        n = min(_BLOCK, n_chunk - done)
+        signal, itf, _, _ = _sir_block(scenario, which, n, rng, buffers)
+        successes += int(np.count_nonzero((itf == 0.0) | (signal >= threshold * itf)))
+        done += n
+    return successes
 
 
 def estimate_stp(scenario: SimScenario, which: str) -> StpEstimate:
@@ -242,20 +297,37 @@ def estimate_stp(scenario: SimScenario, which: str) -> StpEstimate:
     else:
         raise ValueError("which must be 'd2d' or 'cell'")
 
+    start = time.perf_counter()
     # Contiguous partition of trial indices over the workers.
     base, extra = divmod(scenario.trials, scenario.workers)
-    successes = 0
-    for chunk in range(scenario.workers):
-        n_chunk = base + (1 if chunk < extra else 0)
-        if n_chunk == 0:
-            continue
-        rng = _substream(scenario.seed, chunk)
-        done = 0
-        while done < n_chunk:
-            n = min(_BLOCK, n_chunk - done)
-            signal, itf, _, _ = _sir_block(scenario, which, n, rng)
-            successes += int(np.count_nonzero((itf == 0.0) | (signal >= threshold * itf)))
-            done += n
+    sizes = [base + (1 if c < extra else 0) for c in range(scenario.workers)]
+    chunks = [(c, n) for c, n in enumerate(sizes) if n]
+    procs = _pool_size(scenario.trials, scenario.workers)
+    if procs == 1:
+        successes = sum(_chunk_successes(scenario, which, threshold, c, n) for c, n in chunks)
+    else:
+        # imported here: an in-process estimate never needs them, and they
+        # would add ~24 ms to every start-up
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork spares each worker a fresh import of numpy; the pool forks all
+        # of its workers before it starts a thread of its own
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+        with ProcessPoolExecutor(procs, multiprocessing.get_context(method)) as pool:
+            futures = [
+                pool.submit(_chunk_successes, scenario, which, threshold, c, n)
+                for c, n in chunks
+            ]
+            successes = sum(f.result() for f in futures)
+    wall_s = time.perf_counter() - start
+    # imported here too: at module level it would add ~9 ms to every start-up
+    import logging
+
+    logging.getLogger("d2dee").debug(
+        "estimate_stp %s: %d trials, %d chunks, pool %d, %.3f s",
+        which, scenario.trials, len(chunks), procs, wall_s,
+    )
 
     p_hat = successes / scenario.trials
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / scenario.trials)

@@ -249,6 +249,9 @@ def x_feasible_box(band: BandParams, p_cell_w: float, band_index: int = 0) -> Fe
         lo, lo_source = lo_qos, "qos_cell"
     else:
         lo, lo_source = lo_cap, "power_cap"
+    # a lower end that rounds to 1 would map to infinite D2D power (ln 1 = 0);
+    # the next float up stays on the feasible side of both lower bounds
+    lo = max(lo, math.nextafter(1.0, math.inf))
     box = FeasibleBox(lo=lo, hi=hi, lo_source=lo_source, hi_source="qos_d2d")
     if box.empty or hi <= 1.0:
         raise InfeasibleProblem(

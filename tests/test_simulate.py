@@ -1,5 +1,7 @@
 import dataclasses
+import logging
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -14,7 +16,16 @@ from d2dee import (
     stp_cell,
     stp_d2d,
 )
-from d2dee.simulate import _substream, sir_value
+from d2dee import simulate
+from d2dee.simulate import (
+    _Buffers,
+    _chunk_successes,
+    _interference_block,
+    _pool_size,
+    _substream,
+    _usable_cpus,
+    sir_value,
+)
 
 
 def scenario(band, **overrides):
@@ -181,3 +192,89 @@ class TestOracleEquivalence:
                 f"{which} scale={scale} ratio={ratio}: "
                 f"p_hat={est.p_hat:.5f} analytic={est.analytic:.5f}"
             )
+
+
+def fresh_interference_block(n, density, weight, alpha, window_radius_m, rng):
+    """The interference block as computed with fresh arrays, before buffer reuse."""
+    counts = rng.poisson(density * math.pi * window_radius_m**2, n)
+    total = int(counts.sum())
+    if total == 0:
+        return np.zeros(n), counts
+    u = rng.random(total)
+    gains = rng.standard_exponential(total)
+    with np.errstate(divide="ignore"):
+        contrib = gains * u ** (-alpha / 2.0)
+    ends = np.cumsum(counts)
+    starts = np.minimum(ends - counts, total - 1)
+    agg = np.add.reduceat(contrib, starts)
+    agg[counts == 0] = 0.0
+    return (weight * window_radius_m ** (-alpha)) * agg, counts
+
+
+class TestChunkPool:
+    @pytest.mark.parametrize("workers", [1, 2, 10**4])
+    def test_pool_size_bounded(self, workers):
+        # computed only: nothing is launched
+        cpus = _usable_cpus()
+        for trials in (100, 100_000):
+            chunks = min(trials, workers)  # non-empty chunks
+            assert 1 <= _pool_size(trials, workers) == min(cpus, chunks)
+
+    def test_pool_size_with_fewer_trials_than_workers(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 64)
+        assert _pool_size(3, 10) == 3
+        assert _pool_size(100, 10**4) == 64
+        assert _pool_size(10**6, 10**4) == 64
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+        assert _pool_size(3, 10) == 1
+        assert _pool_size(10**6, 10**4) == 1
+
+    def test_pooled_estimate_equals_in_process_chunks(self, band1, monkeypatch):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        sc = scenario(band1, trials=20_001, workers=2)
+        est = estimate_stp(sc, "cell")
+        threshold = band1.sir_threshold_cell
+        successes = (_chunk_successes(sc, "cell", threshold, 0, 10_001)
+                     + _chunk_successes(sc, "cell", threshold, 1, 10_000))
+        assert est.p_hat == successes / sc.trials
+        assert est.std_err == math.sqrt(est.p_hat * (1.0 - est.p_hat) / sc.trials)
+
+    def test_no_process_outlives_estimate(self, band1, monkeypatch):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        estimate_stp(scenario(band1, trials=3000, workers=3), "d2d")
+        assert multiprocessing.active_children() == []
+
+    def test_buffered_block_matches_fresh_arrays(self):
+        # (n, density, weight, alpha, window): the third block outgrows the
+        # buffers, the fourth has no interferers
+        blocks = [
+            (400, 1e-4, 1.0, 4.0, 500.0),
+            (300, 1.5e-5, 15.0, 4.0, 500.0),
+            (1500, 1e-4, 1.0, 4.0, 500.0),
+            (200, 0.0, 2.0, 4.0, 500.0),
+            (700, 3e-5, 0.1, 3.0, 800.0),
+        ]
+        rng_fresh, rng_buffered = _substream(41, 0), _substream(41, 0)
+        buffers = _Buffers()
+        sizes = []
+        for n, density, weight, alpha, window in blocks:
+            want_itf, want_counts = fresh_interference_block(
+                n, density, weight, alpha, window, rng_fresh)
+            got_itf, got_counts = _interference_block(
+                n, density, weight, alpha, window, rng_buffered, buffers)
+            assert np.array_equal(got_itf.view(np.uint64), want_itf.view(np.uint64))
+            assert np.array_equal(got_counts, want_counts)
+            sizes.append(buffers.uniform.size)
+        assert sizes[2] > sizes[1]  # grown on demand
+        assert sizes[3] == sizes[2]  # an empty block draws nothing
+        assert rng_buffered.bit_generator.state == rng_fresh.bit_generator.state
+
+    def test_debug_line_per_estimate(self, band1, caplog, capsys):
+        with caplog.at_level(logging.DEBUG, logger="d2dee"):
+            estimate_stp(scenario(band1, trials=1000, workers=3), "d2d")
+        lines = [r.getMessage() for r in caplog.records if r.name == "d2dee"]
+        assert len(lines) == 1
+        assert lines[0].startswith("estimate_stp d2d: 1000 trials, 3 chunks, ")
+        assert f"pool {_pool_size(1000, 3)}, " in lines[0]
+        assert lines[0].endswith(" s")
+        assert capsys.readouterr().out == ""

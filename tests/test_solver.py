@@ -278,6 +278,17 @@ class TestPhaseOne:
         with pytest.raises(InfeasibleProblem, match="D2D budget infeasible under QoS caps"):
             solve_d2d_phase(system, [0.3])
 
+    def test_lower_end_rounding_to_one_stays_finite(self, make_band, make_system):
+        # at Pc = 1e-30 W both lower bounds of x round to exactly 1, where the
+        # power map Pc (c / ln x)^k divides by ln 1 = 0
+        band = make_band(density_d2d=0.0, density_cell=1e-6, max_power_d2d_w=1e3)
+        box = x_feasible_box(band, 1e-30)
+        assert box.lo > 1.0 and box.lo_source == "qos_cell"
+        assert power_from_x(band, 1e-30, box.lo) <= band.max_power_d2d_w
+        x, p_d, _ = solve_d2d_phase(make_system(bands=[band]), [1e-30])
+        assert math.isfinite(x[0]) and x[0] > 1.0
+        assert 0.0 < p_d[0] <= band.max_power_d2d_w
+
     def test_no_cellular_density_anchored(self, make_band, make_system):
         band = make_band(density_cell=0.0, density_d2d=1e-6)
         system = make_system(bands=[band])
