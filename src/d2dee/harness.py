@@ -78,14 +78,11 @@ def run_validate(
     cfg: ExperimentConfig,
     which: str = "both",
     band_index: int | None = None,
-    analytic_override: float | None = None,
 ) -> tuple[list[dict], bool]:
     """Monte Carlo estimates against the closed forms on one band.
 
     Passes when every estimate satisfies |z| <= 3.3 and |p_hat - analytic|
-    <= 0.005 (z is skipped when the standard error is zero).  The
-    ``analytic_override`` hook substitutes a corrupted anchor to exercise
-    the failure path.
+    <= 0.005 (z is skipped when the standard error is zero).
     """
     system = build_system(cfg)
     sim = cfg["sim"]
@@ -106,11 +103,6 @@ def run_validate(
     ok = True
     for kind in kinds:
         est = estimate_stp(scenario, kind)
-        if analytic_override is not None:
-            est.analytic = analytic_override
-            est.z_score = (
-                (est.p_hat - est.analytic) / est.std_err if est.std_err > 0 else math.nan
-            )
         rec = est.to_record()
         rec["band"] = idx
         gap = abs(est.p_hat - est.analytic)

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "BandParams",
     "SystemParams",
@@ -213,12 +211,27 @@ def asr(band: BandParams, stp: float, density: float, threshold: float) -> float
     return density * band.bandwidth_hz * math.log2(1.0 + threshold) * stp
 
 
+def _rising_root(g, a: float, b: float) -> float:
+    """Root of g increasing on [a, b] with g(a) < 0 <= g(b), to adjacent floats."""
+    while True:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            return b
+        if g(mid) < 0.0:
+            a = mid
+        else:
+            b = mid
+
+
 def sup_rate_threshold(c: float, w_hz: float, alpha: float) -> tuple[float, float]:
     """Best fixed SIR threshold when STP(T) = exp(-c * T^(2/alpha)).
 
-    Maximizes w * log2(1+T) * exp(-c T^(2/alpha)) by a log-spaced bracket
-    over T in [1e-6, 1e6] refined with golden-section.  Returns (T*, rate).
-    Standalone utility; the power allocator always works at fixed thresholds.
+    Maximizes w * log2(1+T) * exp(-c T^(2/alpha)) over T in [1e-6, 1e6].
+    The rate is stationary where (2c/alpha) T^(2/alpha-1) (1+T) ln(1+T) = 1;
+    the left side strictly increases because ln(1+T) < T, so the root is
+    bisected in ln T, and without a root in the range the clamped end is
+    returned.  Returns (T*, rate).  Standalone utility; the power allocator
+    always works at fixed thresholds.
     """
     if c <= 0:
         raise ValueError("supremum unbounded without interference")
@@ -226,30 +239,19 @@ def sup_rate_threshold(c: float, w_hz: float, alpha: float) -> tuple[float, floa
         raise ValueError("bandwidth must be positive")
     expo = 2.0 / alpha
 
-    def rate(t: float) -> float:
-        return w_hz * math.log2(1.0 + t) * math.exp(-c * t**expo)
+    def falling(u: float) -> float:
+        # positive exactly where the rate decreases in T = e^u
+        t = math.exp(u)
+        return c * expo * t ** (expo - 1.0) * (1.0 + t) * math.log1p(t) - 1.0
 
-    grid = np.geomspace(1e-6, 1e6, 4096)
-    vals = w_hz * np.log2(1.0 + grid) * np.exp(-c * grid**expo)
-    j = int(np.argmax(vals))
-    a = grid[max(j - 1, 0)]
-    b = grid[min(j + 1, len(grid) - 1)]
-    # golden-section refinement of the bracket
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = rate(x1), rate(x2)
-    while (b - a) > 1e-12 * max(b, 1.0):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = rate(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = rate(x1)
-    t_star = 0.5 * (a + b)
-    return t_star, rate(t_star)
+    lo, hi = math.log(1e-6), math.log(1e6)
+    if falling(lo) >= 0.0:
+        t_star = 1e-6
+    elif falling(hi) <= 0.0:
+        t_star = 1e6
+    else:
+        t_star = math.exp(_rising_root(falling, lo, hi))
+    return t_star, w_hz * math.log2(1.0 + t_star) * math.exp(-c * t_star**expo)
 
 
 def ee_per_band(band: BandParams, p_cell_w: float, p_d2d_w: float) -> tuple[float, float]:

@@ -1,17 +1,18 @@
 """Two-phase energy-efficiency power allocation across bands.
 
 Phase one fixes the cellular powers and maximizes total D2D energy
-efficiency over the substituted variable x = exp(cd * lambda_c *
-(Pc/Pd)^(2/alpha)), where cd is the band's D2D interference coefficient.
-The substitution turns each band objective into (ln x)^(alpha/2) / x, a
-unimodal function on (1, inf) with stationary point exp(alpha/2), and the
-QoS caps become a per-band box in x.  Phase two fixes the D2D powers and
-maximizes cellular energy efficiency per band, stationary at
-(2c/alpha)^(alpha/2).  The single power budget of either phase is handled
-by bisection on its Lagrange multiplier mu.  Each per-band maximum is the
-best of the box ends and the stationary root clamped into the box, ties
-going to the lowest point; at mu > 0 the root is bisected from a bracket
-with closed-form ends (see each phase's argmax).
+efficiency; phase two fixes the D2D powers and maximizes total cellular
+energy efficiency.  The closed forms make these one problem with the two
+classes swapped, which one power-space routine solves: each band maximizes
+K * exp(-c * p^(-2/alpha)) / p, stationary at (2c/alpha)^(alpha/2), over
+the box that both outage caps and the power cap set, taking the best of
+the box ends and the clamped root; the class's single power budget is
+handled by bisection on its Lagrange multiplier mu.
+
+Phase one also reports the paper's substituted variable x = exp(cd *
+lambda_c * (Pc/Pd)^(2/alpha)) of its result.  The paper's box and
+concavity interval in x are x_feasible_box and curvature_interval; the
+solve does not need them.
 
 The model's energy efficiency depends on transmit powers only through
 their ratio and a 1/P factor, so the joint problem has no interior scale
@@ -28,6 +29,7 @@ from dataclasses import dataclass, field
 
 from .model import (
     BandParams,
+    _rising_root,
     MetricsReport,
     PowerAllocation,
     SystemParams,
@@ -86,12 +88,12 @@ class SolveOptions:
 
 @dataclass
 class FeasibleBox:
-    """Per-band bounds for the phase-one x variable or phase-two power."""
+    """Per-band bounds on the paper's phase-one x variable."""
 
     lo: float
     hi: float
-    lo_source: str  # qos_cell | power_cap | qos_d2d | curvature
-    hi_source: str
+    lo_source: str  # qos_cell | power_cap
+    hi_source: str  # qos_d2d
 
     @property
     def empty(self) -> bool:
@@ -214,20 +216,30 @@ def curvature_interval(alpha: float) -> tuple[float, float]:
 # feasible boxes
 
 
-def _cell_margin(band: BandParams, band_index: int) -> float:
-    """Cellular outage budget left to D2D interference, -ln(1-theta_c) - cc*lambda_c."""
-    cap_exp = -math.log(1.0 - band.outage_cap_cell)
-    cc_lc = band.coeff_cell() * band.density_cell
-    if cap_exp <= cc_lc:
-        # cc grows as T^(2/alpha): the cap is reachable only below t_max
-        t_max = band.sir_threshold_cell * (cap_exp / cc_lc) ** (band.pathloss_exponent / 2.0)
+def _margin(band: BandParams, cls: str, band_index: int) -> tuple[float, float, float]:
+    """(margin, interference coefficient, density) of one user class, ``"d2d"``
+    or ``"cell"``, on a band.  The margin -ln(1-theta) - coeff*lambda is the
+    outage budget the class leaves to the other class's interference."""
+    coeff = getattr(band, f"coeff_{cls}")()
+    density = getattr(band, f"density_{cls}")
+    cap_exp = -math.log(1.0 - getattr(band, f"outage_cap_{cls}"))
+    used = coeff * density
+    if cap_exp > used:
+        return cap_exp - used, coeff, density
+    if cls == "d2d":
         raise InfeasibleProblem(
-            "cellular outage cap unreachable at any power: "
-            f"sir_threshold_cell must be below {t_max:.3g} on band {band_index}",
+            "D2D QoS unreachable: outage cap below the density-only outage",
             band=band_index,
-            constraint="qos_cell",
+            constraint="qos_d2d",
         )
-    return cap_exp - cc_lc
+    # coeff grows as T^(2/alpha): the cap is reachable only below t_max
+    t_max = band.sir_threshold_cell * (cap_exp / used) ** (band.pathloss_exponent / 2.0)
+    raise InfeasibleProblem(
+        "cellular outage cap unreachable at any power: "
+        f"sir_threshold_cell must be below {t_max:.3g} on band {band_index}",
+        band=band_index,
+        constraint="qos_cell",
+    )
 
 
 def x_feasible_box(band: BandParams, p_cell_w: float, band_index: int = 0) -> FeasibleBox:
@@ -241,7 +253,7 @@ def x_feasible_box(band: BandParams, p_cell_w: float, band_index: int = 0) -> Fe
     cc = band.coeff_cell()
     ld, lc = band.density_d2d, band.density_cell
     hi = math.exp(-cd * ld) / (1.0 - band.outage_cap_d2d)
-    lo_qos = math.exp(cc * cd * lc * ld / _cell_margin(band, band_index))
+    lo_qos = math.exp(cc * cd * lc * ld / _margin(band, "cell", band_index)[0])
     lo_cap = math.exp(
         cd * lc * (p_cell_w / band.max_power_d2d_w) ** (2.0 / band.pathloss_exponent)
     )
@@ -263,35 +275,23 @@ def x_feasible_box(band: BandParams, p_cell_w: float, band_index: int = 0) -> Fe
 
 
 # ---------------------------------------------------------------------------
-# 1-D maximization helpers
+# budget multiplier
 
 
-def _rising_root(g, a: float, b: float) -> float:
-    """Root of g increasing on [a, b] with g(a) < 0 <= g(b), to adjacent floats."""
-    while True:
-        mid = 0.5 * (a + b)
-        if not a < mid < b:
-            return b
-        if g(mid) < 0.0:
-            a = mid
-        else:
-            b = mid
-
-
-def _dual_bisect(solve_at_mu, total_power, budget: float, opts: SolveOptions):
+def _dual_bisect(solve_at_mu, budget: float, opts: SolveOptions):
     """Bisection on the multiplier of a single coupling power budget.
 
-    ``solve_at_mu(mu)`` returns the per-band decision vector maximizing the
-    penalized objectives; ``total_power`` maps it to spent power, which is
-    nonincreasing in mu.  Returns (decisions, mu, met) where ``met`` is
-    False only if the bracket collapsed on a jump (duality gap).
+    ``solve_at_mu(mu)`` returns the per-band powers maximizing the penalized
+    objectives; their sum is nonincreasing in mu.  Returns (powers, mu, met)
+    where ``met`` is False only if the bracket collapsed on a jump (duality
+    gap).
     """
     dec0 = solve_at_mu(0.0)
-    if total_power(dec0) <= budget:
+    if math.fsum(dec0) <= budget:
         return dec0, 0.0, True
     mu_lo, mu_hi = 0.0, 1.0
     for _ in range(400):
-        if total_power(solve_at_mu(mu_hi)) <= budget:
+        if math.fsum(solve_at_mu(mu_hi)) <= budget:
             break
         mu_lo = mu_hi
         mu_hi *= 4.0
@@ -301,18 +301,122 @@ def _dual_bisect(solve_at_mu, total_power, budget: float, opts: SolveOptions):
     while (mu_hi - mu_lo) > 1e-15 * mu_hi:
         mid = 0.5 * (mu_lo + mu_hi)
         dec_mid = solve_at_mu(mid)
-        if total_power(dec_mid) <= budget:
+        if math.fsum(dec_mid) <= budget:
             mu_hi, dec_hi = mid, dec_mid
-            if budget - total_power(dec_mid) <= opts.budget_tol_rel * budget:
+            if budget - math.fsum(dec_mid) <= opts.budget_tol_rel * budget:
                 break
         else:
             mu_lo = mid
-    met = (budget - total_power(dec_hi)) <= opts.budget_tol_rel * budget
+    met = (budget - math.fsum(dec_hi)) <= opts.budget_tol_rel * budget
     return dec_hi, mu_hi, met
 
 
 # ---------------------------------------------------------------------------
-# phase one: D2D powers at fixed cellular powers
+# one phase: the powers of one class at the other class's fixed powers
+
+_NAME = {"d2d": "D2D", "cell": "cellular"}
+_BUDGET_INFEASIBLE = {
+    "d2d": "D2D budget infeasible under QoS caps",
+    "cell": "cellular budget below the sum of QoS lower bounds",
+}
+_GAP_FLAG = {
+    "d2d": "budget met by proportional scaling (duality gap)",
+    "cell": "cellular budget met by proportional scaling (duality gap)",
+}
+
+
+def _phase_bands(
+    system: SystemParams, own: str, q: list[float], opts: SolveOptions
+) -> tuple[list[tuple[float, float]], list[tuple[float, ...]], list[str]]:
+    """Per-band power box and objective of class ``own`` at the other
+    class's powers ``q``.
+
+    With k = alpha/2 the box is q * (coeff_own * lambda_other / margin_own)^k
+    <= p <= min(q * (margin_other / (coeff_other * lambda_own))^k, cap), and
+    the objective is K * exp(-c * p^(-2/alpha)) / p with K = W log2(1+T_own)
+    exp(-coeff_own * lambda_own), c = coeff_own * lambda_other * q^(2/alpha).
+    Returns (bounds, rows, flags), rows[i] = (effective lower end, upper
+    end, c, K, alpha).  A band without other-class density has no positive
+    lower end and no interior optimum: it is anchored at the power
+    tolerance, and the budget is checked against that anchor.
+    """
+    other = "cell" if own == "d2d" else "d2d"
+    if len(q) != system.num_bands:
+        raise ValueError(f"{_NAME[other]} power vector length must match the band count")
+    for i, qi in enumerate(q):
+        if qi <= 0:
+            raise ValueError(f"{_NAME[other]} power on band {i} must be positive")
+
+    bounds: list[tuple[float, float]] = []
+    rows: list[tuple[float, ...]] = []
+    flags: list[str] = []
+    for i, band in enumerate(system.bands):
+        a = band.pathloss_exponent
+        k = a / 2.0
+        margin_other, coeff_other, dens_other = _margin(band, other, i)
+        margin_own, coeff_own, dens_own = _margin(band, own, i)
+        cap = getattr(band, f"max_power_{own}_w")
+        lo = q[i] * (coeff_own * dens_other / margin_own) ** k if dens_other > 0 else 0.0
+        hi = q[i] * (margin_other / (coeff_other * dens_own)) ** k if dens_own > 0 else math.inf
+        hi, hi_source = (hi, f"qos_{other}") if hi <= cap else (cap, "power_cap")
+        if lo > hi:
+            raise InfeasibleProblem(f"empty feasible set on band {i}", band=i, constraint=hi_source)
+        bounds.append((lo, hi))
+        if lo <= 0.0:
+            lo = min(opts.eps_power_w, hi)
+            flags.append(f"band {i}: no {_NAME[other]} density, "
+                         f"{_NAME[own]} power anchored at tolerance")
+        c = coeff_own * dens_other * q[i] ** (2.0 / a)
+        threshold = getattr(band, f"sir_threshold_{own}")
+        k_amp = band.bandwidth_hz * math.log2(1.0 + threshold) * math.exp(-coeff_own * dens_own)
+        rows.append((lo, hi, c, k_amp, a))
+
+    budget = getattr(system, f"budget_{own}_w")
+    if math.fsum(r[0] for r in rows) > budget * (1.0 + opts.budget_tol_rel):
+        raise InfeasibleProblem(_BUDGET_INFEASIBLE[own], band=None, constraint=f"budget_{own}")
+    return bounds, rows, flags
+
+
+def _solve_phase(
+    system: SystemParams, own: str, q: list[float], opts: SolveOptions
+) -> tuple[list[float], dict]:
+    """Maximize the total energy efficiency of class ``own`` at fixed ``q``.
+
+    Each band maximizes K * exp(-c * p^(-2/alpha)) / p - mu * p over its
+    box (see _phase_bands); the class's budget is enforced by bisection on
+    mu, and by proportional scaling if the bisection meets a duality gap.
+    """
+    bounds, rows, flags = _phase_bands(system, own, q, opts)
+
+    def argmax(i: int, mu: float) -> float:
+        # In s = p^(-2/alpha) the slope of K e^(-cs) / p - mu p is psi(s) - mu,
+        # psi = K e^(-cs) s^alpha (beta s - 1) with beta = 2c/alpha, which is zero
+        # at 1/beta and peaks once, at the larger root of
+        # c beta s^2 - (c + alpha beta + beta) s + alpha.
+        lo, hi, c, k_amp, a = rows[i]
+        if c <= 0.0:
+            return lo  # no interference from the other class: the objective falls
+        if mu == 0.0:
+            root = (2.0 * c / a) ** (a / 2.0)
+        else:
+            beta = 2.0 * c / a
+            psi = lambda s: k_amp * math.exp(-c * s) * s**a * (beta * s - 1.0)
+            b = c + a * beta + beta
+            s_p = (b + math.sqrt(b * b - 4.0 * c * beta * a)) / (2.0 * c * beta)
+            if psi(s_p) <= mu:
+                return lo  # the objective falls everywhere
+            root = _rising_root(lambda s: psi(s) - mu, 1.0 / beta, s_p) ** (-a / 2.0)
+        f = lambda p: k_amp * math.exp(-c * p ** (-2.0 / a)) / p - mu * p
+        return max((lo, min(max(root, lo), hi), hi), key=f)
+
+    budget = getattr(system, f"budget_{own}_w")
+    solve_at_mu = lambda mu: [argmax(i, mu) for i in range(len(rows))]
+    dec, mu, met = _dual_bisect(solve_at_mu, budget, opts)
+    if not met and math.fsum(dec) > budget:
+        scale = budget / math.fsum(dec)
+        dec = [min(max(p * scale, r[0]), r[1]) for p, r in zip(dec, rows)]
+        flags.append(_GAP_FLAG[own])
+    return dec, {"mu": mu, "flags": flags, "bounds": bounds}
 
 
 def solve_d2d_phase(
@@ -320,144 +424,18 @@ def solve_d2d_phase(
 ) -> tuple[list[float], list[float], dict]:
     """Maximize total D2D energy efficiency at fixed cellular powers.
 
-    Returns (x, p_d2d, diagnostics).  Bands without cellular density bypass
-    the transform: their objective is monotone decreasing in the D2D power,
-    so they are anchored at the solver's power tolerance (flagged).
+    Returns (x, p_d2d, diagnostics), where x is the paper's substituted
+    variable of each band's result (see x_from_powers).  Bands without
+    cellular density have no x: their objective is monotone decreasing in
+    the D2D power, so they are anchored at the solver's power tolerance
+    (flagged) and report nan.
     """
-    opts = opts or SolveOptions()
-    bands = system.bands
-    m = system.num_bands
-    if len(p_cell) != m:
-        raise ValueError("cellular power vector length must match the band count")
-    for i, pc in enumerate(p_cell):
-        if pc <= 0:
-            raise ValueError(f"cellular power on band {i} must be positive")
-
-    x_out = [math.nan] * m
-    p_out = [0.0] * m
-    flags: list[str] = []
-    boxed: list[int] = []
-    boxes: dict[int, FeasibleBox] = {}
-    powers: dict[int, object] = {}
-    terms: dict[int, tuple[float, float, float]] = {}
-    fixed_power = 0.0
-
-    for i, band in enumerate(bands):
-        if band.density_cell == 0.0:
-            # degenerate band: EE decreases in P_d with no positive floor
-            hi_d2d = -math.log(1.0 - band.outage_cap_d2d)
-            if band.coeff_d2d() * band.density_d2d >= hi_d2d:
-                raise InfeasibleProblem(
-                    f"empty feasible set on band {i}", band=i, constraint="qos_d2d"
-                )
-            cap_qos_cell = math.inf
-            if band.density_d2d > 0:
-                cap_qos_cell = p_cell[i] * (
-                    -math.log(1.0 - band.outage_cap_cell)
-                    / (band.coeff_cell() * band.density_d2d)
-                ) ** (band.pathloss_exponent / 2.0)
-            p_out[i] = min(opts.eps_power_w, band.max_power_d2d_w, cap_qos_cell)
-            flags.append(f"band {i}: no cellular density, D2D power anchored at tolerance")
-            fixed_power += p_out[i]
-            continue
-        boxes[i] = x_feasible_box(band, p_cell[i], i)
-        boxed.append(i)
-        k = band.pathloss_exponent / 2.0
-        cdlc = band.coeff_d2d() * band.density_cell
-        amp = (
-            band.bandwidth_hz
-            * math.log2(1.0 + band.sir_threshold_d2d)
-            * math.exp(-band.coeff_d2d() * band.density_d2d)
-            / (cdlc**k * p_cell[i])
-        )
-        powers[i] = lambda x, pc=p_cell[i], c=cdlc, k=k: pc * (c / math.log(x)) ** k
-        terms[i] = (amp, k, p_cell[i] * cdlc**k)
-
-    budget = system.budget_d2d_w
-    min_spend = fixed_power + math.fsum(powers[i](boxes[i].hi) for i in boxed)
-    if min_spend > budget * (1.0 + opts.budget_tol_rel):
-        raise InfeasibleProblem(
-            "D2D budget infeasible under QoS caps", band=None, constraint="budget_d2d"
-        )
-
-    def argmax(i: int, mu: float) -> float:
-        # In u = ln x the objective is A u^k e^(-u) - mu B u^(-k), B = P_c (cd lc)^k;
-        # its slope has the sign of mu B k - phi(u), phi = A u^(2k) (u-k) e^(-u),
-        # which is zero at u = k and peaks once, at u_p.
-        amp, k, b = terms[i]
-        lo, hi = boxes[i].lo, boxes[i].hi
-        if mu == 0.0:
-            u = k
-        else:
-            phi = lambda u: amp * u ** (2.0 * k) * (u - k) * math.exp(-u)
-            u_p = 0.5 * (3.0 * k + 1.0 + math.sqrt((3.0 * k + 1.0) ** 2 - 8.0 * k * k))
-            if phi(u_p) <= mu * b * k:
-                return hi  # the objective rises everywhere
-            u = _rising_root(lambda u: phi(u) - mu * b * k, k, u_p)
-        f = lambda x: amp * math.log(x) ** k / x - mu * powers[i](x)
-        return max((lo, min(max(math.exp(u), lo), hi), hi), key=f)
-
-    def total_power(dec: dict[int, float]) -> float:
-        return fixed_power + math.fsum(powers[i](dec[i]) for i in boxed)
-
-    solve_at_mu = lambda mu: {i: argmax(i, mu) for i in boxed}
-    dec, mu, met = _dual_bisect(solve_at_mu, total_power, budget, opts)
-    if not met and total_power(dec) > budget:
-        # duality gap: scale the implied powers onto the budget, then clamp.
-        # The clamp works in log space so a scaled-down power cannot overflow
-        # the exponential of the transform.
-        scale = (budget - fixed_power) / (total_power(dec) - fixed_power)
-        for i in boxed:
-            band = bands[i]
-            p_scaled = powers[i](dec[i]) * scale
-            ln_x = (
-                band.coeff_d2d()
-                * band.density_cell
-                * (p_cell[i] / p_scaled) ** (2.0 / band.pathloss_exponent)
-            )
-            ln_x = min(max(ln_x, math.log(boxes[i].lo)), math.log(boxes[i].hi))
-            dec[i] = min(max(math.exp(ln_x), boxes[i].lo), boxes[i].hi)
-        flags.append("budget met by proportional scaling (duality gap)")
-
-    for i in boxed:
-        x_out[i] = dec[i]
-        p_out[i] = powers[i](dec[i])
-    diag = {
-        "mu": mu,
-        "flags": flags,
-        "boxes": {i: boxes[i] for i in boxed},
-        "spent_w": math.fsum(p_out),
-    }
+    p_out, diag = _solve_phase(system, "d2d", p_cell, opts or SolveOptions())
+    x_out = [
+        x_from_powers(band, p_cell[i], p_out[i]) if band.density_cell > 0 else math.nan
+        for i, band in enumerate(system.bands)
+    ]
     return x_out, p_out, diag
-
-
-# ---------------------------------------------------------------------------
-# phase two: cellular powers at fixed D2D powers
-
-
-def _cell_bounds(band: BandParams, p_d2d: float, band_index: int) -> tuple[float, float]:
-    """Per-band cellular power box implied by both outage caps at fixed P_d."""
-    k = band.pathloss_exponent / 2.0
-    cd, cc = band.coeff_d2d(), band.coeff_cell()
-    ld, lc = band.density_d2d, band.density_cell
-    d2d_margin = -math.log(1.0 - band.outage_cap_d2d) - cd * ld
-    if d2d_margin <= 0.0:
-        raise InfeasibleProblem(
-            "D2D QoS unreachable: outage cap below the density-only outage",
-            band=band_index,
-            constraint="qos_d2d",
-        )
-    cell_margin = _cell_margin(band, band_index)
-    lo = p_d2d * (cc * ld / cell_margin) ** k if ld > 0 else 0.0
-    hi = p_d2d * (d2d_margin / (cd * lc)) ** k if lc > 0 else math.inf
-    hi = min(hi, band.max_power_cell_w)
-    if lo > hi:
-        raise InfeasibleProblem(
-            f"empty feasible set on band {band_index}",
-            band=band_index,
-            constraint="qos_cell",
-        )
-    return lo, hi
 
 
 def solve_cell_phase(
@@ -465,90 +443,25 @@ def solve_cell_phase(
 ) -> tuple[list[float], dict]:
     """Maximize total cellular energy efficiency at fixed D2D powers.
 
-    In ``coupled`` mode the per-band objective keeps the power-ratio term of
-    the success probability live, giving K * exp(-c * P^(-2/alpha)) / P with
-    the closed-form interior maximizer (2c/alpha)^(alpha/2); the result is
-    clamped into the QoS/cap box and the total budget is enforced by dual
-    bisection.  ``paper_literal`` freezes the ratio term instead, leaving a
+    ``coupled`` mode keeps the power-ratio term of the success probability
+    live and solves the cellular side of the shared problem (see the module
+    docstring).  ``paper_literal`` freezes the ratio term instead, leaving a
     monotone decreasing objective, so every band pins to its lower bound.
     """
     opts = opts or SolveOptions()
-    bands = system.bands
-    m = system.num_bands
-    if len(p_d2d) != m:
-        raise ValueError("D2D power vector length must match the band count")
-    for i, pd in enumerate(p_d2d):
-        if pd <= 0:
-            raise ValueError(f"D2D power on band {i} must be positive")
-
-    flags: list[str] = []
-    bounds = [_cell_bounds(band, p_d2d[i], i) for i, band in enumerate(bands)]
-    lo_total = math.fsum(b[0] for b in bounds)
-    if lo_total > system.budget_cell_w * (1.0 + opts.budget_tol_rel):
-        raise InfeasibleProblem(
-            "cellular budget below the sum of QoS lower bounds",
-            band=None,
-            constraint="budget_cell",
-        )
-    # degenerate bands (no interior optimum) anchor at the power tolerance
-    eff_lo = []
-    for i, (lo, hi) in enumerate(bounds):
-        if lo <= 0.0:
-            lo = min(opts.eps_power_w, hi)
-            flags.append(f"band {i}: no D2D density, cellular power anchored at tolerance")
-        eff_lo.append(lo)
-
     if opts.phase2_mode == "paper_literal":
+        bounds, rows, flags = _phase_bands(system, "cell", p_d2d, opts)
         warnings.warn(
             "paper_literal mode: frozen-ratio cellular objective is monotone "
             "decreasing; returning per-band lower bounds",
             RuntimeWarning,
             stacklevel=2,
         )
-        p_out = [eff_lo[i] for i in range(m)]
+        p_out = [r[0] for r in rows]
         return p_out, {"mu": 0.0, "flags": flags, "bounds": bounds, "mode": "paper_literal"}
-
-    alpha = [band.pathloss_exponent for band in bands]
-    coef = [
-        band.coeff_cell() * band.density_d2d * p_d2d[i] ** (2.0 / alpha[i])
-        for i, band in enumerate(bands)
-    ]
-    kconst = [
-        band.bandwidth_hz
-        * math.log2(1.0 + band.sir_threshold_cell)
-        * math.exp(-band.coeff_cell() * band.density_cell)
-        for band in bands
-    ]
-
-    def argmax(i: int, mu: float) -> float:
-        # In s = p^(-2/alpha) the slope of K e^(-cs) / p - mu p is psi(s) - mu,
-        # psi = K e^(-cs) s^alpha (beta s - 1) with beta = 2c/alpha, which is zero
-        # at 1/beta and peaks once, at the larger root of
-        # c beta s^2 - (c + alpha beta + beta) s + alpha.
-        c, a, lo, hi = coef[i], alpha[i], eff_lo[i], bounds[i][1]
-        if c <= 0.0:
-            return lo  # no D2D interference: the objective falls everywhere
-        if mu == 0.0:
-            root = (2.0 * c / a) ** (a / 2.0)
-        else:
-            beta = 2.0 * c / a
-            psi = lambda s: kconst[i] * math.exp(-c * s) * s**a * (beta * s - 1.0)
-            q = c + a * beta + beta
-            s_p = (q + math.sqrt(q * q - 4.0 * c * beta * a)) / (2.0 * c * beta)
-            if psi(s_p) <= mu:
-                return lo  # the objective falls everywhere
-            root = _rising_root(lambda s: psi(s) - mu, 1.0 / beta, s_p) ** (-a / 2.0)
-        f = lambda p: kconst[i] * math.exp(-c * p ** (-2.0 / a)) / p - mu * p
-        return max((lo, min(max(root, lo), hi), hi), key=f)
-
-    solve_at_mu = lambda mu: [argmax(i, mu) for i in range(m)]
-    dec, mu, met = _dual_bisect(solve_at_mu, math.fsum, system.budget_cell_w, opts)
-    if not met and math.fsum(dec) > system.budget_cell_w:
-        scale = system.budget_cell_w / math.fsum(dec)
-        dec = [min(max(p * scale, eff_lo[i]), bounds[i][1]) for i, p in enumerate(dec)]
-        flags.append("cellular budget met by proportional scaling (duality gap)")
-    diag = {"mu": mu, "flags": flags, "bounds": bounds, "mode": "coupled"}
-    return dec, diag
+    p_out, diag = _solve_phase(system, "cell", p_d2d, opts)
+    diag["mode"] = "coupled"
+    return p_out, diag
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +485,6 @@ def optimize_powers(system: SystemParams, opts: SolveOptions | None = None) -> A
     trace = IterationTrace()
     flags: list[str] = []
     converged = False
-    x_last: list[float] = [math.nan] * m
     p_d2d: list[float] = list(p_d_prev)
 
     for it in range(1, opts.max_outer_iters + 1):
@@ -580,7 +492,7 @@ def optimize_powers(system: SystemParams, opts: SolveOptions | None = None) -> A
             # geometric scale collapse underflowed; the ratio is already pinned
             flags.append("cellular power underflow, iteration stopped early")
             break
-        x_last, p_d2d, diag1 = solve_d2d_phase(system, p_cell, opts)
+        _, p_d2d, diag1 = solve_d2d_phase(system, p_cell, opts)
         delta_d = max(abs(a - b) for a, b in zip(p_d2d, p_d_prev))
         p_d_prev = list(p_d2d)
 

@@ -125,9 +125,11 @@ class TestValidate:
         for rec in records:
             assert abs(rec["p_hat"] - rec["analytic"]) <= 0.005
 
-    def test_corrupted_analytic_fails(self):
+    def test_corrupted_analytic_fails(self, monkeypatch):
+        # a corrupted closed form, as estimate_stp reads it, must fail the gates
+        monkeypatch.setattr("d2dee.simulate.stp_d2d", lambda band, p_cell_w, p_d2d_w: 0.5)
         cfg = ExperimentConfig().with_overrides(trials=2000, seed=7)
-        _, ok = run_validate(cfg, which="d2d", analytic_override=0.5)
+        _, ok = run_validate(cfg, which="d2d")
         assert not ok
 
 

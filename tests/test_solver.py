@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from d2dee import (
+    BandParams,
     InfeasibleProblem,
     PowerAllocation,
     SolveOptions,
@@ -382,6 +383,19 @@ class TestPhaseTwo:
         with pytest.raises(InfeasibleProblem, match="cellular budget below"):
             solve_cell_phase(system, [0.02])
 
+    def test_anchored_band_counts_against_budget(self, make_band, make_system):
+        # band 0 has no D2D density, so its cellular power is anchored at the
+        # power tolerance; the budget covers band 1's lower end but not both
+        band = make_band(outage_cap_d2d=0.5, outage_cap_cell=0.5)
+        anchored = make_band(outage_cap_d2d=0.5, outage_cap_cell=0.5, density_d2d=0.0)
+        margin = -math.log(0.5) - band.coeff_cell() * band.density_cell
+        lo = 1e-3 * (band.coeff_cell() * band.density_d2d / margin) ** 2
+        system = make_system(bands=[anchored, band], budget_cell_w=lo + 5e-6)
+        with pytest.raises(InfeasibleProblem, match="cellular budget below") as err:
+            solve_cell_phase(system, [1e-3, 1e-3])
+        assert err.value.constraint == "budget_cell"
+        assert err.value.band is None
+
     def test_cell_budget_dual_bisection(self, make_band, make_system):
         # two bands whose interior optima together exceed the budget
         band = make_band(outage_cap_d2d=0.9999, outage_cap_cell=0.999999)
@@ -411,6 +425,45 @@ class TestPhaseTwo:
             best = penalized(p_c[i])
             top = max(penalized(float(p)) for p in np.geomspace(lo, hi, 10_000))
             assert top <= best + 1e-12 * abs(best)
+
+
+def mirror(system):
+    """The system with every band's D2D and cellular fields and the two
+    budgets swapped."""
+    bands = []
+    for band in system.bands:
+        fields = {}
+        for name, value in band.__dict__.items():
+            if "d2d" in name:
+                fields[name.replace("d2d", "cell")] = value
+            elif "cell" in name:
+                fields[name.replace("cell", "d2d")] = value
+            else:
+                fields[name] = value
+        bands.append(BandParams(**fields))
+    return SystemParams(bands=bands, budget_d2d_w=system.budget_cell_w,
+                        budget_cell_w=system.budget_d2d_w)
+
+
+class TestMirror:
+    """Phase one is phase two with the classes swapped."""
+
+    @pytest.mark.parametrize("budget_d2d_w", [1e3, 4e-4])  # slack, then binding
+    def test_d2d_phase_equals_mirrored_cell_phase(self, make_band, budget_d2d_w):
+        bands = [
+            make_band(outage_cap_d2d=0.9999, outage_cap_cell=0.999999,
+                      max_power_d2d_w=1e3, max_power_cell_w=1e3),
+            make_band(outage_cap_d2d=0.99, outage_cap_cell=0.9, max_power_d2d_w=1e3,
+                      d2d_link_distance_m=20.0, pathloss_exponent=3.5, density_cell=4e-5),
+        ]
+        system = SystemParams(bands=bands, budget_d2d_w=budget_d2d_w, budget_cell_w=1.0)
+        q = [0.3, 0.1]
+        _, p_d, diag_d = solve_d2d_phase(system, q)
+        p_c, diag_c = solve_cell_phase(mirror(system), q)
+        assert p_d == p_c
+        assert diag_d["mu"] == diag_c["mu"]
+        assert diag_d["bounds"] == diag_c["bounds"]
+        assert (diag_d["mu"] > 0) == (budget_d2d_w < 1.0)  # both regimes covered
 
 
 def cap_pinned_system(make_band):
