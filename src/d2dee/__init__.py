@@ -21,12 +21,8 @@ from .model import (
 )
 from .simulate import (
     SimScenario,
-    SirSample,
     StpEstimate,
     estimate_stp,
-    realize_sir_cell,
-    realize_sir_d2d,
-    sample_interferer_distances,
 )
 from .solver import (
     AllocationResult,

@@ -18,6 +18,17 @@ The chunks run on min(non-empty chunks, usable CPUs) processes: in this
 process when that is one, otherwise on a process pool that lives only for
 the call.  A chunk's successes depend on its substream alone, so the pool
 size never changes a bit of the estimate.
+
+A chunk runs in blocks of _BLOCK trials.  Each block draws, from the
+chunk's generator, the signal fading gains, then the same-class field,
+then the cross-class field; a field draws its per-trial Poisson counts,
+then one uniform per interferer, then one exponential per interferer.
+The interferers are drawn and reduced in tiles of whole trials holding at
+most _TILE of them: the uniforms come from the chunk's generator and the
+exponentials from a second PCG64 cursor jumped ahead past the block's
+uniforms, so each field reads the same draws as one pass over the block.
+A worker's draw buffers thus hold max(_TILE, largest per-trial count)
+floats each, whatever the density.
 """
 
 from __future__ import annotations
@@ -33,12 +44,8 @@ from .model import BandParams, stp_cell, stp_d2d
 
 __all__ = [
     "SimScenario",
-    "SirSample",
     "StpEstimate",
     "RNG_NAME",
-    "sample_interferer_distances",
-    "realize_sir_d2d",
-    "realize_sir_cell",
     "estimate_stp",
 ]
 
@@ -46,6 +53,10 @@ RNG_NAME = "pcg64"
 
 # Trials simulated per vectorized block; fixed so results are reproducible.
 _BLOCK = 8192
+# Interferers drawn and reduced at a time within a block: 2**15 floats per
+# draw array, so a tile's two arrays stay within a typical L2 cache.  The
+# tiling never changes a bit of the result.
+_TILE = 1 << 15
 
 
 @dataclass
@@ -67,24 +78,6 @@ class SimScenario:
             raise ValueError("trials must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
-
-
-@dataclass
-class SirSample:
-    """SIR of one trial plus the interferer counts that produced it.
-
-    ``sir`` is float('inf') only when both counts are zero (empty
-    interferer field); indicator logic must branch on the counts, never
-    do arithmetic on the infinity.
-    """
-
-    sir: float
-    n_interferers_d2d: int
-    n_interferers_cell: int
-
-    @property
-    def no_interference(self) -> bool:
-        return self.n_interferers_d2d == 0 and self.n_interferers_cell == 0
 
 
 @dataclass
@@ -122,38 +115,19 @@ def _substream(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, chunk])))
 
 
-def sample_interferer_distances(
-    density: float, window_radius_m: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Radii of one Poisson draw of interferers on a disc around the origin.
-
-    N ~ Poisson(density * pi * R^2); by radial symmetry uniform points on
-    the disc have radii R*sqrt(U) with U uniform on (0,1).
-    """
-    if density < 0:
-        raise ValueError("density must be nonnegative")
-    n = rng.poisson(density * math.pi * window_radius_m**2)
-    return window_radius_m * np.sqrt(rng.random(n))
-
-
-def sir_value(signal_power: float, interference_power: float) -> float:
-    """SIR of one trial; +inf sentinel when the interference is exactly zero."""
-    if interference_power == 0.0:
-        return math.inf
-    return signal_power / interference_power
-
-
 class _Buffers:
-    """Uniform and exponential draw buffers of one chunk, grown on demand."""
+    """Uniform and exponential draw buffers of one chunk.
+
+    They hold one tile: _TILE floats each, grown only for a single trial
+    with more interferers than that.
+    """
 
     def __init__(self):
         self.uniform = self.expo = np.empty(0)
 
     def views(self, total: int) -> tuple[np.ndarray, np.ndarray]:
         if total > self.uniform.size:
-            # an eighth of headroom, which later blocks' Poisson totals
-            # rarely exceed; pages beyond a block's total are never touched
-            size = max(total, self.uniform.size * 9 // 8)
+            size = max(total, _TILE)
             self.uniform, self.expo = np.empty(size), np.empty(size)
         return self.uniform[:total], self.expo[:total]
 
@@ -171,25 +145,51 @@ def _interference_block(
 
     With radii r = R*sqrt(u) for u uniform on (0,1), the path-loss factor is
     r^(-alpha) = R^(-alpha) * u^(-alpha/2), so the uniform draw is used
-    directly.  Per-trial sums run over contiguous segments; empty segments
-    (zero interferers) are patched to exactly zero.  The draws fill
-    ``buffers`` in place, in the same order and with the same float
-    operations as fresh arrays would, so the result is the same bits.
+    directly.
+
+    Draw order: ``rng`` yields the n Poisson counts, then one uniform per
+    interferer of the block, then one unit-mean exponential per interferer,
+    the block's ``total`` interferers in trial order each time.  The
+    interferers are drawn and reduced one tile at a time: whole trials, at
+    most _TILE interferers, or one larger trial alone.  ``rng`` draws a
+    tile's uniforms; a second PCG64 cursor, ``rng``'s state advanced by
+    ``total`` draws, yields its exponentials, and ``rng`` takes the
+    cursor's state after the block.  So the draws are those of one pass
+    over the whole block, and ``buffers`` never exceeds max(_TILE, largest
+    per-trial count) floats per array.  Per-trial sums run over the
+    occupied trials' segments, which never cross a tile, so each sum is
+    the same bits as over the whole block; trials without interferers
+    read exactly zero.
     """
     counts = rng.poisson(density * math.pi * window_radius_m**2, n)
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(n), counts
-    u, contrib = buffers.views(total)
-    rng.random(out=u)
-    rng.standard_exponential(out=contrib)
+    agg = np.zeros(n)
+    occupied = np.flatnonzero(counts)
+    if occupied.size == 0:
+        return agg, counts
+    occupied_counts = counts[occupied]
+    ends = np.cumsum(occupied_counts)
+    starts = ends - occupied_counts
+    total = int(ends[-1])
+    state = rng.bit_generator.state
+    expo_bits = np.random.PCG64()
+    expo_bits.state = state
+    expo_bits.advance(total)
+    expo_rng = np.random.Generator(expo_bits)
+    first = 0
     with np.errstate(divide="ignore"):
-        np.power(u, -alpha / 2.0, out=u)
-    np.multiply(contrib, u, out=contrib)
-    ends = np.cumsum(counts)
-    starts = np.minimum(ends - counts, total - 1)
-    agg = np.add.reduceat(contrib, starts)
-    agg[counts == 0] = 0.0
+        while first < occupied.size:
+            base = int(starts[first])
+            last = max(int(np.searchsorted(ends, base + _TILE, side="right")), first + 1)
+            u, contrib = buffers.views(int(ends[last - 1]) - base)
+            rng.random(out=u)
+            expo_rng.standard_exponential(out=contrib)
+            np.power(u, -alpha / 2.0, out=u)
+            np.multiply(contrib, u, out=contrib)
+            agg[occupied[first:last]] = np.add.reduceat(contrib, starts[first:last] - base)
+            first = last
+    # advance() clears the buffered 32-bit half, which the draws above never touch
+    state["state"] = expo_bits.state["state"]
+    rng.bit_generator.state = state
     return (weight * window_radius_m ** (-alpha)) * agg, counts
 
 
@@ -221,30 +221,6 @@ def _sir_block(
         n, dens_cross, cross_weight, alpha, scenario.window_radius_m, rng, buffers
     )
     return signal, itf_same + itf_cross, counts_same, counts_cross
-
-
-def _realize_one(scenario: SimScenario, which: str, rng: np.random.Generator) -> SirSample:
-    signal, itf, counts_same, counts_cross = _sir_block(scenario, which, 1, rng, _Buffers())
-    if which == "d2d":
-        n_d, n_c = int(counts_same[0]), int(counts_cross[0])
-    else:
-        n_d, n_c = int(counts_cross[0]), int(counts_same[0])
-    return SirSample(sir_value(float(signal[0]), float(itf[0])), n_d, n_c)
-
-
-def realize_sir_d2d(scenario: SimScenario, rng: np.random.Generator) -> SirSample:
-    """One SIR realization at the typical D2D receiver.
-
-    Signal: unit-mean exponential gain over the intended link.  Interference:
-    same-class D2D field at weight 1 plus the cellular field at weight
-    Pc/Pd (per-symbol powers normalized by the D2D transmit power).
-    """
-    return _realize_one(scenario, "d2d", rng)
-
-
-def realize_sir_cell(scenario: SimScenario, rng: np.random.Generator) -> SirSample:
-    """One SIR realization at the typical base station (roles swapped)."""
-    return _realize_one(scenario, "cell", rng)
 
 
 def _usable_cpus() -> int:

@@ -384,7 +384,8 @@ def _solve_phase(
 
     Each band maximizes K * exp(-c * p^(-2/alpha)) / p - mu * p over its
     box (see _phase_bands); the class's budget is enforced by bisection on
-    mu, and by proportional scaling if the bisection meets a duality gap.
+    mu, and, if the bisection meets a duality gap, by scaling every band's
+    excess above its lower end by one factor.
     """
     bounds, rows, flags = _phase_bands(system, own, q, opts)
 
@@ -413,8 +414,11 @@ def _solve_phase(
     solve_at_mu = lambda mu: [argmax(i, mu) for i in range(len(rows))]
     dec, mu, met = _dual_bisect(solve_at_mu, budget, opts)
     if not met and math.fsum(dec) > budget:
-        scale = budget / math.fsum(dec)
-        dec = [min(max(p * scale, r[0]), r[1]) for p, r in zip(dec, rows)]
+        # the lower ends cannot give way: scaling them too could overspend
+        floor = math.fsum(r[0] for r in rows)
+        excess = math.fsum(dec) - floor
+        s = min(max((budget - floor) / excess, 0.0), 1.0) if excess > 0.0 else 0.0
+        dec = [min(r[0] + s * (p - r[0]), r[1]) for p, r in zip(dec, rows)]
         flags.append(_GAP_FLAG[own])
     return dec, {"mu": mu, "flags": flags, "bounds": bounds}
 

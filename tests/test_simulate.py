@@ -1,30 +1,22 @@
-import dataclasses
 import logging
 import math
 import multiprocessing
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp, kstest
+from scipy.special import erf
+from scipy.stats import kstest
 
-from d2dee import (
-    SimScenario,
-    estimate_stp,
-    realize_sir_cell,
-    realize_sir_d2d,
-    sample_interferer_distances,
-    stp_cell,
-    stp_d2d,
-)
+from d2dee import SimScenario, estimate_stp, stp_cell, stp_d2d
 from d2dee import simulate
 from d2dee.simulate import (
     _Buffers,
     _chunk_successes,
     _interference_block,
     _pool_size,
+    _sir_block,
     _substream,
     _usable_cpus,
-    sir_value,
 )
 
 
@@ -37,77 +29,81 @@ def scenario(band, **overrides):
 
 class TestSampling:
     def test_zero_density_always_empty(self):
-        rng = _substream(1, 0)
-        for _ in range(20):
-            assert sample_interferer_distances(0.0, 2000.0, rng).size == 0
+        itf, counts = _interference_block(200, 0.0, 1.0, 4.0, 2000.0, _substream(1, 0), _Buffers())
+        assert not counts.any()
+        assert np.array_equal(itf, np.zeros(200))
 
-    def test_poisson_mean(self):
-        rng = _substream(2, 0)
-        expected = 1e-4 * math.pi * 2000.0**2
-        counts = [sample_interferer_distances(1e-4, 2000.0, rng).size for _ in range(10_000)]
-        assert abs(np.mean(counts) - expected) < 3 * math.sqrt(expected / 10_000)
+    def test_poisson_mean(self, band1):
+        # both fields of a d2d block: same-class at the D2D density, cross-class
+        # at the cellular density
+        n, window = 10_000, 500.0
+        _, _, counts_d2d, counts_cell = _sir_block(
+            scenario(band1, window_radius_m=window), "d2d", n, _substream(2, 0), _Buffers())
+        for counts, density in ((counts_d2d, band1.density_d2d), (counts_cell, band1.density_cell)):
+            expected = density * math.pi * window**2
+            assert abs(counts.mean() - expected) < 3 * math.sqrt(expected / n)
 
     def test_radii_squared_uniform(self):
-        # one draw sized ~1e5 radii, KS against uniform at the 1% level
-        rng = _substream(3, 0)
-        density = 1e5 / (math.pi * 2000.0**2)
-        radii = sample_interferer_distances(density, 2000.0, rng)
-        assert radii.size > 90_000
-        _, p_value = kstest((radii / 2000.0) ** 2, "uniform")
+        # a trial with one interferer reads g * (r/R)^(-alpha) / R^alpha with unit
+        # exponential g; r^2 uniform on (0, R^2) makes t = g * u^(-2) at alpha = 4,
+        # so P(t <= x) = 1 - sqrt(pi) * erf(sqrt(x)) / (2 sqrt(x)).  KS at the 1% level
+        window = 1000.0
+        itf, counts = _interference_block(
+            30_000, 1.0 / (math.pi * window**2), 1.0, 4.0, window, _substream(3, 0), _Buffers())
+        t = itf[counts == 1] * window**4
+        assert t.size > 10_000
+        cdf = lambda x: 1.0 - math.sqrt(math.pi) * erf(np.sqrt(x)) / (2.0 * np.sqrt(x))
+        _, p_value = kstest(t, cdf)
         assert p_value > 0.01
 
     def test_negative_density_rejected(self):
         with pytest.raises(ValueError):
-            sample_interferer_distances(-1.0, 2000.0, _substream(1, 0))
+            _interference_block(10, -1.0, 1.0, 4.0, 2000.0, _substream(1, 0), _Buffers())
 
 
 class TestSirRealization:
     def test_empty_field_sentinel(self, make_band):
+        # an empty field is exactly zero interference, which the success rule
+        # counts as a success whatever the signal
         band = make_band(density_d2d=0.0, density_cell=0.0)
-        sample = realize_sir_d2d(scenario(band), _substream(1, 0))
-        assert sample.no_interference
-        assert math.isinf(sample.sir)
-        sample = realize_sir_cell(scenario(band), _substream(1, 0))
-        assert sample.no_interference
-
-    def test_single_matched_interferer_gives_unit_sir(self):
-        # one interferer of the same power class at the link distance with the
-        # same fading gain cancels the signal exactly
-        signal = 1.0 * 10.0 ** (-4.0)
-        assert sir_value(signal, signal) == 1.0
-
-    def test_sentinel_only_without_interferers(self):
-        assert math.isinf(sir_value(1.0, 0.0))
-        assert sir_value(1.0, 2.0) == 0.5
+        for which in ("d2d", "cell"):
+            signal, itf, counts_same, counts_cross = _sir_block(
+                scenario(band), which, 100, _substream(1, 0), _Buffers())
+            assert not counts_same.any() and not counts_cross.any()
+            assert np.array_equal(itf, np.zeros(100))
+            assert (signal > 0).all()
 
     def test_counts_reported(self, band1):
-        sample = realize_sir_d2d(scenario(band1), _substream(4, 0))
-        assert sample.n_interferers_d2d > 0
-        assert sample.n_interferers_cell >= 0
-        assert math.isfinite(sample.sir)
+        signal, itf, counts_d2d, counts_cell = _sir_block(
+            scenario(band1), "d2d", 16, _substream(4, 0), _Buffers())
+        assert (counts_d2d > 0).all()
+        assert (counts_cell >= 0).all()
+        assert np.isfinite(signal).all() and np.isfinite(itf).all() and (itf > 0).all()
 
     def test_role_swap_matches_distribution(self, make_band):
-        # realize_sir_cell with swapped densities, link distance and power
-        # ratio must reproduce the realize_sir_d2d distribution
+        # the cellular link of a band with swapped densities, link distances and
+        # powers is the D2D link of the original: same stream, same bits
         band_a = make_band(d2d_link_distance_m=10.0, cell_link_distance_m=50.0,
                            density_d2d=1e-4, density_cell=1.5e-5)
         band_b = make_band(cell_link_distance_m=10.0, d2d_link_distance_m=50.0,
                            density_cell=1e-4, density_d2d=1.5e-5)
         sc_a = scenario(band_a, window_radius_m=500.0)
         sc_b = scenario(band_b, p_cell_w=0.02, p_d2d_w=0.3, window_radius_m=500.0)
-        rng_a, rng_b = _substream(11, 0), _substream(12, 0)
-        sirs_a = [realize_sir_d2d(sc_a, rng_a).sir for _ in range(4000)]
-        sirs_b = [realize_sir_cell(sc_b, rng_b).sir for _ in range(4000)]
-        _, p_value = ks_2samp(sirs_a, sirs_b)
-        assert p_value > 0.01
+        got_a = _sir_block(sc_a, "d2d", 4000, _substream(11, 0), _Buffers())
+        got_b = _sir_block(sc_b, "cell", 4000, _substream(11, 0), _Buffers())
+        for a, b in zip(got_a, got_b):
+            assert np.array_equal(a, b)
 
     def test_ratio_invariance_per_trial(self, band1):
-        # identical draws, both powers scaled: SIR sequence is unchanged
+        # identical draws, both powers scaled: every trial's signal and
+        # interference, hence its SIR, is unchanged
         sc = scenario(band1)
         sc_scaled = scenario(band1, p_cell_w=4 * 0.3, p_d2d_w=4 * 0.02)
-        a = [realize_sir_d2d(sc, _substream(21, i)).sir for i in range(50)]
-        b = [realize_sir_d2d(sc_scaled, _substream(21, i)).sir for i in range(50)]
-        assert a == b
+        for which in ("d2d", "cell"):
+            a = _sir_block(sc, which, 50, _substream(21, 0), _Buffers())
+            b = _sir_block(sc_scaled, which, 50, _substream(21, 0), _Buffers())
+            for x, y in zip(a, b):
+                assert np.array_equal(x, y)
 
     def test_fading_gains_unit_mean(self):
         gains = _substream(8, 0).standard_exponential(1_000_000)
@@ -195,7 +191,7 @@ class TestOracleEquivalence:
 
 
 def fresh_interference_block(n, density, weight, alpha, window_radius_m, rng):
-    """The interference block as computed with fresh arrays, before buffer reuse."""
+    """The interference block computed in one pass over fresh whole-block arrays."""
     counts = rng.poisson(density * math.pi * window_radius_m**2, n)
     total = int(counts.sum())
     if total == 0:
@@ -204,10 +200,9 @@ def fresh_interference_block(n, density, weight, alpha, window_radius_m, rng):
     gains = rng.standard_exponential(total)
     with np.errstate(divide="ignore"):
         contrib = gains * u ** (-alpha / 2.0)
-    ends = np.cumsum(counts)
-    starts = np.minimum(ends - counts, total - 1)
-    agg = np.add.reduceat(contrib, starts)
-    agg[counts == 0] = 0.0
+    occupied = counts > 0
+    agg = np.zeros(n)
+    agg[occupied] = np.add.reduceat(contrib, np.cumsum(counts)[occupied] - counts[occupied])
     return (weight * window_radius_m ** (-alpha)) * agg, counts
 
 
@@ -245,8 +240,8 @@ class TestChunkPool:
         assert multiprocessing.active_children() == []
 
     def test_buffered_block_matches_fresh_arrays(self):
-        # (n, density, weight, alpha, window): the third block outgrows the
-        # buffers, the fourth has no interferers
+        # (n, density, weight, alpha, window): the third block spans several
+        # tiles, the fourth has no interferers
         blocks = [
             (400, 1e-4, 1.0, 4.0, 500.0),
             (300, 1.5e-5, 15.0, 4.0, 500.0),
@@ -265,7 +260,7 @@ class TestChunkPool:
             assert np.array_equal(got_itf.view(np.uint64), want_itf.view(np.uint64))
             assert np.array_equal(got_counts, want_counts)
             sizes.append(buffers.uniform.size)
-        assert sizes[2] > sizes[1]  # grown on demand
+            assert sizes[-1] <= max(simulate._TILE, int(got_counts.max()))
         assert sizes[3] == sizes[2]  # an empty block draws nothing
         assert rng_buffered.bit_generator.state == rng_fresh.bit_generator.state
 
@@ -278,3 +273,64 @@ class TestChunkPool:
         assert f"pool {_pool_size(1000, 3)}, " in lines[0]
         assert lines[0].endswith(" s")
         assert capsys.readouterr().out == ""
+
+
+class TestTiles:
+    # (n, density, weight, alpha, window): dense (most trials outgrow a
+    # 64-interferer tile), sparse (on this stream it ends in empty trials
+    # after one with several interferers), empty, and alpha = 3
+    BLOCKS = [
+        (400, 1e-4, 1.0, 4.0, 500.0),
+        (300, 2e-6, 15.0, 4.0, 500.0),
+        (200, 0.0, 2.0, 4.0, 500.0),
+        (700, 3e-5, 0.1, 3.0, 800.0),
+    ]
+
+    @pytest.mark.parametrize("tile", [1, 7, 64])
+    def test_small_tiles_match_one_pass(self, monkeypatch, tile):
+        monkeypatch.setattr(simulate, "_TILE", tile)
+        rng_fresh, rng_tiled = _substream(44, 0), _substream(44, 0)
+        buffers = _Buffers()
+        largest, ends_empty = 0, False
+        for n, density, weight, alpha, window in self.BLOCKS:
+            want_itf, want_counts = fresh_interference_block(
+                n, density, weight, alpha, window, rng_fresh)
+            got_itf, got_counts = _interference_block(
+                n, density, weight, alpha, window, rng_tiled, buffers)
+            assert np.array_equal(got_itf.view(np.uint64), want_itf.view(np.uint64))
+            assert np.array_equal(got_counts, want_counts)
+            assert rng_tiled.bit_generator.state == rng_fresh.bit_generator.state
+            largest = max(largest, int(got_counts.max()))
+            assert buffers.uniform.size <= max(tile, largest)
+            occupied = np.flatnonzero(got_counts)
+            if occupied.size and got_counts[-1] == 0 and got_counts[occupied[-1]] > 1:
+                ends_empty = True
+        assert largest > tile  # some trial formed a tile of its own
+        assert ends_empty
+
+    def test_dense_block_buffers_bounded_by_tile(self):
+        buffers = _Buffers()
+        _, counts = _interference_block(
+            2048, 1e-4, 1.0, 4.0, 2000.0, _substream(44, 0), buffers)
+        assert counts.sum() > 10 * simulate._TILE
+        assert buffers.uniform.size <= max(simulate._TILE, int(counts.max()))
+        assert buffers.expo.size == buffers.uniform.size
+
+    def test_block_ending_in_empty_trials_keeps_every_interferer(self):
+        # the last occupied trial of a block that ends in empty trials sums
+        # all of its interferers, as a per-trial loop over the same draws does
+        n, density, alpha, window = 64, 3e-7, 4.0, 2000.0
+        itf, counts = _interference_block(
+            n, density, 1.0, alpha, window, _substream(31, 0), _Buffers())
+        rng = _substream(31, 0)
+        want_counts = rng.poisson(density * math.pi * window**2, n)
+        total = int(want_counts.sum())
+        u, gains = rng.random(total), rng.standard_exponential(total)
+        want, k = [], 0
+        for c in want_counts:
+            want.append(window ** (-alpha) * sum(gains[k:k + c] * u[k:k + c] ** (-alpha / 2.0)))
+            k += c
+        assert np.array_equal(counts, want_counts)
+        last = int(np.flatnonzero(counts)[-1])
+        assert last < n - 1 and counts[last] > 1  # the case that lost an interferer
+        np.testing.assert_allclose(itf, want, rtol=1e-12, atol=0.0)

@@ -383,6 +383,24 @@ class TestPhaseTwo:
         with pytest.raises(InfeasibleProblem, match="cellular budget below"):
             solve_cell_phase(system, [0.02])
 
+    def test_gap_scaling_keeps_lower_ends_within_budget(self, make_band, make_system):
+        # the lower ends sum to just above the budget, inside its tolerance:
+        # no multiplier meets it, and scaling whole powers (lower ends
+        # included) clamps band 0 back to its lower end and overspends
+        bands = [make_band(d2d_link_distance_m=20.0, cell_link_distance_m=60.0,
+                           max_power_d2d_w=1e3, max_power_cell_w=1e3,
+                           outage_cap_d2d=cap_d, outage_cap_cell=cap_c)
+                 for cap_d, cap_c in ((0.5, 0.5), (0.9999, 0.999999))]
+        _, slack = solve_cell_phase(make_system(bands=bands, budget_cell_w=1e3), [0.02, 0.02])
+        floor = math.fsum(lo for lo, _ in slack["bounds"])
+        budget = floor / (1.0 + 0.5e-6)
+        system = make_system(bands=bands, budget_cell_w=budget)
+        p_c, diag = solve_cell_phase(system, [0.02, 0.02])
+        assert diag["flags"] == ["cellular budget met by proportional scaling (duality gap)"]
+        assert math.fsum(p_c) <= budget * (1.0 + SolveOptions().budget_tol_rel)
+        for p, (lo, hi) in zip(p_c, diag["bounds"]):
+            assert lo <= p <= hi
+
     def test_anchored_band_counts_against_budget(self, make_band, make_system):
         # band 0 has no D2D density, so its cellular power is anchored at the
         # power tolerance; the budget covers band 1's lower end but not both
