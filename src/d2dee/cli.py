@@ -1,8 +1,9 @@
 """Command-line front end: validate | solve | trace | sweep.
 
 Exit codes: 0 ok, 1 infeasible problem, 2 validation failure, 3 config
-error (a malformed or invalid config document or option).  The default
-output directory comes from --out or the D2DEE_OUT environment variable.
+error (a malformed or invalid config document, option or command line).
+The default output directory comes from --out or the D2DEE_OUT
+environment variable.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import DEFAULTS, ExperimentConfig, load_config
+from .config import SWEEP_KEYS, ExperimentConfig, load_config
 from .harness import (
     SWEEP_PLOT,
     TRACE_PLOT,
@@ -69,8 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sweep", help="parameter sweep with fixed-cellular baseline")
     _add_common(p)
-    p.add_argument("--sweep-var", choices=["lambda_d_ref", "lambda_c_ref", "budget_d2d"],
-                   default=None)
+    p.add_argument("--sweep-var", choices=list(SWEEP_KEYS), default=None)
     p.add_argument("--sweep-grid", type=str, default=None,
                    help="comma-separated grid values")
     return parser
@@ -98,7 +98,11 @@ def _out_dir(args) -> Path:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has written the help, or the usage error, already
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         cfg = _load(args)
     except ValueError as exc:

@@ -57,7 +57,9 @@ DEFAULTS: dict = {
 }
 
 _DB_KEYS = ("sir_threshold_d2d", "sir_threshold_cell")
-_SWEEP_VARS = ("lambda_d_ref", "lambda_c_ref", "budget_d2d")
+# sweep variable -> the config key that each sweep point overrides
+SWEEP_KEYS = {"lambda_d_ref": "lambda_d_ref", "lambda_c_ref": "lambda_c_ref",
+              "budget_d2d": "budget_d2d_w"}
 # knobs of the retired grid/golden-section search, still in older saved configs
 _RETIRED = {("solver", "grid_points"), ("solver", "line_search_tol_rel")}
 
@@ -153,8 +155,8 @@ def _validate(cfg: dict) -> None:
             _fail(key, "must be positive")
     sweep = cfg["sweep"]
     if sweep["variable"] is not None:
-        if sweep["variable"] not in _SWEEP_VARS:
-            _fail("sweep.variable", f"must be one of {_SWEEP_VARS}")
+        if sweep["variable"] not in SWEEP_KEYS:
+            _fail("sweep.variable", f"must be one of {tuple(SWEEP_KEYS)}")
         if not sweep["grid"]:
             _fail("sweep.grid", "must be nonempty when a sweep variable is set")
     # constructing the system surfaces any remaining unit violation

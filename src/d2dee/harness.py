@@ -15,7 +15,7 @@ import math
 from dataclasses import asdict
 from pathlib import Path
 
-from .config import ExperimentConfig, build_system, solver_options
+from .config import SWEEP_KEYS, ExperimentConfig, build_system, solver_options
 from .model import PowerAllocation, SystemParams
 from .simulate import SimScenario, estimate_stp
 from .solver import AllocationResult, InfeasibleProblem, baseline_fixed_cell, optimize_powers
@@ -195,8 +195,7 @@ def sweep_fieldnames(num_bands: int) -> list[str]:
 
 
 def _sweep_config(cfg: ExperimentConfig, variable: str, value: float) -> ExperimentConfig:
-    key = "budget_d2d_w" if variable == "budget_d2d" else variable
-    return cfg.with_overrides(**{key: value})
+    return cfg.with_overrides(**{SWEEP_KEYS[variable]: value})
 
 
 def _note(row: dict, exc: ValueError, prefix: str = "") -> None:

@@ -19,16 +19,9 @@ process when that is one, otherwise on a process pool that lives only for
 the call.  A chunk's successes depend on its substream alone, so the pool
 size never changes a bit of the estimate.
 
-A chunk runs in blocks of _BLOCK trials.  Each block draws, from the
-chunk's generator, the signal fading gains, then the same-class field,
-then the cross-class field; a field draws its per-trial Poisson counts,
-then one uniform per interferer, then one exponential per interferer.
-The interferers are drawn and reduced in tiles of whole trials holding at
-most _TILE of them: the uniforms come from the chunk's generator and the
-exponentials from a second PCG64 cursor jumped ahead past the block's
-uniforms, so each field reads the same draws as one pass over the block.
-A worker's draw buffers thus hold max(_TILE, largest per-trial count)
-floats each, whatever the density.
+A chunk runs in blocks of _BLOCK trials; _sir_block fixes the order of a
+block's fields and _interference_block the draw order and tiling within
+each, on which every bit of an estimate rests.
 """
 
 from __future__ import annotations
@@ -115,23 +108,6 @@ def _substream(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, chunk])))
 
 
-class _Buffers:
-    """Uniform and exponential draw buffers of one chunk.
-
-    They hold one tile: _TILE floats each, grown only for a single trial
-    with more interferers than that.
-    """
-
-    def __init__(self):
-        self.uniform = self.expo = np.empty(0)
-
-    def views(self, total: int) -> tuple[np.ndarray, np.ndarray]:
-        if total > self.uniform.size:
-            size = max(total, _TILE)
-            self.uniform, self.expo = np.empty(size), np.empty(size)
-        return self.uniform[:total], self.expo[:total]
-
-
 def _interference_block(
     n: int,
     density: float,
@@ -139,7 +115,6 @@ def _interference_block(
     alpha: float,
     window_radius_m: float,
     rng: np.random.Generator,
-    buffers: _Buffers,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Aggregate weighted interference of one class for a block of trials.
 
@@ -155,11 +130,11 @@ def _interference_block(
     tile's uniforms; a second PCG64 cursor, ``rng``'s state advanced by
     ``total`` draws, yields its exponentials, and ``rng`` takes the
     cursor's state after the block.  So the draws are those of one pass
-    over the whole block, and ``buffers`` never exceeds max(_TILE, largest
-    per-trial count) floats per array.  Per-trial sums run over the
-    occupied trials' segments, which never cross a tile, so each sum is
-    the same bits as over the whole block; trials without interferers
-    read exactly zero.
+    over the whole block, while the two scratch arrays, allocated once per
+    call, hold min(total, max(_TILE, largest per-trial count)) floats each,
+    whatever the density.  Per-trial sums run over the occupied trials'
+    segments, which never cross a tile, so each sum is the same bits as
+    over the whole block; trials without interferers read exactly zero.
     """
     counts = rng.poisson(density * math.pi * window_radius_m**2, n)
     agg = np.zeros(n)
@@ -175,12 +150,15 @@ def _interference_block(
     expo_bits.state = state
     expo_bits.advance(total)
     expo_rng = np.random.Generator(expo_bits)
+    width = min(total, max(_TILE, int(occupied_counts.max())))
+    u_scratch, contrib_scratch = np.empty(width), np.empty(width)
     first = 0
     with np.errstate(divide="ignore"):
         while first < occupied.size:
             base = int(starts[first])
             last = max(int(np.searchsorted(ends, base + _TILE, side="right")), first + 1)
-            u, contrib = buffers.views(int(ends[last - 1]) - base)
+            size = int(ends[last - 1]) - base
+            u, contrib = u_scratch[:size], contrib_scratch[:size]
             rng.random(out=u)
             expo_rng.standard_exponential(out=contrib)
             np.power(u, -alpha / 2.0, out=u)
@@ -194,7 +172,7 @@ def _interference_block(
 
 
 def _sir_block(
-    scenario: SimScenario, which: str, n: int, rng: np.random.Generator, buffers: _Buffers
+    scenario: SimScenario, which: str, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Signal and interference powers for n trials of one link class.
 
@@ -214,12 +192,9 @@ def _sir_block(
     else:
         raise ValueError("which must be 'd2d' or 'cell'")
     signal = rng.standard_exponential(n) * link ** (-alpha)
-    itf_same, counts_same = _interference_block(
-        n, dens_same, 1.0, alpha, scenario.window_radius_m, rng, buffers
-    )
-    itf_cross, counts_cross = _interference_block(
-        n, dens_cross, cross_weight, alpha, scenario.window_radius_m, rng, buffers
-    )
+    window = scenario.window_radius_m
+    itf_same, counts_same = _interference_block(n, dens_same, 1.0, alpha, window, rng)
+    itf_cross, counts_cross = _interference_block(n, dens_cross, cross_weight, alpha, window, rng)
     return signal, itf_same + itf_cross, counts_same, counts_cross
 
 
@@ -240,12 +215,11 @@ def _chunk_successes(
 ) -> int:
     """Successes among the ``n_chunk`` trials of one chunk, on its own substream."""
     rng = _substream(scenario.seed, chunk)
-    buffers = _Buffers()
     successes = 0
     done = 0
     while done < n_chunk:
         n = min(_BLOCK, n_chunk - done)
-        signal, itf, _, _ = _sir_block(scenario, which, n, rng, buffers)
+        signal, itf, _, _ = _sir_block(scenario, which, n, rng)
         successes += int(np.count_nonzero((itf == 0.0) | (signal >= threshold * itf)))
         done += n
     return successes

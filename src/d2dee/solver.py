@@ -282,22 +282,24 @@ def _dual_bisect(solve_at_mu, budget: float, opts: SolveOptions):
     """Bisection on the multiplier of a single coupling power budget.
 
     ``solve_at_mu(mu)`` returns the per-band powers maximizing the penalized
-    objectives; their sum is nonincreasing in mu.  Returns (powers, mu, met)
-    where ``met`` is False only if the bracket collapsed on a jump (duality
-    gap).
+    objectives; their sum is nonincreasing in mu.  Returns (powers, mu).
+    The powers meet the budget unless no multiplier up to 4^399 does, in
+    which case they are those at mu = 0.  A bracket that collapses on a
+    jump (duality gap) returns the powers under the budget at its upper
+    end, even if they undershoot it by more than ``budget_tol_rel``.
     """
     dec0 = solve_at_mu(0.0)
     if math.fsum(dec0) <= budget:
-        return dec0, 0.0, True
+        return dec0, 0.0
     mu_lo, mu_hi = 0.0, 1.0
     for _ in range(400):
-        if math.fsum(solve_at_mu(mu_hi)) <= budget:
+        dec_hi = solve_at_mu(mu_hi)
+        if math.fsum(dec_hi) <= budget:
             break
         mu_lo = mu_hi
         mu_hi *= 4.0
     else:
-        return dec0, 0.0, False
-    dec_hi = solve_at_mu(mu_hi)
+        return dec0, 0.0
     while (mu_hi - mu_lo) > 1e-15 * mu_hi:
         mid = 0.5 * (mu_lo + mu_hi)
         dec_mid = solve_at_mu(mid)
@@ -307,8 +309,7 @@ def _dual_bisect(solve_at_mu, budget: float, opts: SolveOptions):
                 break
         else:
             mu_lo = mid
-    met = (budget - math.fsum(dec_hi)) <= opts.budget_tol_rel * budget
-    return dec_hi, mu_hi, met
+    return dec_hi, mu_hi
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +385,10 @@ def _solve_phase(
 
     Each band maximizes K * exp(-c * p^(-2/alpha)) / p - mu * p over its
     box (see _phase_bands); the class's budget is enforced by bisection on
-    mu, and, if the bisection meets a duality gap, by scaling every band's
-    excess above its lower end by one factor.
+    mu (see _dual_bisect).  Only if no multiplier up to 4^399 meets the
+    budget is every band's excess above its lower end scaled by one factor,
+    and flagged; lower ends that alone exceed the budget, within its
+    tolerance, are returned at once with the same flag.
     """
     bounds, rows, flags = _phase_bands(system, own, q, opts)
 
@@ -411,13 +414,18 @@ def _solve_phase(
         return max((lo, min(max(root, lo), hi), hi), key=f)
 
     budget = getattr(system, f"budget_{own}_w")
+    floor = math.fsum(r[0] for r in rows)
+    if floor > budget:
+        # the lower ends exceed the budget within its tolerance (see
+        # _phase_bands), and no multiplier takes a band below its lower end
+        flags.append(_GAP_FLAG[own])
+        return [r[0] for r in rows], {"mu": 0.0, "flags": flags, "bounds": bounds}
     solve_at_mu = lambda mu: [argmax(i, mu) for i in range(len(rows))]
-    dec, mu, met = _dual_bisect(solve_at_mu, budget, opts)
-    if not met and math.fsum(dec) > budget:
-        # the lower ends cannot give way: scaling them too could overspend
-        floor = math.fsum(r[0] for r in rows)
-        excess = math.fsum(dec) - floor
-        s = min(max((budget - floor) / excess, 0.0), 1.0) if excess > 0.0 else 0.0
+    dec, mu = _dual_bisect(solve_at_mu, budget, opts)
+    if math.fsum(dec) > budget:
+        # no multiplier up to 4^399 meets the budget; the lower ends cannot
+        # give way, so scaling them too could overspend
+        s = (budget - floor) / (math.fsum(dec) - floor)
         dec = [min(r[0] + s * (p - r[0]), r[1]) for p, r in zip(dec, rows)]
         flags.append(_GAP_FLAG[own])
     return dec, {"mu": mu, "flags": flags, "bounds": bounds}
@@ -490,6 +498,7 @@ def optimize_powers(system: SystemParams, opts: SolveOptions | None = None) -> A
     flags: list[str] = []
     converged = False
     p_d2d: list[float] = list(p_d_prev)
+    rep = None
 
     for it in range(1, opts.max_outer_iters + 1):
         if min(p_cell) <= 0.0:
@@ -524,7 +533,9 @@ def optimize_powers(system: SystemParams, opts: SolveOptions | None = None) -> A
     return AllocationResult(
         alloc=alloc,
         trace=trace,
-        metrics=metrics(system, alloc),
+        # the last iteration's report is of these powers; none exists only
+        # when the starting cellular powers underflow, and then this raises
+        metrics=rep if rep is not None else metrics(system, alloc),
         feasibility=check_feasible(system, alloc),
         flags=flags,
     )

@@ -1,11 +1,13 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from d2dee import ExperimentConfig, build_system, load_config, save_config
-from d2dee.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, main
+from d2dee.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, build_parser, main
+from d2dee.config import SWEEP_KEYS
 from d2dee.harness import (
     read_csv,
     run_solve,
@@ -164,6 +166,20 @@ class TestSolveAndTrace:
         code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--phase2-mode", "bogus"],
+        ["solve", "--no-such-option"],
+        ["sweep", "--sweep-var", "budget_cell"],
+        ["bogus"],
+    ])
+    def test_usage_error_exit(self, argv, capsys):
+        assert main(argv) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exit(self, capsys):
+        assert main(["solve", "--help"]) == EXIT_OK
+        assert "--phase2-mode" in capsys.readouterr().out
+
     def test_trace_rows_and_termination(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         save_config(ExperimentConfig().with_overrides(**acc5_overrides()), cfg_path)
@@ -266,6 +282,22 @@ class TestSweep:
     def test_missing_sweep_config_rejected(self):
         with pytest.raises(ValueError, match="sweep"):
             run_sweep(ExperimentConfig())
+
+    def test_sweep_variables_from_one_list(self):
+        parser = build_parser()
+        for variable in SWEEP_KEYS:
+            assert parser.parse_args(["sweep", "--sweep-var", variable]).sweep_var == variable
+        with pytest.raises(ValueError, match=re.escape(
+                "must be one of ('lambda_d_ref', 'lambda_c_ref', 'budget_d2d')")):
+            ExperimentConfig().with_overrides(sweep_variable="budget_cell", sweep_grid=[1.0])
+
+    def test_budget_sweep_sets_the_budget(self):
+        # the fixed-cellular baseline's D2D lower ends outgrow the smaller budget
+        cfg = self.sweep_cfg().with_overrides(sweep_variable="budget_d2d",
+                                              sweep_grid=[1e-3, 1e-2])
+        rows = run_sweep(cfg)
+        assert [r["infeasible_bands"] for r in rows] == [
+            "baseline: band=None constraint=budget_d2d", ""]
 
     def test_sweep_var_from_cli(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

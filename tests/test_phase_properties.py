@@ -1,4 +1,5 @@
-"""Property suite for the two phase solvers over random valid band lists.
+"""Property suite for the two phase solvers and the whole alternating solve
+over random valid band lists.
 
 Every draw either raises an InfeasibleProblem that names its constraint
 (and its band, unless a budget is at fault), or returns finite, normal
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2dee import BandParams, InfeasibleProblem, SolveOptions, SystemParams
-from d2dee import solve_cell_phase, solve_d2d_phase
+from d2dee import optimize_powers, solve_cell_phase, solve_d2d_phase
 
 
 def log_uniform(lo_exp: float, hi_exp: float):
@@ -56,24 +57,35 @@ PHASES = {
 }
 
 
+def permuted(system: SystemParams, order: list[int]) -> SystemParams:
+    return SystemParams(bands=[system.bands[j] for j in order],
+                        budget_d2d_w=system.budget_d2d_w,
+                        budget_cell_w=system.budget_cell_w)
+
+
+def check_named(err: InfeasibleProblem, system: SystemParams) -> None:
+    assert err.constraint
+    if err.constraint.startswith("budget_"):
+        assert err.band is None
+    else:
+        assert err.band in range(system.num_bands)
+
+
+def normal(powers: list[float]) -> bool:
+    return all(math.isfinite(p) and p >= sys.float_info.min for p in powers)
+
+
 def check_phase(phase: str, system: SystemParams, q: list[float], order: list[int]) -> None:
     solve, budget_field = PHASES[phase]
     try:
         powers = solve(system, q)
     except InfeasibleProblem as err:
-        assert err.constraint
-        if err.constraint.startswith("budget_"):
-            assert err.band is None
-        else:
-            assert err.band in range(system.num_bands)
+        check_named(err, system)
         return
-    assert all(math.isfinite(p) and p >= sys.float_info.min for p in powers)
+    assert normal(powers)
     budget = getattr(system, budget_field)
     assert math.fsum(powers) <= budget * (1.0 + SolveOptions().budget_tol_rel)
-    permuted = SystemParams(bands=[system.bands[j] for j in order],
-                            budget_d2d_w=system.budget_d2d_w,
-                            budget_cell_w=system.budget_cell_w)
-    assert solve(permuted, [q[j] for j in order]) == [powers[j] for j in order]
+    assert solve(permuted(system, order), [q[j] for j in order]) == [powers[j] for j in order]
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -82,3 +94,28 @@ def test_phase_results_are_named_or_feasible(problem):
     system, q, order = problem
     for phase in PHASES:
         check_phase(phase, system, q, order)
+
+
+@st.composite
+def solve_problems(draw):
+    band_list = draw(st.lists(bands, min_size=1, max_size=4))
+    system = SystemParams(bands=band_list, budget_d2d_w=draw(log_uniform(-6, 1)),
+                          budget_cell_w=draw(log_uniform(-6, 1)))
+    return system, draw(st.permutations(range(len(band_list))))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(solve_problems())
+def test_whole_solve_is_named_or_feasible(problem):
+    system, order = problem
+    try:
+        result = optimize_powers(system)
+    except InfeasibleProblem as err:
+        check_named(err, system)
+        return
+    assert result.feasibility.ok
+    p_d2d, p_cell = result.alloc.p_d2d_w, result.alloc.p_cell_w
+    assert normal(p_d2d) and normal(p_cell)
+    swapped = optimize_powers(permuted(system, order)).alloc
+    assert swapped.p_d2d_w == [p_d2d[j] for j in order]
+    assert swapped.p_cell_w == [p_cell[j] for j in order]

@@ -1,6 +1,7 @@
 import logging
 import math
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from scipy.stats import kstest
 from d2dee import SimScenario, estimate_stp, stp_cell, stp_d2d
 from d2dee import simulate
 from d2dee.simulate import (
-    _Buffers,
     _chunk_successes,
     _interference_block,
     _pool_size,
@@ -29,7 +29,7 @@ def scenario(band, **overrides):
 
 class TestSampling:
     def test_zero_density_always_empty(self):
-        itf, counts = _interference_block(200, 0.0, 1.0, 4.0, 2000.0, _substream(1, 0), _Buffers())
+        itf, counts = _interference_block(200, 0.0, 1.0, 4.0, 2000.0, _substream(1, 0))
         assert not counts.any()
         assert np.array_equal(itf, np.zeros(200))
 
@@ -38,7 +38,7 @@ class TestSampling:
         # at the cellular density
         n, window = 10_000, 500.0
         _, _, counts_d2d, counts_cell = _sir_block(
-            scenario(band1, window_radius_m=window), "d2d", n, _substream(2, 0), _Buffers())
+            scenario(band1, window_radius_m=window), "d2d", n, _substream(2, 0))
         for counts, density in ((counts_d2d, band1.density_d2d), (counts_cell, band1.density_cell)):
             expected = density * math.pi * window**2
             assert abs(counts.mean() - expected) < 3 * math.sqrt(expected / n)
@@ -49,7 +49,7 @@ class TestSampling:
         # so P(t <= x) = 1 - sqrt(pi) * erf(sqrt(x)) / (2 sqrt(x)).  KS at the 1% level
         window = 1000.0
         itf, counts = _interference_block(
-            30_000, 1.0 / (math.pi * window**2), 1.0, 4.0, window, _substream(3, 0), _Buffers())
+            30_000, 1.0 / (math.pi * window**2), 1.0, 4.0, window, _substream(3, 0))
         t = itf[counts == 1] * window**4
         assert t.size > 10_000
         cdf = lambda x: 1.0 - math.sqrt(math.pi) * erf(np.sqrt(x)) / (2.0 * np.sqrt(x))
@@ -58,7 +58,7 @@ class TestSampling:
 
     def test_negative_density_rejected(self):
         with pytest.raises(ValueError):
-            _interference_block(10, -1.0, 1.0, 4.0, 2000.0, _substream(1, 0), _Buffers())
+            _interference_block(10, -1.0, 1.0, 4.0, 2000.0, _substream(1, 0))
 
 
 class TestSirRealization:
@@ -68,14 +68,14 @@ class TestSirRealization:
         band = make_band(density_d2d=0.0, density_cell=0.0)
         for which in ("d2d", "cell"):
             signal, itf, counts_same, counts_cross = _sir_block(
-                scenario(band), which, 100, _substream(1, 0), _Buffers())
+                scenario(band), which, 100, _substream(1, 0))
             assert not counts_same.any() and not counts_cross.any()
             assert np.array_equal(itf, np.zeros(100))
             assert (signal > 0).all()
 
     def test_counts_reported(self, band1):
         signal, itf, counts_d2d, counts_cell = _sir_block(
-            scenario(band1), "d2d", 16, _substream(4, 0), _Buffers())
+            scenario(band1), "d2d", 16, _substream(4, 0))
         assert (counts_d2d > 0).all()
         assert (counts_cell >= 0).all()
         assert np.isfinite(signal).all() and np.isfinite(itf).all() and (itf > 0).all()
@@ -89,8 +89,8 @@ class TestSirRealization:
                            density_cell=1e-4, density_d2d=1.5e-5)
         sc_a = scenario(band_a, window_radius_m=500.0)
         sc_b = scenario(band_b, p_cell_w=0.02, p_d2d_w=0.3, window_radius_m=500.0)
-        got_a = _sir_block(sc_a, "d2d", 4000, _substream(11, 0), _Buffers())
-        got_b = _sir_block(sc_b, "cell", 4000, _substream(11, 0), _Buffers())
+        got_a = _sir_block(sc_a, "d2d", 4000, _substream(11, 0))
+        got_b = _sir_block(sc_b, "cell", 4000, _substream(11, 0))
         for a, b in zip(got_a, got_b):
             assert np.array_equal(a, b)
 
@@ -100,8 +100,8 @@ class TestSirRealization:
         sc = scenario(band1)
         sc_scaled = scenario(band1, p_cell_w=4 * 0.3, p_d2d_w=4 * 0.02)
         for which in ("d2d", "cell"):
-            a = _sir_block(sc, which, 50, _substream(21, 0), _Buffers())
-            b = _sir_block(sc_scaled, which, 50, _substream(21, 0), _Buffers())
+            a = _sir_block(sc, which, 50, _substream(21, 0))
+            b = _sir_block(sc_scaled, which, 50, _substream(21, 0))
             for x, y in zip(a, b):
                 assert np.array_equal(x, y)
 
@@ -250,18 +250,13 @@ class TestChunkPool:
             (700, 3e-5, 0.1, 3.0, 800.0),
         ]
         rng_fresh, rng_buffered = _substream(41, 0), _substream(41, 0)
-        buffers = _Buffers()
-        sizes = []
         for n, density, weight, alpha, window in blocks:
             want_itf, want_counts = fresh_interference_block(
                 n, density, weight, alpha, window, rng_fresh)
             got_itf, got_counts = _interference_block(
-                n, density, weight, alpha, window, rng_buffered, buffers)
+                n, density, weight, alpha, window, rng_buffered)
             assert np.array_equal(got_itf.view(np.uint64), want_itf.view(np.uint64))
             assert np.array_equal(got_counts, want_counts)
-            sizes.append(buffers.uniform.size)
-            assert sizes[-1] <= max(simulate._TILE, int(got_counts.max()))
-        assert sizes[3] == sizes[2]  # an empty block draws nothing
         assert rng_buffered.bit_generator.state == rng_fresh.bit_generator.state
 
     def test_debug_line_per_estimate(self, band1, caplog, capsys):
@@ -290,18 +285,16 @@ class TestTiles:
     def test_small_tiles_match_one_pass(self, monkeypatch, tile):
         monkeypatch.setattr(simulate, "_TILE", tile)
         rng_fresh, rng_tiled = _substream(44, 0), _substream(44, 0)
-        buffers = _Buffers()
         largest, ends_empty = 0, False
         for n, density, weight, alpha, window in self.BLOCKS:
             want_itf, want_counts = fresh_interference_block(
                 n, density, weight, alpha, window, rng_fresh)
             got_itf, got_counts = _interference_block(
-                n, density, weight, alpha, window, rng_tiled, buffers)
+                n, density, weight, alpha, window, rng_tiled)
             assert np.array_equal(got_itf.view(np.uint64), want_itf.view(np.uint64))
             assert np.array_equal(got_counts, want_counts)
             assert rng_tiled.bit_generator.state == rng_fresh.bit_generator.state
             largest = max(largest, int(got_counts.max()))
-            assert buffers.uniform.size <= max(tile, largest)
             occupied = np.flatnonzero(got_counts)
             if occupied.size and got_counts[-1] == 0 and got_counts[occupied[-1]] > 1:
                 ends_empty = True
@@ -309,19 +302,24 @@ class TestTiles:
         assert ends_empty
 
     def test_dense_block_buffers_bounded_by_tile(self):
-        buffers = _Buffers()
-        _, counts = _interference_block(
-            2048, 1e-4, 1.0, 4.0, 2000.0, _substream(44, 0), buffers)
+        # the whole call, scratch and per-trial arrays together, peaks below
+        # four float pairs per tile slot; whole-block arrays would take 41 MB
+        rng = _substream(44, 0)
+        tracemalloc.start()
+        try:
+            _, counts = _interference_block(2048, 1e-4, 1.0, 4.0, 2000.0, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert counts.sum() > 10 * simulate._TILE
-        assert buffers.uniform.size <= max(simulate._TILE, int(counts.max()))
-        assert buffers.expo.size == buffers.uniform.size
+        assert peak < 4 * 16 * max(simulate._TILE, int(counts.max()))
 
     def test_block_ending_in_empty_trials_keeps_every_interferer(self):
         # the last occupied trial of a block that ends in empty trials sums
         # all of its interferers, as a per-trial loop over the same draws does
         n, density, alpha, window = 64, 3e-7, 4.0, 2000.0
         itf, counts = _interference_block(
-            n, density, 1.0, alpha, window, _substream(31, 0), _Buffers())
+            n, density, 1.0, alpha, window, _substream(31, 0))
         rng = _substream(31, 0)
         want_counts = rng.poisson(density * math.pi * window**2, n)
         total = int(want_counts.sum())

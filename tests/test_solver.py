@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from d2dee import solver
 from d2dee import (
     BandParams,
     InfeasibleProblem,
@@ -383,10 +384,10 @@ class TestPhaseTwo:
         with pytest.raises(InfeasibleProblem, match="cellular budget below"):
             solve_cell_phase(system, [0.02])
 
-    def test_gap_scaling_keeps_lower_ends_within_budget(self, make_band, make_system):
-        # the lower ends sum to just above the budget, inside its tolerance:
-        # no multiplier meets it, and scaling whole powers (lower ends
-        # included) clamps band 0 back to its lower end and overspends
+    @staticmethod
+    def over_budget_lower_ends(make_band, make_system):
+        """Two bands whose cellular lower ends sum to just above the budget,
+        inside its tolerance, at D2D powers 0.02 W."""
         bands = [make_band(d2d_link_distance_m=20.0, cell_link_distance_m=60.0,
                            max_power_d2d_w=1e3, max_power_cell_w=1e3,
                            outage_cap_d2d=cap_d, outage_cap_cell=cap_c)
@@ -394,12 +395,54 @@ class TestPhaseTwo:
         _, slack = solve_cell_phase(make_system(bands=bands, budget_cell_w=1e3), [0.02, 0.02])
         floor = math.fsum(lo for lo, _ in slack["bounds"])
         budget = floor / (1.0 + 0.5e-6)
-        system = make_system(bands=bands, budget_cell_w=budget)
+        return make_system(bands=bands, budget_cell_w=budget), budget
+
+    def test_gap_scaling_keeps_lower_ends_within_budget(self, make_band, make_system):
+        # no multiplier meets the budget; scaling whole powers (lower ends
+        # included) once clamped band 0 back to its lower end and overspent
+        system, budget = self.over_budget_lower_ends(make_band, make_system)
         p_c, diag = solve_cell_phase(system, [0.02, 0.02])
         assert diag["flags"] == ["cellular budget met by proportional scaling (duality gap)"]
         assert math.fsum(p_c) <= budget * (1.0 + SolveOptions().budget_tol_rel)
         for p, (lo, hi) in zip(p_c, diag["bounds"]):
             assert lo <= p <= hi
+
+    def test_over_budget_lower_ends_skip_the_multiplier_search(
+            self, make_band, make_system, monkeypatch):
+        # no multiplier takes a band below its lower end, so searching for
+        # one (401 phase solves) cannot change the answer
+        system, _ = self.over_budget_lower_ends(make_band, make_system)
+        calls = []
+        dual_bisect = solver._dual_bisect
+
+        def counted(solve_at_mu, *args):
+            def solve(mu):
+                calls.append(mu)
+                return solve_at_mu(mu)
+            return dual_bisect(solve, *args)
+
+        monkeypatch.setattr(solver, "_dual_bisect", counted)
+        p_c, diag = solve_cell_phase(system, [0.02, 0.02])
+        assert len(calls) <= 2
+        assert p_c == [lo for lo, _ in diag["bounds"]]
+        assert diag["mu"] == 0.0
+        assert diag["flags"] == ["cellular budget met by proportional scaling (duality gap)"]
+
+    def test_excess_scaled_when_no_multiplier_meets_budget(self, make_band, make_system):
+        # at D2D powers of 1e-140 W the budget, halfway between the lower
+        # ends and the interior optima, needs a multiplier beyond 4^399
+        band = make_band(max_power_d2d_w=1e3, max_power_cell_w=1e3,
+                         outage_cap_d2d=0.9999, outage_cap_cell=0.999999)
+        q = [1e-140, 1e-140]
+        free, slack = solve_cell_phase(make_system(bands=[band, band]), q)
+        floor = math.fsum(lo for lo, _ in slack["bounds"])
+        budget = 0.5 * (floor + math.fsum(free))
+        p_c, diag = solve_cell_phase(make_system(bands=[band, band], budget_cell_w=budget), q)
+        assert diag["flags"] == ["cellular budget met by proportional scaling (duality gap)"]
+        assert diag["mu"] == 0.0
+        assert math.fsum(p_c) <= budget * (1.0 + 1e-12)
+        for p, (lo, hi) in zip(p_c, diag["bounds"]):
+            assert lo < p < hi
 
     def test_anchored_band_counts_against_budget(self, make_band, make_system):
         # band 0 has no D2D density, so its cellular power is anchored at the
