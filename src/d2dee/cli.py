@@ -46,7 +46,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--workers", type=int, default=None,
                      help="Monte Carlo chunks; they run on up to one process per usable "
                           "CPU, and the estimate depends on the chunk count only")
-    sub.add_argument("--phase2-mode", choices=["coupled", "paper_literal"], default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,8 +80,7 @@ def _load(args) -> ExperimentConfig:
         cfg = load_config(args.config)
     else:
         cfg = ExperimentConfig()
-    overrides = dict(seed=args.seed, trials=args.trials, workers=args.workers,
-                     phase2_mode=args.phase2_mode)
+    overrides = dict(seed=args.seed, trials=args.trials, workers=args.workers)
     if getattr(args, "sweep_var", None):
         overrides["sweep_variable"] = args.sweep_var
     if getattr(args, "sweep_grid", None):

@@ -4,6 +4,10 @@ A config document is flat JSON; any omitted key takes the default below.
 Per-band values accept either a scalar (broadcast to all bands) or a list
 of length ``num_bands``.  SIR thresholds may be given in dB through the
 ``*_db`` variants, converted to linear at the boundary.
+
+A retired key still loads from older saved configs, but only at its one old
+meaning, which the toolkit now always runs; any other value is rejected by
+name.  A resolved config builds its ``system`` and solver ``options`` once.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ DEFAULTS: dict = {
         "eps_power_w": 1e-5,
         "max_outer_iters": 10,
         "budget_tol_rel": 1e-6,
-        "phase2_mode": "coupled",
     },
 }
 
@@ -60,15 +63,24 @@ _DB_KEYS = ("sir_threshold_d2d", "sir_threshold_cell")
 # sweep variable -> the config key that each sweep point overrides
 SWEEP_KEYS = {"lambda_d_ref": "lambda_d_ref", "lambda_c_ref": "lambda_c_ref",
               "budget_d2d": "budget_d2d_w"}
-# knobs of the retired grid/golden-section search, still in older saved configs
-_RETIRED = {("solver", "grid_points"), ("solver", "line_search_tol_rel")}
+# retired key -> its one accepted value; None accepts any value of the retired
+# grid/golden-section search's knobs, which all asked for the per-band maximum
+_RETIRED = {("solver", "grid_points"): None, ("solver", "line_search_tol_rel"): None,
+            ("solver", "phase2_mode"): "coupled"}
 
 
 @dataclass
 class ExperimentConfig:
-    """Resolved configuration; ``raw`` is the canonical dict form."""
+    """Resolved configuration; ``raw`` is the canonical dict form, and
+    ``system`` and ``options`` are built from it once, on construction."""
 
     raw: dict = field(default_factory=lambda: copy.deepcopy(DEFAULTS))
+    system: SystemParams = field(init=False, repr=False, compare=False)
+    options: SolveOptions = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.system = build_system(self.raw)
+        self.options = SolveOptions(**self.raw["solver"])
 
     def __getitem__(self, key):
         return self.raw[key]
@@ -86,8 +98,6 @@ class ExperimentConfig:
                 continue
             if key in ("trials", "seed", "workers"):
                 new["sim"][key] = value
-            elif key == "phase2_mode":
-                new["solver"][key] = value
             elif key in ("sweep_variable", "sweep_grid"):
                 new["sweep"]["variable" if key == "sweep_variable" else "grid"] = value
             else:
@@ -119,6 +129,8 @@ def _resolve(doc: dict) -> ExperimentConfig:
                 _fail(key, "expected a mapping")
             for sub, sval in value.items():
                 if (key, sub) in _RETIRED:
+                    if _RETIRED[key, sub] not in (None, sval):
+                        _fail(f"{key}.{sub}", f"retired key; {sval!r} is no longer supported")
                     continue
                 if sub not in cfg[key]:
                     _fail(f"{key}.{sub}", "unknown key")
@@ -126,6 +138,7 @@ def _resolve(doc: dict) -> ExperimentConfig:
         else:
             cfg[key] = value
     _validate(cfg)
+    # building the system and options surfaces any remaining unit violation
     return ExperimentConfig(raw=cfg)
 
 
@@ -159,9 +172,6 @@ def _validate(cfg: dict) -> None:
             _fail("sweep.variable", f"must be one of {tuple(SWEEP_KEYS)}")
         if not sweep["grid"]:
             _fail("sweep.grid", "must be nonempty when a sweep variable is set")
-    # constructing the system surfaces any remaining unit violation
-    build_system(ExperimentConfig(raw=cfg))
-    SolveOptions(**cfg["solver"])
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -227,4 +237,4 @@ def build_system(cfg: ExperimentConfig | dict) -> SystemParams:
 
 
 def solver_options(cfg: ExperimentConfig) -> SolveOptions:
-    return SolveOptions(**cfg["solver"])
+    return cfg.options

@@ -12,11 +12,10 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import asdict
 from pathlib import Path
 
-from .config import SWEEP_KEYS, ExperimentConfig, build_system, solver_options
-from .model import PowerAllocation, SystemParams
+from .config import SWEEP_KEYS, ExperimentConfig
+from .model import SystemParams
 from .simulate import SimScenario, estimate_stp
 from .solver import AllocationResult, InfeasibleProblem, baseline_fixed_cell, optimize_powers
 
@@ -35,7 +34,7 @@ VALIDATE_ABS_LIMIT = 0.005
 
 
 def _band_hash(system: SystemParams) -> str:
-    blob = json.dumps([asdict(b) for b in system.bands], sort_keys=True)
+    blob = json.dumps([vars(b) for b in system.bands], sort_keys=True)
     return hashlib.md5(blob.encode()).hexdigest()
 
 
@@ -84,7 +83,7 @@ def run_validate(
     Passes when every estimate satisfies |z| <= 3.3 and |p_hat - analytic|
     <= 0.005 (z is skipped when the standard error is zero).
     """
-    system = build_system(cfg)
+    system = cfg.system
     sim = cfg["sim"]
     idx = sim["band"] if band_index is None else band_index
     if not 0 <= idx < system.num_bands:
@@ -118,8 +117,7 @@ def run_validate(
 
 
 def run_solve(cfg: ExperimentConfig) -> AllocationResult:
-    system = build_system(cfg)
-    return optimize_powers(system, solver_options(cfg))
+    return optimize_powers(cfg.system, cfg.options)
 
 
 def solve_record(cfg: ExperimentConfig, result: AllocationResult) -> dict:
@@ -224,15 +222,14 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
         row = dict.fromkeys(sweep_fieldnames(m), "")
         row.update(index=index, swept_variable=variable, swept_value=_cell(value))
         try:
-            point_cfg = _sweep_config(cfg, variable, value)
-            system = build_system(point_cfg)
+            point = _sweep_config(cfg, variable, value)
         except ValueError as exc:
             _note(row, exc)
             rows.append(row)
             continue
-        row["band_params_md5"] = _band_hash(system)
+        row["band_params_md5"] = _band_hash(point.system)
         try:
-            result = optimize_powers(system, solver_options(point_cfg))
+            result = optimize_powers(point.system, point.options)
             for i in range(m):
                 row[f"p_d2d_w_{i}"] = _cell(result.alloc.p_d2d_w[i])
                 row[f"p_cell_w_{i}"] = _cell(result.alloc.p_cell_w[i])
@@ -244,9 +241,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
         except ValueError as exc:
             _note(row, exc)
         try:
-            base = baseline_fixed_cell(
-                system, point_cfg["baseline_p_cell_w"], solver_options(point_cfg)
-            )
+            base = baseline_fixed_cell(point.system, point["baseline_p_cell_w"], point.options)
             row["baseline_ee_d2d_total"] = _cell(base.metrics.ee_d2d_total)
         except ValueError as exc:
             _note(row, exc, "baseline: ")

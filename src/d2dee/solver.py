@@ -24,7 +24,6 @@ iteration trace for how results are reported.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 from .model import (
@@ -74,7 +73,6 @@ class SolveOptions:
     eps_power_w: float = 1e-5
     max_outer_iters: int = 10
     budget_tol_rel: float = 1e-6
-    phase2_mode: str = "coupled"  # or "paper_literal"
 
     def __post_init__(self):
         for name in ("eps_power_w", "budget_tol_rel"):
@@ -82,8 +80,6 @@ class SolveOptions:
                 raise ValueError(f"{name} must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be positive")
-        if self.phase2_mode not in ("coupled", "paper_literal"):
-            raise ValueError("phase2_mode must be 'coupled' or 'paper_literal'")
 
 
 @dataclass
@@ -388,7 +384,7 @@ def _solve_phase(
     mu (see _dual_bisect).  Only if no multiplier up to 4^399 meets the
     budget is every band's excess above its lower end scaled by one factor,
     and flagged; lower ends that alone exceed the budget, within its
-    tolerance, are returned at once with the same flag.
+    tolerance, are returned at once with a flag of their own.
     """
     bounds, rows, flags = _phase_bands(system, own, q, opts)
 
@@ -404,12 +400,21 @@ def _solve_phase(
             root = (2.0 * c / a) ** (a / 2.0)
         else:
             beta = 2.0 * c / a
-            psi = lambda s: k_amp * math.exp(-c * s) * s**a * (beta * s - 1.0)
+
+            def slope(s: float) -> float:
+                try:
+                    return k_amp * math.exp(-c * s) * s**a * (beta * s - 1.0) - mu
+                except OverflowError:
+                    # s**a alone overflows, psi need not: compare logs, by sign
+                    rest = k_amp * math.exp(-c * s) * (beta * s - 1.0)
+                    above = rest > 0.0 and math.log(rest) + a * math.log(s) > math.log(mu)
+                    return 1.0 if above else -1.0
+
             b = c + a * beta + beta
             s_p = (b + math.sqrt(b * b - 4.0 * c * beta * a)) / (2.0 * c * beta)
-            if psi(s_p) <= mu:
+            if slope(s_p) <= 0.0:
                 return lo  # the objective falls everywhere
-            root = _rising_root(lambda s: psi(s) - mu, 1.0 / beta, s_p) ** (-a / 2.0)
+            root = _rising_root(slope, 1.0 / beta, s_p) ** (-a / 2.0)
         f = lambda p: k_amp * math.exp(-c * p ** (-2.0 / a)) / p - mu * p
         return max((lo, min(max(root, lo), hi), hi), key=f)
 
@@ -418,7 +423,7 @@ def _solve_phase(
     if floor > budget:
         # the lower ends exceed the budget within its tolerance (see
         # _phase_bands), and no multiplier takes a band below its lower end
-        flags.append(_GAP_FLAG[own])
+        flags.append(f"{_NAME[own]} lower ends exceed the budget within budget_tol_rel")
         return [r[0] for r in rows], {"mu": 0.0, "flags": flags, "bounds": bounds}
     solve_at_mu = lambda mu: [argmax(i, mu) for i in range(len(rows))]
     dec, mu = _dual_bisect(solve_at_mu, budget, opts)
@@ -455,25 +460,11 @@ def solve_cell_phase(
 ) -> tuple[list[float], dict]:
     """Maximize total cellular energy efficiency at fixed D2D powers.
 
-    ``coupled`` mode keeps the power-ratio term of the success probability
-    live and solves the cellular side of the shared problem (see the module
-    docstring).  ``paper_literal`` freezes the ratio term instead, leaving a
-    monotone decreasing objective, so every band pins to its lower bound.
+    The power-ratio term of the success probability stays live, so this is
+    the cellular side of the shared problem (see the module docstring).
+    Returns (p_cell, diagnostics).
     """
-    opts = opts or SolveOptions()
-    if opts.phase2_mode == "paper_literal":
-        bounds, rows, flags = _phase_bands(system, "cell", p_d2d, opts)
-        warnings.warn(
-            "paper_literal mode: frozen-ratio cellular objective is monotone "
-            "decreasing; returning per-band lower bounds",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        p_out = [r[0] for r in rows]
-        return p_out, {"mu": 0.0, "flags": flags, "bounds": bounds, "mode": "paper_literal"}
-    p_out, diag = _solve_phase(system, "cell", p_d2d, opts)
-    diag["mode"] = "coupled"
-    return p_out, diag
+    return _solve_phase(system, "cell", p_d2d, opts or SolveOptions())
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,19 @@ class TestConfig:
         assert "grid_points" not in cfg["solver"]
         assert "line_search_tol_rel" not in cfg["solver"]
 
+    def test_retired_phase2_mode_only_as_coupled(self, tmp_path):
+        # every saved config carries "coupled", the one phase two there is
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"solver": {"phase2_mode": "coupled"}, **acc5_overrides()}))
+        cfg = load_config(path)
+        assert "phase2_mode" not in cfg["solver"]
+        fresh = ExperimentConfig().with_overrides(**acc5_overrides())
+        assert run_solve(cfg).to_dict() == run_solve(fresh).to_dict()
+        path.write_text(json.dumps({"solver": {"phase2_mode": "paper_literal"}}))
+        with pytest.raises(ValueError, match="solver.phase2_mode"):
+            load_config(path)
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
     def test_unknown_solver_key_named(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"solver": {"grid_point": 256}}))
@@ -91,6 +104,33 @@ class TestConfig:
                                     "sir_threshold_d2d": 1e-5}))
         with pytest.raises(ValueError, match="both linear and dB"):
             load_config(path)
+
+    def test_sweep_point_builds_system_and_options_once(self, monkeypatch):
+        import d2dee.config
+
+        built = {"system": 0, "options": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        cfg = ExperimentConfig().with_overrides(sweep_variable="lambda_d_ref", sweep_grid=[1e-4])
+        build = counted("system", d2dee.config.build_system)
+        # the harness would hold its own name for build_system if it called it
+        monkeypatch.setattr("d2dee.harness.build_system", build, raising=False)
+        monkeypatch.setattr(d2dee.config, "build_system", build)
+        monkeypatch.setattr(d2dee.config, "SolveOptions",
+                            counted("options", d2dee.config.SolveOptions))
+        run_sweep(cfg)
+        assert built == {"system": 1, "options": 1}
+
+    def test_band_hash_pinned(self):
+        # the md5 of the default config's bands, as every sweep CSV has it
+        from d2dee.harness import _band_hash
+
+        assert _band_hash(build_system(ExperimentConfig())) == "edef9468991123b99912deb41c93f648"
 
     def test_build_system_applies_multipliers(self):
         system = build_system(ExperimentConfig())
@@ -167,7 +207,7 @@ class TestSolveAndTrace:
         assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize("argv", [
-        ["solve", "--phase2-mode", "bogus"],
+        ["validate", "--which", "bogus"],
         ["solve", "--no-such-option"],
         ["sweep", "--sweep-var", "budget_cell"],
         ["bogus"],
@@ -178,7 +218,7 @@ class TestSolveAndTrace:
 
     def test_help_exit(self, capsys):
         assert main(["solve", "--help"]) == EXIT_OK
-        assert "--phase2-mode" in capsys.readouterr().out
+        assert "--workers" in capsys.readouterr().out
 
     def test_trace_rows_and_termination(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

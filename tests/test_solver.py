@@ -352,17 +352,6 @@ class TestPhaseTwo:
         deriv = (h(p_c[0] + step) - h(p_c[0] - step)) / (2 * step)
         assert abs(deriv) <= 1e-6 * h(p_c[0]) / p_c[0] * p_c[0] + 1e-6 * h(p_c[0])
 
-    def test_paper_literal_returns_lower_bounds(self, make_band, make_system):
-        system = make_system(outage_cap_d2d=0.5, outage_cap_cell=0.5)
-        opts = SolveOptions(phase2_mode="paper_literal")
-        with pytest.warns(RuntimeWarning, match="monotone decreasing"):
-            p_c, diag = solve_cell_phase(system, [0.001], opts)
-        band = system.bands[0]
-        margin = -math.log(1 - band.outage_cap_cell) - band.coeff_cell() * band.density_cell
-        lo = 0.001 * (band.coeff_cell() * band.density_d2d / margin) ** 2
-        assert p_c[0] == pytest.approx(lo, rel=1e-12)
-        assert diag["mode"] == "paper_literal"
-
     def test_qos_clamps_apply_in_coupled_mode(self, make_band, make_system):
         # the interior optimum sits below the cellular QoS floor, so the
         # result rides the floor
@@ -402,7 +391,7 @@ class TestPhaseTwo:
         # included) once clamped band 0 back to its lower end and overspent
         system, budget = self.over_budget_lower_ends(make_band, make_system)
         p_c, diag = solve_cell_phase(system, [0.02, 0.02])
-        assert diag["flags"] == ["cellular budget met by proportional scaling (duality gap)"]
+        assert diag["flags"] == ["cellular lower ends exceed the budget within budget_tol_rel"]
         assert math.fsum(p_c) <= budget * (1.0 + SolveOptions().budget_tol_rel)
         for p, (lo, hi) in zip(p_c, diag["bounds"]):
             assert lo <= p <= hi
@@ -426,23 +415,25 @@ class TestPhaseTwo:
         assert len(calls) <= 2
         assert p_c == [lo for lo, _ in diag["bounds"]]
         assert diag["mu"] == 0.0
-        assert diag["flags"] == ["cellular budget met by proportional scaling (duality gap)"]
+        assert diag["flags"] == ["cellular lower ends exceed the budget within budget_tol_rel"]
 
     def test_excess_scaled_when_no_multiplier_meets_budget(self, make_band, make_system):
         # at D2D powers of 1e-140 W the budget, halfway between the lower
-        # ends and the interior optima, needs a multiplier beyond 4^399
+        # ends and the interior optima, needs a multiplier beyond 4^399; at
+        # 1e-170 and 1e-200 W psi's s**a also overflows a float, though psi
+        # itself does not
         band = make_band(max_power_d2d_w=1e3, max_power_cell_w=1e3,
                          outage_cap_d2d=0.9999, outage_cap_cell=0.999999)
-        q = [1e-140, 1e-140]
-        free, slack = solve_cell_phase(make_system(bands=[band, band]), q)
-        floor = math.fsum(lo for lo, _ in slack["bounds"])
-        budget = 0.5 * (floor + math.fsum(free))
-        p_c, diag = solve_cell_phase(make_system(bands=[band, band], budget_cell_w=budget), q)
-        assert diag["flags"] == ["cellular budget met by proportional scaling (duality gap)"]
-        assert diag["mu"] == 0.0
-        assert math.fsum(p_c) <= budget * (1.0 + 1e-12)
-        for p, (lo, hi) in zip(p_c, diag["bounds"]):
-            assert lo < p < hi
+        for q in ([1e-140] * 2, [1e-170] * 2, [1e-200] * 2):
+            free, slack = solve_cell_phase(make_system(bands=[band, band]), q)
+            floor = math.fsum(lo for lo, _ in slack["bounds"])
+            budget = 0.5 * (floor + math.fsum(free))
+            p_c, diag = solve_cell_phase(make_system(bands=[band, band], budget_cell_w=budget), q)
+            assert diag["flags"] == ["cellular budget met by proportional scaling (duality gap)"]
+            assert diag["mu"] == 0.0
+            assert math.fsum(p_c) <= budget * (1.0 + 1e-12)
+            for p, (lo, hi) in zip(p_c, diag["bounds"]):
+                assert lo < p < hi
 
     def test_anchored_band_counts_against_budget(self, make_band, make_system):
         # band 0 has no D2D density, so its cellular power is anchored at the
