@@ -76,16 +76,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ExperimentConfig:
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = ExperimentConfig()
-    overrides = dict(seed=args.seed, trials=args.trials, workers=args.workers)
-    if getattr(args, "sweep_var", None):
-        overrides["sweep_variable"] = args.sweep_var
-    if getattr(args, "sweep_grid", None):
-        overrides["sweep_grid"] = [float(v) for v in args.sweep_grid.split(",")]
-    return cfg.with_overrides(**overrides)
+    grid = getattr(args, "sweep_grid", None)
+    return load_config(
+        args.config, seed=args.seed, trials=args.trials, workers=args.workers,
+        sweep_variable=getattr(args, "sweep_var", None),
+        sweep_grid=[float(v) for v in grid.split(",")] if grid else None,
+    )
 
 
 def _out_dir(args) -> Path:
@@ -111,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "validate":
             records, ok = run_validate(cfg, which=args.which, band_index=args.band)
-            payload = {"config": cfg.to_dict(), "estimates": records, "pass": ok}
+            payload = {"config": cfg.raw, "estimates": records, "pass": ok}
             (out / "validate.json").write_text(json.dumps(payload, indent=2) + "\n")
             for rec in records:
                 print(

@@ -3,11 +3,16 @@
 A config document is flat JSON; any omitted key takes the default below.
 Per-band values accept either a scalar (broadcast to all bands) or a list
 of length ``num_bands``.  SIR thresholds may be given in dB through the
-``*_db`` variants, converted to linear at the boundary.
+``*_db`` variants, converted to linear at the boundary.  Numbers must be
+finite, and counts integers.
 
 A retired key still loads from older saved configs, but only at its one old
 meaning, which the toolkit now always runs; any other value is rejected by
-name.  A resolved config builds its ``system`` and solver ``options`` once.
+name.  Every entry point merges its overrides into a document (``_merge``)
+and resolves that once, in ``_resolve``, the one place a document is
+copied: a resolved config shares no list or dict with ``DEFAULTS``, its
+document, its overrides or the config it came from.  It builds its
+``system`` and solver ``options`` once.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,18 +61,26 @@ DEFAULTS: dict = {
     "solver": {
         "eps_power_w": 1e-5,
         "max_outer_iters": 10,
-        "budget_tol_rel": 1e-6,
     },
 }
 
 _DB_KEYS = ("sir_threshold_d2d", "sir_threshold_cell")
+# keys that take a scalar or one entry per band; all but two name BandParams fields
+_PER_BAND = ("bandwidth_hz", "sir_threshold_d2d", "sir_threshold_cell", "outage_cap_d2d",
+             "outage_cap_cell", "d2d_link_distance_m", "cell_link_distance_m",
+             "multiplier_d2d", "multiplier_cell", "max_power_d2d_w", "max_power_cell_w")
+_INT_KEYS = ("num_bands", "sim.trials", "sim.workers", "sim.seed", "sim.band",
+             "solver.max_outer_iters")
 # sweep variable -> the config key that each sweep point overrides
 SWEEP_KEYS = {"lambda_d_ref": "lambda_d_ref", "lambda_c_ref": "lambda_c_ref",
               "budget_d2d": "budget_d2d_w"}
+# override -> the section whose key it sets: its own name, less "sweep_"
+_SECTION_OF = {"trials": "sim", "seed": "sim", "workers": "sim",
+               "sweep_variable": "sweep", "sweep_grid": "sweep"}
 # retired key -> its one accepted value; None accepts any value of the retired
 # grid/golden-section search's knobs, which all asked for the per-band maximum
 _RETIRED = {("solver", "grid_points"): None, ("solver", "line_search_tol_rel"): None,
-            ("solver", "phase2_mode"): "coupled"}
+            ("solver", "phase2_mode"): "coupled", ("solver", "budget_tol_rel"): 1e-6}
 
 
 @dataclass
@@ -79,38 +93,39 @@ class ExperimentConfig:
     options: SolveOptions = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.system = build_system(self.raw)
+        self.system = build_system(self)
         self.options = SolveOptions(**self.raw["solver"])
 
     def __getitem__(self, key):
         return self.raw[key]
 
-    def to_dict(self) -> dict:
-        return copy.deepcopy(self.raw)
-
     def to_json(self) -> str:
         return json.dumps(self.raw, indent=2, sort_keys=True)
 
-    def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        new = self.to_dict()
-        for key, value in kwargs.items():
-            if value is None:
-                continue
-            if key in ("trials", "seed", "workers"):
-                new["sim"][key] = value
-            elif key in ("sweep_variable", "sweep_grid"):
-                new["sweep"]["variable" if key == "sweep_variable" else "grid"] = value
-            else:
-                new[key] = value
-        return _resolve(new)
+    def with_overrides(self, **overrides) -> "ExperimentConfig":
+        return _resolve(_merge(self.raw, overrides))
 
 
 def _fail(field_name: str, why: str):
     raise ValueError(f"config field '{field_name}': {why}")
 
 
+def _merge(doc: dict, overrides: dict) -> dict:
+    """``doc`` with every override that is not None applied; ``doc`` is left as it is."""
+    merged = dict(doc)
+    for name, value in overrides.items():
+        section = _SECTION_OF.get(name)
+        if value is None:
+            continue
+        if section is None:
+            merged[name] = value
+        elif isinstance(merged.get(section, {}), dict):  # else _resolve rejects it
+            merged[section] = {**merged.get(section, {}), name.removeprefix("sweep_"): value}
+    return merged
+
+
 def _resolve(doc: dict) -> ExperimentConfig:
-    cfg = copy.deepcopy(DEFAULTS)
+    cfg = dict(DEFAULTS)
     for key, value in doc.items():
         base = key[:-3] if key.endswith("_db") else key
         if base not in cfg:
@@ -120,23 +135,29 @@ def _resolve(doc: dict) -> ExperimentConfig:
                 _fail(key, "dB form only supported for SIR thresholds")
             if base in doc:
                 _fail(key, f"both linear and dB values given for {base}")
-            if isinstance(value, list):
-                cfg[base] = [10.0 ** (v / 10.0) for v in value]
-            else:
-                cfg[base] = 10.0 ** (value / 10.0)
+            try:
+                if isinstance(value, list):
+                    cfg[base] = [10.0 ** (v / 10.0) for v in value]
+                else:
+                    cfg[base] = 10.0 ** (value / 10.0)
+            except (TypeError, OverflowError):
+                _fail(key, "must be a finite number of dB, or a list of them")
         elif isinstance(cfg[key], dict):
             if not isinstance(value, dict):
                 _fail(key, "expected a mapping")
+            section = cfg[key] = dict(cfg[key])
             for sub, sval in value.items():
                 if (key, sub) in _RETIRED:
                     if _RETIRED[key, sub] not in (None, sval):
                         _fail(f"{key}.{sub}", f"retired key; {sval!r} is no longer supported")
                     continue
-                if sub not in cfg[key]:
+                if sub not in section:
                     _fail(f"{key}.{sub}", "unknown key")
-                cfg[key][sub] = sval
+                section[sub] = sval
         else:
             cfg[key] = value
+    # the one copy: nothing below shares a list or dict with DEFAULTS or doc
+    cfg = copy.deepcopy(cfg)
     _validate(cfg)
     # building the system and options surfaces any remaining unit violation
     return ExperimentConfig(raw=cfg)
@@ -152,8 +173,32 @@ def _per_band(cfg: dict, key: str) -> list[float]:
     return [float(value)] * m
 
 
+def _finite(values: list) -> bool:
+    """Whether every value is a finite number; a bool is not a number here."""
+    try:
+        return bool not in map(type, values) and all(map(math.isfinite, values))
+    except (TypeError, OverflowError):  # not a number, or an int beyond any float
+        return False
+
+
+def _check_numbers(cfg: dict) -> None:
+    """Every count is an int and every other number finite; bools are neither."""
+    for key, value in cfg.items():
+        for sub, v in value.items() if isinstance(value, dict) else [(None, value)]:
+            name = key if sub is None else f"{key}.{sub}"
+            if name in _INT_KEYS:
+                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                    _fail(name, "must be an integer")
+            elif name == "sweep.grid" or (name in _PER_BAND and isinstance(v, list)):
+                if not isinstance(v, list) or not _finite(v):
+                    _fail(name, "must be a list of finite numbers")
+            elif name != "sweep.variable" and not _finite([v]):
+                _fail(name, "must be a finite number")
+
+
 def _validate(cfg: dict) -> None:
-    if not isinstance(cfg["num_bands"], int) or cfg["num_bands"] < 1:
+    _check_numbers(cfg)
+    if cfg["num_bands"] < 1:
         _fail("num_bands", "must be a positive integer")
     if cfg["pathloss_exponent"] <= 2.0:
         _fail(
@@ -168,15 +213,15 @@ def _validate(cfg: dict) -> None:
             _fail(key, "must be positive")
     sweep = cfg["sweep"]
     if sweep["variable"] is not None:
-        if sweep["variable"] not in SWEEP_KEYS:
+        if not isinstance(sweep["variable"], str) or sweep["variable"] not in SWEEP_KEYS:
             _fail("sweep.variable", f"must be one of {tuple(SWEEP_KEYS)}")
         if not sweep["grid"]:
             _fail("sweep.grid", "must be nonempty when a sweep variable is set")
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse a JSON config document, filling unset keys with the defaults."""
-    text = Path(path).read_text()
+def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:
+    """Parse a JSON config document (none without a path), apply overrides, fill in defaults."""
+    text = Path(path).read_text() if path else ""
     if not text.strip():
         doc = {}
     else:
@@ -186,45 +231,28 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ValueError(f"malformed config document: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("malformed config document: top level must be an object")
-    return _resolve(doc)
+    return _resolve(_merge(doc, overrides))
 
 
 def save_config(cfg: ExperimentConfig, path: str | Path) -> None:
     Path(path).write_text(cfg.to_json() + "\n")
 
 
-def build_system(cfg: ExperimentConfig | dict) -> SystemParams:
+def build_system(cfg: ExperimentConfig) -> SystemParams:
     """Construct SystemParams from a config, applying density multipliers."""
-    raw = cfg.raw if isinstance(cfg, ExperimentConfig) else cfg
-    m = raw["num_bands"]
-    bw = _per_band(raw, "bandwidth_hz")
-    t_d = _per_band(raw, "sir_threshold_d2d")
-    t_c = _per_band(raw, "sir_threshold_cell")
-    th_d = _per_band(raw, "outage_cap_d2d")
-    th_c = _per_band(raw, "outage_cap_cell")
-    r_d = _per_band(raw, "d2d_link_distance_m")
-    r_c = _per_band(raw, "cell_link_distance_m")
-    mul_d = _per_band(raw, "multiplier_d2d")
-    mul_c = _per_band(raw, "multiplier_cell")
-    cap_d = _per_band(raw, "max_power_d2d_w")
-    cap_c = _per_band(raw, "max_power_cell_w")
+    raw = cfg.raw
+    per_band = {key: _per_band(raw, key) for key in _PER_BAND}
     bands = []
-    for i in range(m):
+    for i in range(raw["num_bands"]):
+        kw = {key: values[i] for key, values in per_band.items()}
+        mul_d, mul_c = kw.pop("multiplier_d2d"), kw.pop("multiplier_cell")
         try:
             bands.append(
                 BandParams(
-                    bandwidth_hz=bw[i],
                     pathloss_exponent=float(raw["pathloss_exponent"]),
-                    sir_threshold_d2d=t_d[i],
-                    sir_threshold_cell=t_c[i],
-                    density_d2d=mul_d[i] * raw["lambda_d_ref"],
-                    density_cell=mul_c[i] * raw["lambda_c_ref"],
-                    d2d_link_distance_m=r_d[i],
-                    cell_link_distance_m=r_c[i],
-                    outage_cap_d2d=th_d[i],
-                    outage_cap_cell=th_c[i],
-                    max_power_d2d_w=cap_d[i],
-                    max_power_cell_w=cap_c[i],
+                    density_d2d=mul_d * raw["lambda_d_ref"],
+                    density_cell=mul_c * raw["lambda_c_ref"],
+                    **kw,
                 )
             )
         except ValueError as exc:

@@ -121,7 +121,7 @@ def run_solve(cfg: ExperimentConfig) -> AllocationResult:
 
 
 def solve_record(cfg: ExperimentConfig, result: AllocationResult) -> dict:
-    return {"config": cfg.to_dict(), "result": result.to_dict()}
+    return {"config": cfg.raw, "result": result.to_dict()}
 
 
 def format_solve_table(result: AllocationResult) -> str:
@@ -192,10 +192,6 @@ def sweep_fieldnames(num_bands: int) -> list[str]:
     return cols
 
 
-def _sweep_config(cfg: ExperimentConfig, variable: str, value: float) -> ExperimentConfig:
-    return cfg.with_overrides(**{SWEEP_KEYS[variable]: value})
-
-
 def _note(row: dict, exc: ValueError, prefix: str = "") -> None:
     """Append a point's failure to its ``infeasible_bands`` cell."""
     if isinstance(exc, InfeasibleProblem):
@@ -222,7 +218,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
         row = dict.fromkeys(sweep_fieldnames(m), "")
         row.update(index=index, swept_variable=variable, swept_value=_cell(value))
         try:
-            point = _sweep_config(cfg, variable, value)
+            point = cfg.with_overrides(**{SWEEP_KEYS[variable]: value})
         except ValueError as exc:
             _note(row, exc)
             rows.append(row)

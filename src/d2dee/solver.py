@@ -72,12 +72,10 @@ class SolveOptions:
 
     eps_power_w: float = 1e-5
     max_outer_iters: int = 10
-    budget_tol_rel: float = 1e-6
 
     def __post_init__(self):
-        for name in ("eps_power_w", "budget_tol_rel"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.eps_power_w <= 0:
+            raise ValueError("eps_power_w must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be positive")
 
@@ -124,11 +122,14 @@ class IterationTrace:
 
 @dataclass
 class FeasibilityReport:
-    """Constraint slacks of an allocation; nonnegative slack means satisfied."""
+    """Constraint slacks of an allocation; nonnegative slack means satisfied,
+    and ``ok`` also accepts -1e-8 per band and BUDGET_TOL_REL per budget."""
 
     band_slacks: list[dict]
     budget_d2d_slack: float
     budget_cell_slack: float
+    budget_d2d_w: float
+    budget_cell_w: float
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -137,7 +138,9 @@ class FeasibilityReport:
             (min(row.values()) for row in self.band_slacks),
             default=0.0,
         )
-        return min(worst, self.budget_d2d_slack, self.budget_cell_slack) >= -1e-8
+        return (worst >= -1e-8
+                and self.budget_d2d_slack >= -BUDGET_TOL_REL * self.budget_d2d_w
+                and self.budget_cell_slack >= -BUDGET_TOL_REL * self.budget_cell_w)
 
     def to_dict(self) -> dict:
         return {
@@ -274,7 +277,7 @@ def x_feasible_box(band: BandParams, p_cell_w: float, band_index: int = 0) -> Fe
 # budget multiplier
 
 
-def _dual_bisect(solve_at_mu, budget: float, opts: SolveOptions):
+def _dual_bisect(solve_at_mu, budget: float):
     """Bisection on the multiplier of a single coupling power budget.
 
     ``solve_at_mu(mu)`` returns the per-band powers maximizing the penalized
@@ -282,7 +285,7 @@ def _dual_bisect(solve_at_mu, budget: float, opts: SolveOptions):
     The powers meet the budget unless no multiplier up to 4^399 does, in
     which case they are those at mu = 0.  A bracket that collapses on a
     jump (duality gap) returns the powers under the budget at its upper
-    end, even if they undershoot it by more than ``budget_tol_rel``.
+    end, even if they undershoot it by more than BUDGET_TOL_REL.
     """
     dec0 = solve_at_mu(0.0)
     if math.fsum(dec0) <= budget:
@@ -301,7 +304,7 @@ def _dual_bisect(solve_at_mu, budget: float, opts: SolveOptions):
         dec_mid = solve_at_mu(mid)
         if math.fsum(dec_mid) <= budget:
             mu_hi, dec_hi = mid, dec_mid
-            if budget - math.fsum(dec_mid) <= opts.budget_tol_rel * budget:
+            if budget - math.fsum(dec_mid) <= BUDGET_TOL_REL * budget:
                 break
         else:
             mu_lo = mid
@@ -311,6 +314,7 @@ def _dual_bisect(solve_at_mu, budget: float, opts: SolveOptions):
 # ---------------------------------------------------------------------------
 # one phase: the powers of one class at the other class's fixed powers
 
+BUDGET_TOL_REL = 1e-6  # the overspend of a power budget, relative to it, that is accepted
 _NAME = {"d2d": "D2D", "cell": "cellular"}
 _BUDGET_INFEASIBLE = {
     "d2d": "D2D budget infeasible under QoS caps",
@@ -369,7 +373,7 @@ def _phase_bands(
         rows.append((lo, hi, c, k_amp, a))
 
     budget = getattr(system, f"budget_{own}_w")
-    if math.fsum(r[0] for r in rows) > budget * (1.0 + opts.budget_tol_rel):
+    if math.fsum(r[0] for r in rows) > budget * (1.0 + BUDGET_TOL_REL):
         raise InfeasibleProblem(_BUDGET_INFEASIBLE[own], band=None, constraint=f"budget_{own}")
     return bounds, rows, flags
 
@@ -426,7 +430,7 @@ def _solve_phase(
         flags.append(f"{_NAME[own]} lower ends exceed the budget within budget_tol_rel")
         return [r[0] for r in rows], {"mu": 0.0, "flags": flags, "bounds": bounds}
     solve_at_mu = lambda mu: [argmax(i, mu) for i in range(len(rows))]
-    dec, mu = _dual_bisect(solve_at_mu, budget, opts)
+    dec, mu = _dual_bisect(solve_at_mu, budget)
     if math.fsum(dec) > budget:
         # no multiplier up to 4^399 meets the budget; the lower ends cannot
         # give way, so scaling them too could overspend
@@ -594,5 +598,7 @@ def check_feasible(system: SystemParams, alloc: PowerAllocation) -> FeasibilityR
         band_slacks=rows,
         budget_d2d_slack=system.budget_d2d_w - alloc.total_d2d(),
         budget_cell_slack=system.budget_cell_w - alloc.total_cell(),
+        budget_d2d_w=system.budget_d2d_w,
+        budget_cell_w=system.budget_cell_w,
         notes=notes,
     )

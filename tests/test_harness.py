@@ -1,6 +1,10 @@
+import copy
 import json
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +129,79 @@ class TestConfig:
                             counted("options", d2dee.config.SolveOptions))
         run_sweep(cfg)
         assert built == {"system": 1, "options": 1}
+
+    def test_cli_resolves_once_per_command_and_sweep_point(self, tmp_path, monkeypatch):
+        import d2dee.config
+
+        counts = {"resolve": 0, "system": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(d2dee.config, "_resolve", counted("resolve", d2dee.config._resolve))
+        monkeypatch.setattr(d2dee.config, "build_system",
+                            counted("system", d2dee.config.build_system))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(acc5_overrides()))
+        assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_OK
+        assert counts == {"resolve": 1, "system": 1}
+        counts.update(resolve=0, system=0)
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
+                     "--sweep-var", "lambda_d_ref", "--sweep-grid", "1e-5,1e-4"]) == EXIT_OK
+        assert counts == {"resolve": 3, "system": 3}
+
+    def test_resolved_configs_share_no_state(self):
+        from d2dee.config import DEFAULTS, _resolve
+
+        doc = {"d2d_link_distance_m": [10.0, 20.0, 30.0, 20.0, 10.0], "sim": {"trials": 500},
+               "sweep": {"variable": "lambda_d_ref", "grid": [1e-5, 1e-4]}}
+        grid = [2e-5, 3e-5]
+        before = copy.deepcopy((DEFAULTS, doc, grid))
+        base = _resolve(doc)
+        base_raw = copy.deepcopy(base.raw)
+        for derived in (base.with_overrides(seed=3, sweep_grid=grid),
+                        base.with_overrides(lambda_d_ref=2e-5)):
+            derived.raw["d2d_link_distance_m"][0] = -1.0
+            derived.raw["multiplier_d2d"][0] = -1.0
+            derived.raw["sim"]["trials"] = -1
+            derived.raw["sweep"]["grid"].append(-1.0)
+        assert base.raw == base_raw
+        base.raw["d2d_link_distance_m"][0] = -1.0
+        base.raw["multiplier_cell"][0] = -1.0
+        base.raw["sim"]["seed"] = -1
+        base.raw["sweep"]["grid"].append(-1.0)
+        assert (DEFAULTS, doc, grid) == before
+
+    @pytest.mark.parametrize("command, doc, field", [
+        (["solve"], {"budget_d2d_w": math.nan}, "budget_d2d_w"),
+        (["solve"], {"d2d_link_distance_m": [10.0, 20.0, math.inf, 20.0, 10.0]},
+         "d2d_link_distance_m"),
+        (["validate"], {"sim": {"trials": 1000.5}}, "sim.trials"),
+        (["validate"], {"sim": {"workers": 2.0}}, "sim.workers"),
+        (["solve"], {"solver": {"max_outer_iters": True}}, "solver.max_outer_iters"),
+        (["sweep", "--sweep-var", "lambda_d_ref", "--sweep-grid", "1e-4,nan"], {}, "sweep.grid"),
+        (["solve"], {"budget_cell_w": 10**400}, "budget_cell_w"),
+        (["sweep"], {"sweep": {"variable": ["lambda_d_ref"], "grid": [1e-4]}}, "sweep.variable"),
+    ], ids=["scalar", "per_band_entry", "sim_trials", "sim_workers", "bool_count", "sweep_grid",
+            "int_beyond_float", "unhashable_variable"])
+    def test_malformed_numbers_rejected_by_name(self, command, doc, field, tmp_path, capsys):
+        # Python's json reads NaN and Infinity
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**acc5_overrides(), **doc}))
+        argv = [*command, "--config", str(cfg_path), "--out", str(tmp_path)]
+        assert main(argv) == EXIT_CONFIG
+        assert f"config field '{field}'" in capsys.readouterr().err
+
+    def test_retired_budget_tolerance_only_at_its_value(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"solver": {"budget_tol_rel": 1e-6}}))
+        assert "budget_tol_rel" not in load_config(path)["solver"]
+        path.write_text(json.dumps({"solver": {"budget_tol_rel": 1e-3}}))
+        with pytest.raises(ValueError, match="solver.budget_tol_rel"):
+            load_config(path)
 
     def test_band_hash_pinned(self):
         # the md5 of the default config's bands, as every sweep CSV has it
@@ -357,3 +434,17 @@ class TestSweep:
                                         "sim": {"trials": 500}}))
         assert main(["validate", "--config", str(cfg_path)]) == EXIT_OK
         assert (tmp_path / "envout" / "validate.json").exists()
+
+
+def test_cli_import_loads_no_pool_or_logging():
+    # the process pool and logging load only when a command needs them,
+    # which keeps start-up short
+    import d2dee
+
+    src = str(Path(d2dee.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import d2dee.cli; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures', 'logging') "
+            "if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

@@ -12,8 +12,9 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2dee import BandParams, InfeasibleProblem, SolveOptions, SystemParams
+from d2dee import BandParams, InfeasibleProblem, SystemParams
 from d2dee import optimize_powers, solve_cell_phase, solve_d2d_phase
+from d2dee.solver import BUDGET_TOL_REL
 
 
 def log_uniform(lo_exp: float, hi_exp: float):
@@ -84,7 +85,7 @@ def check_phase(phase: str, system: SystemParams, q: list[float], order: list[in
         return
     assert normal(powers)
     budget = getattr(system, budget_field)
-    assert math.fsum(powers) <= budget * (1.0 + SolveOptions().budget_tol_rel)
+    assert math.fsum(powers) <= budget * (1.0 + BUDGET_TOL_REL)
     assert solve(permuted(system, order), [q[j] for j in order]) == [powers[j] for j in order]
 
 

@@ -392,9 +392,22 @@ class TestPhaseTwo:
         system, budget = self.over_budget_lower_ends(make_band, make_system)
         p_c, diag = solve_cell_phase(system, [0.02, 0.02])
         assert diag["flags"] == ["cellular lower ends exceed the budget within budget_tol_rel"]
-        assert math.fsum(p_c) <= budget * (1.0 + SolveOptions().budget_tol_rel)
+        assert math.fsum(p_c) <= budget * (1.0 + solver.BUDGET_TOL_REL)
         for p, (lo, hi) in zip(p_c, diag["bounds"]):
             assert lo <= p <= hi
+
+    def test_over_budget_lower_ends_read_feasible(self, make_band, make_system):
+        # the lower ends overspend the budget inside its relative tolerance,
+        # which check_feasible accepts as the solver does; twice it does not
+        system, _ = self.over_budget_lower_ends(make_band, make_system)
+        p_c, _ = solve_cell_phase(system, [0.02, 0.02])
+        alloc = PowerAllocation([0.02, 0.02], p_c)
+        report = check_feasible(system, alloc)
+        assert report.budget_cell_slack < -1e-8
+        assert report.ok
+        over = make_system(bands=system.bands,
+                           budget_cell_w=math.fsum(p_c) / (1.0 + 2.0 * solver.BUDGET_TOL_REL))
+        assert not check_feasible(over, alloc).ok
 
     def test_over_budget_lower_ends_skip_the_multiplier_search(
             self, make_band, make_system, monkeypatch):
