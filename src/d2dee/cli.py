@@ -1,7 +1,8 @@
 """Command-line front end: validate | solve | trace | sweep.
 
 Exit codes: 0 ok, 1 infeasible problem, 2 validation failure, 3 config
-error (a malformed or invalid config document, option or command line).
+error (a malformed or invalid config document, option or command line,
+or a --config or --out path that cannot be used).
 The default output directory comes from --out or the D2DEE_OUT
 environment variable.
 """
@@ -99,10 +100,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         cfg = _load(args)
-    except ValueError as exc:
+        out = _out_dir(args)
+    except (ValueError, OSError) as exc:
+        # an OSError names its path: a missing or unreadable --config, or an
+        # --out that is not a directory
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out = _out_dir(args)
 
     try:
         if args.command == "validate":

@@ -103,7 +103,15 @@ class ExperimentConfig:
         return json.dumps(self.raw, indent=2, sort_keys=True)
 
     def with_overrides(self, **overrides) -> "ExperimentConfig":
-        return _resolve(_merge(self.raw, overrides))
+        """This config with ``overrides`` applied (see ``_merge``).  Setting
+        the swept key makes one point of the sweep, which sweeps nothing: it
+        resolves from the document without its sweep section, so a point
+        never copies or checks the grid."""
+        doc = self.raw
+        swept = SWEEP_KEYS.get(doc["sweep"]["variable"])
+        if overrides.get(swept) is not None:
+            doc = {key: value for key, value in doc.items() if key != "sweep"}
+        return _resolve(_merge(doc, overrides))
 
 
 def _fail(field_name: str, why: str):

@@ -7,13 +7,16 @@ interferer densities and the transmit-power ratio, which makes STP, ASR
 and EE per band cheap closed forms.  All quantities are SI (W, Hz, m,
 per m^2); SIR thresholds are linear, not dB.
 
-Everything here is pure and stateless; safe to call from any thread.
+Every function here is pure.  Bands and systems are frozen: a band
+computes its two interference coefficients once, on construction, and a
+system's ``cache`` holds only values the solver derives from its frozen
+inputs.  Safe to call from any thread.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = [
     "BandParams",
@@ -61,13 +64,17 @@ def interference_coeff(threshold: float, link_distance_m: float, alpha: float) -
     return math.pi * threshold ** (2.0 / alpha) * link_distance_m**2 * gamma_product(alpha)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BandParams:
     """Physical parameters of one band.
 
     Densities are per m^2, distances in m, powers in W, bandwidth in Hz.
     Outage caps bound the tolerated outage probability per link class.
+    The interference coefficients are computed once, on construction; they
+    sit in a slot, so ``vars(band)`` holds the parameters alone.
     """
+
+    __slots__ = ("__dict__", "_coeffs")
 
     bandwidth_hz: float
     pathloss_exponent: float
@@ -99,28 +106,41 @@ class BandParams:
             cap = getattr(self, name)
             if not 0.0 < cap < 1.0:
                 raise ValueError(f"{name} must lie strictly inside (0, 1)")
+        object.__setattr__(self, "_coeffs", (
+            interference_coeff(
+                self.sir_threshold_d2d, self.d2d_link_distance_m, self.pathloss_exponent),
+            interference_coeff(
+                self.sir_threshold_cell, self.cell_link_distance_m, self.pathloss_exponent),
+        ))
+
+    def __reduce__(self):
+        # rebuild through __init__: a frozen instance cannot have its slot set
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     # Interference coefficients for the two link classes of this band.
     def coeff_d2d(self) -> float:
-        return interference_coeff(
-            self.sir_threshold_d2d, self.d2d_link_distance_m, self.pathloss_exponent
-        )
+        return self._coeffs[0]
 
     def coeff_cell(self) -> float:
-        return interference_coeff(
-            self.sir_threshold_cell, self.cell_link_distance_m, self.pathloss_exponent
-        )
+        return self._coeffs[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemParams:
-    """All bands plus the cross-band transmit power budgets."""
+    """All bands plus the cross-band transmit power budgets.
 
-    bands: list[BandParams]
+    The bands are kept as a tuple, so nothing that ``cache`` holds, the
+    values the solver derives from them (see ``solver._phase_bands``), can
+    go stale.
+    """
+
+    bands: tuple[BandParams, ...]
     budget_d2d_w: float
     budget_cell_w: float
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "bands", tuple(self.bands))
         if len(self.bands) < 1:
             raise ValueError("at least one band is required")
         if self.budget_d2d_w <= 0 or self.budget_cell_w <= 0:
@@ -254,6 +274,10 @@ def sup_rate_threshold(c: float, w_hz: float, alpha: float) -> tuple[float, floa
     return t_star, w_hz * math.log2(1.0 + t_star) * math.exp(-c * t_star**expo)
 
 
+def _ee(band: BandParams, power_w: float, threshold: float, stp: float) -> float:
+    return (band.bandwidth_hz / power_w) * math.log2(1.0 + threshold) * stp
+
+
 def ee_per_band(band: BandParams, p_cell_w: float, p_d2d_w: float) -> tuple[float, float]:
     """Energy efficiency (bit/J) of the D2D and cellular class in one band.
 
@@ -262,18 +286,16 @@ def ee_per_band(band: BandParams, p_cell_w: float, p_d2d_w: float) -> tuple[floa
     divides both values by exactly k.
     """
     _check_powers(p_cell_w, p_d2d_w)
-    ee_d = (band.bandwidth_hz / p_d2d_w) * math.log2(1.0 + band.sir_threshold_d2d) \
-        * stp_d2d(band, p_cell_w, p_d2d_w)
-    ee_c = (band.bandwidth_hz / p_cell_w) * math.log2(1.0 + band.sir_threshold_cell) \
-        * stp_cell(band, p_cell_w, p_d2d_w)
-    return ee_d, ee_c
+    return (_ee(band, p_d2d_w, band.sir_threshold_d2d, stp_d2d(band, p_cell_w, p_d2d_w)),
+            _ee(band, p_cell_w, band.sir_threshold_cell, stp_cell(band, p_cell_w, p_d2d_w)))
 
 
 def metrics(system: SystemParams, alloc: PowerAllocation) -> MetricsReport:
     """Evaluate STP/ASR/EE on every band and aggregate the totals.
 
-    Totals use exact (fsum) summation so they are invariant under band
-    permutation.
+    Each STP is evaluated once and both its ASR and its EE are derived from
+    it, so ``ee_d2d``/``ee_cell`` equal ``ee_per_band`` bit for bit.  Totals
+    use exact (fsum) summation so they are invariant under band permutation.
     """
     if len(alloc.p_d2d_w) != system.num_bands:
         raise ValueError(
@@ -287,9 +309,8 @@ def metrics(system: SystemParams, alloc: PowerAllocation) -> MetricsReport:
         rep.stp_cell.append(s_c)
         rep.asr_d2d.append(asr(band, s_d, band.density_d2d, band.sir_threshold_d2d))
         rep.asr_cell.append(asr(band, s_c, band.density_cell, band.sir_threshold_cell))
-        ee_d, ee_c = ee_per_band(band, pc, pd)
-        rep.ee_d2d.append(ee_d)
-        rep.ee_cell.append(ee_c)
+        rep.ee_d2d.append(_ee(band, pd, band.sir_threshold_d2d, s_d))
+        rep.ee_cell.append(_ee(band, pc, band.sir_threshold_cell, s_c))
     rep.ee_d2d_total = math.fsum(rep.ee_d2d)
     rep.ee_cell_total = math.fsum(rep.ee_cell)
     rep.ee_total = rep.ee_d2d_total + rep.ee_cell_total

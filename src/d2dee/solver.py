@@ -9,6 +9,12 @@ the box that both outage caps and the power cap set, taking the best of
 the box ends and the clamped root; the class's single power budget is
 handled by bisection on its Lagrange multiplier mu.
 
+Each band's box and objective split into constants of the system and a
+scaling by the other class's powers q, the only input a phase varies:
+the outage margins, the box factors, K and the interference coefficient
+are computed once per band and class and cached on the system, and a
+phase call only multiplies them by q or q^(2/alpha) (see _phase_bands).
+
 Phase one also reports the paper's substituted variable x = exp(cd *
 lambda_c * (Pc/Pd)^(2/alpha)) of its result.  The paper's box and
 concavity interval in x are x_feasible_box and curvature_interval; the
@@ -326,6 +332,27 @@ _GAP_FLAG = {
 }
 
 
+def _band_constants(band: BandParams, own: str, other: str, i: int) -> tuple:
+    """Constants of class ``own`` on band ``i``: (f_lo, f_hi, cap,
+    coeff_own * lambda_other, 2/alpha, K, alpha).
+
+    f_lo = (coeff_own * lambda_other / margin_own)^k and f_hi = (margin_other
+    / (coeff_other * lambda_own))^k are the box factors, None where
+    lambda_other or lambda_own is 0.  Raises InfeasibleProblem when an
+    outage cap is unreachable, checking the other class first.
+    """
+    a = band.pathloss_exponent
+    k = a / 2.0
+    margin_other, coeff_other, dens_other = _margin(band, other, i)
+    margin_own, coeff_own, dens_own = _margin(band, own, i)
+    f_lo = (coeff_own * dens_other / margin_own) ** k if dens_other > 0 else None
+    f_hi = (margin_other / (coeff_other * dens_own)) ** k if dens_own > 0 else None
+    threshold = getattr(band, f"sir_threshold_{own}")
+    k_amp = band.bandwidth_hz * math.log2(1.0 + threshold) * math.exp(-coeff_own * dens_own)
+    return (f_lo, f_hi, getattr(band, f"max_power_{own}_w"), coeff_own * dens_other,
+            2.0 / a, k_amp, a)
+
+
 def _phase_bands(
     system: SystemParams, own: str, q: list[float], opts: SolveOptions
 ) -> tuple[list[tuple[float, float]], list[tuple[float, ...]], list[str]]:
@@ -336,10 +363,15 @@ def _phase_bands(
     <= p <= min(q * (margin_other / (coeff_other * lambda_own))^k, cap), and
     the objective is K * exp(-c * p^(-2/alpha)) / p with K = W log2(1+T_own)
     exp(-coeff_own * lambda_own), c = coeff_own * lambda_other * q^(2/alpha).
-    Returns (bounds, rows, flags), rows[i] = (effective lower end, upper
-    end, c, K, alpha).  A band without other-class density has no positive
-    lower end and no interior optimum: it is anchored at the power
-    tolerance, and the budget is checked against that anchor.
+    Everything but q is a constant of the system (see _band_constants): it
+    is computed once per band and class, on the first call that reaches the
+    band, and kept in ``system.cache``; a call only scales the box factors
+    and c by q.  A band whose constants raise caches nothing, so every call
+    raises there again.  Two threads that fill a band at once store equal
+    tuples.  Returns (bounds, rows, flags), rows[i] = (effective
+    lower end, upper end, c, K, alpha).  A band without other-class density
+    has no positive lower end and no interior optimum: it is anchored at the
+    power tolerance, and the budget is checked against that anchor.
     """
     other = "cell" if own == "d2d" else "d2d"
     if len(q) != system.num_bands:
@@ -348,17 +380,16 @@ def _phase_bands(
         if qi <= 0:
             raise ValueError(f"{_NAME[other]} power on band {i} must be positive")
 
+    consts = system.cache.setdefault(own, [None] * system.num_bands)
     bounds: list[tuple[float, float]] = []
     rows: list[tuple[float, ...]] = []
     flags: list[str] = []
     for i, band in enumerate(system.bands):
-        a = band.pathloss_exponent
-        k = a / 2.0
-        margin_other, coeff_other, dens_other = _margin(band, other, i)
-        margin_own, coeff_own, dens_own = _margin(band, own, i)
-        cap = getattr(band, f"max_power_{own}_w")
-        lo = q[i] * (coeff_own * dens_other / margin_own) ** k if dens_other > 0 else 0.0
-        hi = q[i] * (margin_other / (coeff_other * dens_own)) ** k if dens_own > 0 else math.inf
+        if consts[i] is None:
+            consts[i] = _band_constants(band, own, other, i)
+        f_lo, f_hi, cap, c_unit, expo, k_amp, a = consts[i]
+        lo = q[i] * f_lo if f_lo is not None else 0.0
+        hi = q[i] * f_hi if f_hi is not None else math.inf
         hi, hi_source = (hi, f"qos_{other}") if hi <= cap else (cap, "power_cap")
         if lo > hi:
             raise InfeasibleProblem(f"empty feasible set on band {i}", band=i, constraint=hi_source)
@@ -367,10 +398,7 @@ def _phase_bands(
             lo = min(opts.eps_power_w, hi)
             flags.append(f"band {i}: no {_NAME[other]} density, "
                          f"{_NAME[own]} power anchored at tolerance")
-        c = coeff_own * dens_other * q[i] ** (2.0 / a)
-        threshold = getattr(band, f"sir_threshold_{own}")
-        k_amp = band.bandwidth_hz * math.log2(1.0 + threshold) * math.exp(-coeff_own * dens_own)
-        rows.append((lo, hi, c, k_amp, a))
+        rows.append((lo, hi, c_unit * q[i] ** expo, k_amp, a))
 
     budget = getattr(system, f"budget_{own}_w")
     if math.fsum(r[0] for r in rows) > budget * (1.0 + BUDGET_TOL_REL):

@@ -1,10 +1,12 @@
 import copy
+import hashlib
 import json
 import math
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -129,6 +131,25 @@ class TestConfig:
                             counted("options", d2dee.config.SolveOptions))
         run_sweep(cfg)
         assert built == {"system": 1, "options": 1}
+
+    def test_sweep_points_never_copy_the_grid(self, monkeypatch):
+        import d2dee.config
+
+        copied = []
+
+        def deepcopy(doc):
+            copied.append(len(doc["sweep"]["grid"]))
+            return copy.deepcopy(doc)
+
+        grid = list(np.geomspace(1e-5, 1e-3, 500))
+        cfg = ExperimentConfig().with_overrides(**acc5_overrides(), sweep_variable="lambda_d_ref",
+                                                sweep_grid=grid)
+        monkeypatch.setattr(d2dee.config, "copy", SimpleNamespace(deepcopy=deepcopy))
+        rows = run_sweep(cfg)
+        assert len(rows) == 500
+        # one resolution per point, none of them carrying the base grid
+        assert copied == [0] * 500
+        assert cfg["sweep"]["grid"] == grid
 
     def test_cli_resolves_once_per_command_and_sweep_point(self, tmp_path, monkeypatch):
         import d2dee.config
@@ -283,6 +304,30 @@ class TestSolveAndTrace:
         code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
 
+    def test_solve_result_pinned(self, tmp_path):
+        # the md5 of the Table-1 result block (thresholds 1e-5), pinned when
+        # each band's constants moved out of the phase calls
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(acc5_overrides()))
+        assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_OK
+        result = json.loads((tmp_path / "solve.json").read_text())["result"]
+        digest = hashlib.md5(json.dumps(result, sort_keys=True).encode()).hexdigest()
+        assert digest == "995e20e8218566631d5d64dc814e5cb9"
+
+    @pytest.mark.parametrize("where, path, names", [
+        ("--config", lambda tmp: tmp / "missing.json", "No such file or directory"),
+        ("--config", lambda tmp: tmp, "Is a directory"),
+        ("--out", lambda tmp: tmp / "cfg.json", "File exists"),
+    ], ids=["missing_config", "config_is_directory", "out_is_file"])
+    def test_unusable_path_is_config_exit(self, where, path, names, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(acc5_overrides()))
+        argv = ["solve", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        argv[argv.index(where) + 1] = str(path(tmp_path))
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and names in err and str(path(tmp_path)) in err
+
     @pytest.mark.parametrize("argv", [
         ["validate", "--which", "bogus"],
         ["solve", "--no-such-option"],
@@ -341,6 +386,20 @@ class TestSweep:
         for row in rows:
             assert list(row) == fields or set(row) == set(fields)
             assert row["band_params_md5"]
+
+    def test_sweep_body_pinned(self, tmp_path):
+        # the md5 of a 10-point criterion-6 sweep body, pinned when each
+        # band's constants moved out of the phase calls
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(
+            sir_threshold_d2d=1e-6, sir_threshold_cell=1e-6, budget_d2d_w=0.08,
+            lambda_c_ref=1e-5, baseline_p_cell_w=0.325)))
+        grid = ",".join(repr(1e-5 * 100.0 ** (i / 9)) for i in range(10))
+        assert main(["sweep", "--config", str(cfg_path), "--sweep-var", "lambda_d_ref",
+                     "--sweep-grid", grid, "--out", str(tmp_path)]) == EXIT_OK
+        lines = (tmp_path / "sweep.csv").read_bytes().splitlines(keepends=True)
+        body = b"".join(line for line in lines if not line.startswith(b"#"))
+        assert hashlib.md5(body).hexdigest() == "c3032d089a485f9bd0f59e11f315f6cf"
 
     def test_bytes_identical_rerun(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

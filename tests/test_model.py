@@ -1,10 +1,13 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy.special import gamma as scipy_gamma
 
 from d2dee import (
+    BandParams,
     PowerAllocation,
     SystemParams,
     asr,
@@ -255,3 +258,24 @@ class TestBandParamsValidation:
     def test_negative_density_rejected(self, make_band):
         with pytest.raises(ValueError):
             make_band(density_d2d=-1e-6)
+
+
+class TestFrozenInputs:
+    def test_frozen_with_coefficients_outside_vars(self, band1):
+        assert set(vars(band1)) == {f.name for f in dataclasses.fields(BandParams)}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            band1.density_d2d = 1.0
+        system = SystemParams(bands=[band1], budget_d2d_w=0.06, budget_cell_w=1.0)
+        assert system.bands == (band1,)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            system.budget_d2d_w = 1.0
+        assert band1.coeff_d2d() == interference_coeff(1.0, 10.0, 4.0)
+        assert band1.coeff_cell() == interference_coeff(1.0, 50.0, 4.0)
+
+    def test_copies_recompute_the_coefficients(self, band1):
+        # the Monte Carlo pool pickles bands; replace builds a new one
+        for again in (pickle.loads(pickle.dumps(band1)),
+                     dataclasses.replace(band1, sir_threshold_d2d=1.0)):
+            assert again == band1 and again.coeff_d2d() == band1.coeff_d2d()
+        moved = dataclasses.replace(band1, d2d_link_distance_m=20.0)
+        assert moved.coeff_d2d() == interference_coeff(1.0, 20.0, 4.0)

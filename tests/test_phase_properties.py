@@ -3,7 +3,8 @@ over random valid band lists.
 
 Every draw either raises an InfeasibleProblem that names its constraint
 (and its band, unless a budget is at fault), or returns finite, normal
-powers within the budget that permute exactly with the bands.
+powers within the budget that permute exactly with the bands.  The
+constants a system caches for its phases change no result and no error.
 """
 
 import math
@@ -12,9 +13,9 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d2dee import BandParams, InfeasibleProblem, SystemParams
-from d2dee import optimize_powers, solve_cell_phase, solve_d2d_phase
-from d2dee.solver import BUDGET_TOL_REL
+from d2dee import BandParams, InfeasibleProblem, PowerAllocation, SystemParams
+from d2dee import ee_per_band, metrics, optimize_powers, solve_cell_phase, solve_d2d_phase
+from d2dee.solver import BUDGET_TOL_REL, SolveOptions, _solve_phase
 
 
 def log_uniform(lo_exp: float, hi_exp: float):
@@ -120,3 +121,44 @@ def test_whole_solve_is_named_or_feasible(problem):
     swapped = optimize_powers(permuted(system, order)).alloc
     assert swapped.p_d2d_w == [p_d2d[j] for j in order]
     assert swapped.p_cell_w == [p_cell[j] for j in order]
+
+
+def twin(system: SystemParams) -> SystemParams:
+    """A freshly built copy of the system: new bands, nothing cached."""
+    return SystemParams(bands=[BandParams(**vars(b)) for b in system.bands],
+                        budget_d2d_w=system.budget_d2d_w, budget_cell_w=system.budget_cell_w)
+
+
+def outcome(system: SystemParams, own: str, q: list[float]):
+    """The repr of a phase's result, or the message, band and constraint it raises."""
+    try:
+        return repr(_solve_phase(system, own, q, SolveOptions()))
+    except InfeasibleProblem as err:
+        return str(err), err.band, err.constraint
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(phase_problems(), st.data())
+def test_cached_constants_change_no_result(problem, data):
+    system, q, _ = problem
+    warm_q = data.draw(st.lists(log_uniform(-6, 0), min_size=len(q), max_size=len(q)))
+    for own in ("d2d", "cell"):
+        outcome(system, own, warm_q)  # fills the cache, or raises before a band
+        warm = outcome(system, own, q)
+        assert warm == outcome(twin(system), own, q)
+        assert outcome(system, own, q) == warm  # a repeated error is the same error
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(phase_problems(), st.data())
+def test_metrics_ee_is_ee_per_band(problem, data):
+    system, q, _ = problem
+    p = data.draw(st.lists(log_uniform(-6, 0), min_size=len(q), max_size=len(q)))
+    per_band = [ee_per_band(band, qi, pi) for band, qi, pi in zip(system.bands, q, p)]
+    try:
+        rep = metrics(system, PowerAllocation(p, q))
+    except ValueError:
+        # asr refuses an STP that underflows to 0, and only that
+        assert 0.0 in {ee for pair in per_band for ee in pair}
+        return
+    assert list(zip(rep.ee_d2d, rep.ee_cell)) == per_band
