@@ -26,7 +26,6 @@ from .simulate import (
 )
 from .solver import (
     AllocationResult,
-    FeasibleBox,
     InfeasibleProblem,
     IterationTrace,
     SolveOptions,
@@ -34,10 +33,8 @@ from .solver import (
     check_feasible,
     curvature_interval,
     optimize_powers,
-    power_from_x,
     solve_cell_phase,
     solve_d2d_phase,
-    x_feasible_box,
     x_from_powers,
 )
 from .config import DEFAULTS, ExperimentConfig, build_system, load_config, save_config

@@ -270,7 +270,3 @@ def build_system(cfg: ExperimentConfig) -> SystemParams:
         budget_d2d_w=float(raw["budget_d2d_w"]),
         budget_cell_w=float(raw["budget_cell_w"]),
     )
-
-
-def solver_options(cfg: ExperimentConfig) -> SolveOptions:
-    return cfg.options

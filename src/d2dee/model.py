@@ -183,19 +183,6 @@ class MetricsReport:
     ee_cell_total: float = 0.0
     ee_total: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "stp_d2d": list(self.stp_d2d),
-            "stp_cell": list(self.stp_cell),
-            "asr_d2d": list(self.asr_d2d),
-            "asr_cell": list(self.asr_cell),
-            "ee_d2d": list(self.ee_d2d),
-            "ee_cell": list(self.ee_cell),
-            "ee_d2d_total": self.ee_d2d_total,
-            "ee_cell_total": self.ee_cell_total,
-            "ee_total": self.ee_total,
-        }
-
 
 def _check_powers(p_cell_w: float, p_d2d_w: float) -> None:
     if p_cell_w <= 0 or p_d2d_w <= 0:

@@ -15,10 +15,10 @@ the outage margins, the box factors, K and the interference coefficient
 are computed once per band and class and cached on the system, and a
 phase call only multiplies them by q or q^(2/alpha) (see _phase_bands).
 
-Phase one also reports the paper's substituted variable x = exp(cd *
-lambda_c * (Pc/Pd)^(2/alpha)) of its result.  The paper's box and
-concavity interval in x are x_feasible_box and curvature_interval; the
-solve does not need them.
+The paper states phase one in the substituted variable x = exp(cd *
+lambda_c * (Pc/Pd)^(2/alpha)); the solve works in power space and never
+forms x.  x_from_powers maps a result to the paper's x, and
+curvature_interval gives the paper's concavity interval in x.
 
 The model's energy efficiency depends on transmit powers only through
 their ratio and a 1/P factor, so the joint problem has no interior scale
@@ -30,7 +30,7 @@ iteration trace for how results are reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .model import (
     BandParams,
@@ -46,14 +46,11 @@ from .model import (
 __all__ = [
     "InfeasibleProblem",
     "SolveOptions",
-    "FeasibleBox",
     "IterationTrace",
     "AllocationResult",
     "FeasibilityReport",
     "x_from_powers",
-    "power_from_x",
     "curvature_interval",
-    "x_feasible_box",
     "solve_d2d_phase",
     "solve_cell_phase",
     "optimize_powers",
@@ -87,20 +84,6 @@ class SolveOptions:
 
 
 @dataclass
-class FeasibleBox:
-    """Per-band bounds on the paper's phase-one x variable."""
-
-    lo: float
-    hi: float
-    lo_source: str  # qos_cell | power_cap
-    hi_source: str  # qos_d2d
-
-    @property
-    def empty(self) -> bool:
-        return self.lo > self.hi
-
-
-@dataclass
 class IterationTrace:
     """Outer-iteration history of the alternating solve."""
 
@@ -112,18 +95,6 @@ class IterationTrace:
     delta_c_w: list[float] = field(default_factory=list)
     converged: bool = False
     iterations: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "p_d2d_w": self.p_d2d_w,
-            "p_cell_w": self.p_cell_w,
-            "ee_d2d_total": self.ee_d2d_total,
-            "ee_cell_total": self.ee_cell_total,
-            "delta_d_w": self.delta_d_w,
-            "delta_c_w": self.delta_c_w,
-            "converged": self.converged,
-            "iterations": self.iterations,
-        }
 
 
 @dataclass
@@ -170,8 +141,8 @@ class AllocationResult:
         return {
             "p_d2d_w": list(self.alloc.p_d2d_w),
             "p_cell_w": list(self.alloc.p_cell_w),
-            "trace": self.trace.to_dict(),
-            "metrics": self.metrics.to_dict(),
+            "trace": asdict(self.trace),
+            "metrics": asdict(self.metrics),
             "feasibility": self.feasibility.to_dict(),
             "flags": list(self.flags),
         }
@@ -191,16 +162,6 @@ def x_from_powers(band: BandParams, p_cell_w: float, p_d2d_w: float) -> float:
     return math.exp(band.coeff_d2d() * band.density_cell * ratio)
 
 
-def power_from_x(band: BandParams, p_cell_w: float, x: float) -> float:
-    """Inverse transform: D2D power implied by x at the given cellular power."""
-    if x <= 1.0:
-        raise ValueError("x must exceed 1 (ln x must be positive)")
-    if band.density_cell == 0:
-        raise ValueError("transform undefined without cellular density")
-    k = band.pathloss_exponent / 2.0
-    return p_cell_w * (band.coeff_d2d() * band.density_cell / math.log(x)) ** k
-
-
 def curvature_interval(alpha: float) -> tuple[float, float]:
     """Interval (t1, t2) of x where the per-band D2D objective is concave.
 
@@ -218,7 +179,7 @@ def curvature_interval(alpha: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# feasible boxes
+# outage margins
 
 
 def _margin(band: BandParams, cls: str, band_index: int) -> tuple[float, float, float]:
@@ -245,38 +206,6 @@ def _margin(band: BandParams, cls: str, band_index: int) -> tuple[float, float, 
         band=band_index,
         constraint="qos_cell",
     )
-
-
-def x_feasible_box(band: BandParams, p_cell_w: float, band_index: int = 0) -> FeasibleBox:
-    """QoS and power-cap bounds on x for one band at a fixed cellular power.
-
-    Upper bound: the D2D outage cap, x <= exp(-cd*lambda_d) / (1 - theta_d).
-    Lower bounds: the cellular outage cap inverted through the transform,
-    and the per-band D2D power cap (smaller x means more D2D power).
-    """
-    cd = band.coeff_d2d()
-    cc = band.coeff_cell()
-    ld, lc = band.density_d2d, band.density_cell
-    hi = math.exp(-cd * ld) / (1.0 - band.outage_cap_d2d)
-    lo_qos = math.exp(cc * cd * lc * ld / _margin(band, "cell", band_index)[0])
-    lo_cap = math.exp(
-        cd * lc * (p_cell_w / band.max_power_d2d_w) ** (2.0 / band.pathloss_exponent)
-    )
-    if lo_qos >= lo_cap:
-        lo, lo_source = lo_qos, "qos_cell"
-    else:
-        lo, lo_source = lo_cap, "power_cap"
-    # a lower end that rounds to 1 would map to infinite D2D power (ln 1 = 0);
-    # the next float up stays on the feasible side of both lower bounds
-    lo = max(lo, math.nextafter(1.0, math.inf))
-    box = FeasibleBox(lo=lo, hi=hi, lo_source=lo_source, hi_source="qos_d2d")
-    if box.empty or hi <= 1.0:
-        raise InfeasibleProblem(
-            f"empty feasible set on band {band_index}",
-            band=band_index,
-            constraint=lo_source if box.empty else "qos_d2d",
-        )
-    return box
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +384,7 @@ def _solve_phase(
     if floor > budget:
         # the lower ends exceed the budget within its tolerance (see
         # _phase_bands), and no multiplier takes a band below its lower end
-        flags.append(f"{_NAME[own]} lower ends exceed the budget within budget_tol_rel")
+        flags.append(f"{_NAME[own]} lower ends exceed the budget within BUDGET_TOL_REL")
         return [r[0] for r in rows], {"mu": 0.0, "flags": flags, "bounds": bounds}
     solve_at_mu = lambda mu: [argmax(i, mu) for i in range(len(rows))]
     dec, mu = _dual_bisect(solve_at_mu, budget)
@@ -470,21 +399,15 @@ def _solve_phase(
 
 def solve_d2d_phase(
     system: SystemParams, p_cell: list[float], opts: SolveOptions | None = None
-) -> tuple[list[float], list[float], dict]:
+) -> tuple[list[float], dict]:
     """Maximize total D2D energy efficiency at fixed cellular powers.
 
-    Returns (x, p_d2d, diagnostics), where x is the paper's substituted
-    variable of each band's result (see x_from_powers).  Bands without
-    cellular density have no x: their objective is monotone decreasing in
-    the D2D power, so they are anchored at the solver's power tolerance
-    (flagged) and report nan.
+    Returns (p_d2d, diagnostics); x_from_powers maps a band's result to the
+    paper's x.  Bands without cellular density have an objective that falls
+    in the D2D power, so they are anchored at the solver's power tolerance
+    (flagged).
     """
-    p_out, diag = _solve_phase(system, "d2d", p_cell, opts or SolveOptions())
-    x_out = [
-        x_from_powers(band, p_cell[i], p_out[i]) if band.density_cell > 0 else math.nan
-        for i, band in enumerate(system.bands)
-    ]
-    return x_out, p_out, diag
+    return _solve_phase(system, "d2d", p_cell, opts or SolveOptions())
 
 
 def solve_cell_phase(
@@ -528,7 +451,7 @@ def optimize_powers(system: SystemParams, opts: SolveOptions | None = None) -> A
             # geometric scale collapse underflowed; the ratio is already pinned
             flags.append("cellular power underflow, iteration stopped early")
             break
-        _, p_d2d, diag1 = solve_d2d_phase(system, p_cell, opts)
+        p_d2d, diag1 = solve_d2d_phase(system, p_cell, opts)
         delta_d = max(abs(a - b) for a, b in zip(p_d2d, p_d_prev))
         p_d_prev = list(p_d2d)
 
@@ -553,13 +476,15 @@ def optimize_powers(system: SystemParams, opts: SolveOptions | None = None) -> A
 
     trace.converged = converged
     alloc = PowerAllocation(list(p_d2d), list(p_cell))
+    if rep is None:
+        # the last iteration's report is of these powers; none exists only
+        # when the starting cellular powers underflow, and then this raises
+        rep = metrics(system, alloc)
     return AllocationResult(
         alloc=alloc,
         trace=trace,
-        # the last iteration's report is of these powers; none exists only
-        # when the starting cellular powers underflow, and then this raises
-        metrics=rep if rep is not None else metrics(system, alloc),
-        feasibility=check_feasible(system, alloc),
+        metrics=rep,
+        feasibility=check_feasible(system, alloc, rep),
         flags=flags,
     )
 
@@ -576,7 +501,7 @@ def baseline_fixed_cell(
         raise ValueError("fixed cellular power must be positive")
     opts = opts or SolveOptions()
     p_cell = [p_cell_fixed_w] * system.num_bands
-    _, p_d2d, diag = solve_d2d_phase(system, p_cell, opts)
+    p_d2d, diag = solve_d2d_phase(system, p_cell, opts)
     alloc = PowerAllocation(p_d2d, p_cell)
     trace = IterationTrace(
         p_d2d_w=[list(p_d2d)],
@@ -593,15 +518,18 @@ def baseline_fixed_cell(
         alloc=alloc,
         trace=trace,
         metrics=rep,
-        feasibility=check_feasible(system, alloc),
+        feasibility=check_feasible(system, alloc, rep),
         flags=list(diag["flags"]),
     )
 
 
-def check_feasible(system: SystemParams, alloc: PowerAllocation) -> FeasibilityReport:
+def check_feasible(
+    system: SystemParams, alloc: PowerAllocation, report: MetricsReport | None = None
+) -> FeasibilityReport:
     """Slack of every constraint of both problems; reports, never raises.
 
-    Outage slacks come from the closed-form success probabilities.  A band
+    Outage slacks come from the closed-form success probabilities, read
+    from ``report`` when given (a ``metrics`` report of ``alloc``).  A band
     with nonpositive transmit power cannot satisfy its own outage cap (the
     success probability is not defined), so it is reported as a violation.
     """
@@ -615,8 +543,12 @@ def check_feasible(system: SystemParams, alloc: PowerAllocation) -> FeasibilityR
             "cap_cell": band.max_power_cell_w - pc,
         }
         if pd > 0 and pc > 0:
-            row["qos_d2d"] = band.outage_cap_d2d - (1.0 - stp_d2d(band, pc, pd))
-            row["qos_cell"] = band.outage_cap_cell - (1.0 - stp_cell(band, pc, pd))
+            if report is None:
+                s_d, s_c = stp_d2d(band, pc, pd), stp_cell(band, pc, pd)
+            else:
+                s_d, s_c = report.stp_d2d[i], report.stp_cell[i]
+            row["qos_d2d"] = band.outage_cap_d2d - (1.0 - s_d)
+            row["qos_cell"] = band.outage_cap_cell - (1.0 - s_c)
         else:
             row["qos_d2d"] = band.outage_cap_d2d - 1.0
             row["qos_cell"] = band.outage_cap_cell - 1.0

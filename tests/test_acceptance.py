@@ -22,15 +22,15 @@ from d2dee import (
     ee_per_band,
     estimate_stp,
     gamma_product,
-    power_from_x,
     solve_d2d_phase,
     stp_cell,
     stp_d2d,
     x_from_powers,
 )
-from d2dee.config import solver_options, build_system
+from d2dee.config import build_system
 from d2dee.harness import run_sweep
 from d2dee.solver import optimize_powers
+from xspace import power_from_x
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -93,8 +93,9 @@ def test_criterion_3_phase1_stationarity_and_curvature():
     band = band1(density_d2d=0.0, density_cell=1e-6, outage_cap_d2d=0.96,
                  outage_cap_cell=0.5, max_power_d2d_w=1e3, max_power_cell_w=1e3)
     system = SystemParams(bands=[band], budget_d2d_w=1e3, budget_cell_w=1.0)
-    x, _, _ = solve_d2d_phase(system, [0.3])
-    x_err = abs(x[0] - math.e**2) / math.e**2
+    p, _ = solve_d2d_phase(system, [0.3])
+    x = x_from_powers(band, 0.3, p[0])
+    x_err = abs(x - math.e**2) / math.e**2
 
     t1, t2 = curvature_interval(4.0)
     root = math.sqrt(4.0**2 + 16 * 4.0)
@@ -102,7 +103,7 @@ def test_criterion_3_phase1_stationarity_and_curvature():
     c_err = max(abs(t1 - ref1) / ref1, abs(t2 - ref2) / ref2)
     ok = x_err <= 1e-4 and c_err <= 1e-6
     report("3 phase1-stationarity", ok,
-           f"x*={x[0]:.6f} (rel err {x_err:.1e}); "
+           f"x*={x:.6f} (rel err {x_err:.1e}); "
            f"curvature=({t1:.6f},{t2:.6f}) formula rel err {c_err:.1e}")
 
 
@@ -155,7 +156,7 @@ def test_criterion_5_algorithm_convergence():
     cfg = table1_config()
     system = build_system(cfg)
     start = time.perf_counter()
-    result = optimize_powers(system, solver_options(cfg))
+    result = optimize_powers(system, cfg.options)
     elapsed = time.perf_counter() - start
     trace = result.trace
     totals = [d + c for d, c in zip(trace.ee_d2d_total, trace.ee_cell_total)]

@@ -54,7 +54,7 @@ def phase_problems(draw):
 
 
 PHASES = {
-    "d2d": (lambda system, q: solve_d2d_phase(system, q)[1], "budget_d2d_w"),
+    "d2d": (lambda system, q: solve_d2d_phase(system, q)[0], "budget_d2d_w"),
     "cell": (lambda system, q: solve_cell_phase(system, q)[0], "budget_cell_w"),
 }
 

@@ -1,8 +1,11 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import d2dee
 from d2dee import solver
 from d2dee import (
     BandParams,
@@ -16,12 +19,11 @@ from d2dee import (
     ee_per_band,
     metrics,
     optimize_powers,
-    power_from_x,
     solve_cell_phase,
     solve_d2d_phase,
-    x_feasible_box,
     x_from_powers,
 )
+from xspace import power_from_x, x_feasible_box
 
 
 def slack_band(make_band, **overrides):
@@ -209,10 +211,11 @@ class TestFeasibleBox:
 class TestPhaseOne:
     def test_unconstrained_stationary_point(self, make_band, make_system):
         system = make_system(bands=[slack_band(make_band)], budget_d2d_w=1e3)
-        x, p_d, _ = solve_d2d_phase(system, [0.3])
+        p_d, _ = solve_d2d_phase(system, [0.3])
+        x = x_from_powers(system.bands[0], 0.3, p_d[0])
         target = math.exp(2.0)  # ln x = alpha/2
-        assert abs(x[0] - target) / target <= 1e-4
-        assert p_d[0] == pytest.approx(power_from_x(system.bands[0], 0.3, x[0]), rel=1e-12)
+        assert abs(x - target) / target <= 1e-4
+        assert p_d[0] == pytest.approx(power_from_x(system.bands[0], 0.3, x), rel=1e-12)
 
     def test_box_below_stationary_point_clamps_high(self, make_band, make_system):
         # Table-1-style tight D2D cap: the box sits below e^2 where the
@@ -221,21 +224,23 @@ class TestPhaseOne:
                              budget_d2d_w=10.0)
         box = x_feasible_box(system.bands[0], 0.3)
         assert box.hi < math.exp(2.0)
-        x, _, _ = solve_d2d_phase(system, [0.3])
-        assert x[0] == pytest.approx(box.hi, rel=1e-9)
+        p_d, _ = solve_d2d_phase(system, [0.3])
+        assert x_from_powers(system.bands[0], 0.3, p_d[0]) == pytest.approx(box.hi, rel=1e-9)
 
     def test_amplitude_scaling_leaves_argmax(self, make_band, make_system):
         base = make_system(bands=[slack_band(make_band)], budget_d2d_w=1e3)
         scaled = make_system(bands=[slack_band(make_band, bandwidth_hz=140e6)],
                              budget_d2d_w=1e3)
-        x0, _, _ = solve_d2d_phase(base, [0.3])
-        x1, _, _ = solve_d2d_phase(scaled, [0.3])
-        assert x0[0] == pytest.approx(x1[0], rel=1e-7)
+        p0, _ = solve_d2d_phase(base, [0.3])
+        p1, _ = solve_d2d_phase(scaled, [0.3])
+        x0 = x_from_powers(base.bands[0], 0.3, p0[0])
+        x1 = x_from_powers(scaled.bands[0], 0.3, p1[0])
+        assert x0 == pytest.approx(x1, rel=1e-7)
 
     def test_dominates_random_feasible_points(self, make_band, make_system):
         system = make_system(bands=[slack_band(make_band)], budget_d2d_w=1e-7)
         band = system.bands[0]
-        x, p_d, _ = solve_d2d_phase(system, [0.3])
+        p_d, _ = solve_d2d_phase(system, [0.3])
         best = ee_per_band(band, 0.3, p_d[0])[0]
         box = x_feasible_box(band, 0.3)
         rng = np.random.default_rng(3)
@@ -250,19 +255,20 @@ class TestPhaseOne:
         band = slack_band(make_band)
         budget = 2.5e-8  # between the QoS minimum and the unconstrained spend
         system = make_system(bands=[band, band], budget_d2d_w=budget)
-        x, p_d, diag = solve_d2d_phase(system, [0.3, 0.3])
+        p_d, diag = solve_d2d_phase(system, [0.3, 0.3])
         spent = math.fsum(p_d)
         assert spent <= budget * (1 + 1e-12)
         assert diag["mu"] > 0
         assert (budget - spent) <= 1e-6 * budget  # complementary slackness
-        assert all(xi > math.exp(2.0) for xi in x)  # pushed up to save power
+        # pushed up to save power
+        assert all(x_from_powers(band, 0.3, p) > math.exp(2.0) for p in p_d)
 
     def test_budget_bound_powers_maximize_penalized_objective(self, make_band, make_system):
         # at the settled multiplier every band's power maximizes EE_d - mu*P_d
         # over its whole box, checked on a fine grid through the public model
         band = slack_band(make_band)
         system = make_system(bands=[band, band], budget_d2d_w=2.5e-8)
-        _, p_d, diag = solve_d2d_phase(system, [0.3, 0.3])
+        p_d, diag = solve_d2d_phase(system, [0.3, 0.3])
         mu = diag["mu"]
         assert mu > 0 and not diag["flags"]
         for i, band in enumerate(system.bands):
@@ -287,16 +293,16 @@ class TestPhaseOne:
         box = x_feasible_box(band, 1e-30)
         assert box.lo > 1.0 and box.lo_source == "qos_cell"
         assert power_from_x(band, 1e-30, box.lo) <= band.max_power_d2d_w
-        x, p_d, _ = solve_d2d_phase(make_system(bands=[band]), [1e-30])
-        assert math.isfinite(x[0]) and x[0] > 1.0
+        p_d, _ = solve_d2d_phase(make_system(bands=[band]), [1e-30])
+        x = x_from_powers(band, 1e-30, p_d[0])
+        assert math.isfinite(x) and x > 1.0
         assert 0.0 < p_d[0] <= band.max_power_d2d_w
 
     def test_no_cellular_density_anchored(self, make_band, make_system):
         band = make_band(density_cell=0.0, density_d2d=1e-6)
         system = make_system(bands=[band])
         opts = SolveOptions()
-        x, p_d, diag = solve_d2d_phase(system, [0.3], opts)
-        assert math.isnan(x[0])
+        p_d, diag = solve_d2d_phase(system, [0.3], opts)
         assert p_d[0] == opts.eps_power_w
         assert any("anchored" in f for f in diag["flags"])
 
@@ -391,7 +397,7 @@ class TestPhaseTwo:
         # included) once clamped band 0 back to its lower end and overspent
         system, budget = self.over_budget_lower_ends(make_band, make_system)
         p_c, diag = solve_cell_phase(system, [0.02, 0.02])
-        assert diag["flags"] == ["cellular lower ends exceed the budget within budget_tol_rel"]
+        assert diag["flags"] == ["cellular lower ends exceed the budget within BUDGET_TOL_REL"]
         assert math.fsum(p_c) <= budget * (1.0 + solver.BUDGET_TOL_REL)
         for p, (lo, hi) in zip(p_c, diag["bounds"]):
             assert lo <= p <= hi
@@ -428,7 +434,7 @@ class TestPhaseTwo:
         assert len(calls) <= 2
         assert p_c == [lo for lo, _ in diag["bounds"]]
         assert diag["mu"] == 0.0
-        assert diag["flags"] == ["cellular lower ends exceed the budget within budget_tol_rel"]
+        assert diag["flags"] == ["cellular lower ends exceed the budget within BUDGET_TOL_REL"]
 
     def test_excess_scaled_when_no_multiplier_meets_budget(self, make_band, make_system):
         # at D2D powers of 1e-140 W the budget, halfway between the lower
@@ -523,7 +529,7 @@ class TestMirror:
         ]
         system = SystemParams(bands=bands, budget_d2d_w=budget_d2d_w, budget_cell_w=1.0)
         q = [0.3, 0.1]
-        _, p_d, diag_d = solve_d2d_phase(system, q)
+        p_d, diag_d = solve_d2d_phase(system, q)
         p_c, diag_c = solve_cell_phase(mirror(system), q)
         assert p_d == p_c
         assert diag_d["mu"] == diag_c["mu"]
@@ -592,7 +598,7 @@ class TestIterate:
         assert result.trace.delta_c_w[-1] == 0.0
         assert result.alloc.p_cell_w == [0.3]  # pinned at the cellular cap
         p_c = list(result.alloc.p_cell_w)
-        _, p_d_again, _ = solve_d2d_phase(system, p_c)
+        p_d_again, _ = solve_d2d_phase(system, p_c)
         p_c_again, _ = solve_cell_phase(system, p_d_again)
         assert p_d_again == result.alloc.p_d2d_w
         assert p_c_again == p_c
@@ -697,3 +703,39 @@ class TestCheckFeasible:
         system = make_system()
         report = check_feasible(system, PowerAllocation([-1.0], [-1.0]))
         assert not report.ok
+
+    def test_solves_read_outage_slacks_from_their_report(self, make_band, monkeypatch):
+        # the slacks of a solve's result come from the metrics report it
+        # already holds, so the solver module evaluates no success probability
+        system = table1_system(make_band)
+        calls = []
+        for name in ("stp_d2d", "stp_cell"):
+            def counted(*args, _stp=getattr(solver, name), _name=name):
+                calls.append(_name)
+                return _stp(*args)
+            monkeypatch.setattr(solver, name, counted)
+        results = [optimize_powers(system), baseline_fixed_cell(system, 0.325)]
+        assert calls == []
+        for result in results:
+            recomputed = check_feasible(system, result.alloc)
+            assert result.feasibility.to_dict() == recomputed.to_dict()
+
+
+class TestApi:
+    def test_every_exported_name_resolves(self):
+        for info in pkgutil.iter_modules(d2dee.__path__):
+            module = importlib.import_module(f"d2dee.{info.name}")
+            missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+            assert not missing, f"d2dee.{info.name}: {missing}"
+
+    def test_x_space_reference_lives_in_the_tests(self):
+        for name in ("x_feasible_box", "FeasibleBox", "power_from_x"):
+            assert not hasattr(d2dee, name)
+            assert not hasattr(solver, name)
+
+    def test_both_phases_return_powers_and_diagnostics(self, make_band):
+        system = table1_system(make_band)
+        p_d, diag_d = solve_d2d_phase(system, [0.2] * 5)
+        p_c, diag_c = solve_cell_phase(system, p_d)
+        assert len(p_d) == len(p_c) == system.num_bands
+        assert diag_d.keys() == diag_c.keys()
