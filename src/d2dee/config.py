@@ -213,12 +213,17 @@ def _validate(cfg: dict) -> None:
             "pathloss_exponent",
             "pathloss exponent must exceed 2 (interference Laplace functional diverges)",
         )
-    for key in ("lambda_d_ref", "lambda_c_ref"):
-        if cfg[key] < 0:
+    # each band's densities are lambda_*_ref times multiplier_*: checked here,
+    # BandParams would name the density, a field the document does not have
+    for key in ("lambda_d_ref", "lambda_c_ref", "multiplier_d2d", "multiplier_cell"):
+        if min(_per_band(cfg, key)) < 0:
             _fail(key, "must be nonnegative")
     for key in ("budget_d2d_w", "budget_cell_w", "baseline_p_cell_w"):
         if cfg[key] <= 0:
             _fail(key, "must be positive")
+    for sub in ("eps_power_w", "max_outer_iters"):  # SolveOptions would not name the section
+        if cfg["solver"][sub] <= 0:
+            _fail(f"solver.{sub}", "must be positive")
     sweep = cfg["sweep"]
     if sweep["variable"] is not None:
         if not isinstance(sweep["variable"], str) or sweep["variable"] not in SWEEP_KEYS:
@@ -236,9 +241,9 @@ def load_config(path: str | Path | None, **overrides) -> ExperimentConfig:
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"malformed config document: {exc}") from exc
+            raise ValueError(f"malformed config document {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ValueError("malformed config document: top level must be an object")
+        raise ValueError(f"malformed config document {path}: top level must be an object")
     return _resolve(_merge(doc, overrides))
 
 

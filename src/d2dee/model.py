@@ -129,9 +129,12 @@ class BandParams:
 class SystemParams:
     """All bands plus the cross-band transmit power budgets.
 
-    The bands are kept as a tuple, so nothing that ``cache`` holds, the
-    values the solver derives from them (see ``solver._phase_bands``), can
-    go stale.
+    The bands are kept as a tuple, so nothing that ``cache`` holds can go
+    stale.  ``cache`` maps a user class, ``"d2d"`` or ``"cell"``, to one
+    entry per band: None until a phase first reaches the band, then the
+    tuple of that class's constants on it (see
+    ``solver._band_constants``), from which each phase call builds its
+    band objectives.
     """
 
     bands: tuple[BandParams, ...]
@@ -272,7 +275,6 @@ def ee_per_band(band: BandParams, p_cell_w: float, p_d2d_w: float) -> tuple[floa
     and each class sees W/P * log2(1+T) * STP.  Scaling both powers by k
     divides both values by exactly k.
     """
-    _check_powers(p_cell_w, p_d2d_w)
     return (_ee(band, p_d2d_w, band.sir_threshold_d2d, stp_d2d(band, p_cell_w, p_d2d_w)),
             _ee(band, p_cell_w, band.sir_threshold_cell, stp_cell(band, p_cell_w, p_d2d_w)))
 

@@ -185,12 +185,10 @@ def _sir_block(
         link = band.d2d_link_distance_m
         dens_same, dens_cross = band.density_d2d, band.density_cell
         cross_weight = scenario.p_cell_w / scenario.p_d2d_w
-    elif which == "cell":
+    else:  # "cell"; estimate_stp has rejected any other class
         link = band.cell_link_distance_m
         dens_same, dens_cross = band.density_cell, band.density_d2d
         cross_weight = scenario.p_d2d_w / scenario.p_cell_w
-    else:
-        raise ValueError("which must be 'd2d' or 'cell'")
     signal = rng.standard_exponential(n) * link ** (-alpha)
     window = scenario.window_radius_m
     itf_same, counts_same = _interference_block(n, dens_same, 1.0, alpha, window, rng)

@@ -12,8 +12,10 @@ handled by bisection on its Lagrange multiplier mu.
 Each band's box and objective split into constants of the system and a
 scaling by the other class's powers q, the only input a phase varies:
 the outage margins, the box factors, K and the interference coefficient
-are computed once per band and class and cached on the system, and a
-phase call only multiplies them by q or q^(2/alpha) (see _phase_bands).
+are computed once per band and class and cached on the system.  A phase
+call multiplies them by q or q^(2/alpha) into one _Objective per band,
+its box and objective, whose argmax at a multiplier mu is that band's
+best power (see _phase_bands).
 
 The paper states phase one in the substituted variable x = exp(cd *
 lambda_c * (Pc/Pd)^(2/alpha)); the solve works in power space and never
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from .model import (
     BandParams,
@@ -263,98 +266,45 @@ _GAP_FLAG = {
 
 def _band_constants(band: BandParams, own: str, other: str, i: int) -> tuple:
     """Constants of class ``own`` on band ``i``: (f_lo, f_hi, cap,
-    coeff_own * lambda_other, 2/alpha, K, alpha).
+    coeff_own * lambda_other, K, alpha).
 
     f_lo = (coeff_own * lambda_other / margin_own)^k and f_hi = (margin_other
-    / (coeff_other * lambda_own))^k are the box factors, None where
-    lambda_other or lambda_own is 0.  Raises InfeasibleProblem when an
-    outage cap is unreachable, checking the other class first.
+    / (coeff_other * lambda_own))^k are the box factors: f_lo is 0 where
+    lambda_other is 0, and f_hi is inf where lambda_own is 0.  Raises
+    InfeasibleProblem when an outage cap is unreachable, checking the other
+    class first.
     """
     a = band.pathloss_exponent
     k = a / 2.0
     margin_other, coeff_other, dens_other = _margin(band, other, i)
     margin_own, coeff_own, dens_own = _margin(band, own, i)
-    f_lo = (coeff_own * dens_other / margin_own) ** k if dens_other > 0 else None
-    f_hi = (margin_other / (coeff_other * dens_own)) ** k if dens_own > 0 else None
+    f_lo = (coeff_own * dens_other / margin_own) ** k
+    f_hi = (margin_other / (coeff_other * dens_own)) ** k if dens_own > 0 else math.inf
     threshold = getattr(band, f"sir_threshold_{own}")
     k_amp = band.bandwidth_hz * math.log2(1.0 + threshold) * math.exp(-coeff_own * dens_own)
-    return (f_lo, f_hi, getattr(band, f"max_power_{own}_w"), coeff_own * dens_other,
-            2.0 / a, k_amp, a)
+    return f_lo, f_hi, getattr(band, f"max_power_{own}_w"), coeff_own * dens_other, k_amp, a
 
 
-def _phase_bands(
-    system: SystemParams, own: str, q: list[float], opts: SolveOptions
-) -> tuple[list[tuple[float, float]], list[tuple[float, ...]], list[str]]:
-    """Per-band power box and objective of class ``own`` at the other
-    class's powers ``q``.
+class _Objective(NamedTuple):
+    """One band's phase objective K * exp(-c * p^(-2/alpha)) / p - mu * p
+    on lo <= p <= hi, with the lower end anchored (see _phase_bands)."""
 
-    With k = alpha/2 the box is q * (coeff_own * lambda_other / margin_own)^k
-    <= p <= min(q * (margin_other / (coeff_other * lambda_own))^k, cap), and
-    the objective is K * exp(-c * p^(-2/alpha)) / p with K = W log2(1+T_own)
-    exp(-coeff_own * lambda_own), c = coeff_own * lambda_other * q^(2/alpha).
-    Everything but q is a constant of the system (see _band_constants): it
-    is computed once per band and class, on the first call that reaches the
-    band, and kept in ``system.cache``; a call only scales the box factors
-    and c by q.  A band whose constants raise caches nothing, so every call
-    raises there again.  Two threads that fill a band at once store equal
-    tuples.  Returns (bounds, rows, flags), rows[i] = (effective
-    lower end, upper end, c, K, alpha).  A band without other-class density
-    has no positive lower end and no interior optimum: it is anchored at the
-    power tolerance, and the budget is checked against that anchor.
-    """
-    other = "cell" if own == "d2d" else "d2d"
-    if len(q) != system.num_bands:
-        raise ValueError(f"{_NAME[other]} power vector length must match the band count")
-    for i, qi in enumerate(q):
-        if qi <= 0:
-            raise ValueError(f"{_NAME[other]} power on band {i} must be positive")
+    lo: float
+    hi: float
+    c: float
+    k_amp: float
+    alpha: float
 
-    consts = system.cache.setdefault(own, [None] * system.num_bands)
-    bounds: list[tuple[float, float]] = []
-    rows: list[tuple[float, ...]] = []
-    flags: list[str] = []
-    for i, band in enumerate(system.bands):
-        if consts[i] is None:
-            consts[i] = _band_constants(band, own, other, i)
-        f_lo, f_hi, cap, c_unit, expo, k_amp, a = consts[i]
-        lo = q[i] * f_lo if f_lo is not None else 0.0
-        hi = q[i] * f_hi if f_hi is not None else math.inf
-        hi, hi_source = (hi, f"qos_{other}") if hi <= cap else (cap, "power_cap")
-        if lo > hi:
-            raise InfeasibleProblem(f"empty feasible set on band {i}", band=i, constraint=hi_source)
-        bounds.append((lo, hi))
-        if lo <= 0.0:
-            lo = min(opts.eps_power_w, hi)
-            flags.append(f"band {i}: no {_NAME[other]} density, "
-                         f"{_NAME[own]} power anchored at tolerance")
-        rows.append((lo, hi, c_unit * q[i] ** expo, k_amp, a))
+    def value(self, p: float, mu: float) -> float:
+        return self.k_amp * math.exp(-self.c * p ** (-2.0 / self.alpha)) / p - mu * p
 
-    budget = getattr(system, f"budget_{own}_w")
-    if math.fsum(r[0] for r in rows) > budget * (1.0 + BUDGET_TOL_REL):
-        raise InfeasibleProblem(_BUDGET_INFEASIBLE[own], band=None, constraint=f"budget_{own}")
-    return bounds, rows, flags
-
-
-def _solve_phase(
-    system: SystemParams, own: str, q: list[float], opts: SolveOptions
-) -> tuple[list[float], dict]:
-    """Maximize the total energy efficiency of class ``own`` at fixed ``q``.
-
-    Each band maximizes K * exp(-c * p^(-2/alpha)) / p - mu * p over its
-    box (see _phase_bands); the class's budget is enforced by bisection on
-    mu (see _dual_bisect).  Only if no multiplier up to 4^399 meets the
-    budget is every band's excess above its lower end scaled by one factor,
-    and flagged; lower ends that alone exceed the budget, within its
-    tolerance, are returned at once with a flag of their own.
-    """
-    bounds, rows, flags = _phase_bands(system, own, q, opts)
-
-    def argmax(i: int, mu: float) -> float:
+    def argmax(self, mu: float) -> float:
+        """The best of the box ends and the clamped stationary point at ``mu``."""
         # In s = p^(-2/alpha) the slope of K e^(-cs) / p - mu p is psi(s) - mu,
         # psi = K e^(-cs) s^alpha (beta s - 1) with beta = 2c/alpha, which is zero
         # at 1/beta and peaks once, at the larger root of
         # c beta s^2 - (c + alpha beta + beta) s + alpha.
-        lo, hi, c, k_amp, a = rows[i]
+        lo, hi, c, k_amp, a = self.lo, self.hi, self.c, self.k_amp, self.alpha
         if c <= 0.0:
             return lo  # no interference from the other class: the objective falls
         if mu == 0.0:
@@ -376,23 +326,86 @@ def _solve_phase(
             if slope(s_p) <= 0.0:
                 return lo  # the objective falls everywhere
             root = _rising_root(slope, 1.0 / beta, s_p) ** (-a / 2.0)
-        f = lambda p: k_amp * math.exp(-c * p ** (-2.0 / a)) / p - mu * p
-        return max((lo, min(max(root, lo), hi), hi), key=f)
+        return max((lo, min(max(root, lo), hi), hi), key=lambda p: self.value(p, mu))
 
+
+def _phase_bands(
+    system: SystemParams, own: str, q: list[float], opts: SolveOptions
+) -> tuple[list[tuple[float, float]], list[_Objective], list[str]]:
+    """Per-band power box and objective of class ``own`` at the other
+    class's powers ``q``.
+
+    With k = alpha/2 the box is q * (coeff_own * lambda_other / margin_own)^k
+    <= p <= min(q * (margin_other / (coeff_other * lambda_own))^k, cap), and
+    the objective is K * exp(-c * p^(-2/alpha)) / p with K = W log2(1+T_own)
+    exp(-coeff_own * lambda_own), c = coeff_own * lambda_other * q^(2/alpha).
+    Everything but q is a constant of the system (see _band_constants): it
+    is computed once per band and class, on the first call that reaches the
+    band, and kept in ``system.cache``; a call only scales the box factors
+    and c by q.  A band whose constants raise caches nothing, so every call
+    raises there again.  Two threads that fill a band at once store equal
+    tuples.  Returns (bounds, objectives, flags): bounds[i] is band i's box
+    and objectives[i] its _Objective.  A band without other-class density
+    has no positive lower end and no interior optimum: its objective's
+    lower end is anchored at the power tolerance, and _solve_phase checks
+    the budget against that anchor.
+    """
+    other = "cell" if own == "d2d" else "d2d"
+    if len(q) != system.num_bands:
+        raise ValueError(f"{_NAME[other]} power vector length must match the band count")
+    for i, qi in enumerate(q):
+        if not 0.0 < qi < math.inf:  # a box factor of 0 or inf would give nan
+            raise ValueError(f"{_NAME[other]} power on band {i} must be positive and finite")
+
+    consts = system.cache.setdefault(own, [None] * system.num_bands)
+    bounds: list[tuple[float, float]] = []
+    objectives: list[_Objective] = []
+    flags: list[str] = []
+    for i, band in enumerate(system.bands):
+        if consts[i] is None:
+            consts[i] = _band_constants(band, own, other, i)
+        f_lo, f_hi, cap, c_unit, k_amp, a = consts[i]
+        lo, hi = q[i] * f_lo, q[i] * f_hi
+        hi, hi_source = (hi, f"qos_{other}") if hi <= cap else (cap, "power_cap")
+        if lo > hi:
+            raise InfeasibleProblem(f"empty feasible set on band {i}", band=i, constraint=hi_source)
+        bounds.append((lo, hi))
+        if lo <= 0.0:
+            lo = min(opts.eps_power_w, hi)
+            flags.append(f"band {i}: no {_NAME[other]} density, "
+                         f"{_NAME[own]} power anchored at tolerance")
+        objectives.append(_Objective(lo, hi, c_unit * q[i] ** (2.0 / a), k_amp, a))
+    return bounds, objectives, flags
+
+
+def _solve_phase(
+    system: SystemParams, own: str, q: list[float], opts: SolveOptions
+) -> tuple[list[float], dict]:
+    """Maximize the total energy efficiency of class ``own`` at fixed ``q``.
+
+    Each band maximizes its _Objective over its box (see _phase_bands); the
+    class's budget is enforced by bisection on mu (see _dual_bisect).  Lower
+    ends that exceed the budget by more than its tolerance raise; within it
+    they are returned at once, flagged.  Only if no multiplier up to 4^399
+    meets the budget is every band's excess above its lower end scaled by
+    one factor, and flagged.
+    """
+    bounds, objectives, flags = _phase_bands(system, own, q, opts)
     budget = getattr(system, f"budget_{own}_w")
-    floor = math.fsum(r[0] for r in rows)
+    floor = math.fsum(b.lo for b in objectives)
+    if floor > budget * (1.0 + BUDGET_TOL_REL):
+        raise InfeasibleProblem(_BUDGET_INFEASIBLE[own], band=None, constraint=f"budget_{own}")
     if floor > budget:
-        # the lower ends exceed the budget within its tolerance (see
-        # _phase_bands), and no multiplier takes a band below its lower end
+        # no multiplier takes a band below its lower end
         flags.append(f"{_NAME[own]} lower ends exceed the budget within BUDGET_TOL_REL")
-        return [r[0] for r in rows], {"mu": 0.0, "flags": flags, "bounds": bounds}
-    solve_at_mu = lambda mu: [argmax(i, mu) for i in range(len(rows))]
+        return [b.lo for b in objectives], {"mu": 0.0, "flags": flags, "bounds": bounds}
+    solve_at_mu = lambda mu: [b.argmax(mu) for b in objectives]
     dec, mu = _dual_bisect(solve_at_mu, budget)
     if math.fsum(dec) > budget:
         # no multiplier up to 4^399 meets the budget; the lower ends cannot
         # give way, so scaling them too could overspend
         s = (budget - floor) / (math.fsum(dec) - floor)
-        dec = [min(r[0] + s * (p - r[0]), r[1]) for p, r in zip(dec, rows)]
+        dec = [min(b.lo + s * (p - b.lo), b.hi) for p, b in zip(dec, objectives)]
         flags.append(_GAP_FLAG[own])
     return dec, {"mu": mu, "flags": flags, "bounds": bounds}
 

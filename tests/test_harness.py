@@ -103,6 +103,10 @@ class TestConfig:
         path.write_text(json.dumps({"sir_threshold_d2d_db": -50.0}))
         cfg = load_config(path)
         assert cfg["sir_threshold_d2d"] == pytest.approx(1e-5, rel=1e-12)
+        path.write_text(json.dumps({"sir_threshold_cell_db": [-50.0, -40.0, 0.0, 10.0, 20.0]}))
+        cfg = load_config(path)
+        assert cfg["sir_threshold_cell"] == pytest.approx([1e-5, 1e-4, 1.0, 10.0, 100.0],
+                                                          rel=1e-12)
 
     def test_db_and_linear_conflict(self, tmp_path):
         path = tmp_path / "db.json"
@@ -206,8 +210,18 @@ class TestConfig:
         (["sweep", "--sweep-var", "lambda_d_ref", "--sweep-grid", "1e-4,nan"], {}, "sweep.grid"),
         (["solve"], {"budget_cell_w": 10**400}, "budget_cell_w"),
         (["sweep"], {"sweep": {"variable": ["lambda_d_ref"], "grid": [1e-4]}}, "sweep.variable"),
+        (["solve"], {"multiplier_d2d": -1}, "multiplier_d2d"),
+        (["solve"], {"multiplier_cell": [10.0, 1.0, -1.0, 10.0, 10.0]}, "multiplier_cell"),
+        (["solve"], {"solver": {"eps_power_w": 0}}, "solver.eps_power_w"),
+        (["solve"], {"solver": {"max_outer_iters": 0}}, "solver.max_outer_iters"),
+        (["solve"], {"bandwidth_hz_db": 73.0}, "bandwidth_hz_db"),
+        (["validate"], {"sim": 5}, "sim"),
+        (["solve"], {"max_power_d2d_w": [0.02, 0.02]}, "max_power_d2d_w"),
+        (["sweep"], {"sweep": {"variable": "lambda_d_ref", "grid": []}}, "sweep.grid"),
     ], ids=["scalar", "per_band_entry", "sim_trials", "sim_workers", "bool_count", "sweep_grid",
-            "int_beyond_float", "unhashable_variable"])
+            "int_beyond_float", "unhashable_variable", "negative_multiplier_d2d",
+            "negative_multiplier_cell", "zero_eps_power", "zero_outer_iters", "db_non_threshold",
+            "section_not_mapping", "per_band_length", "empty_sweep_grid"])
     def test_malformed_numbers_rejected_by_name(self, command, doc, field, tmp_path, capsys):
         # Python's json reads NaN and Infinity
         cfg_path = tmp_path / "cfg.json"
@@ -215,6 +229,27 @@ class TestConfig:
         argv = [*command, "--config", str(cfg_path), "--out", str(tmp_path)]
         assert main(argv) == EXIT_CONFIG
         assert f"config field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, text, names", [
+        (["solve"], "{", "malformed config document {path}: Expecting property name"),
+        (["solve"], "[1e-4]", "malformed config document {path}: top level must be an object"),
+        (["solve"], '{"outage_cap_d2d": 1.5}',
+         "config band 0: outage_cap_d2d must lie strictly inside (0, 1)"),
+        # a dB threshold is read only without its linear form, which acc5_overrides sets
+        (["solve"], '{"sir_threshold_cell_db": "low"}',
+         "config field 'sir_threshold_cell_db': must be a finite number of dB"),
+        (["validate", "--band", "9"], "{}", "band index 9 out of range"),
+        (["validate"], '{"sim": {"band": -1}}', "band index -1 out of range"),
+    ], ids=["malformed_json", "top_level_not_object", "band_rejected", "db_not_number",
+            "band_flag_out_of_range", "sim_band_out_of_range"])
+    def test_rejected_document_named(self, command, text, names, tmp_path, capsys):
+        # the document as written, without acc5_overrides: each error names the
+        # document, the band, the key or the band index at fault
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        argv = [*command, "--config", str(cfg_path), "--out", str(tmp_path)]
+        assert main(argv) == EXIT_CONFIG
+        assert f"error: {names.format(path=cfg_path)}" in capsys.readouterr().err
 
     def test_retired_budget_tolerance_only_at_its_value(self, tmp_path):
         path = tmp_path / "old.json"
@@ -313,6 +348,34 @@ class TestSolveAndTrace:
         result = json.loads((tmp_path / "solve.json").read_text())["result"]
         digest = hashlib.md5(json.dumps(result, sort_keys=True).encode()).hexdigest()
         assert digest == "995e20e8218566631d5d64dc814e5cb9"
+
+    @pytest.mark.parametrize("budget_d2d_w, digest", [
+        (0.1, "cee249cc56b7f2bd822788caaab83f7e"),  # converges in 7; 14 of 14 phases mu > 0
+        (0.2, "5beaa845414bdd3578074ff986a888e1"),  # 10-iteration cap; 15 of 20 mu > 0
+    ], ids=["budget_d2d_0.1", "budget_d2d_0.2"])
+    def test_budget_bound_result_pinned(self, budget_d2d_w, digest, tmp_path):
+        # the md5 of the result block on the sweep-budget layout, where the
+        # budgets bind and the dual bisection runs (the Table-1 pin above has
+        # mu = 0 in every phase).  Pinned before the band objective became one
+        # type.  ROADMAP item 2's exact phase moves these bits on purpose: it
+        # must re-pin, recording the old and new digests.
+        coupled = 2.5 / (math.pi * 20.0**2 * math.pi / 2.0)
+        doc = {
+            "num_bands": 5, "bandwidth_hz": 20e6, "pathloss_exponent": 4.0,
+            "sir_threshold_d2d": 1.0, "sir_threshold_cell": 1.0,
+            "outage_cap_d2d": 0.999, "outage_cap_cell": 0.999999,
+            "d2d_link_distance_m": 20.0, "cell_link_distance_m": 20.0,
+            "lambda_d_ref": coupled, "lambda_c_ref": coupled,
+            "multiplier_d2d": [1.0, 1.1, 1.2, 1.3, 1.4],
+            "multiplier_cell": [1.0, 1.1, 1.2, 1.3, 1.4],
+            "max_power_d2d_w": 1e3, "max_power_cell_w": 1e3,
+            "budget_d2d_w": budget_d2d_w, "budget_cell_w": 0.1, "baseline_p_cell_w": 0.02,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_OK
+        result = json.loads((tmp_path / "solve.json").read_text())["result"]
+        assert hashlib.md5(json.dumps(result, sort_keys=True).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("where, path, names", [
         ("--config", lambda tmp: tmp / "missing.json", "No such file or directory"),

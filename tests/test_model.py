@@ -189,6 +189,11 @@ class TestEePerBand:
         ee_d, ee_c = ee_per_band(band1, 0.3, 0.02)
         assert ee_d >= 0 and ee_c >= 0
 
+    @pytest.mark.parametrize("p_cell_w, p_d2d_w", [(0.0, 0.02), (0.3, -1.0)])
+    def test_nonpositive_power_rejected(self, band1, p_cell_w, p_d2d_w):
+        with pytest.raises(ValueError, match="transmit powers must be strictly positive"):
+            ee_per_band(band1, p_cell_w, p_d2d_w)
+
 
 class TestMetrics:
     def test_single_band_reduces_to_ee_per_band(self, make_system, band1):

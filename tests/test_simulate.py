@@ -139,6 +139,10 @@ class TestEstimateStp:
         with pytest.raises(ValueError):
             estimate_stp(scenario(band1, trials=50), "d2d")
 
+    def test_unknown_class_rejected(self, band1):
+        with pytest.raises(ValueError, match="which must be 'd2d' or 'cell'"):
+            estimate_stp(scenario(band1, trials=1000), "both")
+
     def test_stderr_and_z_fields(self, band1):
         est = estimate_stp(scenario(band1, trials=10_000), "cell")
         assert est.std_err == pytest.approx(

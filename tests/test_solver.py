@@ -722,6 +722,21 @@ class TestCheckFeasible:
 
 
 class TestApi:
+    @pytest.mark.parametrize("field, value", [("eps_power_w", 0.0), ("max_outer_iters", 0)])
+    def test_solve_options_range_checked(self, field, value):
+        # a config names the section too; these guard direct callers
+        with pytest.raises(ValueError, match=f"^{field} must be positive$"):
+            SolveOptions(**{field: value})
+
+    @pytest.mark.parametrize("q", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("phase, other", [(solve_d2d_phase, "cellular"),
+                                              (solve_cell_phase, "D2D")])
+    def test_other_class_powers_checked(self, make_band, make_system, phase, other, q):
+        system = make_system(bands=[make_band(), make_band(density_cell=0.0)])
+        message = f"^{other} power on band 1 must be positive and finite$"
+        with pytest.raises(ValueError, match=message):
+            phase(system, [0.1, q])
+
     def test_every_exported_name_resolves(self):
         for info in pkgutil.iter_modules(d2dee.__path__):
             module = importlib.import_module(f"d2dee.{info.name}")
