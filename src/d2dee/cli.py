@@ -78,10 +78,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> ExperimentConfig:
     grid = getattr(args, "sweep_grid", None)
+    try:
+        values = [float(v) for v in grid.split(",")] if grid else None
+    except ValueError:
+        raise ValueError(f"argument --sweep-grid: expected comma-separated numbers, "
+                         f"got {grid!r}") from None
     return load_config(
         args.config, seed=args.seed, trials=args.trials, workers=args.workers,
-        sweep_variable=getattr(args, "sweep_var", None),
-        sweep_grid=[float(v) for v in grid.split(",")] if grid else None,
+        sweep_variable=getattr(args, "sweep_var", None), sweep_grid=values,
     )
 
 
@@ -109,6 +113,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "validate":
+            m = cfg["num_bands"]
+            if args.band is not None and not 0 <= args.band < m:
+                raise ValueError(f"argument --band: must be a band index in [0, {m}), "
+                                 f"got {args.band}")
             records, ok = run_validate(cfg, which=args.which, band_index=args.band)
             payload = {"config": cfg.raw, "estimates": records, "pass": ok}
             (out / "validate.json").write_text(json.dumps(payload, indent=2) + "\n")

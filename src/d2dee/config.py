@@ -10,14 +10,15 @@ A retired key still loads from older saved configs, but only at its one old
 meaning, which the toolkit now always runs; any other value is rejected by
 name.  Every entry point merges its overrides into a document (``_merge``)
 and resolves that once, in ``_resolve``, the one place a document is
-copied: a resolved config shares no list or dict with ``DEFAULTS``, its
-document, its overrides or the config it came from.  It builds its
-``system`` and solver ``options`` once.
+copied.  The copy is shaped for JSON: it rebuilds every dict and list and
+shares the rest, which in a valid document are immutable scalars.  So a
+resolved config shares no list or dict with ``DEFAULTS``, its document,
+its overrides or the config it came from.  It builds its ``system`` and
+solver ``options`` once.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import numbers
@@ -69,8 +70,9 @@ _DB_KEYS = ("sir_threshold_d2d", "sir_threshold_cell")
 _PER_BAND = ("bandwidth_hz", "sir_threshold_d2d", "sir_threshold_cell", "outage_cap_d2d",
              "outage_cap_cell", "d2d_link_distance_m", "cell_link_distance_m",
              "multiplier_d2d", "multiplier_cell", "max_power_d2d_w", "max_power_cell_w")
-_INT_KEYS = ("num_bands", "sim.trials", "sim.workers", "sim.seed", "sim.band",
-             "solver.max_outer_iters")
+# (key, None) or (section, key) of each count
+_INT_KEYS = {("num_bands", None), ("sim", "trials"), ("sim", "workers"), ("sim", "seed"),
+             ("sim", "band"), ("solver", "max_outer_iters")}
 # sweep variable -> the config key that each sweep point overrides
 SWEEP_KEYS = {"lambda_d_ref": "lambda_d_ref", "lambda_c_ref": "lambda_c_ref",
               "budget_d2d": "budget_d2d_w"}
@@ -88,7 +90,7 @@ class ExperimentConfig:
     """Resolved configuration; ``raw`` is the canonical dict form, and
     ``system`` and ``options`` are built from it once, on construction."""
 
-    raw: dict = field(default_factory=lambda: copy.deepcopy(DEFAULTS))
+    raw: dict = field(default_factory=lambda: _copy(DEFAULTS))
     system: SystemParams = field(init=False, repr=False, compare=False)
     options: SolveOptions = field(init=False, repr=False, compare=False)
 
@@ -165,10 +167,19 @@ def _resolve(doc: dict) -> ExperimentConfig:
         else:
             cfg[key] = value
     # the one copy: nothing below shares a list or dict with DEFAULTS or doc
-    cfg = copy.deepcopy(cfg)
+    cfg = _copy(cfg)
     _validate(cfg)
     # building the system and options surfaces any remaining unit violation
     return ExperimentConfig(raw=cfg)
+
+
+def _copy(value):
+    """``value`` with every dict and list in it rebuilt, and all else shared."""
+    if isinstance(value, dict):
+        return {key: _copy(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_copy(v) for v in value]
+    return value
 
 
 def _per_band(cfg: dict, key: str) -> list[float]:
@@ -192,22 +203,35 @@ def _finite(values: list) -> bool:
 def _check_numbers(cfg: dict) -> None:
     """Every count is an int and every other number finite; bools are neither."""
     for key, value in cfg.items():
-        for sub, v in value.items() if isinstance(value, dict) else [(None, value)]:
-            name = key if sub is None else f"{key}.{sub}"
-            if name in _INT_KEYS:
-                if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                    _fail(name, "must be an integer")
-            elif name == "sweep.grid" or (name in _PER_BAND and isinstance(v, list)):
-                if not isinstance(v, list) or not _finite(v):
-                    _fail(name, "must be a list of finite numbers")
-            elif name != "sweep.variable" and not _finite([v]):
-                _fail(name, "must be a finite number")
+        in_section = isinstance(DEFAULTS[key], dict)
+        for sub, v in value.items() if in_section else ((None, value),):
+            why = _number_fault(key, sub, v)
+            if why is not None:
+                _fail(key if sub is None else f"{key}.{sub}", why)
+
+
+def _number_fault(key: str, sub: str | None, v) -> str | None:
+    """What is wrong with value ``v`` of ``key`` (of its entry ``sub`` in a
+    section), or None; the common cases, an int count and a float, are
+    settled by type."""
+    if (key, sub) in _INT_KEYS:
+        if type(v) is int or (not isinstance(v, bool) and isinstance(v, numbers.Integral)):
+            return None
+        return "must be an integer"
+    if (key, sub) == ("sweep", "grid") or (key in _PER_BAND and isinstance(v, list)):
+        return None if isinstance(v, list) and _finite(v) else "must be a list of finite numbers"
+    if (key, sub) == ("sweep", "variable") or (
+            math.isfinite(v) if type(v) is float else _finite([v])):
+        return None
+    return "must be a finite number"
 
 
 def _validate(cfg: dict) -> None:
     _check_numbers(cfg)
     if cfg["num_bands"] < 1:
         _fail("num_bands", "must be a positive integer")
+    if not 0 <= cfg["sim"]["band"] < cfg["num_bands"]:
+        _fail("sim.band", f"must be a band index in [0, {cfg['num_bands']})")
     if cfg["pathloss_exponent"] <= 2.0:
         _fail(
             "pathloss_exponent",

@@ -4,10 +4,13 @@ Phase one fixes the cellular powers and maximizes total D2D energy
 efficiency; phase two fixes the D2D powers and maximizes total cellular
 energy efficiency.  The closed forms make these one problem with the two
 classes swapped, which one power-space routine solves: each band maximizes
-K * exp(-c * p^(-2/alpha)) / p, stationary at (2c/alpha)^(alpha/2), over
-the box that both outage caps and the power cap set, taking the best of
-the box ends and the clamped root; the class's single power budget is
-handled by bisection on its Lagrange multiplier mu.
+K * exp(-c * p^(-2/alpha)) / p - mu * p over the box that both outage caps
+and the power cap set, and the class's single power budget is handled by
+bisection on its Lagrange multiplier mu.  At mu = 0 the objective rises
+up to its one stationary point (2c/alpha)^(alpha/2) and falls beyond it,
+so that point clamped to the box is the band's power, with no objective
+evaluated; at mu > 0 the band takes the best of the box ends and the
+clamped rising root of the slope (see _Objective.argmax).
 
 Each band's box and objective split into constants of the system and a
 scaling by the other class's powers q, the only input a phase varies:
@@ -299,33 +302,45 @@ class _Objective(NamedTuple):
         return self.k_amp * math.exp(-self.c * p ** (-2.0 / self.alpha)) / p - mu * p
 
     def argmax(self, mu: float) -> float:
-        """The best of the box ends and the clamped stationary point at ``mu``."""
-        # In s = p^(-2/alpha) the slope of K e^(-cs) / p - mu p is psi(s) - mu,
-        # psi = K e^(-cs) s^alpha (beta s - 1) with beta = 2c/alpha, which is zero
-        # at 1/beta and peaks once, at the larger root of
-        # c beta s^2 - (c + alpha beta + beta) s + alpha.
+        """The maximizing power on the box at multiplier ``mu``.
+
+        At mu = 0 this is the stationary point (2c/alpha)^(alpha/2) clamped
+        to the box, found without evaluating the objective.  With s =
+        p^(-2/alpha) and beta = 2c/alpha, the slope of K e^(-cs) / p has the
+        sign of beta s - 1: the objective rises in p up to that point and
+        falls beyond it, so the clamped point is the exact box maximum.  A
+        comparison of values at the box ends and the clamped point could
+        pick otherwise only through rounding: where every value underflows
+        to 0.0 (it would pick the lower end, although the objective rises
+        across the box), or where a box end lies within about 1e-7
+        (relative) of the point and ties with it, which changes the value
+        by at most 1e-15, relatively.  At mu > 0 it is the best, by value,
+        of the box ends and the clamped rising root of the slope.
+        """
+        # In s the slope of K e^(-cs) / p - mu p is psi(s) - mu, psi = K e^(-cs)
+        # s^alpha (beta s - 1), which is zero at 1/beta and peaks once, at the
+        # larger root of c beta s^2 - (c + alpha beta + beta) s + alpha.
         lo, hi, c, k_amp, a = self.lo, self.hi, self.c, self.k_amp, self.alpha
         if c <= 0.0:
             return lo  # no interference from the other class: the objective falls
         if mu == 0.0:
-            root = (2.0 * c / a) ** (a / 2.0)
-        else:
-            beta = 2.0 * c / a
+            return min(max((2.0 * c / a) ** (a / 2.0), lo), hi)
+        beta = 2.0 * c / a
 
-            def slope(s: float) -> float:
-                try:
-                    return k_amp * math.exp(-c * s) * s**a * (beta * s - 1.0) - mu
-                except OverflowError:
-                    # s**a alone overflows, psi need not: compare logs, by sign
-                    rest = k_amp * math.exp(-c * s) * (beta * s - 1.0)
-                    above = rest > 0.0 and math.log(rest) + a * math.log(s) > math.log(mu)
-                    return 1.0 if above else -1.0
+        def slope(s: float) -> float:
+            try:
+                return k_amp * math.exp(-c * s) * s**a * (beta * s - 1.0) - mu
+            except OverflowError:
+                # s**a alone overflows, psi need not: compare logs, by sign
+                rest = k_amp * math.exp(-c * s) * (beta * s - 1.0)
+                above = rest > 0.0 and math.log(rest) + a * math.log(s) > math.log(mu)
+                return 1.0 if above else -1.0
 
-            b = c + a * beta + beta
-            s_p = (b + math.sqrt(b * b - 4.0 * c * beta * a)) / (2.0 * c * beta)
-            if slope(s_p) <= 0.0:
-                return lo  # the objective falls everywhere
-            root = _rising_root(slope, 1.0 / beta, s_p) ** (-a / 2.0)
+        b = c + a * beta + beta
+        s_p = (b + math.sqrt(b * b - 4.0 * c * beta * a)) / (2.0 * c * beta)
+        if slope(s_p) <= 0.0:
+            return lo  # the objective falls everywhere
+        root = _rising_root(slope, 1.0 / beta, s_p) ** (-a / 2.0)
         return max((lo, min(max(root, lo), hi), hi), key=lambda p: self.value(p, mu))
 
 

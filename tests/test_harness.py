@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -140,19 +139,23 @@ class TestConfig:
         import d2dee.config
 
         copied = []
+        real_copy = d2dee.config._copy
 
-        def deepcopy(doc):
-            copied.append(len(doc["sweep"]["grid"]))
-            return copy.deepcopy(doc)
+        def spy(value):
+            # the copy recurses through this name, so it sees every dict and list
+            copied.append(value)
+            return real_copy(value)
 
         grid = list(np.geomspace(1e-5, 1e-3, 500))
         cfg = ExperimentConfig().with_overrides(**acc5_overrides(), sweep_variable="lambda_d_ref",
                                                 sweep_grid=grid)
-        monkeypatch.setattr(d2dee.config, "copy", SimpleNamespace(deepcopy=deepcopy))
+        monkeypatch.setattr(d2dee.config, "_copy", spy)
         rows = run_sweep(cfg)
         assert len(rows) == 500
         # one resolution per point, none of them carrying the base grid
-        assert copied == [0] * 500
+        documents = [v for v in copied if isinstance(v, dict) and "num_bands" in v]
+        assert [len(doc["sweep"]["grid"]) for doc in documents] == [0] * 500
+        assert not any(isinstance(v, list) and len(v) == 500 for v in copied)
         assert cfg["sweep"]["grid"] == grid
 
     def test_cli_resolves_once_per_command_and_sweep_point(self, tmp_path, monkeypatch):
@@ -218,10 +221,13 @@ class TestConfig:
         (["validate"], {"sim": 5}, "sim"),
         (["solve"], {"max_power_d2d_w": [0.02, 0.02]}, "max_power_d2d_w"),
         (["sweep"], {"sweep": {"variable": "lambda_d_ref", "grid": []}}, "sweep.grid"),
+        (["solve"], {"budget_d2d_w": {"w": 0.08}}, "budget_d2d_w"),
+        (["solve"], {"bandwidth_hz": {"hz": 20e6}}, "bandwidth_hz"),
     ], ids=["scalar", "per_band_entry", "sim_trials", "sim_workers", "bool_count", "sweep_grid",
             "int_beyond_float", "unhashable_variable", "negative_multiplier_d2d",
             "negative_multiplier_cell", "zero_eps_power", "zero_outer_iters", "db_non_threshold",
-            "section_not_mapping", "per_band_length", "empty_sweep_grid"])
+            "section_not_mapping", "per_band_length", "empty_sweep_grid", "mapping_for_number",
+            "mapping_for_per_band"])
     def test_malformed_numbers_rejected_by_name(self, command, doc, field, tmp_path, capsys):
         # Python's json reads NaN and Infinity
         cfg_path = tmp_path / "cfg.json"
@@ -238,13 +244,20 @@ class TestConfig:
         # a dB threshold is read only without its linear form, which acc5_overrides sets
         (["solve"], '{"sir_threshold_cell_db": "low"}',
          "config field 'sir_threshold_cell_db': must be a finite number of dB"),
-        (["validate", "--band", "9"], "{}", "band index 9 out of range"),
-        (["validate"], '{"sim": {"band": -1}}', "band index -1 out of range"),
+        (["validate", "--band", "9"], "{}",
+         "argument --band: must be a band index in [0, 5), got 9"),
+        (["validate"], '{"sim": {"band": -1}}',
+         "config field 'sim.band': must be a band index in [0, 5)"),
+        (["solve"], '{"sim": {"band": 9}}',
+         "config field 'sim.band': must be a band index in [0, 5)"),
+        (["sweep", "--sweep-var", "lambda_d_ref", "--sweep-grid", "1e-4,abc"], "{}",
+         "argument --sweep-grid: expected comma-separated numbers, got '1e-4,abc'"),
     ], ids=["malformed_json", "top_level_not_object", "band_rejected", "db_not_number",
-            "band_flag_out_of_range", "sim_band_out_of_range"])
+            "band_flag_out_of_range", "sim_band_out_of_range", "sim_band_on_solve",
+            "sweep_grid_not_numbers"])
     def test_rejected_document_named(self, command, text, names, tmp_path, capsys):
         # the document as written, without acc5_overrides: each error names the
-        # document, the band, the key or the band index at fault
+        # document, the band, the key or the flag at fault
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(text)
         argv = [*command, "--config", str(cfg_path), "--out", str(tmp_path)]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from d2dee import BandParams, InfeasibleProblem, PowerAllocation, SystemParams
 from d2dee import ee_per_band, metrics, optimize_powers, solve_cell_phase, solve_d2d_phase
-from d2dee.solver import BUDGET_TOL_REL, SolveOptions, _solve_phase
+from d2dee.solver import BUDGET_TOL_REL, SolveOptions, _Objective, _solve_phase
 
 
 def log_uniform(lo_exp: float, hi_exp: float):
@@ -96,6 +96,27 @@ def test_phase_results_are_named_or_feasible(problem):
     system, q, order = problem
     for phase in PHASES:
         check_phase(phase, system, q, order)
+
+
+@st.composite
+def objectives(draw):
+    """A band objective whose box lies below, around or above its stationary point."""
+    alpha = draw(st.floats(2.2, 6.0))
+    c = draw(log_uniform(-8, 4))
+    lo = (2.0 * c / alpha) ** (alpha / 2.0) * draw(log_uniform(-4, 2))
+    return _Objective(lo, lo * draw(log_uniform(0, 4)), c, draw(log_uniform(3, 9)), alpha)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(objectives())
+def test_zero_multiplier_argmax_is_the_clamped_root(b):
+    p = b.argmax(0.0)
+    assert p == min(max((2.0 * b.c / b.alpha) ** (b.alpha / 2.0), b.lo), b.hi)
+    # the best of the box, by value, up to rounding: its ends and points between
+    best = b.value(p, 0.0)
+    for q in [b.lo, b.hi] + [b.lo * (b.hi / b.lo) ** (k / 16) for k in range(1, 16)]:
+        v = b.value(q, 0.0)
+        assert best >= v - 8 * math.ulp(v)
 
 
 @st.composite

@@ -307,6 +307,37 @@ class TestPhaseOne:
         assert any("anchored" in f for f in diag["flags"])
 
 
+class TestObjective:
+    def test_zero_multiplier_argmax_survives_underflow(self):
+        # the objective rises across this box, which lies below the root 0.25 W,
+        # but every value on it underflows to 0.0: a comparison of values
+        # would pick the lower end
+        b = solver._Objective(lo=1e-10, hi=1e-8, c=1.0, k_amp=2e7, alpha=4.0)
+        assert b.value(b.lo, 0.0) == b.value(b.hi, 0.0) == 0.0
+        assert b.argmax(0.0) == b.hi == min(max((2.0 * b.c / b.alpha) ** 2.0, b.lo), b.hi)
+
+    def test_zero_multiplier_phase_evaluates_no_objective(self, make_band, make_system,
+                                                          monkeypatch):
+        calls = []
+        value = solver._Objective.value
+
+        def counted(self, p, mu):
+            calls.append(mu)
+            return value(self, p, mu)
+
+        monkeypatch.setattr(solver._Objective, "value", counted)
+        band = slack_band(make_band)
+        system = make_system(bands=[band, band], budget_d2d_w=1e3, budget_cell_w=1e3)
+        p_d, diag_d = solve_d2d_phase(system, [0.3, 0.3])
+        _, diag_c = solve_cell_phase(system, p_d)
+        assert diag_d["mu"] == diag_c["mu"] == 0.0
+        assert calls == []
+        # a budget-bound phase compares values, and the count sees them
+        _, diag = solve_d2d_phase(make_system(bands=[band, band], budget_d2d_w=2.5e-8),
+                                  [0.3, 0.3])
+        assert diag["mu"] > 0.0 and calls and 0.0 not in calls
+
+
 class TestPhaseTwo:
     def test_interior_closed_form_matches_golden_section(self, make_band, make_system):
         # wide box so the interior optimum is admissible
