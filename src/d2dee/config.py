@@ -15,6 +15,11 @@ shares the rest, which in a valid document are immutable scalars.  So a
 resolved config shares no list or dict with ``DEFAULTS``, its document,
 its overrides or the config it came from.  It builds its ``system`` and
 solver ``options`` once.
+
+A sweep point resolves nothing: it derives from the resolved config that
+holds the sweep.  ``ExperimentConfig.point_system`` checks the one swept
+value by the rule that resolution applies to its key, and rebuilds only
+what that value reaches: each band's one density, or the D2D budget.
 """
 
 from __future__ import annotations
@@ -73,9 +78,12 @@ _PER_BAND = ("bandwidth_hz", "sir_threshold_d2d", "sir_threshold_cell", "outage_
 # (key, None) or (section, key) of each count
 _INT_KEYS = {("num_bands", None), ("sim", "trials"), ("sim", "workers"), ("sim", "seed"),
              ("sim", "band"), ("solver", "max_outer_iters")}
-# sweep variable -> the config key that each sweep point overrides
+# sweep variable -> the config key that each sweep point sets
 SWEEP_KEYS = {"lambda_d_ref": "lambda_d_ref", "lambda_c_ref": "lambda_c_ref",
               "budget_d2d": "budget_d2d_w"}
+# reference density key -> (the band field it sets, the per-band key that scales it)
+DENSITY_FIELDS = {"lambda_d_ref": ("density_d2d", "multiplier_d2d"),
+                  "lambda_c_ref": ("density_cell", "multiplier_cell")}
 # override -> the section whose key it sets: its own name, less "sweep_"
 _SECTION_OF = {"trials": "sim", "seed": "sim", "workers": "sim",
                "sweep_variable": "sweep", "sweep_grid": "sweep"}
@@ -83,6 +91,24 @@ _SECTION_OF = {"trials": "sim", "seed": "sim", "workers": "sim",
 # grid/golden-section search's knobs, which all asked for the per-band maximum
 _RETIRED = {("solver", "grid_points"): None, ("solver", "line_search_tol_rel"): None,
             ("solver", "phase2_mode"): "coupled", ("solver", "budget_tol_rel"): 1e-6}
+_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be at least 1")
+# (key, None) or (section, key) -> (the test its value passes, the message if
+# not); a per-band key is tested on its least entry.  Each band's densities
+# are lambda_*_ref times multiplier_*, so those are checked here: BandParams
+# would name the density, a field the document does not have.  SolveOptions
+# and SimScenario would not name the section either.
+_RANGES = {
+    ("lambda_d_ref", None): _NONNEGATIVE, ("lambda_c_ref", None): _NONNEGATIVE,
+    ("multiplier_d2d", None): _NONNEGATIVE, ("multiplier_cell", None): _NONNEGATIVE,
+    ("budget_d2d_w", None): _POSITIVE, ("budget_cell_w", None): _POSITIVE,
+    ("baseline_p_cell_w", None): _POSITIVE,
+    ("solver", "eps_power_w"): _POSITIVE, ("solver", "max_outer_iters"): _POSITIVE,
+    ("sim", "trials"): _AT_LEAST_ONE, ("sim", "workers"): _AT_LEAST_ONE,
+    ("sim", "seed"): _NONNEGATIVE, ("sim", "p_cell_w"): _POSITIVE,
+    ("sim", "p_d2d_w"): _POSITIVE, ("sim", "window_radius_m"): _POSITIVE,
+}
 
 
 @dataclass
@@ -105,15 +131,32 @@ class ExperimentConfig:
         return json.dumps(self.raw, indent=2, sort_keys=True)
 
     def with_overrides(self, **overrides) -> "ExperimentConfig":
-        """This config with ``overrides`` applied (see ``_merge``).  Setting
-        the swept key makes one point of the sweep, which sweeps nothing: it
-        resolves from the document without its sweep section, so a point
-        never copies or checks the grid."""
-        doc = self.raw
-        swept = SWEEP_KEYS.get(doc["sweep"]["variable"])
-        if overrides.get(swept) is not None:
-            doc = {key: value for key, value in doc.items() if key != "sweep"}
-        return _resolve(_merge(doc, overrides))
+        """This config with ``overrides`` applied (see ``_merge``)."""
+        return _resolve(_merge(self.raw, overrides))
+
+    def point_system(self, key: str, value) -> SystemParams:
+        """The system of one sweep point: this config's with ``key``, a value
+        of ``SWEEP_KEYS``, set to ``value``.  It equals
+        ``with_overrides(**{key: value}).system`` and fails with the same
+        message, but resolves nothing.  A density point rebuilds each band
+        with that one density set to the product ``build_system`` forms; a
+        budget point shares this config's bands."""
+        why = _number_fault(key, None, value) or _range_fault(key, None, value)
+        if why is not None:
+            _fail(key, why)
+        system = self.system
+        if key == "budget_d2d_w":
+            return SystemParams(bands=system.bands, budget_d2d_w=float(value),
+                                budget_cell_w=system.budget_cell_w)
+        density, multiplier = DENSITY_FIELDS[key]
+        bands = []
+        for i, (band, mul) in enumerate(zip(system.bands, _per_band(self.raw, multiplier))):
+            try:
+                bands.append(BandParams(**{**vars(band), density: mul * value}))
+            except ValueError as exc:
+                raise ValueError(f"config band {i}: {exc}") from exc
+        return SystemParams(bands=bands, budget_d2d_w=system.budget_d2d_w,
+                            budget_cell_w=system.budget_cell_w)
 
 
 def _fail(field_name: str, why: str):
@@ -226,6 +269,12 @@ def _number_fault(key: str, sub: str | None, v) -> str | None:
     return "must be a finite number"
 
 
+def _range_fault(key: str, sub: str | None, v) -> str | None:
+    """What is wrong with the range of number ``v`` of ``key`` (see ``_RANGES``), or None."""
+    test, why = _RANGES[key, sub]
+    return None if test(v) else why
+
+
 def _validate(cfg: dict) -> None:
     _check_numbers(cfg)
     if cfg["num_bands"] < 1:
@@ -237,17 +286,11 @@ def _validate(cfg: dict) -> None:
             "pathloss_exponent",
             "pathloss exponent must exceed 2 (interference Laplace functional diverges)",
         )
-    # each band's densities are lambda_*_ref times multiplier_*: checked here,
-    # BandParams would name the density, a field the document does not have
-    for key in ("lambda_d_ref", "lambda_c_ref", "multiplier_d2d", "multiplier_cell"):
-        if min(_per_band(cfg, key)) < 0:
-            _fail(key, "must be nonnegative")
-    for key in ("budget_d2d_w", "budget_cell_w", "baseline_p_cell_w"):
-        if cfg[key] <= 0:
-            _fail(key, "must be positive")
-    for sub in ("eps_power_w", "max_outer_iters"):  # SolveOptions would not name the section
-        if cfg["solver"][sub] <= 0:
-            _fail(f"solver.{sub}", "must be positive")
+    for key, sub in _RANGES:
+        value = min(_per_band(cfg, key)) if key in _PER_BAND else cfg[key]
+        why = _range_fault(key, sub, value if sub is None else value[sub])
+        if why is not None:
+            _fail(key if sub is None else f"{key}.{sub}", why)
     sweep = cfg["sweep"]
     if sweep["variable"] is not None:
         if not isinstance(sweep["variable"], str) or sweep["variable"] not in SWEEP_KEYS:
@@ -282,16 +325,10 @@ def build_system(cfg: ExperimentConfig) -> SystemParams:
     bands = []
     for i in range(raw["num_bands"]):
         kw = {key: values[i] for key, values in per_band.items()}
-        mul_d, mul_c = kw.pop("multiplier_d2d"), kw.pop("multiplier_cell")
+        for ref, (density, multiplier) in DENSITY_FIELDS.items():
+            kw[density] = kw.pop(multiplier) * raw[ref]
         try:
-            bands.append(
-                BandParams(
-                    pathloss_exponent=float(raw["pathloss_exponent"]),
-                    density_d2d=mul_d * raw["lambda_d_ref"],
-                    density_cell=mul_c * raw["lambda_c_ref"],
-                    **kw,
-                )
-            )
+            bands.append(BandParams(pathloss_exponent=float(raw["pathloss_exponent"]), **kw))
         except ValueError as exc:
             raise ValueError(f"config band {i}: {exc}") from exc
     return SystemParams(

@@ -14,7 +14,7 @@ import json
 import math
 from pathlib import Path
 
-from .config import SWEEP_KEYS, ExperimentConfig
+from .config import DENSITY_FIELDS, SWEEP_KEYS, ExperimentConfig
 from .model import SystemParams
 from .simulate import SimScenario, estimate_stp
 from .solver import AllocationResult, InfeasibleProblem, baseline_fixed_cell, optimize_powers
@@ -33,9 +33,40 @@ VALIDATE_Z_LIMIT = 3.3
 VALIDATE_ABS_LIMIT = 0.005
 
 
+def _band_text(fields: dict) -> str:
+    """One band's JSON text, as the band hash lists it."""
+    return json.dumps(fields, sort_keys=True)
+
+
+def _bands_md5(texts) -> str:
+    """The md5 of the JSON list of the bands whose texts are ``texts``."""
+    return hashlib.md5(f"[{', '.join(texts)}]".encode()).hexdigest()
+
+
 def _band_hash(system: SystemParams) -> str:
-    blob = json.dumps([vars(b) for b in system.bands], sort_keys=True)
-    return hashlib.md5(blob.encode()).hexdigest()
+    return _bands_md5(_band_text(vars(b)) for b in system.bands)
+
+
+def _point_hash(system: SystemParams, key: str):
+    """``_band_hash`` as a function of a sweep point's system, for points
+    that set ``key`` of the config whose system is ``system``.  A budget
+    point shares its bands, and so their md5.  A density point differs only
+    in each band's one density: each band's text is rendered once, and each
+    point renders only its densities (with ``json.dumps``, as the full text
+    has them, ``Infinity`` included) into it."""
+    if key not in DENSITY_FIELDS:
+        md5 = _band_hash(system)
+        return lambda point: md5
+    density = DENSITY_FIELDS[key][0]
+    label = f'"{density}": '
+    halves = [_band_text({**vars(b), density: None}).split(label + "null")
+              for b in system.bands]
+
+    def band_hash(point: SystemParams) -> str:
+        return _bands_md5(f"{head}{label}{json.dumps(getattr(b, density))}{tail}"
+                          for (head, tail), b in zip(halves, point.bands))
+
+    return band_hash
 
 
 def _cell(value: float) -> str:
@@ -207,25 +238,36 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     A failing point is recorded in-row and the sweep continues: its metric
     columns stay empty and ``infeasible_bands`` names the offending band and
     constraint, or carries ``error=<message>`` for an invalid grid value.
+
+    ``cfg`` is resolved once, and no point resolves again: each derives its
+    system from ``cfg.system`` (``ExperimentConfig.point_system``).  A
+    density point rebuilds the bands with their one density changed, and a
+    budget point shares them.  Every point solves with ``cfg``'s options and
+    baseline cellular power, and its band md5 renders only the swept
+    densities anew (see ``_point_hash``).
     """
     sweep = cfg["sweep"]
     variable, grid = sweep["variable"], sweep["grid"]
     if variable is None or not grid:
         raise ValueError("config field 'sweep': variable and grid must be set")
+    key = SWEEP_KEYS[variable]
     m = cfg["num_bands"]
+    fields = sweep_fieldnames(m)
+    options, p_cell_w = cfg.options, cfg["baseline_p_cell_w"]
+    band_hash = _point_hash(cfg.system, key)
     rows = []
     for index, value in enumerate(grid):
-        row = dict.fromkeys(sweep_fieldnames(m), "")
+        row = dict.fromkeys(fields, "")
         row.update(index=index, swept_variable=variable, swept_value=_cell(value))
         try:
-            point = cfg.with_overrides(**{SWEEP_KEYS[variable]: value})
+            system = cfg.point_system(key, value)
         except ValueError as exc:
             _note(row, exc)
             rows.append(row)
             continue
-        row["band_params_md5"] = _band_hash(point.system)
+        row["band_params_md5"] = band_hash(system)
         try:
-            result = optimize_powers(point.system, point.options)
+            result = optimize_powers(system, options)
             for i in range(m):
                 row[f"p_d2d_w_{i}"] = _cell(result.alloc.p_d2d_w[i])
                 row[f"p_cell_w_{i}"] = _cell(result.alloc.p_cell_w[i])
@@ -237,7 +279,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
         except ValueError as exc:
             _note(row, exc)
         try:
-            base = baseline_fixed_cell(point.system, point["baseline_p_cell_w"], point.options)
+            base = baseline_fixed_cell(system, p_cell_w, options)
             row["baseline_ee_d2d_total"] = _cell(base.metrics.ee_d2d_total)
         except ValueError as exc:
             _note(row, exc, "baseline: ")

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from d2dee import ExperimentConfig, build_system, load_config, save_config
 from d2dee.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, build_parser, main
@@ -125,37 +127,45 @@ class TestConfig:
                 return fn(*args, **kwargs)
             return wrapper
 
-        cfg = ExperimentConfig().with_overrides(sweep_variable="lambda_d_ref", sweep_grid=[1e-4])
         build = counted("system", d2dee.config.build_system)
         # the harness would hold its own name for build_system if it called it
         monkeypatch.setattr("d2dee.harness.build_system", build, raising=False)
         monkeypatch.setattr(d2dee.config, "build_system", build)
         monkeypatch.setattr(d2dee.config, "SolveOptions",
                             counted("options", d2dee.config.SolveOptions))
-        run_sweep(cfg)
-        assert built == {"system": 1, "options": 1}
+        for variable, grid in [("lambda_d_ref", [1e-5, 1e-4, 1e-3]),
+                               ("lambda_c_ref", [1e-6, 1e-5, 1e-4]),
+                               ("budget_d2d", [0.01, 0.06, 0.1])]:
+            built.update(system=0, options=0)
+            cfg = load_config(None, sweep_variable=variable, sweep_grid=grid)
+            # the config holding the sweep builds them once; its points, never
+            assert built == {"system": 1, "options": 1}
+            assert len(run_sweep(cfg)) == 3
+            assert built == {"system": 1, "options": 1}
 
     def test_sweep_points_never_copy_the_grid(self, monkeypatch):
         import d2dee.config
 
-        copied = []
-        real_copy = d2dee.config._copy
+        seen = {"_copy": [], "_resolve": []}
 
-        def spy(value):
-            # the copy recurses through this name, so it sees every dict and list
-            copied.append(value)
-            return real_copy(value)
+        def spy(name):
+            real = getattr(d2dee.config, name)
+
+            def wrapper(value):
+                # the copy recurses through its name, so it would see every dict and list
+                seen[name].append(value)
+                return real(value)
+            return wrapper
 
         grid = list(np.geomspace(1e-5, 1e-3, 500))
         cfg = ExperimentConfig().with_overrides(**acc5_overrides(), sweep_variable="lambda_d_ref",
                                                 sweep_grid=grid)
-        monkeypatch.setattr(d2dee.config, "_copy", spy)
+        for name in seen:
+            monkeypatch.setattr(d2dee.config, name, spy(name))
         rows = run_sweep(cfg)
         assert len(rows) == 500
-        # one resolution per point, none of them carrying the base grid
-        documents = [v for v in copied if isinstance(v, dict) and "num_bands" in v]
-        assert [len(doc["sweep"]["grid"]) for doc in documents] == [0] * 500
-        assert not any(isinstance(v, list) and len(v) == 500 for v in copied)
+        # the points derive from the resolved config: no point resolves or copies
+        assert seen == {"_copy": [], "_resolve": []}
         assert cfg["sweep"]["grid"] == grid
 
     def test_cli_resolves_once_per_command_and_sweep_point(self, tmp_path, monkeypatch):
@@ -179,7 +189,8 @@ class TestConfig:
         counts.update(resolve=0, system=0)
         assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path),
                      "--sweep-var", "lambda_d_ref", "--sweep-grid", "1e-5,1e-4"]) == EXIT_OK
-        assert counts == {"resolve": 3, "system": 3}
+        # the command's config only: its two points resolve and build nothing
+        assert counts == {"resolve": 1, "system": 1}
 
     def test_resolved_configs_share_no_state(self):
         from d2dee.config import DEFAULTS, _resolve
@@ -223,11 +234,18 @@ class TestConfig:
         (["sweep"], {"sweep": {"variable": "lambda_d_ref", "grid": []}}, "sweep.grid"),
         (["solve"], {"budget_d2d_w": {"w": 0.08}}, "budget_d2d_w"),
         (["solve"], {"bandwidth_hz": {"hz": 20e6}}, "bandwidth_hz"),
+        (["validate"], {"sim": {"trials": 0}}, "sim.trials"),
+        (["validate", "--workers", "0"], {}, "sim.workers"),
+        (["validate", "--seed", "-1"], {}, "sim.seed"),
+        (["validate"], {"sim": {"p_cell_w": 0}}, "sim.p_cell_w"),
+        (["validate"], {"sim": {"p_d2d_w": -0.02}}, "sim.p_d2d_w"),
+        (["solve"], {"sim": {"window_radius_m": -5}}, "sim.window_radius_m"),
     ], ids=["scalar", "per_band_entry", "sim_trials", "sim_workers", "bool_count", "sweep_grid",
             "int_beyond_float", "unhashable_variable", "negative_multiplier_d2d",
             "negative_multiplier_cell", "zero_eps_power", "zero_outer_iters", "db_non_threshold",
             "section_not_mapping", "per_band_length", "empty_sweep_grid", "mapping_for_number",
-            "mapping_for_per_band"])
+            "mapping_for_per_band", "zero_sim_trials", "zero_workers_flag", "negative_seed_flag",
+            "zero_sim_p_cell", "negative_sim_p_d2d", "negative_window_on_solve"])
     def test_malformed_numbers_rejected_by_name(self, command, doc, field, tmp_path, capsys):
         # Python's json reads NaN and Infinity
         cfg_path = tmp_path / "cfg.json"
@@ -477,6 +495,29 @@ class TestSweep:
         body = b"".join(line for line in lines if not line.startswith(b"#"))
         assert hashlib.md5(body).hexdigest() == "c3032d089a485f9bd0f59e11f315f6cf"
 
+    @pytest.mark.parametrize("variable, grid, digest", [
+        # a negative density is an error row; the two densest points fail qos_cell
+        ("lambda_c_ref", "1e-06,-1e-05,1e-05,0.0001,0.001,0.01",
+         "01a4c26faa60f743ac61f4e1c816d0e8"),
+        # the smallest budgets fail the joint solve's and the baseline's lower
+        # ends; zero and negative budgets are error rows
+        ("budget_d2d", "1e-05,3e-05,5e-05,0.0001,0.0,0.001,-0.01,0.08",
+         "1d7553c4c867669e9293a43002a124e4"),
+    ], ids=["lambda_c_ref", "budget_d2d"])
+    def test_sweep_bodies_pinned(self, variable, grid, digest, tmp_path):
+        # the md5 of small sweep bodies over the other two sweep variables, on
+        # test_sweep_body_pinned's config, pinned while each point was still
+        # resolved from a whole document
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(
+            sir_threshold_d2d=1e-6, sir_threshold_cell=1e-6, budget_d2d_w=0.08,
+            lambda_c_ref=1e-5, baseline_p_cell_w=0.325)))
+        assert main(["sweep", "--config", str(cfg_path), "--sweep-var", variable,
+                     "--sweep-grid", grid, "--out", str(tmp_path)]) == EXIT_OK
+        lines = (tmp_path / "sweep.csv").read_bytes().splitlines(keepends=True)
+        body = b"".join(line for line in lines if not line.startswith(b"#"))
+        assert hashlib.md5(body).hexdigest() == digest
+
     def test_bytes_identical_rerun(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         doc = {
@@ -569,6 +610,46 @@ class TestSweep:
                                         "sim": {"trials": 500}}))
         assert main(["validate", "--config", str(cfg_path)]) == EXIT_OK
         assert (tmp_path / "envout" / "validate.json").exists()
+
+
+# bases whose multipliers scale by more than 1 (so a large density overflows
+# to inf), by exactly 1, and by 0
+POINT_BASES = [ExperimentConfig(),
+               ExperimentConfig().with_overrides(multiplier_d2d=1, multiplier_cell=[
+                   0.0, 1.0, 2.5, 0.0, 1e300])]
+swept_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(0.0, 0.1),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.integers(-10, 10**6),
+    st.integers(-10, 10**6).map(np.int64),
+    st.sampled_from([0.0, -0.0, 0, 5e-324, 1e-300, 5e-5, 1e308, 10**308, 10**400, True,
+                     np.float64(1e307)]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(cfg=st.sampled_from(POINT_BASES), key=st.sampled_from(sorted(set(SWEEP_KEYS.values()))),
+       value=swept_values)
+def test_point_system_matches_full_resolution(cfg, key, value):
+    # a sweep point derived from the resolved base is the point resolved in
+    # full: the same system, number types and band md5, or the same error
+    from d2dee.harness import _band_hash, _point_hash
+
+    with np.errstate(over="ignore"):  # a numpy density may overflow to inf, as it should
+        try:
+            full = cfg.with_overrides(**{key: value}).system
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                cfg.point_system(key, value)
+            assert str(raised.value) == str(exc)
+            return
+        point = cfg.point_system(key, value)
+    assert point == full
+    assert [list(map(type, vars(b).values())) for b in point.bands] == \
+        [list(map(type, vars(b).values())) for b in full.bands]
+    assert type(point.budget_d2d_w) is type(full.budget_d2d_w)
+    assert _point_hash(cfg.system, key)(point) == _band_hash(full)
 
 
 def test_cli_import_loads_no_pool_or_logging():
