@@ -8,9 +8,9 @@ and EE per band cheap closed forms.  All quantities are SI (W, Hz, m,
 per m^2); SIR thresholds are linear, not dB.
 
 Every function here is pure.  Bands and systems are frozen: a band
-computes its two interference coefficients once, on construction, and a
-system's ``cache`` holds only values the solver derives from its frozen
-inputs.  Safe to call from any thread.
+computes its interference coefficients and the constants of both power
+allocation phases once, on construction, and nothing changes them after.
+Safe to call from any thread.
 """
 
 from __future__ import annotations
@@ -61,7 +61,24 @@ def interference_coeff(threshold: float, link_distance_m: float, alpha: float) -
         raise ValueError("SIR threshold must be nonnegative")
     if link_distance_m <= 0:
         raise ValueError("link distance must be positive")
-    return math.pi * threshold ** (2.0 / alpha) * link_distance_m**2 * gamma_product(alpha)
+    try:
+        coeff = math.pi * threshold ** (2.0 / alpha) * link_distance_m**2 * gamma_product(alpha)
+    except OverflowError:
+        coeff = math.inf
+    if not math.isfinite(coeff):
+        raise ValueError(f"interference coefficient is not finite at SIR threshold "
+                         f"{threshold!r} and link distance {link_distance_m!r} m")
+    return coeff
+
+
+def _power_or_inf(num: float, den: float, k: float) -> float:
+    """(num / den)^k for num > 0, or +inf where den is 0 or the power overflows."""
+    if den == 0.0:
+        return math.inf
+    try:
+        return (num / den) ** k
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -70,11 +87,15 @@ class BandParams:
 
     Densities are per m^2, distances in m, powers in W, bandwidth in Hz.
     Outage caps bound the tolerated outage probability per link class.
-    The interference coefficients are computed once, on construction; they
-    sit in a slot, so ``vars(band)`` holds the parameters alone.
+    A band computes on construction, once, what depends on it alone: the
+    interference coefficients, the outage margins -ln(1-theta) - coeff*lambda
+    of both classes, which are positive where a class's cap is reachable,
+    and, if both are, the phase constants of each class that
+    ``solver._phase_bands`` scales by the other class's powers.  They sit
+    in slots, so ``vars(band)`` holds the parameters alone.
     """
 
-    __slots__ = ("__dict__", "_coeffs")
+    __slots__ = ("__dict__", "_coeffs", "_margins", "_phase")
 
     bandwidth_hz: float
     pathloss_exponent: float
@@ -106,12 +127,31 @@ class BandParams:
             cap = getattr(self, name)
             if not 0.0 < cap < 1.0:
                 raise ValueError(f"{name} must lie strictly inside (0, 1)")
-        object.__setattr__(self, "_coeffs", (
-            interference_coeff(
-                self.sir_threshold_d2d, self.d2d_link_distance_m, self.pathloss_exponent),
-            interference_coeff(
-                self.sir_threshold_cell, self.cell_link_distance_m, self.pathloss_exponent),
-        ))
+        a = self.pathloss_exponent
+        cd = interference_coeff(self.sir_threshold_d2d, self.d2d_link_distance_m, a)
+        cc = interference_coeff(self.sir_threshold_cell, self.cell_link_distance_m, a)
+        used_d, used_c = cd * self.density_d2d, cc * self.density_cell
+        margin_d = -math.log(1.0 - self.outage_cap_d2d) - used_d
+        margin_c = -math.log(1.0 - self.outage_cap_cell) - used_c
+        # each class's (f_lo, f_hi, power cap, c, K); see solver._phase_bands
+        phase = None
+        if margin_d > 0.0 and margin_c > 0.0:
+            k = a / 2.0
+            phase = {
+                "d2d": (_power_or_inf(cd * self.density_cell, margin_d, k),
+                        _power_or_inf(margin_c, cc * self.density_d2d, k),
+                        self.max_power_d2d_w, cd * self.density_cell,
+                        self.bandwidth_hz * math.log2(1.0 + self.sir_threshold_d2d)
+                        * math.exp(-used_d)),
+                "cell": (_power_or_inf(cc * self.density_d2d, margin_c, k),
+                         _power_or_inf(margin_d, cd * self.density_cell, k),
+                         self.max_power_cell_w, cc * self.density_d2d,
+                         self.bandwidth_hz * math.log2(1.0 + self.sir_threshold_cell)
+                         * math.exp(-used_c)),
+            }
+        object.__setattr__(self, "_coeffs", (cd, cc))
+        object.__setattr__(self, "_margins", {"d2d": margin_d, "cell": margin_c})
+        object.__setattr__(self, "_phase", phase)
 
     def __reduce__(self):
         # rebuild through __init__: a frozen instance cannot have its slot set
@@ -127,20 +167,11 @@ class BandParams:
 
 @dataclass(frozen=True)
 class SystemParams:
-    """All bands plus the cross-band transmit power budgets.
-
-    The bands are kept as a tuple, so nothing that ``cache`` holds can go
-    stale.  ``cache`` maps a user class, ``"d2d"`` or ``"cell"``, to one
-    entry per band: None until a phase first reaches the band, then the
-    tuple of that class's constants on it (see
-    ``solver._band_constants``), from which each phase call builds its
-    band objectives.
-    """
+    """All bands, kept as a tuple, plus the cross-band transmit power budgets."""
 
     bands: tuple[BandParams, ...]
     budget_d2d_w: float
     budget_cell_w: float
-    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "bands", tuple(self.bands))

@@ -12,13 +12,13 @@ so that point clamped to the box is the band's power, with no objective
 evaluated; at mu > 0 the band takes the best of the box ends and the
 clamped rising root of the slope (see _Objective.argmax).
 
-Each band's box and objective split into constants of the system and a
+Each band's box and objective split into constants of the band and a
 scaling by the other class's powers q, the only input a phase varies:
-the outage margins, the box factors, K and the interference coefficient
-are computed once per band and class and cached on the system.  A phase
-call multiplies them by q or q^(2/alpha) into one _Objective per band,
-its box and objective, whose argmax at a multiplier mu is that band's
-best power (see _phase_bands).
+the box factors, K and the interference coefficient are computed once,
+when the band is built (see model.BandParams).  A phase call multiplies
+them by q or q^(2/alpha) into one _Objective per band, its box and
+objective, whose argmax at a multiplier mu is that band's best power
+(see _phase_bands).
 
 The paper states phase one in the substituted variable x = exp(cd *
 lambda_c * (Pc/Pd)^(2/alpha)); the solve works in power space and never
@@ -185,36 +185,6 @@ def curvature_interval(alpha: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# outage margins
-
-
-def _margin(band: BandParams, cls: str, band_index: int) -> tuple[float, float, float]:
-    """(margin, interference coefficient, density) of one user class, ``"d2d"``
-    or ``"cell"``, on a band.  The margin -ln(1-theta) - coeff*lambda is the
-    outage budget the class leaves to the other class's interference."""
-    coeff = getattr(band, f"coeff_{cls}")()
-    density = getattr(band, f"density_{cls}")
-    cap_exp = -math.log(1.0 - getattr(band, f"outage_cap_{cls}"))
-    used = coeff * density
-    if cap_exp > used:
-        return cap_exp - used, coeff, density
-    if cls == "d2d":
-        raise InfeasibleProblem(
-            "D2D QoS unreachable: outage cap below the density-only outage",
-            band=band_index,
-            constraint="qos_d2d",
-        )
-    # coeff grows as T^(2/alpha): the cap is reachable only below t_max
-    t_max = band.sir_threshold_cell * (cap_exp / used) ** (band.pathloss_exponent / 2.0)
-    raise InfeasibleProblem(
-        "cellular outage cap unreachable at any power: "
-        f"sir_threshold_cell must be below {t_max:.3g} on band {band_index}",
-        band=band_index,
-        constraint="qos_cell",
-    )
-
-
-# ---------------------------------------------------------------------------
 # budget multiplier
 
 
@@ -267,25 +237,23 @@ _GAP_FLAG = {
 }
 
 
-def _band_constants(band: BandParams, own: str, other: str, i: int) -> tuple:
-    """Constants of class ``own`` on band ``i``: (f_lo, f_hi, cap,
-    coeff_own * lambda_other, K, alpha).
-
-    f_lo = (coeff_own * lambda_other / margin_own)^k and f_hi = (margin_other
-    / (coeff_other * lambda_own))^k are the box factors: f_lo is 0 where
-    lambda_other is 0, and f_hi is inf where lambda_own is 0.  Raises
-    InfeasibleProblem when an outage cap is unreachable, checking the other
-    class first.
-    """
-    a = band.pathloss_exponent
-    k = a / 2.0
-    margin_other, coeff_other, dens_other = _margin(band, other, i)
-    margin_own, coeff_own, dens_own = _margin(band, own, i)
-    f_lo = (coeff_own * dens_other / margin_own) ** k
-    f_hi = (margin_other / (coeff_other * dens_own)) ** k if dens_own > 0 else math.inf
-    threshold = getattr(band, f"sir_threshold_{own}")
-    k_amp = band.bandwidth_hz * math.log2(1.0 + threshold) * math.exp(-coeff_own * dens_own)
-    return f_lo, f_hi, getattr(band, f"max_power_{own}_w"), coeff_own * dens_other, k_amp, a
+def _unreachable(band: BandParams, own: str, other: str, i: int) -> InfeasibleProblem:
+    """The error of band ``i`` when a phase of class ``own`` finds an outage
+    cap that no power reaches, class ``other``'s checked first."""
+    cls = own if band._margins[other] > 0.0 else other
+    if cls == "d2d":
+        return InfeasibleProblem("D2D QoS unreachable: outage cap below the density-only outage",
+                                 band=i, constraint="qos_d2d")
+    # coeff grows as T^(2/alpha): the cap is reachable only below t_max
+    cap_exp = -math.log(1.0 - band.outage_cap_cell)
+    used = band.coeff_cell() * band.density_cell
+    t_max = band.sir_threshold_cell * (cap_exp / used) ** (band.pathloss_exponent / 2.0)
+    return InfeasibleProblem(
+        "cellular outage cap unreachable at any power: "
+        f"sir_threshold_cell must be below {t_max:.3g} on band {i}",
+        band=i,
+        constraint="qos_cell",
+    )
 
 
 class _Objective(NamedTuple):
@@ -354,16 +322,14 @@ def _phase_bands(
     <= p <= min(q * (margin_other / (coeff_other * lambda_own))^k, cap), and
     the objective is K * exp(-c * p^(-2/alpha)) / p with K = W log2(1+T_own)
     exp(-coeff_own * lambda_own), c = coeff_own * lambda_other * q^(2/alpha).
-    Everything but q is a constant of the system (see _band_constants): it
-    is computed once per band and class, on the first call that reaches the
-    band, and kept in ``system.cache``; a call only scales the box factors
-    and c by q.  A band whose constants raise caches nothing, so every call
-    raises there again.  Two threads that fill a band at once store equal
-    tuples.  Returns (bounds, objectives, flags): bounds[i] is band i's box
-    and objectives[i] its _Objective.  A band without other-class density
-    has no positive lower end and no interior optimum: its objective's
-    lower end is anchored at the power tolerance, and _solve_phase checks
-    the budget against that anchor.
+    Everything but q is a constant of the band, computed when it is built
+    (see model.BandParams); a call only scales the box factors and c by q.
+    A box factor that overflows is inf.  A band without the constants, where
+    an outage cap is unreachable, raises.  Returns (bounds, objectives,
+    flags): bounds[i] is band i's box and objectives[i] its _Objective.  A
+    band without other-class density has no positive lower end and no
+    interior optimum: its objective's lower end is anchored at the power
+    tolerance, and _solve_phase checks the budget against that anchor.
     """
     other = "cell" if own == "d2d" else "d2d"
     if len(q) != system.num_bands:
@@ -372,14 +338,14 @@ def _phase_bands(
         if not 0.0 < qi < math.inf:  # a box factor of 0 or inf would give nan
             raise ValueError(f"{_NAME[other]} power on band {i} must be positive and finite")
 
-    consts = system.cache.setdefault(own, [None] * system.num_bands)
     bounds: list[tuple[float, float]] = []
     objectives: list[_Objective] = []
     flags: list[str] = []
     for i, band in enumerate(system.bands):
-        if consts[i] is None:
-            consts[i] = _band_constants(band, own, other, i)
-        f_lo, f_hi, cap, c_unit, k_amp, a = consts[i]
+        if band._phase is None:
+            raise _unreachable(band, own, other, i)
+        f_lo, f_hi, cap, c_unit, k_amp = band._phase[own]
+        a = band.pathloss_exponent
         lo, hi = q[i] * f_lo, q[i] * f_hi
         hi, hi_source = (hi, f"qos_{other}") if hi <= cap else (cap, "power_cap")
         if lo > hi:

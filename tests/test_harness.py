@@ -282,6 +282,16 @@ class TestConfig:
         assert main(argv) == EXIT_CONFIG
         assert f"error: {names.format(path=cfg_path)}" in capsys.readouterr().err
 
+    def test_overflowing_interference_coefficient_named(self, tmp_path, capsys):
+        # the squared link distance overflows: a config error that names the
+        # band, not a traceback
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"d2d_link_distance_m": 1e200}))
+        argv = ["solve", "--config", str(cfg_path), "--out", str(tmp_path)]
+        assert main(argv) == EXIT_CONFIG
+        assert ("error: config band 0: interference coefficient is not finite"
+                in capsys.readouterr().err)
+
     def test_retired_budget_tolerance_only_at_its_value(self, tmp_path):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"solver": {"budget_tol_rel": 1e-6}}))
@@ -494,6 +504,23 @@ class TestSweep:
         lines = (tmp_path / "sweep.csv").read_bytes().splitlines(keepends=True)
         body = b"".join(line for line in lines if not line.startswith(b"#"))
         assert hashlib.md5(body).hexdigest() == "c3032d089a485f9bd0f59e11f315f6cf"
+
+    def test_vanishing_density_point_solves(self, tmp_path):
+        # at lambda_d_ref = 1e-300 each D2D interference exponent underflows
+        # or a box factor overflows; both are an infinite box end, which the
+        # power cap bounds, so the point solves like a density of 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(
+            sir_threshold_d2d=1e-6, sir_threshold_cell=1e-6, budget_d2d_w=0.08,
+            lambda_c_ref=1e-5, baseline_p_cell_w=0.325)))
+        assert main(["sweep", "--config", str(cfg_path), "--sweep-var", "lambda_d_ref",
+                     "--sweep-grid", "1e-4,1e-300", "--out", str(tmp_path)]) == EXIT_OK
+        rows = read_csv(tmp_path / "sweep.csv")
+        assert [float(r["swept_value"]) for r in rows] == [1e-4, 1e-300]
+        for row in rows:
+            assert row["infeasible_bands"] == ""
+            cells = [v for k, v in row.items() if k.startswith(("p_", "ee_", "baseline_"))]
+            assert len(cells) == 14 and all(math.isfinite(float(v)) for v in cells)
 
     @pytest.mark.parametrize("variable, grid, digest", [
         # a negative density is an error row; the two densest points fail qos_cell

@@ -3,8 +3,9 @@ over random valid band lists.
 
 Every draw either raises an InfeasibleProblem that names its constraint
 (and its band, unless a budget is at fault), or returns finite, normal
-powers within the budget that permute exactly with the bands.  The
-constants a system caches for its phases change no result and no error.
+powers within the budget that permute exactly with the bands.  A phase
+on bands that earlier calls used gives the result, or the error, of one
+on freshly built bands, and tiny densities give finite powers too.
 """
 
 import math
@@ -145,7 +146,8 @@ def test_whole_solve_is_named_or_feasible(problem):
 
 
 def twin(system: SystemParams) -> SystemParams:
-    """A freshly built copy of the system: new bands, nothing cached."""
+    """A freshly built copy of the system: new bands, whose phase constants
+    no call has read yet."""
     return SystemParams(bands=[BandParams(**vars(b)) for b in system.bands],
                         budget_d2d_w=system.budget_d2d_w, budget_cell_w=system.budget_cell_w)
 
@@ -161,10 +163,12 @@ def outcome(system: SystemParams, own: str, q: list[float]):
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(phase_problems(), st.data())
 def test_cached_constants_change_no_result(problem, data):
+    """A phase on bands that earlier calls used gives the result, or the
+    error, of one on freshly built bands, and a repeated error is the same."""
     system, q, _ = problem
     warm_q = data.draw(st.lists(log_uniform(-6, 0), min_size=len(q), max_size=len(q)))
     for own in ("d2d", "cell"):
-        outcome(system, own, warm_q)  # fills the cache, or raises before a band
+        outcome(system, own, warm_q)  # an earlier call on the same bands
         warm = outcome(system, own, q)
         assert warm == outcome(twin(system), own, q)
         assert outcome(system, own, q) == warm  # a repeated error is the same error
@@ -183,3 +187,34 @@ def test_metrics_ee_is_ee_per_band(problem, data):
         assert 0.0 in {ee for pair in per_band for ee in pair}
         return
     assert list(zip(rep.ee_d2d, rep.ee_cell)) == per_band
+
+
+# densities whose interference exponent coeff * lambda underflows to 0 or
+# makes a box factor (num / den)^(alpha/2) overflow
+tiny_densities = st.one_of(st.just(0.0), st.just(5e-324), log_uniform(-323, -150), densities)
+
+
+@st.composite
+def slack_phase_problems(draw):
+    """A phase problem with tiny densities and budgets that no phase can bind."""
+    band_list = [BandParams(**{**vars(b), "density_d2d": draw(tiny_densities),
+                               "density_cell": draw(tiny_densities)})
+                 for b in draw(st.lists(bands, min_size=1, max_size=4))]
+    system = SystemParams(bands=band_list,
+                          budget_d2d_w=2.0 * sum(b.max_power_d2d_w for b in band_list),
+                          budget_cell_w=2.0 * sum(b.max_power_cell_w for b in band_list))
+    return system, draw(st.lists(log_uniform(-6, 0), min_size=len(band_list),
+                                 max_size=len(band_list)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(slack_phase_problems())
+def test_tiny_densities_give_finite_powers_or_name_their_fault(problem):
+    system, q = problem
+    for solve, _ in PHASES.values():
+        try:
+            powers = solve(system, q)
+        except InfeasibleProblem as err:
+            check_named(err, system)
+            continue
+        assert all(math.isfinite(p) for p in powers)

@@ -667,6 +667,19 @@ class TestIterate:
             ratios.append([pc / pd for pc, pd in zip(alloc.p_cell_w, alloc.p_d2d_w)])
         assert ratios[1] == pytest.approx(ratios[0], rel=1e-12)
 
+    def test_subnormal_density_solves(self, make_system):
+        # coeff_cell * 5e-324 underflows to 0: the D2D box's cellular-QoS end
+        # is +inf, as at zero D2D density, and the power cap bounds the box
+        system = make_system(density_d2d=5e-324, sir_threshold_d2d=1e-5,
+                             sir_threshold_cell=1e-6, cell_link_distance_m=5.0)
+        assert system.bands[0].coeff_cell() * 5e-324 == 0.0
+        _, diag = solve_d2d_phase(system, [0.3])
+        assert diag["bounds"][0][1] == system.bands[0].max_power_d2d_w
+        result = optimize_powers(system)
+        assert result.feasibility.ok
+        powers = result.alloc.p_d2d_w + result.alloc.p_cell_w
+        assert all(0.0 < p < math.inf for p in powers)
+
     def test_infeasible_names_band_and_constraint(self, make_band):
         system = table1_system(make_band)
         bands = list(system.bands)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 from d2dee import BandParams, InfeasibleProblem
-from d2dee.solver import _margin
 
 
 @dataclass
@@ -50,7 +49,19 @@ def x_feasible_box(band: BandParams, p_cell_w: float, band_index: int = 0) -> Fe
     cc = band.coeff_cell()
     ld, lc = band.density_d2d, band.density_cell
     hi = math.exp(-cd * ld) / (1.0 - band.outage_cap_d2d)
-    lo_qos = math.exp(cc * cd * lc * ld / _margin(band, "cell", band_index)[0])
+    # the outage budget -ln(1 - theta_c) - cc*lambda_c that the cellular cap
+    # leaves to D2D interference; cc grows as T^(2/alpha), so the cap is
+    # reachable only below t_max
+    cap_exp = -math.log(1.0 - band.outage_cap_cell)
+    if not cap_exp > cc * lc:
+        t_max = band.sir_threshold_cell * (cap_exp / (cc * lc)) ** (band.pathloss_exponent / 2.0)
+        raise InfeasibleProblem(
+            "cellular outage cap unreachable at any power: "
+            f"sir_threshold_cell must be below {t_max:.3g} on band {band_index}",
+            band=band_index,
+            constraint="qos_cell",
+        )
+    lo_qos = math.exp(cc * cd * lc * ld / (cap_exp - cc * lc))
     lo_cap = math.exp(
         cd * lc * (p_cell_w / band.max_power_d2d_w) ** (2.0 / band.pathloss_exponent)
     )
