@@ -131,23 +131,20 @@ class BandParams:
         cd = interference_coeff(self.sir_threshold_d2d, self.d2d_link_distance_m, a)
         cc = interference_coeff(self.sir_threshold_cell, self.cell_link_distance_m, a)
         used_d, used_c = cd * self.density_d2d, cc * self.density_cell
+        cross_d, cross_c = cd * self.density_cell, cc * self.density_d2d
         margin_d = -math.log(1.0 - self.outage_cap_d2d) - used_d
         margin_c = -math.log(1.0 - self.outage_cap_cell) - used_c
         # each class's (f_lo, f_hi, power cap, c, K); see solver._phase_bands
         phase = None
         if margin_d > 0.0 and margin_c > 0.0:
             k = a / 2.0
+            amp_d = self.bandwidth_hz * math.log2(1.0 + self.sir_threshold_d2d) * math.exp(-used_d)
+            amp_c = self.bandwidth_hz * math.log2(1.0 + self.sir_threshold_cell) * math.exp(-used_c)
             phase = {
-                "d2d": (_power_or_inf(cd * self.density_cell, margin_d, k),
-                        _power_or_inf(margin_c, cc * self.density_d2d, k),
-                        self.max_power_d2d_w, cd * self.density_cell,
-                        self.bandwidth_hz * math.log2(1.0 + self.sir_threshold_d2d)
-                        * math.exp(-used_d)),
-                "cell": (_power_or_inf(cc * self.density_d2d, margin_c, k),
-                         _power_or_inf(margin_d, cd * self.density_cell, k),
-                         self.max_power_cell_w, cc * self.density_d2d,
-                         self.bandwidth_hz * math.log2(1.0 + self.sir_threshold_cell)
-                         * math.exp(-used_c)),
+                "d2d": (_power_or_inf(cross_d, margin_d, k), _power_or_inf(margin_c, cross_c, k),
+                        self.max_power_d2d_w, cross_d, amp_d),
+                "cell": (_power_or_inf(cross_c, margin_c, k), _power_or_inf(margin_d, cross_d, k),
+                         self.max_power_cell_w, cross_c, amp_c),
             }
         object.__setattr__(self, "_coeffs", (cd, cc))
         object.__setattr__(self, "_margins", {"d2d": margin_d, "cell": margin_c})
