@@ -17,7 +17,6 @@ from .model import (
     metrics,
     stp_cell,
     stp_d2d,
-    sup_rate_threshold,
 )
 from .simulate import (
     SimScenario,

@@ -28,7 +28,6 @@ __all__ = [
     "stp_d2d",
     "stp_cell",
     "asr",
-    "sup_rate_threshold",
     "ee_per_band",
     "metrics",
 ]
@@ -71,12 +70,17 @@ def interference_coeff(threshold: float, link_distance_m: float, alpha: float) -
     return coeff
 
 
-def _power_or_inf(num: float, den: float, k: float) -> float:
-    """(num / den)^k for num > 0, or +inf where den is 0 or the power overflows."""
+def _ratio_power(num: float, den: float, e: float) -> float:
+    """(num / den)^e for num >= 0, or +inf where den is 0 or the power overflows.
+    Where num > 0 and the quotient overflows or underflows, exp(e * (ln num -
+    ln den)), so a root (e < 1) of it stays finite and positive."""
     if den == 0.0:
         return math.inf
+    ratio = num / den
     try:
-        return (num / den) ** k
+        if num > 0.0 and (ratio == 0.0 or ratio == math.inf):
+            return math.exp(e * (math.log(num) - math.log(den)))
+        return ratio**e
     except OverflowError:
         return math.inf
 
@@ -141,9 +145,9 @@ class BandParams:
             amp_d = self.bandwidth_hz * math.log2(1.0 + self.sir_threshold_d2d) * math.exp(-used_d)
             amp_c = self.bandwidth_hz * math.log2(1.0 + self.sir_threshold_cell) * math.exp(-used_c)
             phase = {
-                "d2d": (_power_or_inf(cross_d, margin_d, k), _power_or_inf(margin_c, cross_c, k),
+                "d2d": (_ratio_power(cross_d, margin_d, k), _ratio_power(margin_c, cross_c, k),
                         self.max_power_d2d_w, cross_d, amp_d),
-                "cell": (_power_or_inf(cross_c, margin_c, k), _power_or_inf(margin_d, cross_d, k),
+                "cell": (_ratio_power(cross_c, margin_c, k), _ratio_power(margin_d, cross_d, k),
                          self.max_power_cell_w, cross_c, amp_c),
             }
         object.__setattr__(self, "_coeffs", (cd, cc))
@@ -227,14 +231,14 @@ def stp_d2d(band: BandParams, p_cell_w: float, p_d2d_w: float) -> float:
     the powers only through their ratio.
     """
     _check_powers(p_cell_w, p_d2d_w)
-    ratio = (p_cell_w / p_d2d_w) ** (2.0 / band.pathloss_exponent)
+    ratio = _ratio_power(p_cell_w, p_d2d_w, 2.0 / band.pathloss_exponent)
     return math.exp(-band.coeff_d2d() * (band.density_d2d + band.density_cell * ratio))
 
 
 def stp_cell(band: BandParams, p_cell_w: float, p_d2d_w: float) -> float:
     """Success probability of the typical base station, mirror of stp_d2d."""
     _check_powers(p_cell_w, p_d2d_w)
-    ratio = (p_d2d_w / p_cell_w) ** (2.0 / band.pathloss_exponent)
+    ratio = _ratio_power(p_d2d_w, p_cell_w, 2.0 / band.pathloss_exponent)
     return math.exp(-band.coeff_cell() * (band.density_cell + band.density_d2d * ratio))
 
 
@@ -259,37 +263,6 @@ def _rising_root(g, a: float, b: float) -> float:
             a = mid
         else:
             b = mid
-
-
-def sup_rate_threshold(c: float, w_hz: float, alpha: float) -> tuple[float, float]:
-    """Best fixed SIR threshold when STP(T) = exp(-c * T^(2/alpha)).
-
-    Maximizes w * log2(1+T) * exp(-c T^(2/alpha)) over T in [1e-6, 1e6].
-    The rate is stationary where (2c/alpha) T^(2/alpha-1) (1+T) ln(1+T) = 1;
-    the left side strictly increases because ln(1+T) < T, so the root is
-    bisected in ln T, and without a root in the range the clamped end is
-    returned.  Returns (T*, rate).  Standalone utility; the power allocator
-    always works at fixed thresholds.
-    """
-    if c <= 0:
-        raise ValueError("supremum unbounded without interference")
-    if w_hz <= 0:
-        raise ValueError("bandwidth must be positive")
-    expo = 2.0 / alpha
-
-    def falling(u: float) -> float:
-        # positive exactly where the rate decreases in T = e^u
-        t = math.exp(u)
-        return c * expo * t ** (expo - 1.0) * (1.0 + t) * math.log1p(t) - 1.0
-
-    lo, hi = math.log(1e-6), math.log(1e6)
-    if falling(lo) >= 0.0:
-        t_star = 1e-6
-    elif falling(hi) <= 0.0:
-        t_star = 1e6
-    else:
-        t_star = math.exp(_rising_root(falling, lo, hi))
-    return t_star, w_hz * math.log2(1.0 + t_star) * math.exp(-c * t_star**expo)
 
 
 def _ee(band: BandParams, power_w: float, threshold: float, stp: float) -> float:

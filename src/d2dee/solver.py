@@ -6,11 +6,13 @@ energy efficiency.  The closed forms make these one problem with the two
 classes swapped, which one power-space routine solves: each band maximizes
 K * exp(-c * p^(-2/alpha)) / p - mu * p over the box that both outage caps
 and the power cap set, and the class's single power budget is handled by
-bisection on its Lagrange multiplier mu.  At mu = 0 the objective rises
-up to its one stationary point (2c/alpha)^(alpha/2) and falls beyond it,
-so that point clamped to the box is the band's power, with no objective
-evaluated; at mu > 0 the band takes the best of the box ends and the
-clamped rising root of the slope (see _Objective.argmax).
+bisection on ln mu, the log of its Lagrange multiplier, between two
+closed-form ends (see _solve_phase).  At mu = 0 the objective rises up to
+its one stationary point (2c/alpha)^(alpha/2) and falls beyond it, so that
+point clamped to the box is the band's power, with no objective evaluated;
+at mu > 0 the band's power depends on c and on the one number ln mu +
+alpha ln c - ln K, and is the better of the lower end and the clamped
+rising root of the slope (see _Objective.argmax_ln).
 
 Each band's box and objective split into constants of the band and a
 scaling by the other class's powers q, the only input a phase varies:
@@ -35,11 +37,13 @@ iteration trace for how results are reported.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 from .model import (
     BandParams,
+    _ratio_power,
     _rising_root,
     MetricsReport,
     PowerAllocation,
@@ -164,7 +168,7 @@ def x_from_powers(band: BandParams, p_cell_w: float, p_d2d_w: float) -> float:
         raise ValueError("transmit powers must be strictly positive")
     if band.density_cell == 0:
         raise ValueError("transform undefined without cellular density")
-    ratio = (p_cell_w / p_d2d_w) ** (2.0 / band.pathloss_exponent)
+    ratio = _ratio_power(p_cell_w, p_d2d_w, 2.0 / band.pathloss_exponent)
     return math.exp(band.coeff_d2d() * band.density_cell * ratio)
 
 
@@ -188,38 +192,28 @@ def curvature_interval(alpha: float) -> tuple[float, float]:
 # budget multiplier
 
 
-def _dual_bisect(solve_at_mu, budget: float):
-    """Bisection on the multiplier of a single coupling power budget.
+def _dual_bisect(solve_at, budget: float, lo: float, hi: float):
+    """Bisection on ln mu, the log of a single coupling power budget's multiplier.
 
-    ``solve_at_mu(mu)`` returns the per-band powers maximizing the penalized
-    objectives; their sum is nonincreasing in mu.  Returns (powers, mu).
-    The powers meet the budget unless no multiplier up to 4^399 does, in
-    which case they are those at mu = 0.  A bracket that collapses on a
-    jump (duality gap) returns the powers under the budget at its upper
-    end, even if they undershoot it by more than BUDGET_TOL_REL.
+    ``solve_at(ln_mu)`` returns the per-band powers maximizing the penalized
+    objectives; their sum is nonincreasing in ln_mu and meets the budget at
+    ``hi``.  Stops at adjacent floats or once the spend is within
+    BUDGET_TOL_REL below the budget, and returns (powers, ln_mu) at the upper
+    end: a bracket that collapses on a jump (duality gap) may undershoot.
     """
-    dec0 = solve_at_mu(0.0)
-    if math.fsum(dec0) <= budget:
-        return dec0, 0.0
-    mu_lo, mu_hi = 0.0, 1.0
-    for _ in range(400):
-        dec_hi = solve_at_mu(mu_hi)
-        if math.fsum(dec_hi) <= budget:
-            break
-        mu_lo = mu_hi
-        mu_hi *= 4.0
-    else:
-        return dec0, 0.0
-    while (mu_hi - mu_lo) > 1e-15 * mu_hi:
-        mid = 0.5 * (mu_lo + mu_hi)
-        dec_mid = solve_at_mu(mid)
-        if math.fsum(dec_mid) <= budget:
-            mu_hi, dec_hi = mid, dec_mid
-            if budget - math.fsum(dec_mid) <= BUDGET_TOL_REL * budget:
-                break
+    dec_hi = solve_at(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return dec_hi, hi
+        dec_mid = solve_at(mid)
+        spent = math.fsum(dec_mid)
+        if spent <= budget:
+            hi, dec_hi = mid, dec_mid
+            if budget - spent <= BUDGET_TOL_REL * budget:
+                return dec_hi, hi
         else:
-            mu_lo = mid
-    return dec_hi, mu_hi
+            lo = mid
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +224,6 @@ _NAME = {"d2d": "D2D", "cell": "cellular"}
 _BUDGET_INFEASIBLE = {
     "d2d": "D2D budget infeasible under QoS caps",
     "cell": "cellular budget below the sum of QoS lower bounds",
-}
-_GAP_FLAG = {
-    "d2d": "budget met by proportional scaling (duality gap)",
-    "cell": "cellular budget met by proportional scaling (duality gap)",
 }
 
 
@@ -256,6 +246,16 @@ def _unreachable(band: BandParams, own: str, other: str, i: int) -> InfeasiblePr
     )
 
 
+def _h(t: float, a: float) -> float:
+    """h_alpha(t) = -t + alpha ln t + ln(2t/alpha - 1), for t > alpha/2."""
+    return -t + a * math.log(t) + math.log((2.0 * t - a) / a)
+
+
+def _t_peak(a: float) -> float:
+    """Where h_alpha peaks: the larger root of 2t^2 - (3 alpha + 2) t + alpha^2."""
+    return (3.0 * a + 2.0 + math.sqrt(a * a + 12.0 * a + 4.0)) / 4.0
+
+
 class _Objective(NamedTuple):
     """One band's phase objective K * exp(-c * p^(-2/alpha)) / p - mu * p
     on lo <= p <= hi, with the lower end anchored (see _phase_bands)."""
@@ -268,6 +268,20 @@ class _Objective(NamedTuple):
 
     def value(self, p: float, mu: float) -> float:
         return self.k_amp * math.exp(-self.c * p ** (-2.0 / self.alpha)) / p - mu * p
+
+    def ln_gain(self, p: float, ln_mu: float) -> float:
+        """ln K - c p^(-2/alpha) - ln p - ln mu, the log of the objective's first term over mu."""
+        return math.log(self.k_amp) - self.c * p ** (-2.0 / self.alpha) - math.log(p) - ln_mu
+
+    def ln_mu_ends(self) -> tuple[float, float] | None:
+        """(bottom, top): below bottom the root t* rounds to alpha/2, the answer
+        at mu = 0; at and above top the answer is lo.  None where every mu > 0
+        gives lo (c or K is 0, or c is inf); see argmax_ln."""
+        a = self.alpha
+        if not (0.0 < self.c < math.inf and self.k_amp > 0.0):
+            return None
+        ln_scale = math.log(self.k_amp) - a * math.log(self.c)
+        return ln_scale + _h(math.nextafter(a / 2.0, math.inf), a), ln_scale + _h(_t_peak(a), a)
 
     def argmax(self, mu: float) -> float:
         """The maximizing power on the box at multiplier ``mu``.
@@ -282,34 +296,38 @@ class _Objective(NamedTuple):
         to 0.0 (it would pick the lower end, although the objective rises
         across the box), or where a box end lies within about 1e-7
         (relative) of the point and ties with it, which changes the value
-        by at most 1e-15, relatively.  At mu > 0 it is the best, by value,
-        of the box ends and the clamped rising root of the slope.
+        by at most 1e-15, relatively.  At mu > 0 see argmax_ln.
         """
-        # In s the slope of K e^(-cs) / p - mu p is psi(s) - mu, psi = K e^(-cs)
-        # s^alpha (beta s - 1), which is zero at 1/beta and peaks once, at the
-        # larger root of c beta s^2 - (c + alpha beta + beta) s + alpha.
-        lo, hi, c, k_amp, a = self.lo, self.hi, self.c, self.k_amp, self.alpha
+        lo, hi, c, a = self.lo, self.hi, self.c, self.alpha
         if c <= 0.0:
             return lo  # no interference from the other class: the objective falls
         if mu == 0.0:
             return min(max((2.0 * c / a) ** (a / 2.0), lo), hi)
-        beta = 2.0 * c / a
+        return self.argmax_ln(math.log(mu))
 
-        def slope(s: float) -> float:
-            try:
-                return k_amp * math.exp(-c * s) * s**a * (beta * s - 1.0) - mu
-            except OverflowError:
-                # s**a alone overflows, psi need not: compare logs, by sign
-                rest = k_amp * math.exp(-c * s) * (beta * s - 1.0)
-                above = rest > 0.0 and math.log(rest) + a * math.log(s) > math.log(mu)
-                return 1.0 if above else -1.0
+    def argmax_ln(self, ln_mu: float) -> float:
+        """The maximizing power on the box at multiplier mu = exp(ln_mu) > 0.
 
-        b = c + a * beta + beta
-        s_p = (b + math.sqrt(b * b - 4.0 * c * beta * a)) / (2.0 * c * beta)
-        if slope(s_p) <= 0.0:
-            return lo  # the objective falls everywhere
-        root = _rising_root(slope, 1.0 / beta, s_p) ** (-a / 2.0)
-        return max((lo, min(max(root, lo), hi), hi), key=lambda p: self.value(p, mu))
+        With t = c p^(-2/alpha) the slope has the sign of h_alpha(t) - ln m,
+        ln m = ln mu + alpha ln c - ln K, and h_alpha rises from -inf at alpha/2
+        to its peak at _t_peak, then falls.  So at ln m >= h_alpha(_t_peak) the
+        objective falls and the answer is lo; otherwise it is the better of lo
+        and p = (c/t*)^(alpha/2) clamped, t* the root on (alpha/2, _t_peak).
+        On the objective over mu, e^ln_gain - p, p is better where
+        e^ln_gain(p) (1 - e^(ln_gain(lo) - ln_gain(p))) > p - lo: in logs.
+        """
+        lo, hi, c, a = self.lo, self.hi, self.c, self.alpha
+        ends = self.ln_mu_ends()
+        if ends is None or ln_mu >= ends[1]:
+            return lo  # the objective falls across the box
+        ln_m = ln_mu + a * math.log(c) - math.log(self.k_amp)
+        t = _rising_root(lambda t: _h(t, a) - ln_m, a / 2.0, _t_peak(a))
+        p = min(max(_ratio_power(c, t, a / 2.0), lo), hi)
+        if p == lo:
+            return lo
+        g_p, g_lo = self.ln_gain(p, ln_mu), self.ln_gain(lo, ln_mu)
+        rise = -math.expm1(g_lo - g_p)
+        return p if rise > 0.0 and g_p + math.log(rise) > math.log(p - lo) else lo
 
 
 def _phase_bands(
@@ -324,7 +342,8 @@ def _phase_bands(
     exp(-coeff_own * lambda_own), c = coeff_own * lambda_other * q^(2/alpha).
     Everything but q is a constant of the band, computed when it is built
     (see model.BandParams); a call only scales the box factors and c by q.
-    A box factor that overflows is inf.  A band without the constants, where
+    A box factor that overflows is inf, and a lower end below the smallest
+    normal float steps up one ulp.  A band without the constants, where
     an outage cap is unreachable, raises.  Returns (bounds, objectives,
     flags): bounds[i] is band i's box and objectives[i] its _Objective.  A
     band without other-class density has no positive lower end and no
@@ -347,6 +366,8 @@ def _phase_bands(
         f_lo, f_hi, cap, c_unit, k_amp = band._phase[own]
         a = band.pathloss_exponent
         lo, hi = q[i] * f_lo, q[i] * f_hi
+        if 0.0 < lo < sys.float_info.min:  # rounded to fewer bits, it can miss its outage cap
+            lo = math.nextafter(lo, math.inf)
         hi, hi_source = (hi, f"qos_{other}") if hi <= cap else (cap, "power_cap")
         if lo > hi:
             raise InfeasibleProblem(f"empty feasible set on band {i}", band=i, constraint=hi_source)
@@ -364,12 +385,13 @@ def _solve_phase(
 ) -> tuple[list[float], dict]:
     """Maximize the total energy efficiency of class ``own`` at fixed ``q``.
 
-    Each band maximizes its _Objective over its box (see _phase_bands); the
-    class's budget is enforced by bisection on mu (see _dual_bisect).  Lower
-    ends that exceed the budget by more than its tolerance raise; within it
-    they are returned at once, flagged.  Only if no multiplier up to 4^399
-    meets the budget is every band's excess above its lower end scaled by
-    one factor, and flagged.
+    Each band maximizes its _Objective over its box (see _phase_bands).
+    Lower ends that exceed the budget by more than its tolerance raise;
+    within it they are returned at once, flagged.  Where the answers at mu =
+    0 overspend, ln mu is bisected (see _dual_bisect) from the least bottom
+    to the greatest top of the bands' _Objective.ln_mu_ends, where every
+    band is at its lower end.  The diagnostics' "mu" is exp(ln mu), inf
+    where that overflows a float.
     """
     bounds, objectives, flags = _phase_bands(system, own, q, opts)
     budget = getattr(system, f"budget_{own}_w")
@@ -380,14 +402,14 @@ def _solve_phase(
         # no multiplier takes a band below its lower end
         flags.append(f"{_NAME[own]} lower ends exceed the budget within BUDGET_TOL_REL")
         return [b.lo for b in objectives], {"mu": 0.0, "flags": flags, "bounds": bounds}
-    solve_at_mu = lambda mu: [b.argmax(mu) for b in objectives]
-    dec, mu = _dual_bisect(solve_at_mu, budget)
-    if math.fsum(dec) > budget:
-        # no multiplier up to 4^399 meets the budget; the lower ends cannot
-        # give way, so scaling them too could overspend
-        s = (budget - floor) / (math.fsum(dec) - floor)
-        dec = [min(b.lo + s * (p - b.lo), b.hi) for p, b in zip(dec, objectives)]
-        flags.append(_GAP_FLAG[own])
+    dec = [b.argmax(0.0) for b in objectives]
+    if math.fsum(dec) <= budget:
+        return dec, {"mu": 0.0, "flags": flags, "bounds": bounds}
+    ends = [e for e in (b.ln_mu_ends() for b in objectives) if e is not None]
+    dec, ln_mu = _dual_bisect(lambda ln_mu: [b.argmax_ln(ln_mu) for b in objectives], budget,
+                              min((e[0] for e in ends), default=0.0),
+                              max((e[1] for e in ends), default=0.0))
+    mu = math.exp(ln_mu) if ln_mu <= math.log(sys.float_info.max) else math.inf
     return dec, {"mu": mu, "flags": flags, "bounds": bounds}
 
 
@@ -474,13 +496,7 @@ def optimize_powers(system: SystemParams, opts: SolveOptions | None = None) -> A
         # the last iteration's report is of these powers; none exists only
         # when the starting cellular powers underflow, and then this raises
         rep = metrics(system, alloc)
-    return AllocationResult(
-        alloc=alloc,
-        trace=trace,
-        metrics=rep,
-        feasibility=check_feasible(system, alloc, rep),
-        flags=flags,
-    )
+    return _result(system, alloc, trace, rep, flags)
 
 
 def baseline_fixed_cell(
@@ -508,13 +524,19 @@ def baseline_fixed_cell(
     rep = metrics(system, alloc)
     trace.ee_d2d_total.append(rep.ee_d2d_total)
     trace.ee_cell_total.append(rep.ee_cell_total)
-    return AllocationResult(
-        alloc=alloc,
-        trace=trace,
-        metrics=rep,
-        feasibility=check_feasible(system, alloc, rep),
-        flags=list(diag["flags"]),
-    )
+    return _result(system, alloc, trace, rep, list(diag["flags"]))
+
+
+def _result(system: SystemParams, alloc: PowerAllocation, trace: IterationTrace,
+            rep: MetricsReport, flags: list[str]) -> AllocationResult:
+    """The result of ``alloc``, whose ``metrics`` report is ``rep``, with a
+    flag for every band whose power lies below the smallest normal float:
+    such a power carries fewer than 53 bits, so its ratio is less exact."""
+    for name, powers in (("D2D", alloc.p_d2d_w), ("cellular", alloc.p_cell_w)):
+        flags += [f"band {i}: {name} power below the smallest normal float"
+                  for i, p in enumerate(powers) if p < sys.float_info.min]
+    return AllocationResult(alloc=alloc, trace=trace, metrics=rep,
+                            feasibility=check_feasible(system, alloc, rep), flags=flags)
 
 
 def check_feasible(

@@ -391,15 +391,15 @@ class TestSolveAndTrace:
         assert digest == "995e20e8218566631d5d64dc814e5cb9"
 
     @pytest.mark.parametrize("budget_d2d_w, digest", [
-        (0.1, "cee249cc56b7f2bd822788caaab83f7e"),  # converges in 7; 14 of 14 phases mu > 0
-        (0.2, "5beaa845414bdd3578074ff986a888e1"),  # 10-iteration cap; 15 of 20 mu > 0
+        (0.1, "c311e5e86f5703f479833e7b33cfcc08"),  # converges in 7; 14 of 14 phases mu > 0
+        (0.2, "ff78dbdae823969ff6e91f0516ed9582"),  # 10-iteration cap; 15 of 20 mu > 0
     ], ids=["budget_d2d_0.1", "budget_d2d_0.2"])
     def test_budget_bound_result_pinned(self, budget_d2d_w, digest, tmp_path):
         # the md5 of the result block on the sweep-budget layout, where the
         # budgets bind and the dual bisection runs (the Table-1 pin above has
-        # mu = 0 in every phase).  Pinned before the band objective became one
-        # type.  ROADMAP item 2's exact phase moves these bits on purpose: it
-        # must re-pin, recording the old and new digests.
+        # mu = 0 in every phase).  Pinned when the bisection moved to ln mu,
+        # between closed-form ends.  ROADMAP item 2's exact phase moves these
+        # bits on purpose: it must re-pin, recording the old and new digests.
         coupled = 2.5 / (math.pi * 20.0**2 * math.pi / 2.0)
         doc = {
             "num_bands": 5, "bandwidth_hz": 20e6, "pathloss_exponent": 4.0,

@@ -17,7 +17,6 @@ from d2dee import (
     metrics,
     stp_cell,
     stp_d2d,
-    sup_rate_threshold,
 )
 
 
@@ -140,31 +139,6 @@ class TestAsr:
 
     def test_zero_threshold_zero_rate(self, band1):
         assert asr(band1, 0.9, 1e-4, 0.0) == 0.0
-
-
-class TestSupRateThreshold:
-    def test_overwhelming_interference(self):
-        _, rate = sup_rate_threshold(1e6, 1.0, 4.0)
-        assert rate < 1e-3
-
-    def test_dominates_dense_grid(self):
-        t_star, rate = sup_rate_threshold(0.1, 1.0, 4.0)
-        grid = np.geomspace(1e-6, 1e6, 10**6)
-        dense = np.log2(1 + grid) * np.exp(-0.1 * np.sqrt(grid))
-        assert rate >= dense.max() * (1 - 1e-9)
-        assert rate >= np.log2(1 + t_star / 2) * math.exp(-0.1 * (t_star / 2) ** 0.5)
-        assert rate >= np.log2(1 + 2 * t_star) * math.exp(-0.1 * (2 * t_star) ** 0.5)
-
-    def test_stationarity(self):
-        t_star, rate = sup_rate_threshold(0.1, 1.0, 4.0)
-        f = lambda t: math.log2(1 + t) * math.exp(-0.1 * t**0.5)
-        h = 1e-6 * t_star
-        deriv = (f(t_star + h) - f(t_star - h)) / (2 * h)
-        assert abs(deriv) <= 1e-6 * rate
-
-    def test_rejects_nonpositive_coefficient(self):
-        with pytest.raises(ValueError, match="supremum unbounded without interference"):
-            sup_rate_threshold(0.0, 1.0, 4.0)
 
 
 class TestEePerBand:

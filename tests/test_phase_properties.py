@@ -5,7 +5,9 @@ Every draw either raises an InfeasibleProblem that names its constraint
 (and its band, unless a budget is at fault), or returns finite, normal
 powers within the budget that permute exactly with the bands.  A phase
 on bands that earlier calls used gives the result, or the error, of one
-on freshly built bands, and tiny densities give finite powers too.
+on freshly built bands, and tiny densities give finite powers too, in a
+phase and in a whole solve.  At a positive multiplier a band's argmax
+beats a dense grid of its box, at any interference coefficient.
 """
 
 import math
@@ -15,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2dee import BandParams, InfeasibleProblem, PowerAllocation, SystemParams
-from d2dee import ee_per_band, metrics, optimize_powers, solve_cell_phase, solve_d2d_phase
-from d2dee.solver import BUDGET_TOL_REL, SolveOptions, _Objective, _solve_phase
+from d2dee import (baseline_fixed_cell, ee_per_band, metrics, optimize_powers, solve_cell_phase,
+                   solve_d2d_phase)
+from d2dee.solver import (BUDGET_TOL_REL, SolveOptions, _h, _Objective, _phase_bands,
+                          _solve_phase, _t_peak)
 
 
 def log_uniform(lo_exp: float, hi_exp: float):
@@ -121,6 +125,40 @@ def test_zero_multiplier_argmax_is_the_clamped_root(b):
 
 
 @st.composite
+def scaled_objectives(draw):
+    """A band objective with c from 1e-300 to 1e300 and a box on which t =
+    c p^(-2/alpha) runs from somewhere in [1e-2, 1e2] up to at most 1e4 and
+    p stays inside e^(+-600), at an ln mu where ln m = ln mu + alpha ln c -
+    ln K lies in [-60, h_alpha(t_peak) + 2]."""
+    a = draw(st.floats(2.2, 6.0))
+    ln_t_lo = draw(st.floats(math.log(1e-2), math.log(1e2)))
+    ln_t_hi = draw(st.floats(ln_t_lo, math.log(1e4)))
+    ln_c = draw(st.floats(max(-690.0, ln_t_hi - 1200.0 / a), min(690.0, ln_t_lo + 1200.0 / a)))
+    lo, hi = (math.exp(a / 2.0 * (ln_c - ln_t)) for ln_t in (ln_t_hi, ln_t_lo))
+    b = _Objective(lo, hi, math.exp(ln_c), draw(log_uniform(3, 9)), a)
+    ln_m = draw(st.floats(-60.0, _h(_t_peak(a), a) + 2.0))
+    return b, ln_m - a * ln_c + math.log(b.k_amp)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(scaled_objectives())
+def test_positive_multiplier_argmax_beats_a_dense_grid(problem):
+    b, ln_mu = problem
+
+    def scaled(p: float) -> tuple[float, float]:
+        """The objective over mu, e^g - p, and the size of its terms."""
+        e = math.exp(math.log(b.k_amp) - b.c * p ** (-2.0 / b.alpha) - math.log(p) - ln_mu)
+        return e - p, e + p
+
+    p = b.argmax_ln(ln_mu)
+    assert b.lo <= p <= b.hi
+    best, size = scaled(p)
+    for k in range(2001):
+        v, s = scaled(b.lo * (b.hi / b.lo) ** (k / 2000))
+        assert best >= v - 1e-12 * max(size, s)
+
+
+@st.composite
 def solve_problems(draw):
     band_list = draw(st.lists(bands, min_size=1, max_size=4))
     system = SystemParams(bands=band_list, budget_d2d_w=draw(log_uniform(-6, 1)),
@@ -218,3 +256,44 @@ def test_tiny_densities_give_finite_powers_or_name_their_fault(problem):
             check_named(err, system)
             continue
         assert all(math.isfinite(p) for p in powers)
+
+
+@st.composite
+def tiny_solve_problems(draw):
+    """A whole solve with tiny densities, and outage caps high enough to
+    leave room between a band's lower end and its stationary point.  The
+    D2D budget lies between the first phase's lower ends and its answers
+    at mu = 0, where that phase has room, so budgets bind.  The baseline's
+    fixed cellular power is within every cap and the budget: the baseline
+    takes it as given, and check_feasible would report it."""
+    band_list = [BandParams(**{**vars(b), "density_d2d": draw(tiny_densities),
+                               "density_cell": draw(tiny_densities),
+                               "outage_cap_d2d": draw(st.floats(0.5, 0.999)),
+                               "outage_cap_cell": draw(st.floats(0.5, 0.999))})
+                 for b in draw(st.lists(bands, min_size=1, max_size=4))]
+    budget_d2d, budget_cell = draw(log_uniform(-6, 1)), draw(log_uniform(-6, 1))
+    q0 = [min(b.max_power_cell_w, budget_cell / len(band_list)) for b in band_list]
+    slack = SystemParams(bands=band_list, budget_d2d_w=1.0, budget_cell_w=budget_cell)
+    try:
+        _, first, _ = _phase_bands(slack, "d2d", q0, SolveOptions())
+    except InfeasibleProblem:
+        first = []
+    floor, free = math.fsum(b.lo for b in first), math.fsum(b.argmax(0.0) for b in first)
+    if free > floor:
+        budget_d2d = floor + draw(st.floats(0.0, 1.0)) * (free - floor) or budget_d2d
+    system = SystemParams(bands=band_list, budget_d2d_w=budget_d2d, budget_cell_w=budget_cell)
+    return system, min(q0) * draw(log_uniform(-3, 0))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(tiny_solve_problems())
+def test_tiny_density_solves_are_feasible_or_name_their_fault(problem):
+    system, p_cell_fixed = problem
+    for solve in (optimize_powers, lambda s: baseline_fixed_cell(s, p_cell_fixed)):
+        try:
+            result = solve(system)
+        except InfeasibleProblem as err:
+            check_named(err, system)
+            continue
+        assert all(math.isfinite(p) for p in result.alloc.p_d2d_w + result.alloc.p_cell_w)
+        assert result.feasibility.ok

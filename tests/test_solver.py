@@ -1,6 +1,7 @@
 import importlib
 import math
 import pkgutil
+import sys
 
 import numpy as np
 import pytest
@@ -319,13 +320,13 @@ class TestObjective:
     def test_zero_multiplier_phase_evaluates_no_objective(self, make_band, make_system,
                                                           monkeypatch):
         calls = []
-        value = solver._Objective.value
+        ln_gain = solver._Objective.ln_gain
 
-        def counted(self, p, mu):
-            calls.append(mu)
-            return value(self, p, mu)
+        def counted(self, p, ln_mu):
+            calls.append(ln_mu)
+            return ln_gain(self, p, ln_mu)
 
-        monkeypatch.setattr(solver._Objective, "value", counted)
+        monkeypatch.setattr(solver._Objective, "ln_gain", counted)
         band = slack_band(make_band)
         system = make_system(bands=[band, band], budget_d2d_w=1e3, budget_cell_w=1e3)
         p_d, diag_d = solve_d2d_phase(system, [0.3, 0.3])
@@ -335,7 +336,13 @@ class TestObjective:
         # a budget-bound phase compares values, and the count sees them
         _, diag = solve_d2d_phase(make_system(bands=[band, band], budget_d2d_w=2.5e-8),
                                   [0.3, 0.3])
-        assert diag["mu"] > 0.0 and calls and 0.0 not in calls
+        assert diag["mu"] > 0.0 and calls and -math.inf not in calls
+
+    def test_underflowing_coefficient_at_positive_multiplier_gives_lower_end(self):
+        # c = 1e-300 puts the rising root at p = (c / t*)^2, which underflows
+        # below the box, and c^2 underflows to 0.0: nothing may divide by it
+        b = solver._Objective(lo=1e-10, hi=1.0, c=1e-300, k_amp=1.0, alpha=4.0)
+        assert b.argmax(1.0) == b.lo
 
 
 class TestPhaseTwo:
@@ -467,11 +474,11 @@ class TestPhaseTwo:
         assert diag["mu"] == 0.0
         assert diag["flags"] == ["cellular lower ends exceed the budget within BUDGET_TOL_REL"]
 
-    def test_excess_scaled_when_no_multiplier_meets_budget(self, make_band, make_system):
+    def test_budget_met_by_multiplier_at_tiny_other_powers(self, make_band, make_system):
         # at D2D powers of 1e-140 W the budget, halfway between the lower
-        # ends and the interior optima, needs a multiplier beyond 4^399; at
-        # 1e-170 and 1e-200 W psi's s**a also overflows a float, though psi
-        # itself does not
+        # ends and the interior optima, needs a multiplier above 4^399; at
+        # 1e-170 and 1e-200 W its ln mu is about 800 and 939, so mu itself
+        # overflows a float and reads inf
         band = make_band(max_power_d2d_w=1e3, max_power_cell_w=1e3,
                          outage_cap_d2d=0.9999, outage_cap_cell=0.999999)
         for q in ([1e-140] * 2, [1e-170] * 2, [1e-200] * 2):
@@ -479,11 +486,22 @@ class TestPhaseTwo:
             floor = math.fsum(lo for lo, _ in slack["bounds"])
             budget = 0.5 * (floor + math.fsum(free))
             p_c, diag = solve_cell_phase(make_system(bands=[band, band], budget_cell_w=budget), q)
-            assert diag["flags"] == ["cellular budget met by proportional scaling (duality gap)"]
-            assert diag["mu"] == 0.0
-            assert math.fsum(p_c) <= budget * (1.0 + 1e-12)
+            assert diag["mu"] > 0.0
+            assert diag["flags"] == []
+            assert budget * (1.0 - solver.BUDGET_TOL_REL) <= math.fsum(p_c) <= budget
             for p, (lo, hi) in zip(p_c, diag["bounds"]):
                 assert lo < p < hi
+
+    def test_subnormal_lower_end_meets_its_outage_cap(self, make_band, make_system):
+        # at D2D density 1e-260 the cellular lower end is 1.6e-321 W, a
+        # subnormal whose rounding alone can miss the outage cap (by 2.7e-5
+        # of slack here, unless the end steps up)
+        system = make_system(pathloss_exponent=2.5, density_d2d=1e-260, outage_cap_d2d=0.5,
+                             outage_cap_cell=0.5, max_power_d2d_w=1.0, max_power_cell_w=1.0)
+        p_c, diag = solve_cell_phase(system, [0.01])
+        assert p_c[0] == diag["bounds"][0][0] < sys.float_info.min
+        slacks = check_feasible(system, PowerAllocation([0.01], p_c)).band_slacks[0]
+        assert slacks["qos_cell"] >= 0.0
 
     def test_anchored_band_counts_against_budget(self, make_band, make_system):
         # band 0 has no D2D density, so its cellular power is anchored at the
@@ -679,6 +697,22 @@ class TestIterate:
         assert result.feasibility.ok
         powers = result.alloc.p_d2d_w + result.alloc.p_cell_w
         assert all(0.0 < p < math.inf for p in powers)
+
+    def test_subnormal_power_keeps_its_ratio_finite(self, make_band):
+        # phase one returns 5.7e-310 W at a cellular power of 0.5 W, where
+        # 0.5 / p_d2d overflows a float: its (2/alpha)-th power must not
+        band = make_band(pathloss_exponent=3.0, density_d2d=0.0, density_cell=1e-207,
+                         d2d_link_distance_m=1.0, cell_link_distance_m=10.0,
+                         outage_cap_d2d=0.5, outage_cap_cell=0.5,
+                         max_power_d2d_w=0.5, max_power_cell_w=0.5)
+        system = SystemParams(bands=[band], budget_d2d_w=10.0, budget_cell_w=10.0)
+        for result in (optimize_powers(system), baseline_fixed_cell(system, 0.5)):
+            p_d, p_c = result.alloc.p_d2d_w[0], result.alloc.p_cell_w[0]
+            assert 0.0 < p_d < sys.float_info.min and p_c / p_d == math.inf
+            assert "band 0: D2D power below the smallest normal float" in result.flags
+            assert result.feasibility.ok
+            assert 0.0 < result.metrics.stp_d2d[0] < 1.0
+            assert math.isfinite(x_from_powers(band, p_c, p_d))
 
     def test_infeasible_names_band_and_constraint(self, make_band):
         system = table1_system(make_band)
