@@ -21,6 +21,7 @@ from .model import (
 from .simulate import (
     SimScenario,
     StpEstimate,
+    estimate_links,
     estimate_stp,
 )
 from .solver import (

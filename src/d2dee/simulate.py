@@ -2,26 +2,37 @@
 
 Interferers of each class are sampled as a homogeneous Poisson field on a
 finite disc centered on the typical receiver, fading gains are unit-mean
-exponential, and each trial realizes the SIR of the intended link against
-the aggregate interference.  The estimator is deliberately independent of
+exponential, and each trial realizes the SIR of both links against the
+aggregate interference.  The estimator is deliberately independent of
 the closed forms it validates: it only shares the physical model (path
 loss, Rayleigh fading, PPP geometry).
 
+Both links share each trial's fields.  The D2D and the cellular receiver
+each see a D2D field and a cellular field of the same densities on the
+same window, so one realization of the two fields serves both links (common
+random numbers); only the weights differ, the cellular receiver's
+interference being (Pd/Pc) times the D2D receiver's.  Within a link the
+trials stay i.i.d. and each is scored by the exact indicator, so each
+link's estimate keeps its exact marginal law and binomial standard error;
+only the two links' estimates become correlated.
+
 Determinism contract: trials are partitioned into ``workers`` contiguous
-chunks, each driven by an independent splittable substream keyed by
-(seed, chunk index) through numpy's SeedSequence.  Identical (scenario,
-seed, workers) reproduce the estimate bit for bit; changing ``workers``
-only repartitions the trials.  The generator behind the substreams is
-recorded in every estimate record.
+chunks.  Each chunk draws from two independent streams of numpy's
+SeedSequence keyed by (seed, chunk index): the main stream, which yields
+each block's D2D signal fading, D2D field and cellular field in that
+order, and its first spawned child, which yields the cellular signal
+fading.  Identical (scenario, seed, workers) reproduce both estimates bit
+for bit; changing ``workers`` only repartitions the trials.  The generator
+behind the streams is recorded in every estimate record.
 
 The chunks run on min(non-empty chunks, usable CPUs) processes: in this
 process when that is one, otherwise on a process pool that lives only for
-the call.  A chunk's successes depend on its substream alone, so the pool
+the call.  A chunk's successes depend on its streams alone, so the pool
 size never changes a bit of the estimate.
 
 A chunk runs in blocks of _BLOCK trials; _sir_block fixes the order of a
-block's fields and _interference_block the draw order and tiling within
-each, on which every bit of an estimate rests.
+block's draws and _interference_block the draw order and tiling within
+each field, on which every bit of an estimate rests.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ __all__ = [
     "SimScenario",
     "StpEstimate",
     "RNG_NAME",
+    "estimate_links",
     "estimate_stp",
 ]
 
@@ -104,23 +116,31 @@ class StpEstimate:
 
 
 def _substream(seed: int, chunk: int) -> np.random.Generator:
-    """Independent stream for one (seed, chunk) pair."""
+    """Main stream of one (seed, chunk) pair."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, chunk])))
+
+
+def _cell_fading_stream(seed: int, chunk: int) -> np.random.Generator:
+    """Cellular signal fading stream of one (seed, chunk) pair: the first
+    spawned child of the main stream's SeedSequence."""
+    child, = np.random.SeedSequence([seed, chunk]).spawn(1)
+    return np.random.Generator(np.random.PCG64(child))
 
 
 def _interference_block(
     n: int,
     density: float,
-    weight: float,
     alpha: float,
     window_radius_m: float,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Aggregate weighted interference of one class for a block of trials.
+    """Unweighted field sums of one class for a block of trials.
 
     With radii r = R*sqrt(u) for u uniform on (0,1), the path-loss factor is
     r^(-alpha) = R^(-alpha) * u^(-alpha/2), so the uniform draw is used
-    directly.
+    directly: a trial's sum is that of g * u^(-alpha/2) over its
+    interferers, and a receiver's interference from the field is
+    (w * R^(-alpha)) * sum for the field's power weight w.
 
     Draw order: ``rng`` yields the n Poisson counts, then one uniform per
     interferer of the block, then one unit-mean exponential per interferer,
@@ -168,32 +188,39 @@ def _interference_block(
     # advance() clears the buffered 32-bit half, which the draws above never touch
     state["state"] = expo_bits.state["state"]
     rng.bit_generator.state = state
-    return (weight * window_radius_m ** (-alpha)) * agg, counts
+    return agg, counts
 
 
 def _sir_block(
-    scenario: SimScenario, which: str, n: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Signal and interference powers for n trials of one link class.
+    scenario: SimScenario,
+    n: int,
+    rng: np.random.Generator,
+    cell_rng: np.random.Generator,
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """Signal and interference powers of both links for n trials.
 
-    Draw order is fixed (signal fading, same-class field, cross-class
-    field) so a given stream always yields the same trials.
+    Returns ``(signal, interference)`` of the D2D link, then of the
+    cellular link, then the D2D and the cellular interferer counts.
+    ``rng`` draws the D2D signal fading, the D2D field, then the cellular
+    field; ``cell_rng`` draws the cellular signal fading.  Both links
+    weight the same two field sums.
     """
     band = scenario.band
     alpha = band.pathloss_exponent
-    if which == "d2d":
-        link = band.d2d_link_distance_m
-        dens_same, dens_cross = band.density_d2d, band.density_cell
-        cross_weight = scenario.p_cell_w / scenario.p_d2d_w
-    else:  # "cell"; estimate_stp has rejected any other class
-        link = band.cell_link_distance_m
-        dens_same, dens_cross = band.density_cell, band.density_d2d
-        cross_weight = scenario.p_d2d_w / scenario.p_cell_w
-    signal = rng.standard_exponential(n) * link ** (-alpha)
     window = scenario.window_radius_m
-    itf_same, counts_same = _interference_block(n, dens_same, 1.0, alpha, window, rng)
-    itf_cross, counts_cross = _interference_block(n, dens_cross, cross_weight, alpha, window, rng)
-    return signal, itf_same + itf_cross, counts_same, counts_cross
+    signal_d2d = rng.standard_exponential(n) * band.d2d_link_distance_m ** (-alpha)
+    agg_d2d, counts_d2d = _interference_block(n, band.density_d2d, alpha, window, rng)
+    agg_cell, counts_cell = _interference_block(n, band.density_cell, alpha, window, rng)
+    signal_cell = cell_rng.standard_exponential(n) * band.cell_link_distance_m ** (-alpha)
+    scale = window ** (-alpha)
+    itf_d2d = scale * agg_d2d + (scenario.p_cell_w / scenario.p_d2d_w * scale) * agg_cell
+    itf_cell = scale * agg_cell + (scenario.p_d2d_w / scenario.p_cell_w * scale) * agg_d2d
+    return (signal_d2d, itf_d2d), (signal_cell, itf_cell), counts_d2d, counts_cell
+
+
+def _successes(signal: np.ndarray, itf: np.ndarray, threshold: float) -> int:
+    """Trials with signal >= T * interference, an empty field always succeeding."""
+    return int(np.count_nonzero((itf == 0.0) | (signal >= threshold * itf)))
 
 
 def _usable_cpus() -> int:
@@ -208,51 +235,53 @@ def _pool_size(trials: int, workers: int) -> int:
     return min(trials, workers, _usable_cpus())
 
 
-def _chunk_successes(
-    scenario: SimScenario, which: str, threshold: float, chunk: int, n_chunk: int
-) -> int:
-    """Successes among the ``n_chunk`` trials of one chunk, on its own substream."""
+def _chunks(trials: int, workers: int) -> list[tuple[int, int]]:
+    """(chunk index, trials) of the non-empty chunks of the contiguous partition.
+
+    The first ``trials mod workers`` chunks take one trial more than the
+    rest; only the min(trials, workers) non-empty ones are built.
+    """
+    base, extra = divmod(trials, workers)
+    return [(c, base + (1 if c < extra else 0)) for c in range(min(trials, workers))]
+
+
+def _chunk_successes(scenario: SimScenario, chunk: int, n_chunk: int) -> tuple[int, int]:
+    """D2D and cellular successes among the ``n_chunk`` trials of one chunk."""
+    band = scenario.band
     rng = _substream(scenario.seed, chunk)
-    successes = 0
+    cell_rng = _cell_fading_stream(scenario.seed, chunk)
+    d2d = cell = 0
     done = 0
     while done < n_chunk:
         n = min(_BLOCK, n_chunk - done)
-        signal, itf, _, _ = _sir_block(scenario, which, n, rng)
-        successes += int(np.count_nonzero((itf == 0.0) | (signal >= threshold * itf)))
+        (signal_d2d, itf_d2d), (signal_cell, itf_cell), _, _ = _sir_block(
+            scenario, n, rng, cell_rng)
+        d2d += _successes(signal_d2d, itf_d2d, band.sir_threshold_d2d)
+        cell += _successes(signal_cell, itf_cell, band.sir_threshold_cell)
         done += n
-    return successes
+    return d2d, cell
 
 
-def estimate_stp(scenario: SimScenario, which: str) -> StpEstimate:
-    """Estimate P(SIR >= T) over ``scenario.trials`` trials.
-
-    Success of a trial is evaluated as signal >= T * interference (with an
-    empty interferer field always succeeding), which avoids forming the SIR
-    ratio and keeps the comparison well defined.
-    """
+def _check(scenario: SimScenario) -> None:
+    """Reject a scenario whose window or trial count cannot carry an estimate."""
     band = scenario.band
     max_link = max(band.d2d_link_distance_m, band.cell_link_distance_m)
     if scenario.window_radius_m < 10.0 * max_link:
         raise ValueError("window too small for edge-effect control")
     if scenario.trials < 100:
         raise ValueError("at least 100 trials are required for an estimate")
-    if which == "d2d":
-        threshold = band.sir_threshold_d2d
-        analytic = stp_d2d(band, scenario.p_cell_w, scenario.p_d2d_w)
-    elif which == "cell":
-        threshold = band.sir_threshold_cell
-        analytic = stp_cell(band, scenario.p_cell_w, scenario.p_d2d_w)
-    else:
-        raise ValueError("which must be 'd2d' or 'cell'")
 
+
+def _run(scenario: SimScenario, name: str) -> tuple[int, int]:
+    """D2D and cellular successes over all trials, in one pass over the chunks.
+
+    Logs one DEBUG line that starts with ``name``.
+    """
     start = time.perf_counter()
-    # Contiguous partition of trial indices over the workers.
-    base, extra = divmod(scenario.trials, scenario.workers)
-    sizes = [base + (1 if c < extra else 0) for c in range(scenario.workers)]
-    chunks = [(c, n) for c, n in enumerate(sizes) if n]
+    chunks = _chunks(scenario.trials, scenario.workers)
     procs = _pool_size(scenario.trials, scenario.workers)
     if procs == 1:
-        successes = sum(_chunk_successes(scenario, which, threshold, c, n) for c, n in chunks)
+        counts = [_chunk_successes(scenario, c, n) for c, n in chunks]
     else:
         # imported here: an in-process estimate never needs them, and they
         # would add ~24 ms to every start-up
@@ -263,20 +292,21 @@ def estimate_stp(scenario: SimScenario, which: str) -> StpEstimate:
         # of its workers before it starts a thread of its own
         method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
         with ProcessPoolExecutor(procs, multiprocessing.get_context(method)) as pool:
-            futures = [
-                pool.submit(_chunk_successes, scenario, which, threshold, c, n)
-                for c, n in chunks
-            ]
-            successes = sum(f.result() for f in futures)
+            futures = [pool.submit(_chunk_successes, scenario, c, n) for c, n in chunks]
+            counts = [f.result() for f in futures]
     wall_s = time.perf_counter() - start
     # imported here too: at module level it would add ~9 ms to every start-up
     import logging
 
     logging.getLogger("d2dee").debug(
-        "estimate_stp %s: %d trials, %d chunks, pool %d, %.3f s",
-        which, scenario.trials, len(chunks), procs, wall_s,
+        "%s: %d trials, %d chunks, pool %d, %.3f s",
+        name, scenario.trials, len(chunks), procs, wall_s,
     )
+    return sum(d for d, _ in counts), sum(c for _, c in counts)
 
+
+def _estimate(scenario: SimScenario, which: str, successes: int, analytic: float) -> StpEstimate:
+    """One link's estimate from its successes, with its binomial standard error."""
     p_hat = successes / scenario.trials
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / scenario.trials)
     z = (p_hat - analytic) / std_err if std_err > 0 else math.nan
@@ -291,3 +321,40 @@ def estimate_stp(scenario: SimScenario, which: str) -> StpEstimate:
         workers=scenario.workers,
         window_radius_m=scenario.window_radius_m,
     )
+
+
+def estimate_links(scenario: SimScenario) -> tuple[StpEstimate, StpEstimate]:
+    """Estimate P(SIR >= T) of the D2D and the cellular link in one pass.
+
+    Each trial's two fields serve both links; see the module docstring for
+    why each estimate stays exact.  Success of a trial is evaluated as
+    signal >= T * interference (with an empty interferer field always
+    succeeding), which avoids forming the SIR ratio and keeps the
+    comparison well defined.
+    """
+    _check(scenario)
+    band = scenario.band
+    d2d, cell = _run(scenario, "estimate_links")
+    return (
+        _estimate(scenario, "d2d", d2d, stp_d2d(band, scenario.p_cell_w, scenario.p_d2d_w)),
+        _estimate(scenario, "cell", cell, stp_cell(band, scenario.p_cell_w, scenario.p_d2d_w)),
+    )
+
+
+def estimate_stp(scenario: SimScenario, which: str) -> StpEstimate:
+    """Estimate P(SIR >= T) of one link over ``scenario.trials`` trials.
+
+    The ``which`` side of ``estimate_links``, bit for bit: the pass scores
+    both links, at one exponential draw and one compare per trial more
+    than the link alone would take.
+    """
+    _check(scenario)
+    band = scenario.band
+    if which == "d2d":
+        analytic = stp_d2d(band, scenario.p_cell_w, scenario.p_d2d_w)
+    elif which == "cell":
+        analytic = stp_cell(band, scenario.p_cell_w, scenario.p_d2d_w)
+    else:
+        raise ValueError("which must be 'd2d' or 'cell'")
+    d2d, cell = _run(scenario, f"estimate_stp {which}")
+    return _estimate(scenario, which, d2d if which == "d2d" else cell, analytic)

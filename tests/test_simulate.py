@@ -8,10 +8,12 @@ import pytest
 from scipy.special import erf
 from scipy.stats import kstest
 
-from d2dee import SimScenario, estimate_stp, stp_cell, stp_d2d
+from d2dee import SimScenario, estimate_links, estimate_stp, stp_cell, stp_d2d
 from d2dee import simulate
 from d2dee.simulate import (
+    _cell_fading_stream,
     _chunk_successes,
+    _chunks,
     _interference_block,
     _pool_size,
     _sir_block,
@@ -27,30 +29,35 @@ def scenario(band, **overrides):
     return SimScenario(**params)
 
 
+def streams(seed, chunk=0):
+    """The main and the cellular fading stream of one (seed, chunk) pair."""
+    return _substream(seed, chunk), _cell_fading_stream(seed, chunk)
+
+
 class TestSampling:
     def test_zero_density_always_empty(self):
-        itf, counts = _interference_block(200, 0.0, 1.0, 4.0, 2000.0, _substream(1, 0))
+        agg, counts = _interference_block(200, 0.0, 4.0, 2000.0, _substream(1, 0))
         assert not counts.any()
-        assert np.array_equal(itf, np.zeros(200))
+        assert np.array_equal(agg, np.zeros(200))
 
     def test_poisson_mean(self, band1):
-        # both fields of a d2d block: same-class at the D2D density, cross-class
-        # at the cellular density
+        # both fields of a block: the D2D field at the D2D density, the
+        # cellular field at the cellular density
         n, window = 10_000, 500.0
         _, _, counts_d2d, counts_cell = _sir_block(
-            scenario(band1, window_radius_m=window), "d2d", n, _substream(2, 0))
+            scenario(band1, window_radius_m=window), n, *streams(2))
         for counts, density in ((counts_d2d, band1.density_d2d), (counts_cell, band1.density_cell)):
             expected = density * math.pi * window**2
             assert abs(counts.mean() - expected) < 3 * math.sqrt(expected / n)
 
     def test_radii_squared_uniform(self):
-        # a trial with one interferer reads g * (r/R)^(-alpha) / R^alpha with unit
+        # a trial with one interferer sums t = g * (r/R)^(-alpha) with unit
         # exponential g; r^2 uniform on (0, R^2) makes t = g * u^(-2) at alpha = 4,
         # so P(t <= x) = 1 - sqrt(pi) * erf(sqrt(x)) / (2 sqrt(x)).  KS at the 1% level
         window = 1000.0
-        itf, counts = _interference_block(
-            30_000, 1.0 / (math.pi * window**2), 1.0, 4.0, window, _substream(3, 0))
-        t = itf[counts == 1] * window**4
+        agg, counts = _interference_block(
+            30_000, 1.0 / (math.pi * window**2), 4.0, window, _substream(3, 0))
+        t = agg[counts == 1]
         assert t.size > 10_000
         cdf = lambda x: 1.0 - math.sqrt(math.pi) * erf(np.sqrt(x)) / (2.0 * np.sqrt(x))
         _, p_value = kstest(t, cdf)
@@ -58,7 +65,7 @@ class TestSampling:
 
     def test_negative_density_rejected(self):
         with pytest.raises(ValueError):
-            _interference_block(10, -1.0, 1.0, 4.0, 2000.0, _substream(1, 0))
+            _interference_block(10, -1.0, 4.0, 2000.0, _substream(1, 0))
 
 
 class TestSirRealization:
@@ -66,44 +73,64 @@ class TestSirRealization:
         # an empty field is exactly zero interference, which the success rule
         # counts as a success whatever the signal
         band = make_band(density_d2d=0.0, density_cell=0.0)
-        for which in ("d2d", "cell"):
-            signal, itf, counts_same, counts_cross = _sir_block(
-                scenario(band), which, 100, _substream(1, 0))
-            assert not counts_same.any() and not counts_cross.any()
+        d2d, cell, counts_d2d, counts_cell = _sir_block(scenario(band), 100, *streams(1))
+        assert not counts_d2d.any() and not counts_cell.any()
+        for signal, itf in (d2d, cell):
             assert np.array_equal(itf, np.zeros(100))
             assert (signal > 0).all()
 
     def test_counts_reported(self, band1):
-        signal, itf, counts_d2d, counts_cell = _sir_block(
-            scenario(band1), "d2d", 16, _substream(4, 0))
+        d2d, cell, counts_d2d, counts_cell = _sir_block(scenario(band1), 16, *streams(4))
         assert (counts_d2d > 0).all()
         assert (counts_cell >= 0).all()
-        assert np.isfinite(signal).all() and np.isfinite(itf).all() and (itf > 0).all()
+        for signal, itf in (d2d, cell):
+            assert np.isfinite(signal).all() and np.isfinite(itf).all() and (itf > 0).all()
 
     def test_role_swap_matches_distribution(self, make_band):
         # the cellular link of a band with swapped densities, link distances and
-        # powers is the D2D link of the original: same stream, same bits
+        # powers is the D2D link of the original: the two estimates agree in law
         band_a = make_band(d2d_link_distance_m=10.0, cell_link_distance_m=50.0,
                            density_d2d=1e-4, density_cell=1.5e-5)
         band_b = make_band(cell_link_distance_m=10.0, d2d_link_distance_m=50.0,
                            density_cell=1e-4, density_d2d=1.5e-5)
-        sc_a = scenario(band_a, window_radius_m=500.0)
-        sc_b = scenario(band_b, p_cell_w=0.02, p_d2d_w=0.3, window_radius_m=500.0)
-        got_a = _sir_block(sc_a, "d2d", 4000, _substream(11, 0))
-        got_b = _sir_block(sc_b, "cell", 4000, _substream(11, 0))
-        for a, b in zip(got_a, got_b):
-            assert np.array_equal(a, b)
+        sc_a = scenario(band_a, window_radius_m=500.0, trials=4000, seed=11)
+        sc_b = scenario(band_b, p_cell_w=0.02, p_d2d_w=0.3, window_radius_m=500.0,
+                        trials=4000, seed=11)
+        est_a = estimate_stp(sc_a, "d2d")
+        est_b = estimate_stp(sc_b, "cell")
+        assert est_a.analytic == pytest.approx(est_b.analytic, rel=1e-12)
+        assert abs(est_a.p_hat - est_b.p_hat) <= 3.3 * math.hypot(est_a.std_err, est_b.std_err)
+
+    def test_cell_interference_from_d2d_field_sums(self, band1):
+        # per trial, both links weight the same two field sums, which the main
+        # stream draws after the D2D signal fading; the cellular signal fading
+        # comes from the chunk's second stream
+        n, window, alpha = 3000, 500.0, band1.pathloss_exponent
+        sc = scenario(band1, window_radius_m=window)
+        (signal_d2d, itf_d2d), (signal_cell, itf_cell), _, _ = _sir_block(sc, n, *streams(12))
+        rng, cell_rng = streams(12)
+        want_signal_d2d = rng.standard_exponential(n) * band1.d2d_link_distance_m ** (-alpha)
+        agg_d2d, _ = _interference_block(n, band1.density_d2d, alpha, window, rng)
+        agg_cell, _ = _interference_block(n, band1.density_cell, alpha, window, rng)
+        scale = window ** (-alpha)
+        want_d2d = scale * agg_d2d + (0.3 / 0.02 * scale) * agg_cell
+        want_cell = scale * agg_cell + (0.02 / 0.3 * scale) * agg_d2d
+        assert np.array_equal(signal_d2d, want_signal_d2d)
+        assert np.array_equal(itf_d2d.view(np.uint64), want_d2d.view(np.uint64))
+        assert np.array_equal(itf_cell.view(np.uint64), want_cell.view(np.uint64))
+        np.testing.assert_allclose(itf_cell, 0.02 / 0.3 * itf_d2d, rtol=1e-12, atol=0.0)
+        assert np.array_equal(
+            signal_cell, cell_rng.standard_exponential(n) * band1.cell_link_distance_m ** (-alpha))
 
     def test_ratio_invariance_per_trial(self, band1):
         # identical draws, both powers scaled: every trial's signal and
         # interference, hence its SIR, is unchanged
         sc = scenario(band1)
         sc_scaled = scenario(band1, p_cell_w=4 * 0.3, p_d2d_w=4 * 0.02)
-        for which in ("d2d", "cell"):
-            a = _sir_block(sc, which, 50, _substream(21, 0))
-            b = _sir_block(sc_scaled, which, 50, _substream(21, 0))
-            for x, y in zip(a, b):
-                assert np.array_equal(x, y)
+        d2d_a, cell_a, *counts_a = _sir_block(sc, 50, *streams(21))
+        d2d_b, cell_b, *counts_b = _sir_block(sc_scaled, 50, *streams(21))
+        for x, y in zip((*d2d_a, *cell_a, *counts_a), (*d2d_b, *cell_b, *counts_b)):
+            assert np.array_equal(x, y)
 
     def test_fading_gains_unit_mean(self):
         gains = _substream(8, 0).standard_exponential(1_000_000)
@@ -169,15 +196,71 @@ class TestEstimateStp:
         assert abs(e1.p_hat - e2.p_hat) <= 3 * joint
 
 
+class TestEstimateLinks:
+    # (band overrides, window): band 1, an alpha = 3 band and a band with no
+    # D2D field
+    BANDS = {
+        "band1": ({}, 2000.0),
+        "alpha3": ({"pathloss_exponent": 3.0}, 800.0),
+        "no_d2d": ({"density_d2d": 0.0}, 2000.0),
+    }
+    # D2D (p_hat, std_err) at 30,001 trials, seed 7, as recorded before the two
+    # links shared their fields; the D2D draws must not have moved a bit
+    D2D_BITS = {
+        ("band1", 1): ("0x1.daea55a79d5bap-1", "0x1.884a3a6413e4bp-10"),
+        ("band1", 2): ("0x1.da9bb1aaa706ap-1", "0x1.89c8b0cf8cfc8p-10"),
+        ("band1", 3): ("0x1.da8e9655d34ddp-1", "0x1.8a083dc9f6b85p-10"),
+        ("alpha3", 1): ("0x1.ba74a593459aap-1", "0x1.0342ec655dc03p-9"),
+        ("alpha3", 2): ("0x1.bc553a6443694p-1", "0x1.0047bb4c4c9eep-9"),
+        ("alpha3", 3): ("0x1.bbf51ca0dd732p-1", "0x1.00e1b13ca4448p-9"),
+        ("no_d2d", 1): ("0x1.f20e976d6fb4cp-1", "0x1.eca9ac4adc7bfp-11"),
+        ("no_d2d", 2): ("0x1.f228ce1717267p-1", "0x1.eae69ef8ad0a0p-11"),
+        ("no_d2d", 3): ("0x1.f29a65a0ecbdbp-1", "0x1.e32ed0732e505p-11"),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(BANDS))
+    def test_d2d_bits_unchanged(self, make_band, name, workers):
+        overrides, window = self.BANDS[name]
+        sc = scenario(make_band(**overrides), window_radius_m=window, trials=30_001,
+                      workers=workers)
+        est, _ = estimate_links(sc)
+        assert (est.p_hat.hex(), est.std_err.hex()) == self.D2D_BITS[name, workers]
+
+    def test_single_link_is_one_side_of_the_pass(self, band1):
+        sc = scenario(band1, trials=5000, workers=2)
+        d2d, cell = estimate_links(sc)
+        assert estimate_stp(sc, "d2d") == d2d
+        assert estimate_stp(sc, "cell") == cell
+        assert (d2d.which, cell.which) == ("d2d", "cell")
+
+    def test_scenario_checks(self, band1):
+        with pytest.raises(ValueError, match="window too small for edge-effect control"):
+            estimate_links(scenario(band1, window_radius_m=400.0))
+        with pytest.raises(ValueError, match="at least 100 trials"):
+            estimate_links(scenario(band1, trials=50))
+
+    def test_cell_fading_stream_independent(self):
+        # a spawned child of the chunk's SeedSequence: its own state, and
+        # uncorrelated with the chunk's main stream and every other chunk's
+        # streams
+        seq = _cell_fading_stream(5, 1).bit_generator.seed_seq
+        assert list(seq.entropy) == [5, 1] and seq.spawn_key == (0,)
+        gens = [g for chunk in range(3) for g in streams(5, chunk)]
+        assert len({repr(g.bit_generator.state["state"]) for g in gens}) == len(gens)
+        n = 200_000
+        draws = np.array([g.random(n) for g in gens])
+        corr = np.corrcoef(draws)
+        off_diagonal = corr[~np.eye(len(gens), dtype=bool)]
+        assert np.abs(off_diagonal).max() < 4.5 / math.sqrt(n)
+
+
 class TestOracleEquivalence:
     def test_band1_both_links(self, band1):
         sc = scenario(band1)
-        for which, analytic in (
-            ("d2d", stp_d2d(band1, 0.3, 0.02)),
-            ("cell", stp_cell(band1, 0.3, 0.02)),
-        ):
-            est = estimate_stp(sc, which)
-            assert est.analytic == analytic
+        analytic = {"d2d": stp_d2d(band1, 0.3, 0.02), "cell": stp_cell(band1, 0.3, 0.02)}
+        for est in estimate_links(sc):
+            assert est.analytic == analytic[est.which]
             assert abs(est.p_hat - est.analytic) <= max(0.005, 3.3 * est.std_err)
 
     @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
@@ -186,16 +269,15 @@ class TestOracleEquivalence:
         band = make_band(density_d2d=scale * 1e-4, density_cell=scale * 1.5e-5)
         sc = scenario(band, p_cell_w=ratio * 0.02, p_d2d_w=0.02,
                       window_radius_m=1000.0, seed=31)
-        for which in ("d2d", "cell"):
-            est = estimate_stp(sc, which)
+        for est in estimate_links(sc):
             assert abs(est.p_hat - est.analytic) <= max(0.005, 3.3 * est.std_err), (
-                f"{which} scale={scale} ratio={ratio}: "
+                f"{est.which} scale={scale} ratio={ratio}: "
                 f"p_hat={est.p_hat:.5f} analytic={est.analytic:.5f}"
             )
 
 
-def fresh_interference_block(n, density, weight, alpha, window_radius_m, rng):
-    """The interference block computed in one pass over fresh whole-block arrays."""
+def fresh_interference_block(n, density, alpha, window_radius_m, rng):
+    """The field sums of a block computed in one pass over fresh whole-block arrays."""
     counts = rng.poisson(density * math.pi * window_radius_m**2, n)
     total = int(counts.sum())
     if total == 0:
@@ -207,7 +289,7 @@ def fresh_interference_block(n, density, weight, alpha, window_radius_m, rng):
     occupied = counts > 0
     agg = np.zeros(n)
     agg[occupied] = np.add.reduceat(contrib, np.cumsum(counts)[occupied] - counts[occupied])
-    return (weight * window_radius_m ** (-alpha)) * agg, counts
+    return agg, counts
 
 
 class TestChunkPool:
@@ -232,34 +314,55 @@ class TestChunkPool:
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
         sc = scenario(band1, trials=20_001, workers=2)
         est = estimate_stp(sc, "cell")
-        threshold = band1.sir_threshold_cell
-        successes = (_chunk_successes(sc, "cell", threshold, 0, 10_001)
-                     + _chunk_successes(sc, "cell", threshold, 1, 10_000))
+        successes = _chunk_successes(sc, 0, 10_001)[1] + _chunk_successes(sc, 1, 10_000)[1]
         assert est.p_hat == successes / sc.trials
         assert est.std_err == math.sqrt(est.p_hat * (1.0 - est.p_hat) / sc.trials)
+
+    def test_pooled_links_equal_in_process(self, band1, monkeypatch):
+        sc = scenario(band1, trials=9001, workers=3)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        pooled = estimate_links(sc)
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
+        assert estimate_links(sc) == pooled
 
     def test_no_process_outlives_estimate(self, band1, monkeypatch):
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
         estimate_stp(scenario(band1, trials=3000, workers=3), "d2d")
         assert multiprocessing.active_children() == []
 
+    def test_no_process_outlives_links(self, band1, monkeypatch):
+        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
+        estimate_links(scenario(band1, trials=3000, workers=3))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("trials, workers", [(100, 10**12), (100, 7), (30_001, 3), (5, 5)])
+    def test_chunks_partition(self, trials, workers):
+        # the non-empty chunks of the divmod partition, built without a list
+        # as long as ``workers``
+        base, extra = divmod(trials, workers)
+        want = [(c, base + 1) for c in range(extra)]
+        if base:
+            want += [(c, base) for c in range(extra, workers)]
+        assert _chunks(trials, workers) == want
+        assert sum(n for _, n in want) == trials
+
     def test_buffered_block_matches_fresh_arrays(self):
-        # (n, density, weight, alpha, window): the third block spans several
-        # tiles, the fourth has no interferers
+        # (n, density, alpha, window): the third block spans several tiles,
+        # the fourth has no interferers
         blocks = [
-            (400, 1e-4, 1.0, 4.0, 500.0),
-            (300, 1.5e-5, 15.0, 4.0, 500.0),
-            (1500, 1e-4, 1.0, 4.0, 500.0),
-            (200, 0.0, 2.0, 4.0, 500.0),
-            (700, 3e-5, 0.1, 3.0, 800.0),
+            (400, 1e-4, 4.0, 500.0),
+            (300, 1.5e-5, 4.0, 500.0),
+            (1500, 1e-4, 4.0, 500.0),
+            (200, 0.0, 4.0, 500.0),
+            (700, 3e-5, 3.0, 800.0),
         ]
         rng_fresh, rng_buffered = _substream(41, 0), _substream(41, 0)
-        for n, density, weight, alpha, window in blocks:
-            want_itf, want_counts = fresh_interference_block(
-                n, density, weight, alpha, window, rng_fresh)
-            got_itf, got_counts = _interference_block(
-                n, density, weight, alpha, window, rng_buffered)
-            assert np.array_equal(got_itf.view(np.uint64), want_itf.view(np.uint64))
+        for n, density, alpha, window in blocks:
+            want_agg, want_counts = fresh_interference_block(
+                n, density, alpha, window, rng_fresh)
+            got_agg, got_counts = _interference_block(
+                n, density, alpha, window, rng_buffered)
+            assert np.array_equal(got_agg.view(np.uint64), want_agg.view(np.uint64))
             assert np.array_equal(got_counts, want_counts)
         assert rng_buffered.bit_generator.state == rng_fresh.bit_generator.state
 
@@ -273,16 +376,23 @@ class TestChunkPool:
         assert lines[0].endswith(" s")
         assert capsys.readouterr().out == ""
 
+    def test_debug_line_per_pass(self, band1, caplog):
+        with caplog.at_level(logging.DEBUG, logger="d2dee"):
+            estimate_links(scenario(band1, trials=1000, workers=3))
+        lines = [r.getMessage() for r in caplog.records if r.name == "d2dee"]
+        assert len(lines) == 1
+        assert lines[0].startswith("estimate_links: 1000 trials, 3 chunks, ")
+
 
 class TestTiles:
-    # (n, density, weight, alpha, window): dense (most trials outgrow a
-    # 64-interferer tile), sparse (on this stream it ends in empty trials
-    # after one with several interferers), empty, and alpha = 3
+    # (n, density, alpha, window): dense (most trials outgrow a 64-interferer
+    # tile), sparse (on this stream it ends in empty trials after one with
+    # several interferers), empty, and alpha = 3
     BLOCKS = [
-        (400, 1e-4, 1.0, 4.0, 500.0),
-        (300, 2e-6, 15.0, 4.0, 500.0),
-        (200, 0.0, 2.0, 4.0, 500.0),
-        (700, 3e-5, 0.1, 3.0, 800.0),
+        (400, 1e-4, 4.0, 500.0),
+        (300, 2e-6, 4.0, 500.0),
+        (200, 0.0, 4.0, 500.0),
+        (700, 3e-5, 3.0, 800.0),
     ]
 
     @pytest.mark.parametrize("tile", [1, 7, 64])
@@ -290,12 +400,12 @@ class TestTiles:
         monkeypatch.setattr(simulate, "_TILE", tile)
         rng_fresh, rng_tiled = _substream(44, 0), _substream(44, 0)
         largest, ends_empty = 0, False
-        for n, density, weight, alpha, window in self.BLOCKS:
-            want_itf, want_counts = fresh_interference_block(
-                n, density, weight, alpha, window, rng_fresh)
-            got_itf, got_counts = _interference_block(
-                n, density, weight, alpha, window, rng_tiled)
-            assert np.array_equal(got_itf.view(np.uint64), want_itf.view(np.uint64))
+        for n, density, alpha, window in self.BLOCKS:
+            want_agg, want_counts = fresh_interference_block(
+                n, density, alpha, window, rng_fresh)
+            got_agg, got_counts = _interference_block(
+                n, density, alpha, window, rng_tiled)
+            assert np.array_equal(got_agg.view(np.uint64), want_agg.view(np.uint64))
             assert np.array_equal(got_counts, want_counts)
             assert rng_tiled.bit_generator.state == rng_fresh.bit_generator.state
             largest = max(largest, int(got_counts.max()))
@@ -311,7 +421,7 @@ class TestTiles:
         rng = _substream(44, 0)
         tracemalloc.start()
         try:
-            _, counts = _interference_block(2048, 1e-4, 1.0, 4.0, 2000.0, rng)
+            _, counts = _interference_block(2048, 1e-4, 4.0, 2000.0, rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -322,17 +432,16 @@ class TestTiles:
         # the last occupied trial of a block that ends in empty trials sums
         # all of its interferers, as a per-trial loop over the same draws does
         n, density, alpha, window = 64, 3e-7, 4.0, 2000.0
-        itf, counts = _interference_block(
-            n, density, 1.0, alpha, window, _substream(31, 0))
+        agg, counts = _interference_block(n, density, alpha, window, _substream(31, 0))
         rng = _substream(31, 0)
         want_counts = rng.poisson(density * math.pi * window**2, n)
         total = int(want_counts.sum())
         u, gains = rng.random(total), rng.standard_exponential(total)
         want, k = [], 0
         for c in want_counts:
-            want.append(window ** (-alpha) * sum(gains[k:k + c] * u[k:k + c] ** (-alpha / 2.0)))
+            want.append(sum(gains[k:k + c] * u[k:k + c] ** (-alpha / 2.0)))
             k += c
         assert np.array_equal(counts, want_counts)
         last = int(np.flatnonzero(counts)[-1])
         assert last < n - 1 and counts[last] > 1  # the case that lost an interferer
-        np.testing.assert_allclose(itf, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(agg, want, rtol=1e-12, atol=0.0)
