@@ -31,6 +31,8 @@ __all__ = [
 
 VALIDATE_Z_LIMIT = 3.3
 VALIDATE_ABS_LIMIT = 0.005
+# two-sided normal mass beyond the z limit, ~9.7e-4
+VALIDATE_TAIL_MASS = math.erfc(VALIDATE_Z_LIMIT / math.sqrt(2.0))
 
 
 def _band_text(fields: dict) -> str:
@@ -115,8 +117,12 @@ def run_validate(
     ``estimate_links`` pass over the trials, which draws each trial's two
     interferer fields once; a single link comes from ``estimate_stp``.
     Records are in link order, D2D first.  Passes when every estimate
-    satisfies |z| <= 3.3 and |p_hat - analytic| <= 0.005 (z is skipped
-    when the standard error is zero).
+    satisfies |z| <= 3.3 and |p_hat - analytic| <= 0.005.  When every
+    trial fails or every trial succeeds the standard error is zero and z
+    is undefined; the record's ``count_prob`` then holds the exact
+    probability of that count under the closed form, (1 - analytic)^n or
+    analytic^n, which must not fall below the z gate's two-sided mass
+    VALIDATE_TAIL_MASS.  ``count_prob`` is None when z applies.
     """
     system = cfg.system
     sim = cfg["sim"]
@@ -139,7 +145,13 @@ def run_validate(
         rec = est.to_record()
         rec["band"] = idx
         gap = abs(est.p_hat - est.analytic)
-        z_ok = math.isnan(est.z_score) or abs(est.z_score) <= VALIDATE_Z_LIMIT
+        if est.std_err > 0:
+            rec["count_prob"] = None
+            z_ok = abs(est.z_score) <= VALIDATE_Z_LIMIT
+        else:
+            hit = est.analytic if est.p_hat == 1.0 else 1.0 - est.analytic
+            rec["count_prob"] = hit**est.trials
+            z_ok = rec["count_prob"] >= VALIDATE_TAIL_MASS
         rec["pass"] = bool(z_ok and gap <= VALIDATE_ABS_LIMIT)
         ok = ok and rec["pass"]
         records.append(rec)

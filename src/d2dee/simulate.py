@@ -32,7 +32,10 @@ size never changes a bit of the estimate.
 
 A chunk runs in blocks of _BLOCK trials; _sir_block fixes the order of a
 block's draws and _interference_block the draw order and tiling within
-each field, on which every bit of an estimate rests.
+each field, on which every bit of an estimate rests.  Each interferer
+contributes g / u^(alpha/2), its fading gain over a power of its uniform
+radius draw: at alpha = 4 numpy's power takes its square path (exactly
+u*u), so the kernel computes no general pow there.
 """
 
 from __future__ import annotations
@@ -79,6 +82,8 @@ class SimScenario:
     def __post_init__(self):
         if self.p_cell_w <= 0 or self.p_d2d_w <= 0:
             raise ValueError("transmit powers must be strictly positive")
+        if not (math.isfinite(self.p_cell_w) and math.isfinite(self.p_d2d_w)):
+            raise ValueError("transmit powers must be finite")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.workers < 1:
@@ -137,10 +142,12 @@ def _interference_block(
     """Unweighted field sums of one class for a block of trials.
 
     With radii r = R*sqrt(u) for u uniform on (0,1), the path-loss factor is
-    r^(-alpha) = R^(-alpha) * u^(-alpha/2), so the uniform draw is used
-    directly: a trial's sum is that of g * u^(-alpha/2) over its
+    r^(-alpha) = R^(-alpha) / u^(alpha/2), so the uniform draw is used
+    directly: a trial's sum is that of g / u^(alpha/2) over its
     interferers, and a receiver's interference from the field is
-    (w * R^(-alpha)) * sum for the field's power weight w.
+    (w * R^(-alpha)) * sum for the field's power weight w.  The positive
+    exponent sends alpha = 4 down numpy's square path, exactly u*u; any
+    other alpha takes the general pow.
 
     Draw order: ``rng`` yields the n Poisson counts, then one uniform per
     interferer of the block, then one unit-mean exponential per interferer,
@@ -181,8 +188,8 @@ def _interference_block(
             u, contrib = u_scratch[:size], contrib_scratch[:size]
             rng.random(out=u)
             expo_rng.standard_exponential(out=contrib)
-            np.power(u, -alpha / 2.0, out=u)
-            np.multiply(contrib, u, out=contrib)
+            np.power(u, alpha / 2.0, out=u)
+            np.divide(contrib, u, out=contrib)
             agg[occupied[first:last]] = np.add.reduceat(contrib, starts[first:last] - base)
             first = last
     # advance() clears the buffered 32-bit half, which the draws above never touch
@@ -245,27 +252,31 @@ def _chunks(trials: int, workers: int) -> list[tuple[int, int]]:
     return [(c, base + (1 if c < extra else 0)) for c in range(min(trials, workers))]
 
 
-def _chunk_successes(scenario: SimScenario, chunk: int, n_chunk: int) -> tuple[int, int]:
-    """D2D and cellular successes among the ``n_chunk`` trials of one chunk."""
+def _chunk_successes(scenario: SimScenario, chunk: int, n_chunk: int) -> tuple[int, int, int]:
+    """D2D and cellular successes among the ``n_chunk`` trials of one chunk,
+    and the interferers of both fields drawn for them."""
     band = scenario.band
     rng = _substream(scenario.seed, chunk)
     cell_rng = _cell_fading_stream(scenario.seed, chunk)
-    d2d = cell = 0
+    d2d = cell = interferers = 0
     done = 0
     while done < n_chunk:
         n = min(_BLOCK, n_chunk - done)
-        (signal_d2d, itf_d2d), (signal_cell, itf_cell), _, _ = _sir_block(
+        (signal_d2d, itf_d2d), (signal_cell, itf_cell), counts_d2d, counts_cell = _sir_block(
             scenario, n, rng, cell_rng)
         d2d += _successes(signal_d2d, itf_d2d, band.sir_threshold_d2d)
         cell += _successes(signal_cell, itf_cell, band.sir_threshold_cell)
+        interferers += int(counts_d2d.sum()) + int(counts_cell.sum())
         done += n
-    return d2d, cell
+    return d2d, cell, interferers
 
 
 def _check(scenario: SimScenario) -> None:
     """Reject a scenario whose window or trial count cannot carry an estimate."""
     band = scenario.band
     max_link = max(band.d2d_link_distance_m, band.cell_link_distance_m)
+    if not math.isfinite(scenario.window_radius_m):
+        raise ValueError("window radius must be finite")
     if scenario.window_radius_m < 10.0 * max_link:
         raise ValueError("window too small for edge-effect control")
     if scenario.trials < 100:
@@ -275,7 +286,8 @@ def _check(scenario: SimScenario) -> None:
 def _run(scenario: SimScenario, name: str) -> tuple[int, int]:
     """D2D and cellular successes over all trials, in one pass over the chunks.
 
-    Logs one DEBUG line that starts with ``name``.
+    Logs one DEBUG line that starts with ``name`` and counts the pass's
+    interferers, both fields together.
     """
     start = time.perf_counter()
     chunks = _chunks(scenario.trials, scenario.workers)
@@ -299,10 +311,10 @@ def _run(scenario: SimScenario, name: str) -> tuple[int, int]:
     import logging
 
     logging.getLogger("d2dee").debug(
-        "%s: %d trials, %d chunks, pool %d, %.3f s",
-        name, scenario.trials, len(chunks), procs, wall_s,
+        "%s: %d trials, %d chunks, pool %d, %d interferers, %.3f s",
+        name, scenario.trials, len(chunks), procs, sum(i for _, _, i in counts), wall_s,
     )
-    return sum(d for d, _ in counts), sum(c for _, c in counts)
+    return sum(d for d, _, _ in counts), sum(c for _, c, _ in counts)
 
 
 def _estimate(scenario: SimScenario, which: str, successes: int, analytic: float) -> StpEstimate:

@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from d2dee import ExperimentConfig, build_system, load_config, save_config
 from d2dee.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from d2dee.config import SWEEP_KEYS
 from d2dee.harness import (
+    VALIDATE_TAIL_MASS,
+    VALIDATE_Z_LIMIT,
     read_csv,
     run_solve,
     run_sweep,
@@ -340,6 +343,32 @@ class TestValidate:
         assert {r["which"] for r in records} == {"d2d", "cell"}
         for rec in records:
             assert abs(rec["p_hat"] - rec["analytic"]) <= 0.005
+            assert rec["count_prob"] is None
+
+    @pytest.mark.parametrize("threshold, analytic, passes", [
+        (1e12, 0.01, False),
+        # within the abs limit: the count's probability (1 - 0.004)^20000 ~ 1e-35
+        (1e12, 0.004, False),
+        # a cellular STP as small as sweep-budget's band 3: (1 - 1e-6)^20000 ~ 0.98
+        (1e12, 1e-6, True),
+        (1e-12, 0.999, False),
+        (1e-12, 1.0 - 1e-6, True),
+    ])
+    def test_all_or_nothing_count_gated(self, monkeypatch, threshold, analytic, passes):
+        # every trial fails (huge threshold) or succeeds (tiny one), so the
+        # standard error is 0 and the count's exact probability stands in for z
+        monkeypatch.setattr("d2dee.simulate.stp_cell", lambda band, p_cell_w, p_d2d_w: analytic)
+        cfg = ExperimentConfig().with_overrides(
+            sim={"trials": 20_000, "window_radius_m": 500.0}, sir_threshold_cell=threshold)
+        (rec,), ok = run_validate(cfg, which="cell")
+        assert rec["p_hat"] == (0.0 if threshold > 1.0 else 1.0)
+        assert rec["std_err"] == 0.0 and rec["z_score"] is None
+        hit = analytic if rec["p_hat"] == 1.0 else 1.0 - analytic
+        assert rec["count_prob"] == pytest.approx(hit**20_000, rel=1e-9)
+        assert ok is passes and rec["pass"] is passes
+
+    def test_count_gate_matches_z_gate_mass(self):
+        assert VALIDATE_TAIL_MASS == pytest.approx(2.0 * norm.sf(VALIDATE_Z_LIMIT), rel=1e-12)
 
     def test_corrupted_analytic_fails(self, monkeypatch):
         # a corrupted closed form, as estimate_stp reads it, must fail the gates

@@ -217,15 +217,41 @@ class TestEstimateLinks:
         ("no_d2d", 2): ("0x1.f228ce1717267p-1", "0x1.eae69ef8ad0a0p-11"),
         ("no_d2d", 3): ("0x1.f29a65a0ecbdbp-1", "0x1.e32ed0732e505p-11"),
     }
+    # cellular (p_hat, std_err) of the same passes, as recorded while each
+    # interferer contributed g * u^(-alpha/2); g / u^(alpha/2) must keep them
+    CELL_BITS = {
+        ("band1", 1): ("0x1.38c995b1fda97p-1", "0x1.70f0809d0ebbfp-9"),
+        ("band1", 2): ("0x1.37a07f8493f69p-1", "0x1.71535212efb7dp-9"),
+        ("band1", 3): ("0x1.364bb8e71330ep-1", "0x1.71c2092736ad7p-9"),
+        ("alpha3", 1): ("0x1.1f68ffc96373ep-1", "0x1.7781d4acbc0b5p-9"),
+        ("alpha3", 2): ("0x1.20ff4f0f06d5cp-1", "0x1.7735aea92acb4p-9"),
+        ("alpha3", 3): ("0x1.1fe7b2a80cc3fp-1", "0x1.776a7e9f64a7fp-9"),
+        ("no_d2d", 1): ("0x1.a94de19236bb2p-1", "0x1.1bce3a003efa0p-9"),
+        ("no_d2d", 2): ("0x1.a8d38d2529535p-1", "0x1.1c6d3d8caf3f7p-9"),
+        ("no_d2d", 3): ("0x1.a963b9ca42448p-1", "0x1.1bb1bf4a9d0ecp-9"),
+    }
+    # (name, workers) -> both links' estimates, so each pinned pass runs once
+    _pinned = {}
+
+    def pinned_links(self, make_band, name, workers):
+        if (name, workers) not in self._pinned:
+            overrides, window = self.BANDS[name]
+            sc = scenario(make_band(**overrides), window_radius_m=window, trials=30_001,
+                          workers=workers)
+            self._pinned[name, workers] = estimate_links(sc)
+        return self._pinned[name, workers]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(BANDS))
     def test_d2d_bits_unchanged(self, make_band, name, workers):
-        overrides, window = self.BANDS[name]
-        sc = scenario(make_band(**overrides), window_radius_m=window, trials=30_001,
-                      workers=workers)
-        est, _ = estimate_links(sc)
+        est, _ = self.pinned_links(make_band, name, workers)
         assert (est.p_hat.hex(), est.std_err.hex()) == self.D2D_BITS[name, workers]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(BANDS))
+    def test_cell_bits_unchanged(self, make_band, name, workers):
+        _, est = self.pinned_links(make_band, name, workers)
+        assert (est.p_hat.hex(), est.std_err.hex()) == self.CELL_BITS[name, workers]
 
     def test_single_link_is_one_side_of_the_pass(self, band1):
         sc = scenario(band1, trials=5000, workers=2)
@@ -239,6 +265,22 @@ class TestEstimateLinks:
             estimate_links(scenario(band1, window_radius_m=400.0))
         with pytest.raises(ValueError, match="at least 100 trials"):
             estimate_links(scenario(band1, trials=50))
+
+    @pytest.mark.parametrize("power", ["p_cell_w", "p_d2d_w"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_power_rejected(self, band1, power, value):
+        # a nan power once gave p_hat = 0 against a nan closed form, and an
+        # infinite D2D power a cellular estimate of 0
+        with pytest.raises(ValueError, match="transmit powers must be finite"):
+            scenario(band1, **{power: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_window_rejected(self, band1, value):
+        sc = scenario(band1, window_radius_m=value, trials=1000)
+        with pytest.raises(ValueError, match="window radius must be finite"):
+            estimate_links(sc)
+        with pytest.raises(ValueError, match="window radius must be finite"):
+            estimate_stp(sc, "d2d")
 
     def test_cell_fading_stream_independent(self):
         # a spawned child of the chunk's SeedSequence: its own state, and
@@ -276,8 +318,12 @@ class TestOracleEquivalence:
             )
 
 
-def fresh_interference_block(n, density, alpha, window_radius_m, rng):
-    """The field sums of a block computed in one pass over fresh whole-block arrays."""
+def fresh_interference_block(n, density, alpha, window_radius_m, rng, old_kernel=False):
+    """The field sums of a block computed in one pass over fresh whole-block arrays.
+
+    Each contribution is g / u^(alpha/2), as the kernel forms it, or with
+    ``old_kernel`` the algebraically equal g * u^(-alpha/2).
+    """
     counts = rng.poisson(density * math.pi * window_radius_m**2, n)
     total = int(counts.sum())
     if total == 0:
@@ -285,7 +331,7 @@ def fresh_interference_block(n, density, alpha, window_radius_m, rng):
     u = rng.random(total)
     gains = rng.standard_exponential(total)
     with np.errstate(divide="ignore"):
-        contrib = gains * u ** (-alpha / 2.0)
+        contrib = gains * u ** (-alpha / 2.0) if old_kernel else gains / u ** (alpha / 2.0)
     occupied = counts > 0
     agg = np.zeros(n)
     agg[occupied] = np.add.reduceat(contrib, np.cumsum(counts)[occupied] - counts[occupied])
@@ -366,6 +412,22 @@ class TestChunkPool:
             assert np.array_equal(got_counts, want_counts)
         assert rng_buffered.bit_generator.state == rng_fresh.bit_generator.state
 
+    @pytest.mark.parametrize("n, density, alpha, window", [
+        (256, 1e-4, 4.0, 2000.0),  # band 1's D2D field
+        (256, 1.5e-5, 4.0, 2000.0),  # band 1's cellular field
+        (700, 3e-5, 3.0, 800.0),
+    ])
+    def test_kernel_differs_from_negative_power_by_rounding_only(self, n, density, alpha, window):
+        # g / u^(alpha/2) against g * u^(-alpha/2) over the same draws: the
+        # counts and the stream agree exactly, the sums to a few ulp
+        rng_old, rng_new = _substream(45, 0), _substream(45, 0)
+        want_agg, want_counts = fresh_interference_block(
+            n, density, alpha, window, rng_old, old_kernel=True)
+        got_agg, got_counts = _interference_block(n, density, alpha, window, rng_new)
+        assert np.array_equal(got_counts, want_counts) and got_counts.all()
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+        np.testing.assert_allclose(got_agg, want_agg, rtol=1e-14, atol=0.0)
+
     def test_debug_line_per_estimate(self, band1, caplog, capsys):
         with caplog.at_level(logging.DEBUG, logger="d2dee"):
             estimate_stp(scenario(band1, trials=1000, workers=3), "d2d")
@@ -382,6 +444,20 @@ class TestChunkPool:
         lines = [r.getMessage() for r in caplog.records if r.name == "d2dee"]
         assert len(lines) == 1
         assert lines[0].startswith("estimate_links: 1000 trials, 3 chunks, ")
+
+    def test_debug_line_counts_pass_interferers(self, band1, caplog):
+        # both fields of every trial of every chunk, as the chunks draw them
+        sc = scenario(band1, trials=1000, workers=3)
+        with caplog.at_level(logging.DEBUG, logger="d2dee"):
+            estimate_links(sc)
+        line, = [r.getMessage() for r in caplog.records if r.name == "d2dee"]
+        drawn = 0
+        for c, n in _chunks(sc.trials, sc.workers):
+            rng, cell_rng = streams(sc.seed, c)
+            _, _, counts_d2d, counts_cell = _sir_block(sc, n, rng, cell_rng)
+            drawn += int(counts_d2d.sum() + counts_cell.sum())
+        assert drawn > 1000 * 1000
+        assert f", pool {_pool_size(1000, 3)}, {drawn} interferers, " in line
 
 
 class TestTiles:
@@ -439,7 +515,7 @@ class TestTiles:
         u, gains = rng.random(total), rng.standard_exponential(total)
         want, k = [], 0
         for c in want_counts:
-            want.append(sum(gains[k:k + c] * u[k:k + c] ** (-alpha / 2.0)))
+            want.append(sum(gains[k:k + c] / u[k:k + c] ** (alpha / 2.0)))
             k += c
         assert np.array_equal(counts, want_counts)
         last = int(np.flatnonzero(counts)[-1])
