@@ -18,12 +18,7 @@ from .model import (
     stp_cell,
     stp_d2d,
 )
-from .simulate import (
-    SimScenario,
-    StpEstimate,
-    estimate_links,
-    estimate_stp,
-)
+from .simulate import SimScenario, StpEstimate, estimate_links
 from .solver import (
     AllocationResult,
     InfeasibleProblem,

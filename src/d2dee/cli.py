@@ -19,6 +19,7 @@ from .config import SWEEP_KEYS, ExperimentConfig, load_config
 from .harness import (
     SWEEP_PLOT,
     TRACE_PLOT,
+    VALIDATE_LINKS,
     _config_header,
     format_solve_table,
     run_solve,
@@ -59,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("validate", help="Monte Carlo check of the closed-form STP")
     _add_common(p)
-    p.add_argument("--which", choices=["d2d", "cell", "both"], default="both")
+    p.add_argument("--which", choices=VALIDATE_LINKS, default="both")
     p.add_argument("--band", type=int, default=None)
 
     p = subs.add_parser("solve", help="one joint power-allocation solve")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .config import DENSITY_FIELDS, SWEEP_KEYS, ExperimentConfig
 from .model import SystemParams
-from .simulate import SimScenario, estimate_links, estimate_stp
+from .simulate import SimScenario, estimate_links
 from .solver import AllocationResult, InfeasibleProblem, baseline_fixed_cell, optimize_powers
 
 __all__ = [
@@ -29,6 +29,8 @@ __all__ = [
     "trace_fieldnames",
 ]
 
+# the links run_validate can report: "both" keeps the two records of a pass
+VALIDATE_LINKS = ("d2d", "cell", "both")
 VALIDATE_Z_LIMIT = 3.3
 VALIDATE_ABS_LIMIT = 0.005
 # two-sided normal mass beyond the z limit, ~9.7e-4
@@ -113,17 +115,20 @@ def run_validate(
 ) -> tuple[list[dict], bool]:
     """Monte Carlo estimates against the closed forms on one band.
 
-    ``which`` is "d2d", "cell" or "both".  Both links come from one
-    ``estimate_links`` pass over the trials, which draws each trial's two
-    interferer fields once; a single link comes from ``estimate_stp``.
-    Records are in link order, D2D first.  Passes when every estimate
-    satisfies |z| <= 3.3 and |p_hat - analytic| <= 0.005.  When every
-    trial fails or every trial succeeds the standard error is zero and z
-    is undefined; the record's ``count_prob`` then holds the exact
-    probability of that count under the closed form, (1 - analytic)^n or
-    analytic^n, which must not fall below the z gate's two-sided mass
-    VALIDATE_TAIL_MASS.  ``count_prob`` is None when z applies.
+    ``which`` is "d2d", "cell" or "both", checked before any draw.  Every
+    estimate comes from one pass of ``estimate_links``, the one estimator,
+    which draws each trial's two interferer fields once and scores both
+    links; ``which`` only picks the records kept, in link order, D2D first.
+    Passes when every estimate satisfies |z| <= 3.3 and
+    |p_hat - analytic| <= 0.005.  When every trial fails or every trial
+    succeeds the standard error is zero and z is undefined; the record's
+    ``count_prob`` then holds the exact probability of that count under the
+    closed form, (1 - analytic)^n or analytic^n, which must not fall below
+    the z gate's two-sided mass VALIDATE_TAIL_MASS.  ``count_prob`` is None
+    when z applies.
     """
+    if which not in VALIDATE_LINKS:
+        raise ValueError(f"which must be 'd2d', 'cell' or 'both', got {which!r}")
     system = cfg.system
     sim = cfg["sim"]
     idx = sim["band"] if band_index is None else band_index
@@ -138,7 +143,7 @@ def run_validate(
         seed=sim["seed"],
         workers=sim["workers"],
     )
-    estimates = estimate_links(scenario) if which == "both" else [estimate_stp(scenario, which)]
+    estimates = [est for est in estimate_links(scenario) if which in ("both", est.which)]
     records = []
     ok = True
     for est in estimates:

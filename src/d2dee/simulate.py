@@ -7,6 +7,8 @@ aggregate interference.  The estimator is deliberately independent of
 the closed forms it validates: it only shares the physical model (path
 loss, Rayleigh fading, PPP geometry).
 
+``estimate_links`` is the one estimator: it scores both links in one
+pass, and a caller that needs one link takes that side of the pair.
 Both links share each trial's fields.  The D2D and the cellular receiver
 each see a D2D field and a cellular field of the same densities on the
 same window, so one realization of the two fields serves both links (common
@@ -54,7 +56,6 @@ __all__ = [
     "StpEstimate",
     "RNG_NAME",
     "estimate_links",
-    "estimate_stp",
 ]
 
 RNG_NAME = "pcg64"
@@ -120,16 +121,12 @@ class StpEstimate:
         }
 
 
-def _substream(seed: int, chunk: int) -> np.random.Generator:
-    """Main stream of one (seed, chunk) pair."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, chunk])))
-
-
-def _cell_fading_stream(seed: int, chunk: int) -> np.random.Generator:
-    """Cellular signal fading stream of one (seed, chunk) pair: the first
-    spawned child of the main stream's SeedSequence."""
-    child, = np.random.SeedSequence([seed, chunk]).spawn(1)
-    return np.random.Generator(np.random.PCG64(child))
+def _streams(seed: int, chunk: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """The main and the cellular signal fading stream of one (seed, chunk)
+    pair: the SeedSequence keyed by the pair, and its first spawned child."""
+    seq = np.random.SeedSequence([seed, chunk])
+    child, = seq.spawn(1)
+    return np.random.Generator(np.random.PCG64(seq)), np.random.Generator(np.random.PCG64(child))
 
 
 def _interference_block(
@@ -256,8 +253,7 @@ def _chunk_successes(scenario: SimScenario, chunk: int, n_chunk: int) -> tuple[i
     """D2D and cellular successes among the ``n_chunk`` trials of one chunk,
     and the interferers of both fields drawn for them."""
     band = scenario.band
-    rng = _substream(scenario.seed, chunk)
-    cell_rng = _cell_fading_stream(scenario.seed, chunk)
+    rng, cell_rng = _streams(scenario.seed, chunk)
     d2d = cell = interferers = 0
     done = 0
     while done < n_chunk:
@@ -279,15 +275,19 @@ def _check(scenario: SimScenario) -> None:
         raise ValueError("window radius must be finite")
     if scenario.window_radius_m < 10.0 * max_link:
         raise ValueError("window too small for edge-effect control")
+    area = math.pi * scenario.window_radius_m * scenario.window_radius_m
+    if not math.isfinite((band.density_d2d + band.density_cell) * area):
+        raise ValueError(f"mean interferer count per trial is not finite at "
+                         f"window_radius_m={scenario.window_radius_m!r}")
     if scenario.trials < 100:
         raise ValueError("at least 100 trials are required for an estimate")
 
 
-def _run(scenario: SimScenario, name: str) -> tuple[int, int]:
+def _run(scenario: SimScenario) -> tuple[int, int]:
     """D2D and cellular successes over all trials, in one pass over the chunks.
 
-    Logs one DEBUG line that starts with ``name`` and counts the pass's
-    interferers, both fields together.
+    Logs one DEBUG line that counts the pass's interferers, both fields
+    together.
     """
     start = time.perf_counter()
     chunks = _chunks(scenario.trials, scenario.workers)
@@ -311,8 +311,8 @@ def _run(scenario: SimScenario, name: str) -> tuple[int, int]:
     import logging
 
     logging.getLogger("d2dee").debug(
-        "%s: %d trials, %d chunks, pool %d, %d interferers, %.3f s",
-        name, scenario.trials, len(chunks), procs, sum(i for _, _, i in counts), wall_s,
+        "estimate_links: %d trials, %d chunks, pool %d, %d interferers, %.3f s",
+        scenario.trials, len(chunks), procs, sum(i for _, _, i in counts), wall_s,
     )
     return sum(d for d, _, _ in counts), sum(c for _, c, _ in counts)
 
@@ -338,35 +338,18 @@ def _estimate(scenario: SimScenario, which: str, successes: int, analytic: float
 def estimate_links(scenario: SimScenario) -> tuple[StpEstimate, StpEstimate]:
     """Estimate P(SIR >= T) of the D2D and the cellular link in one pass.
 
-    Each trial's two fields serve both links; see the module docstring for
-    why each estimate stays exact.  Success of a trial is evaluated as
-    signal >= T * interference (with an empty interferer field always
-    succeeding), which avoids forming the SIR ratio and keeps the
-    comparison well defined.
+    The package's one Monte Carlo estimator: a single link is its side of
+    the returned (D2D, cellular) pair.  Each trial's two fields serve both
+    links; see the module docstring for why each estimate stays exact.
+    Success of a trial is evaluated as signal >= T * interference (with an
+    empty interferer field always succeeding), which avoids forming the
+    SIR ratio and keeps the comparison well defined.
     """
     _check(scenario)
     band = scenario.band
-    d2d, cell = _run(scenario, "estimate_links")
+    d2d, cell = _run(scenario)
     return (
         _estimate(scenario, "d2d", d2d, stp_d2d(band, scenario.p_cell_w, scenario.p_d2d_w)),
         _estimate(scenario, "cell", cell, stp_cell(band, scenario.p_cell_w, scenario.p_d2d_w)),
     )
 
-
-def estimate_stp(scenario: SimScenario, which: str) -> StpEstimate:
-    """Estimate P(SIR >= T) of one link over ``scenario.trials`` trials.
-
-    The ``which`` side of ``estimate_links``, bit for bit: the pass scores
-    both links, at one exponential draw and one compare per trial more
-    than the link alone would take.
-    """
-    _check(scenario)
-    band = scenario.band
-    if which == "d2d":
-        analytic = stp_d2d(band, scenario.p_cell_w, scenario.p_d2d_w)
-    elif which == "cell":
-        analytic = stp_cell(band, scenario.p_cell_w, scenario.p_d2d_w)
-    else:
-        raise ValueError("which must be 'd2d' or 'cell'")
-    d2d, cell = _run(scenario, f"estimate_stp {which}")
-    return _estimate(scenario, which, d2d if which == "d2d" else cell, analytic)

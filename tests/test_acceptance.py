@@ -20,7 +20,7 @@ from d2dee import (
     SystemParams,
     curvature_interval,
     ee_per_band,
-    estimate_stp,
+    estimate_links,
     gamma_product,
     solve_d2d_phase,
     stp_cell,
@@ -58,19 +58,19 @@ def test_criterion_1_oracle_equivalence():
     scenario = SimScenario(band=band, p_cell_w=0.3, p_d2d_w=0.02,
                            window_radius_m=2000.0, trials=100_000, seed=7)
     anchors = {"d2d": 0.92495, "cell": 0.60434}
+    start = time.perf_counter()
+    estimates = estimate_links(scenario)
+    elapsed = time.perf_counter() - start
     details = []
-    ok = True
-    for which, anchor in anchors.items():
-        start = time.perf_counter()
-        est = estimate_stp(scenario, which)
-        elapsed = time.perf_counter() - start
-        assert est.analytic == pytest.approx(anchor, abs=5e-5)
+    ok = elapsed <= 10.0
+    for est in estimates:
+        assert est.analytic == pytest.approx(anchors[est.which], abs=5e-5)
         gap = abs(est.p_hat - est.analytic)
         tol = max(0.005, 3.3 * est.std_err)
-        ok = ok and gap <= tol and elapsed <= 10.0
-        details.append(f"{which}: p_hat={est.p_hat:.5f} analytic={est.analytic:.5f} "
-                       f"gap={gap:.5f} tol={tol:.5f} time={elapsed:.1f}s")
-    report("1 oracle-equivalence", ok, "; ".join(details))
+        ok = ok and gap <= tol
+        details.append(f"{est.which}: p_hat={est.p_hat:.5f} analytic={est.analytic:.5f} "
+                       f"gap={gap:.5f} tol={tol:.5f}")
+    report("1 oracle-equivalence", ok, "; ".join(details) + f"; time={elapsed:.1f}s")
 
 
 def test_criterion_2_gamma_identity():
@@ -331,9 +331,8 @@ def test_criterion_8_property_suites():
     # Monte Carlo determinism under fixed (seed, workers)
     scenario = SimScenario(band=band1(), p_cell_w=0.3, p_d2d_w=0.02,
                            trials=20_000, seed=11, workers=3)
-    e1 = estimate_stp(scenario, "d2d")
-    e2 = estimate_stp(scenario, "d2d")
-    ok_mc = e1.p_hat == e2.p_hat and e1.std_err == e2.std_err
+    first, second = estimate_links(scenario), estimate_links(scenario)
+    ok_mc = all(a.p_hat == b.p_hat and a.std_err == b.std_err for a, b in zip(first, second))
 
     ok = ok_rt and ok_ratio and ok_ee and ok_bound and ok_mc
     report("8 property-suites", ok,

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import importlib
 import json
 import math
 import re
@@ -371,11 +372,41 @@ class TestValidate:
         assert VALIDATE_TAIL_MASS == pytest.approx(2.0 * norm.sf(VALIDATE_Z_LIMIT), rel=1e-12)
 
     def test_corrupted_analytic_fails(self, monkeypatch):
-        # a corrupted closed form, as estimate_stp reads it, must fail the gates
+        # a corrupted closed form, as estimate_links reads it, must fail the gates
         monkeypatch.setattr("d2dee.simulate.stp_d2d", lambda band, p_cell_w, p_d2d_w: 0.5)
         cfg = ExperimentConfig().with_overrides(trials=2000, seed=7)
         _, ok = run_validate(cfg, which="d2d")
         assert not ok
+
+    def test_unknown_which_rejected(self, monkeypatch):
+        # rejected before any draw
+        def no_pass(scenario):
+            raise AssertionError("estimate_links reached")
+
+        monkeypatch.setattr("d2dee.harness.estimate_links", no_pass)
+        with pytest.raises(ValueError, match="which must be 'd2d', 'cell' or 'both', got 'bogus'"):
+            run_validate(ExperimentConfig(), which="bogus")
+
+    def test_single_link_is_its_record_of_both(self, tmp_path):
+        # one pass scores both links; --which only picks the records written
+        records = {}
+        for which in ("d2d", "cell", "both"):
+            out = tmp_path / which
+            main(["validate", "--which", which, "--trials", "2000", "--workers", "2",
+                  "--seed", "3", "--out", str(out)])
+            records[which] = json.loads((out / "validate.json").read_text())["estimates"]
+        assert [r["which"] for r in records["both"]] == ["d2d", "cell"]
+        for i, which in enumerate(("d2d", "cell")):
+            assert records[which] == [records["both"][i]]
+
+    def test_overflowing_window_is_config_exit(self, tmp_path, capsys):
+        # the window's mean interferer count overflowed inside the kernel,
+        # and the OverflowError left validate with the infeasible exit code
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sim": {"window_radius_m": 1e200, "trials": 100}}))
+        code = main(["validate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "window_radius_m" in capsys.readouterr().err
 
 
 class TestSolveAndTrace:
@@ -720,3 +751,9 @@ def test_cli_import_loads_no_pool_or_logging():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["model", "simulate", "solver", "harness", "config"])
+def test_all_names_exist(module):
+    mod = importlib.import_module(f"d2dee.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

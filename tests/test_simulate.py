@@ -8,16 +8,15 @@ import pytest
 from scipy.special import erf
 from scipy.stats import kstest
 
-from d2dee import SimScenario, estimate_links, estimate_stp, stp_cell, stp_d2d
+from d2dee import SimScenario, estimate_links, stp_cell, stp_d2d
 from d2dee import simulate
 from d2dee.simulate import (
-    _cell_fading_stream,
     _chunk_successes,
     _chunks,
     _interference_block,
     _pool_size,
     _sir_block,
-    _substream,
+    _streams,
     _usable_cpus,
 )
 
@@ -29,14 +28,9 @@ def scenario(band, **overrides):
     return SimScenario(**params)
 
 
-def streams(seed, chunk=0):
-    """The main and the cellular fading stream of one (seed, chunk) pair."""
-    return _substream(seed, chunk), _cell_fading_stream(seed, chunk)
-
-
 class TestSampling:
     def test_zero_density_always_empty(self):
-        agg, counts = _interference_block(200, 0.0, 4.0, 2000.0, _substream(1, 0))
+        agg, counts = _interference_block(200, 0.0, 4.0, 2000.0, _streams(1, 0)[0])
         assert not counts.any()
         assert np.array_equal(agg, np.zeros(200))
 
@@ -45,7 +39,7 @@ class TestSampling:
         # cellular field at the cellular density
         n, window = 10_000, 500.0
         _, _, counts_d2d, counts_cell = _sir_block(
-            scenario(band1, window_radius_m=window), n, *streams(2))
+            scenario(band1, window_radius_m=window), n, *_streams(2, 0))
         for counts, density in ((counts_d2d, band1.density_d2d), (counts_cell, band1.density_cell)):
             expected = density * math.pi * window**2
             assert abs(counts.mean() - expected) < 3 * math.sqrt(expected / n)
@@ -56,7 +50,7 @@ class TestSampling:
         # so P(t <= x) = 1 - sqrt(pi) * erf(sqrt(x)) / (2 sqrt(x)).  KS at the 1% level
         window = 1000.0
         agg, counts = _interference_block(
-            30_000, 1.0 / (math.pi * window**2), 4.0, window, _substream(3, 0))
+            30_000, 1.0 / (math.pi * window**2), 4.0, window, _streams(3, 0)[0])
         t = agg[counts == 1]
         assert t.size > 10_000
         cdf = lambda x: 1.0 - math.sqrt(math.pi) * erf(np.sqrt(x)) / (2.0 * np.sqrt(x))
@@ -65,7 +59,7 @@ class TestSampling:
 
     def test_negative_density_rejected(self):
         with pytest.raises(ValueError):
-            _interference_block(10, -1.0, 4.0, 2000.0, _substream(1, 0))
+            _interference_block(10, -1.0, 4.0, 2000.0, _streams(1, 0)[0])
 
 
 class TestSirRealization:
@@ -73,14 +67,14 @@ class TestSirRealization:
         # an empty field is exactly zero interference, which the success rule
         # counts as a success whatever the signal
         band = make_band(density_d2d=0.0, density_cell=0.0)
-        d2d, cell, counts_d2d, counts_cell = _sir_block(scenario(band), 100, *streams(1))
+        d2d, cell, counts_d2d, counts_cell = _sir_block(scenario(band), 100, *_streams(1, 0))
         assert not counts_d2d.any() and not counts_cell.any()
         for signal, itf in (d2d, cell):
             assert np.array_equal(itf, np.zeros(100))
             assert (signal > 0).all()
 
     def test_counts_reported(self, band1):
-        d2d, cell, counts_d2d, counts_cell = _sir_block(scenario(band1), 16, *streams(4))
+        d2d, cell, counts_d2d, counts_cell = _sir_block(scenario(band1), 16, *_streams(4, 0))
         assert (counts_d2d > 0).all()
         assert (counts_cell >= 0).all()
         for signal, itf in (d2d, cell):
@@ -96,8 +90,8 @@ class TestSirRealization:
         sc_a = scenario(band_a, window_radius_m=500.0, trials=4000, seed=11)
         sc_b = scenario(band_b, p_cell_w=0.02, p_d2d_w=0.3, window_radius_m=500.0,
                         trials=4000, seed=11)
-        est_a = estimate_stp(sc_a, "d2d")
-        est_b = estimate_stp(sc_b, "cell")
+        est_a, _ = estimate_links(sc_a)
+        _, est_b = estimate_links(sc_b)
         assert est_a.analytic == pytest.approx(est_b.analytic, rel=1e-12)
         assert abs(est_a.p_hat - est_b.p_hat) <= 3.3 * math.hypot(est_a.std_err, est_b.std_err)
 
@@ -107,8 +101,8 @@ class TestSirRealization:
         # comes from the chunk's second stream
         n, window, alpha = 3000, 500.0, band1.pathloss_exponent
         sc = scenario(band1, window_radius_m=window)
-        (signal_d2d, itf_d2d), (signal_cell, itf_cell), _, _ = _sir_block(sc, n, *streams(12))
-        rng, cell_rng = streams(12)
+        (signal_d2d, itf_d2d), (signal_cell, itf_cell), _, _ = _sir_block(sc, n, *_streams(12, 0))
+        rng, cell_rng = _streams(12, 0)
         want_signal_d2d = rng.standard_exponential(n) * band1.d2d_link_distance_m ** (-alpha)
         agg_d2d, _ = _interference_block(n, band1.density_d2d, alpha, window, rng)
         agg_cell, _ = _interference_block(n, band1.density_cell, alpha, window, rng)
@@ -127,51 +121,47 @@ class TestSirRealization:
         # interference, hence its SIR, is unchanged
         sc = scenario(band1)
         sc_scaled = scenario(band1, p_cell_w=4 * 0.3, p_d2d_w=4 * 0.02)
-        d2d_a, cell_a, *counts_a = _sir_block(sc, 50, *streams(21))
-        d2d_b, cell_b, *counts_b = _sir_block(sc_scaled, 50, *streams(21))
+        d2d_a, cell_a, *counts_a = _sir_block(sc, 50, *_streams(21, 0))
+        d2d_b, cell_b, *counts_b = _sir_block(sc_scaled, 50, *_streams(21, 0))
         for x, y in zip((*d2d_a, *cell_a, *counts_a), (*d2d_b, *cell_b, *counts_b)):
             assert np.array_equal(x, y)
 
     def test_fading_gains_unit_mean(self):
-        gains = _substream(8, 0).standard_exponential(1_000_000)
+        gains = _streams(8, 0)[0].standard_exponential(1_000_000)
         assert abs(gains.mean() - 1.0) < 0.01
 
 
 class TestEstimateStp:
     def test_threshold_to_zero_gives_one(self, make_band):
         band = make_band(sir_threshold_d2d=1e-12)
-        est = estimate_stp(scenario(band, trials=2000), "d2d")
+        est, _ = estimate_links(scenario(band, trials=2000))
         assert est.p_hat == 1.0
 
     def test_determinism(self, band1):
         sc = scenario(band1, trials=20_000, workers=3)
-        first = estimate_stp(sc, "d2d")
-        second = estimate_stp(sc, "d2d")
+        first, _ = estimate_links(sc)
+        second, _ = estimate_links(sc)
         assert first.p_hat == second.p_hat
         assert first.std_err == second.std_err
 
     def test_worker_partition_consistency(self, band1):
         sc1 = scenario(band1, trials=50_000, workers=1)
         sc4 = scenario(band1, trials=50_000, workers=4)
-        e1 = estimate_stp(sc1, "d2d")
-        e4 = estimate_stp(sc4, "d2d")
+        e1, _ = estimate_links(sc1)
+        e4, _ = estimate_links(sc4)
         joint = math.hypot(e1.std_err, e4.std_err)
         assert abs(e1.p_hat - e4.p_hat) <= 3.3 * joint
 
     def test_window_invariant(self, band1):
         with pytest.raises(ValueError, match="window too small for edge-effect control"):
-            estimate_stp(scenario(band1, window_radius_m=400.0), "d2d")
+            estimate_links(scenario(band1, window_radius_m=400.0))
 
     def test_minimum_trials(self, band1):
         with pytest.raises(ValueError):
-            estimate_stp(scenario(band1, trials=50), "d2d")
-
-    def test_unknown_class_rejected(self, band1):
-        with pytest.raises(ValueError, match="which must be 'd2d' or 'cell'"):
-            estimate_stp(scenario(band1, trials=1000), "both")
+            estimate_links(scenario(band1, trials=50))
 
     def test_stderr_and_z_fields(self, band1):
-        est = estimate_stp(scenario(band1, trials=10_000), "cell")
+        _, est = estimate_links(scenario(band1, trials=10_000))
         assert est.std_err == pytest.approx(
             math.sqrt(est.p_hat * (1 - est.p_hat) / est.trials)
         )
@@ -182,7 +172,7 @@ class TestEstimateStp:
 
     def test_zero_density_record(self, make_band):
         band = make_band(density_d2d=0.0, density_cell=0.0)
-        est = estimate_stp(scenario(band, trials=1000), "d2d")
+        est, _ = estimate_links(scenario(band, trials=1000))
         assert est.p_hat == 1.0 and est.analytic == 1.0
         assert math.isnan(est.z_score)
         assert est.to_record()["z_score"] is None
@@ -190,8 +180,8 @@ class TestEstimateStp:
     def test_window_doubling_truncation_bias(self, band1):
         sc1 = scenario(band1, trials=20_000)
         sc2 = scenario(band1, trials=20_000, window_radius_m=4000.0)
-        e1 = estimate_stp(sc1, "cell")
-        e2 = estimate_stp(sc2, "cell")
+        _, e1 = estimate_links(sc1)
+        _, e2 = estimate_links(sc2)
         joint = math.hypot(e1.std_err, e2.std_err)
         assert abs(e1.p_hat - e2.p_hat) <= 3 * joint
 
@@ -253,13 +243,6 @@ class TestEstimateLinks:
         _, est = self.pinned_links(make_band, name, workers)
         assert (est.p_hat.hex(), est.std_err.hex()) == self.CELL_BITS[name, workers]
 
-    def test_single_link_is_one_side_of_the_pass(self, band1):
-        sc = scenario(band1, trials=5000, workers=2)
-        d2d, cell = estimate_links(sc)
-        assert estimate_stp(sc, "d2d") == d2d
-        assert estimate_stp(sc, "cell") == cell
-        assert (d2d.which, cell.which) == ("d2d", "cell")
-
     def test_scenario_checks(self, band1):
         with pytest.raises(ValueError, match="window too small for edge-effect control"):
             estimate_links(scenario(band1, window_radius_m=400.0))
@@ -279,16 +262,22 @@ class TestEstimateLinks:
         sc = scenario(band1, window_radius_m=value, trials=1000)
         with pytest.raises(ValueError, match="window radius must be finite"):
             estimate_links(sc)
-        with pytest.raises(ValueError, match="window radius must be finite"):
-            estimate_stp(sc, "d2d")
+
+    @pytest.mark.parametrize("window", [1e160, 1e200])
+    def test_overflowing_window_rejected(self, band1, window):
+        # a finite window whose area overflows once escaped as an
+        # OverflowError from the kernel's mean-count expression
+        with pytest.raises(ValueError, match="not finite at window_radius_m="):
+            estimate_links(scenario(band1, window_radius_m=window, trials=100))
 
     def test_cell_fading_stream_independent(self):
         # a spawned child of the chunk's SeedSequence: its own state, and
         # uncorrelated with the chunk's main stream and every other chunk's
         # streams
-        seq = _cell_fading_stream(5, 1).bit_generator.seed_seq
-        assert list(seq.entropy) == [5, 1] and seq.spawn_key == (0,)
-        gens = [g for chunk in range(3) for g in streams(5, chunk)]
+        main, cell = (g.bit_generator.seed_seq for g in _streams(5, 1))
+        assert list(main.entropy) == [5, 1] and main.spawn_key == ()
+        assert list(cell.entropy) == [5, 1] and cell.spawn_key == (0,)
+        gens = [g for chunk in range(3) for g in _streams(5, chunk)]
         assert len({repr(g.bit_generator.state["state"]) for g in gens}) == len(gens)
         n = 200_000
         draws = np.array([g.random(n) for g in gens])
@@ -359,7 +348,7 @@ class TestChunkPool:
     def test_pooled_estimate_equals_in_process_chunks(self, band1, monkeypatch):
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
         sc = scenario(band1, trials=20_001, workers=2)
-        est = estimate_stp(sc, "cell")
+        _, est = estimate_links(sc)
         successes = _chunk_successes(sc, 0, 10_001)[1] + _chunk_successes(sc, 1, 10_000)[1]
         assert est.p_hat == successes / sc.trials
         assert est.std_err == math.sqrt(est.p_hat * (1.0 - est.p_hat) / sc.trials)
@@ -370,11 +359,6 @@ class TestChunkPool:
         pooled = estimate_links(sc)
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 1)
         assert estimate_links(sc) == pooled
-
-    def test_no_process_outlives_estimate(self, band1, monkeypatch):
-        monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
-        estimate_stp(scenario(band1, trials=3000, workers=3), "d2d")
-        assert multiprocessing.active_children() == []
 
     def test_no_process_outlives_links(self, band1, monkeypatch):
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 2)
@@ -402,7 +386,7 @@ class TestChunkPool:
             (200, 0.0, 4.0, 500.0),
             (700, 3e-5, 3.0, 800.0),
         ]
-        rng_fresh, rng_buffered = _substream(41, 0), _substream(41, 0)
+        rng_fresh, rng_buffered = _streams(41, 0)[0], _streams(41, 0)[0]
         for n, density, alpha, window in blocks:
             want_agg, want_counts = fresh_interference_block(
                 n, density, alpha, window, rng_fresh)
@@ -420,7 +404,7 @@ class TestChunkPool:
     def test_kernel_differs_from_negative_power_by_rounding_only(self, n, density, alpha, window):
         # g / u^(alpha/2) against g * u^(-alpha/2) over the same draws: the
         # counts and the stream agree exactly, the sums to a few ulp
-        rng_old, rng_new = _substream(45, 0), _substream(45, 0)
+        rng_old, rng_new = _streams(45, 0)[0], _streams(45, 0)[0]
         want_agg, want_counts = fresh_interference_block(
             n, density, alpha, window, rng_old, old_kernel=True)
         got_agg, got_counts = _interference_block(n, density, alpha, window, rng_new)
@@ -428,22 +412,15 @@ class TestChunkPool:
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
         np.testing.assert_allclose(got_agg, want_agg, rtol=1e-14, atol=0.0)
 
-    def test_debug_line_per_estimate(self, band1, caplog, capsys):
-        with caplog.at_level(logging.DEBUG, logger="d2dee"):
-            estimate_stp(scenario(band1, trials=1000, workers=3), "d2d")
-        lines = [r.getMessage() for r in caplog.records if r.name == "d2dee"]
-        assert len(lines) == 1
-        assert lines[0].startswith("estimate_stp d2d: 1000 trials, 3 chunks, ")
-        assert f"pool {_pool_size(1000, 3)}, " in lines[0]
-        assert lines[0].endswith(" s")
-        assert capsys.readouterr().out == ""
-
-    def test_debug_line_per_pass(self, band1, caplog):
+    def test_debug_line_per_pass(self, band1, caplog, capsys):
         with caplog.at_level(logging.DEBUG, logger="d2dee"):
             estimate_links(scenario(band1, trials=1000, workers=3))
         lines = [r.getMessage() for r in caplog.records if r.name == "d2dee"]
         assert len(lines) == 1
         assert lines[0].startswith("estimate_links: 1000 trials, 3 chunks, ")
+        assert f"pool {_pool_size(1000, 3)}, " in lines[0]
+        assert lines[0].endswith(" s")
+        assert capsys.readouterr().out == ""
 
     def test_debug_line_counts_pass_interferers(self, band1, caplog):
         # both fields of every trial of every chunk, as the chunks draw them
@@ -453,7 +430,7 @@ class TestChunkPool:
         line, = [r.getMessage() for r in caplog.records if r.name == "d2dee"]
         drawn = 0
         for c, n in _chunks(sc.trials, sc.workers):
-            rng, cell_rng = streams(sc.seed, c)
+            rng, cell_rng = _streams(sc.seed, c)
             _, _, counts_d2d, counts_cell = _sir_block(sc, n, rng, cell_rng)
             drawn += int(counts_d2d.sum() + counts_cell.sum())
         assert drawn > 1000 * 1000
@@ -474,7 +451,7 @@ class TestTiles:
     @pytest.mark.parametrize("tile", [1, 7, 64])
     def test_small_tiles_match_one_pass(self, monkeypatch, tile):
         monkeypatch.setattr(simulate, "_TILE", tile)
-        rng_fresh, rng_tiled = _substream(44, 0), _substream(44, 0)
+        rng_fresh, rng_tiled = _streams(44, 0)[0], _streams(44, 0)[0]
         largest, ends_empty = 0, False
         for n, density, alpha, window in self.BLOCKS:
             want_agg, want_counts = fresh_interference_block(
@@ -494,7 +471,7 @@ class TestTiles:
     def test_dense_block_buffers_bounded_by_tile(self):
         # the whole call, scratch and per-trial arrays together, peaks below
         # four float pairs per tile slot; whole-block arrays would take 41 MB
-        rng = _substream(44, 0)
+        rng = _streams(44, 0)[0]
         tracemalloc.start()
         try:
             _, counts = _interference_block(2048, 1e-4, 4.0, 2000.0, rng)
@@ -508,8 +485,8 @@ class TestTiles:
         # the last occupied trial of a block that ends in empty trials sums
         # all of its interferers, as a per-trial loop over the same draws does
         n, density, alpha, window = 64, 3e-7, 4.0, 2000.0
-        agg, counts = _interference_block(n, density, alpha, window, _substream(31, 0))
-        rng = _substream(31, 0)
+        agg, counts = _interference_block(n, density, alpha, window, _streams(31, 0)[0])
+        rng = _streams(31, 0)[0]
         want_counts = rng.poisson(density * math.pi * window**2, n)
         total = int(want_counts.sum())
         u, gains = rng.random(total), rng.standard_exponential(total)
