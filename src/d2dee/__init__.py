@@ -3,6 +3,11 @@
 Closed-form STP/ASR/EE metrics (model), a Monte Carlo PPP oracle that
 validates them (simulate), a two-phase joint power allocator (solver) and
 an experiment harness with a CLI (config, harness, cli).
+
+The oracle is the only module that needs numpy, so it loads on first use:
+``SimScenario``, ``StpEstimate`` and ``estimate_links`` are served from
+``simulate`` when first asked for, and importing the package, or running
+any command but ``validate``, loads neither ``simulate`` nor numpy.
 """
 
 from .model import (
@@ -18,7 +23,6 @@ from .model import (
     stp_cell,
     stp_d2d,
 )
-from .simulate import SimScenario, StpEstimate, estimate_links
 from .solver import (
     AllocationResult,
     InfeasibleProblem,
@@ -35,3 +39,17 @@ from .solver import (
 from .config import DEFAULTS, ExperimentConfig, build_system, load_config, save_config
 
 __version__ = "0.1.0"
+
+_SIMULATE_NAMES = ("SimScenario", "StpEstimate", "estimate_links")
+
+
+def __getattr__(name):
+    if name in _SIMULATE_NAMES:
+        from . import simulate
+
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *_SIMULATE_NAMES])

@@ -3,6 +3,10 @@
 All file outputs start with comment lines embedding the resolved config so
 a result can always be traced back to its inputs.  CSV bodies follow
 RFC-4180; reruns with the same config and seed are byte-identical.
+
+Only ``run_validate`` calls the Monte Carlo oracle, and it imports
+``simulate``, and numpy with it, on first use: solve, trace and sweep
+never load them.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from pathlib import Path
 
 from .config import DENSITY_FIELDS, SWEEP_KEYS, ExperimentConfig
 from .model import SystemParams
-from .simulate import SimScenario, estimate_links
 from .solver import AllocationResult, InfeasibleProblem, baseline_fixed_cell, optimize_powers
 
 __all__ = [
@@ -115,7 +118,8 @@ def run_validate(
 ) -> tuple[list[dict], bool]:
     """Monte Carlo estimates against the closed forms on one band.
 
-    ``which`` is "d2d", "cell" or "both", checked before any draw.  Every
+    ``which`` is "d2d", "cell" or "both", checked before any draw and
+    before the oracle, and numpy with it, is loaded.  Every
     estimate comes from one pass of ``estimate_links``, the one estimator,
     which draws each trial's two interferer fields once and scores both
     links; ``which`` only picks the records kept, in link order, D2D first.
@@ -129,6 +133,9 @@ def run_validate(
     """
     if which not in VALIDATE_LINKS:
         raise ValueError(f"which must be 'd2d', 'cell' or 'both', got {which!r}")
+    # imported here: the oracle loads numpy, which no other command needs
+    from .simulate import SimScenario, estimate_links
+
     system = cfg.system
     sim = cfg["sim"]
     idx = sim["band"] if band_index is None else band_index

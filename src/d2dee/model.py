@@ -115,17 +115,18 @@ class BandParams:
     max_power_cell_w: float
 
     def __post_init__(self):
-        if self.pathloss_exponent <= 2.0:
+        # each check is written so that NaN fails it
+        if not self.pathloss_exponent > 2.0:
             raise ValueError(
                 "pathloss exponent must exceed 2 (interference Laplace functional diverges)"
             )
         for name in ("bandwidth_hz", "sir_threshold_d2d", "sir_threshold_cell",
                      "d2d_link_distance_m", "cell_link_distance_m",
                      "max_power_d2d_w", "max_power_cell_w"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
         for name in ("density_d2d", "density_cell"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
         for name in ("outage_cap_d2d", "outage_cap_cell"):
             cap = getattr(self, name)
@@ -178,7 +179,7 @@ class SystemParams:
         object.__setattr__(self, "bands", tuple(self.bands))
         if len(self.bands) < 1:
             raise ValueError("at least one band is required")
-        if self.budget_d2d_w <= 0 or self.budget_cell_w <= 0:
+        if not (self.budget_d2d_w > 0 and self.budget_cell_w > 0):
             raise ValueError("power budgets must be positive")
 
     @property

@@ -42,7 +42,9 @@ u*u), so the kernel computes no general pow there.
 
 from __future__ import annotations
 
+import logging
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -85,10 +87,17 @@ class SimScenario:
             raise ValueError("transmit powers must be strictly positive")
         if not (math.isfinite(self.p_cell_w) and math.isfinite(self.p_d2d_w)):
             raise ValueError("transmit powers must be finite")
+        # integers as config documents take them: a bool does not count
+        for name in ("trials", "seed", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass
@@ -296,7 +305,7 @@ def _run(scenario: SimScenario) -> tuple[int, int]:
         counts = [_chunk_successes(scenario, c, n) for c, n in chunks]
     else:
         # imported here: an in-process estimate never needs them, and they
-        # would add ~24 ms to every start-up
+        # take ~20 ms to import even once numpy is loaded
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
@@ -307,9 +316,6 @@ def _run(scenario: SimScenario) -> tuple[int, int]:
             futures = [pool.submit(_chunk_successes, scenario, c, n) for c, n in chunks]
             counts = [f.result() for f in futures]
     wall_s = time.perf_counter() - start
-    # imported here too: at module level it would add ~9 ms to every start-up
-    import logging
-
     logging.getLogger("d2dee").debug(
         "estimate_links: %d trials, %d chunks, pool %d, %d interferers, %.3f s",
         scenario.trials, len(chunks), procs, sum(i for _, _, i in counts), wall_s,

@@ -87,7 +87,7 @@ class SolveOptions:
     max_outer_iters: int = 10
 
     def __post_init__(self):
-        if self.eps_power_w <= 0:
+        if not self.eps_power_w > 0:
             raise ValueError("eps_power_w must be positive")
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be positive")

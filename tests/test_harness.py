@@ -383,7 +383,7 @@ class TestValidate:
         def no_pass(scenario):
             raise AssertionError("estimate_links reached")
 
-        monkeypatch.setattr("d2dee.harness.estimate_links", no_pass)
+        monkeypatch.setattr("d2dee.simulate.estimate_links", no_pass)
         with pytest.raises(ValueError, match="which must be 'd2d', 'cell' or 'both', got 'bogus'"):
             run_validate(ExperimentConfig(), which="bogus")
 
@@ -751,6 +751,45 @@ def test_cli_import_loads_no_pool_or_logging():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_only_validate_loads_numpy(tmp_path):
+    # the Monte Carlo oracle, and numpy with it, loads on first use: importing
+    # the package and running solve, trace or sweep must load neither
+    import d2dee
+
+    src = str(Path(d2dee.__file__).resolve().parents[1])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(acc5_overrides()))
+    common = ["--config", str(cfg_path), "--out", str(tmp_path)]
+    commands = [["solve", *common], ["trace", *common],
+                ["sweep", *common, "--sweep-var", "lambda_d_ref", "--sweep-grid", "1e-5,1e-4"],
+                ["validate", *common, "--trials", "200"]]
+    code = (f"import contextlib, io, json, sys; sys.path.insert(0, {src!r})\n"
+            "import d2dee, d2dee.cli\n"
+            "def loaded(): return [m for m in ('numpy', 'd2dee.simulate') if m in sys.modules]\n"
+            "seen = [loaded()]\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        seen.append([d2dee.cli.main(argv), loaded()])\n"
+            "print(json.dumps(seen))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True)
+    seen = json.loads(done.stdout)
+    assert seen[:4] == [[], [EXIT_OK, []], [EXIT_OK, []], [EXIT_OK, []]]
+    # only what validate loads matters here, not its verdict at 200 trials
+    assert seen[4][1] == ["numpy", "d2dee.simulate"]
+
+
+def test_package_serves_the_oracle_lazily():
+    import d2dee
+    from d2dee import simulate
+
+    for name in ("SimScenario", "StpEstimate", "estimate_links"):
+        assert getattr(d2dee, name) is getattr(simulate, name)
+        assert name in dir(d2dee)
+    with pytest.raises(AttributeError, match="'nonexistent'"):
+        d2dee.nonexistent
 
 
 @pytest.mark.parametrize("module", ["model", "simulate", "solver", "harness", "config"])

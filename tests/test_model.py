@@ -238,6 +238,26 @@ class TestBandParamsValidation:
         with pytest.raises(ValueError):
             make_band(density_d2d=-1e-6)
 
+    NAN_MESSAGES = {
+        "pathloss_exponent": "pathloss exponent must exceed 2",
+        **{name: f"{name} must be strictly positive" for name in (
+            "bandwidth_hz", "sir_threshold_d2d", "sir_threshold_cell", "d2d_link_distance_m",
+            "cell_link_distance_m", "max_power_d2d_w", "max_power_cell_w")},
+        **{name: f"{name} must be nonnegative" for name in ("density_d2d", "density_cell")},
+    }
+
+    @pytest.mark.parametrize("name", sorted(NAN_MESSAGES))
+    def test_nan_rejected(self, make_band, name):
+        # a NaN passed every `x <= 0` check, since any comparison with it is false
+        with pytest.raises(ValueError, match=f"^{self.NAN_MESSAGES[name]}"):
+            make_band(**{name: math.nan})
+
+    @pytest.mark.parametrize("budget", ["budget_d2d_w", "budget_cell_w"])
+    def test_nan_budget_rejected(self, make_system, budget):
+        # a NaN D2D budget once solved to converged=True on an infeasible allocation
+        with pytest.raises(ValueError, match="^power budgets must be positive$"):
+            make_system(**{budget: math.nan})
+
 
 class TestFrozenInputs:
     def test_frozen_with_coefficients_outside_vars(self, band1):

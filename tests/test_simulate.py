@@ -257,6 +257,18 @@ class TestEstimateLinks:
         with pytest.raises(ValueError, match="transmit powers must be finite"):
             scenario(band1, **{power: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("trials", 1000.0, "trials must be an integer"),
+        ("trials", True, "trials must be an integer"),
+        ("workers", 2.0, "workers must be an integer"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("seed", -1, "seed must be nonnegative"),
+    ])
+    def test_counts_checked_by_name(self, band1, field, value, message):
+        # numpy once rejected these itself, with errors that named no field
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            scenario(band1, **{field: value})
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_window_rejected(self, band1, value):
         sc = scenario(band1, window_radius_m=value, trials=1000)

@@ -800,7 +800,8 @@ class TestCheckFeasible:
 
 
 class TestApi:
-    @pytest.mark.parametrize("field, value", [("eps_power_w", 0.0), ("max_outer_iters", 0)])
+    @pytest.mark.parametrize("field, value", [("eps_power_w", 0.0), ("eps_power_w", math.nan),
+                                              ("max_outer_iters", 0)])
     def test_solve_options_range_checked(self, field, value):
         # a config names the section too; these guard direct callers
         with pytest.raises(ValueError, match=f"^{field} must be positive$"):
