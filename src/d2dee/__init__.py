@@ -27,14 +27,13 @@ from .solver import (
     AllocationResult,
     InfeasibleProblem,
     IterationTrace,
+    PhaseResult,
     SolveOptions,
     baseline_fixed_cell,
     check_feasible,
-    curvature_interval,
     optimize_powers,
     solve_cell_phase,
     solve_d2d_phase,
-    x_from_powers,
 )
 from .config import DEFAULTS, ExperimentConfig, build_system, load_config, save_config
 

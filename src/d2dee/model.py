@@ -221,7 +221,7 @@ class MetricsReport:
 
 
 def _check_powers(p_cell_w: float, p_d2d_w: float) -> None:
-    if p_cell_w <= 0 or p_d2d_w <= 0:
+    if not (p_cell_w > 0 and p_d2d_w > 0):  # NaN fails it
         raise ValueError("transmit powers must be strictly positive")
 
 
@@ -293,8 +293,11 @@ def metrics(system: SystemParams, alloc: PowerAllocation) -> MetricsReport:
             f"allocation has {len(alloc.p_d2d_w)} bands, system has {system.num_bands}"
         )
     rep = MetricsReport()
-    for band, pd, pc in zip(system.bands, alloc.p_d2d_w, alloc.p_cell_w):
-        s_d = stp_d2d(band, pc, pd)
+    for i, (band, pd, pc) in enumerate(zip(system.bands, alloc.p_d2d_w, alloc.p_cell_w)):
+        try:
+            s_d = stp_d2d(band, pc, pd)
+        except ValueError as exc:  # a power that is not positive
+            raise ValueError(f"band {i}: {exc}") from exc
         s_c = stp_cell(band, pc, pd)
         rep.stp_d2d.append(s_d)
         rep.stp_cell.append(s_c)

@@ -22,21 +22,22 @@ them by q or q^(2/alpha) into one _Objective per band, its box and
 objective, whose argmax at a multiplier mu is that band's best power
 (see _phase_bands).
 
-The paper states phase one in the substituted variable x = exp(cd *
-lambda_c * (Pc/Pd)^(2/alpha)); the solve works in power space and never
-forms x.  x_from_powers maps a result to the paper's x, and
-curvature_interval gives the paper's concavity interval in x.
-
-The model's energy efficiency depends on transmit powers only through
-their ratio and a 1/P factor, so the joint problem has no interior scale
-optimum; the alternating scheme drifts geometrically until a cap, budget
-or the power-change stopping rule pins it.  See check_feasible and the
-iteration trace for how results are reported.
+A mu = 0 phase returns its own QoS lower end exactly when exp(-coeff_own *
+lambda_own - alpha/2) <= 1 - theta_own, the own success probability at the
+stationary point (where c * p^(-2/alpha) = alpha/2) against the one the
+outage cap allows; that holds for every cap below 1 - e^(-1) ~ 0.632.  The
+energy efficiency depends on the powers only through their ratio and a 1/P
+factor, so the joint problem has no interior scale optimum: where both
+phases return their lower ends, each iteration scales band i's powers by
+f_lo,d * f_lo,c <= 1, the product of the lower box factors, and the
+reported ratio Pc/Pd is f_lo,c.  See check_feasible and the iteration
+trace for how results are reported.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
@@ -59,8 +60,7 @@ __all__ = [
     "IterationTrace",
     "AllocationResult",
     "FeasibilityReport",
-    "x_from_powers",
-    "curvature_interval",
+    "PhaseResult",
     "solve_d2d_phase",
     "solve_cell_phase",
     "optimize_powers",
@@ -89,7 +89,10 @@ class SolveOptions:
     def __post_init__(self):
         if not self.eps_power_w > 0:
             raise ValueError("eps_power_w must be positive")
-        if self.max_outer_iters < 1:
+        n = self.max_outer_iters
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):  # as in config documents
+            raise ValueError("max_outer_iters must be an integer")
+        if n < 1:
             raise ValueError("max_outer_iters must be positive")
 
 
@@ -156,36 +159,6 @@ class AllocationResult:
             "feasibility": self.feasibility.to_dict(),
             "flags": list(self.flags),
         }
-
-
-# ---------------------------------------------------------------------------
-# variable transform
-
-
-def x_from_powers(band: BandParams, p_cell_w: float, p_d2d_w: float) -> float:
-    """Substituted variable exp(cd * lambda_c * (Pc/Pd)^(2/alpha))."""
-    if p_cell_w <= 0 or p_d2d_w <= 0:
-        raise ValueError("transmit powers must be strictly positive")
-    if band.density_cell == 0:
-        raise ValueError("transform undefined without cellular density")
-    ratio = _ratio_power(p_cell_w, p_d2d_w, 2.0 / band.pathloss_exponent)
-    return math.exp(band.coeff_d2d() * band.density_cell * ratio)
-
-
-def curvature_interval(alpha: float) -> tuple[float, float]:
-    """Interval (t1, t2) of x where the per-band D2D objective is concave.
-
-    t_{1,2} = exp((3*alpha -/+ sqrt(alpha^2 + 16*alpha)) / 8); outside the
-    interval the objective is convex.  t1 > 1 for every alpha > 2.
-    """
-    if alpha <= 2.0:
-        raise ValueError(
-            "pathloss exponent must exceed 2 (interference Laplace functional diverges)"
-        )
-    root = math.sqrt(alpha * alpha + 16.0 * alpha)
-    t1 = math.exp((3.0 * alpha - root) / 8.0)
-    t2 = math.exp((3.0 * alpha + root) / 8.0)
-    return t1, t2
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +269,10 @@ class _Objective(NamedTuple):
         to 0.0 (it would pick the lower end, although the objective rises
         across the box), or where a box end lies within about 1e-7
         (relative) of the point and ties with it, which changes the value
-        by at most 1e-15, relatively.  At mu > 0 see argmax_ln.
+        by at most 1e-15, relatively.  The answer is lo exactly when the own
+        success probability there, exp(-coeff_own * lambda_own - alpha/2), is
+        at most 1 - theta_own, as for every outage cap below 1 - e^(-1) (see
+        the module docstring).  At mu > 0 see argmax_ln.
         """
         lo, hi, c, a = self.lo, self.hi, self.c, self.alpha
         if c <= 0.0:
@@ -380,60 +356,71 @@ def _phase_bands(
     return bounds, objectives, flags
 
 
+class PhaseResult(NamedTuple):
+    """One phase's answer: the per-band powers of its class, the budget
+    multiplier ``mu`` (0 where the budget is slack, inf where exp(ln mu)
+    overflows a float), the phase's flags, and each band's power box
+    ``bounds[i] = (lo, hi)`` as the outage and power caps set it."""
+
+    powers: list[float]
+    mu: float
+    flags: list[str]
+    bounds: list[tuple[float, float]]
+
+
 def _solve_phase(
     system: SystemParams, own: str, q: list[float], opts: SolveOptions
-) -> tuple[list[float], dict]:
+) -> PhaseResult:
     """Maximize the total energy efficiency of class ``own`` at fixed ``q``.
 
     Each band maximizes its _Objective over its box (see _phase_bands).
     Lower ends that exceed the budget by more than its tolerance raise;
-    within it they are returned at once, flagged.  Where the answers at mu =
-    0 overspend, ln mu is bisected (see _dual_bisect) from the least bottom
+    within it they are the answer, flagged.  Where the answers at mu = 0
+    overspend, ln mu is bisected (see _dual_bisect) from the least bottom
     to the greatest top of the bands' _Objective.ln_mu_ends, where every
-    band is at its lower end.  The diagnostics' "mu" is exp(ln mu), inf
-    where that overflows a float.
+    band is at its lower end.  Returns the phase's PhaseResult.
     """
     bounds, objectives, flags = _phase_bands(system, own, q, opts)
     budget = getattr(system, f"budget_{own}_w")
     floor = math.fsum(b.lo for b in objectives)
     if floor > budget * (1.0 + BUDGET_TOL_REL):
         raise InfeasibleProblem(_BUDGET_INFEASIBLE[own], band=None, constraint=f"budget_{own}")
+    mu = 0.0
     if floor > budget:
         # no multiplier takes a band below its lower end
         flags.append(f"{_NAME[own]} lower ends exceed the budget within BUDGET_TOL_REL")
-        return [b.lo for b in objectives], {"mu": 0.0, "flags": flags, "bounds": bounds}
-    dec = [b.argmax(0.0) for b in objectives]
-    if math.fsum(dec) <= budget:
-        return dec, {"mu": 0.0, "flags": flags, "bounds": bounds}
-    ends = [e for e in (b.ln_mu_ends() for b in objectives) if e is not None]
-    dec, ln_mu = _dual_bisect(lambda ln_mu: [b.argmax_ln(ln_mu) for b in objectives], budget,
-                              min((e[0] for e in ends), default=0.0),
-                              max((e[1] for e in ends), default=0.0))
-    mu = math.exp(ln_mu) if ln_mu <= math.log(sys.float_info.max) else math.inf
-    return dec, {"mu": mu, "flags": flags, "bounds": bounds}
+        dec = [b.lo for b in objectives]
+    else:
+        dec = [b.argmax(0.0) for b in objectives]
+        if math.fsum(dec) > budget:
+            ends = [e for e in (b.ln_mu_ends() for b in objectives) if e is not None]
+            dec, ln_mu = _dual_bisect(lambda ln_mu: [b.argmax_ln(ln_mu) for b in objectives],
+                                      budget, min((e[0] for e in ends), default=0.0),
+                                      max((e[1] for e in ends), default=0.0))
+            mu = math.exp(ln_mu) if ln_mu <= math.log(sys.float_info.max) else math.inf
+    return PhaseResult(dec, mu, flags, bounds)
 
 
 def solve_d2d_phase(
     system: SystemParams, p_cell: list[float], opts: SolveOptions | None = None
-) -> tuple[list[float], dict]:
+) -> PhaseResult:
     """Maximize total D2D energy efficiency at fixed cellular powers.
 
-    Returns (p_d2d, diagnostics); x_from_powers maps a band's result to the
-    paper's x.  Bands without cellular density have an objective that falls
-    in the D2D power, so they are anchored at the solver's power tolerance
-    (flagged).
+    Returns the phase's PhaseResult, whose ``powers`` are the D2D powers.
+    Bands without cellular density have an objective that falls in the D2D
+    power, so they are anchored at the solver's power tolerance (flagged).
     """
     return _solve_phase(system, "d2d", p_cell, opts or SolveOptions())
 
 
 def solve_cell_phase(
     system: SystemParams, p_d2d: list[float], opts: SolveOptions | None = None
-) -> tuple[list[float], dict]:
+) -> PhaseResult:
     """Maximize total cellular energy efficiency at fixed D2D powers.
 
     The power-ratio term of the success probability stays live, so this is
     the cellular side of the shared problem (see the module docstring).
-    Returns (p_cell, diagnostics).
+    Returns the phase's PhaseResult, whose ``powers`` are the cellular powers.
     """
     return _solve_phase(system, "cell", p_d2d, opts or SolveOptions())
 
@@ -467,11 +454,13 @@ def optimize_powers(system: SystemParams, opts: SolveOptions | None = None) -> A
             # geometric scale collapse underflowed; the ratio is already pinned
             flags.append("cellular power underflow, iteration stopped early")
             break
-        p_d2d, diag1 = solve_d2d_phase(system, p_cell, opts)
+        phase_d = solve_d2d_phase(system, p_cell, opts)
+        p_d2d = phase_d.powers
         delta_d = max(abs(a - b) for a, b in zip(p_d2d, p_d_prev))
         p_d_prev = list(p_d2d)
 
-        p_cell, diag2 = solve_cell_phase(system, p_d2d, opts)
+        phase_c = solve_cell_phase(system, p_d2d, opts)
+        p_cell = phase_c.powers
         delta_c = max(abs(a - b) for a, b in zip(p_cell, p_c_prev))
         p_c_prev = list(p_cell)
 
@@ -483,7 +472,7 @@ def optimize_powers(system: SystemParams, opts: SolveOptions | None = None) -> A
         trace.delta_d_w.append(delta_d)
         trace.delta_c_w.append(delta_c)
         trace.iterations = it
-        for msg in diag1["flags"] + diag2["flags"]:
+        for msg in phase_d.flags + phase_c.flags:
             if msg not in flags:
                 flags.append(msg)
         if delta_d <= opts.eps_power_w and delta_c <= opts.eps_power_w:
@@ -511,7 +500,8 @@ def baseline_fixed_cell(
         raise ValueError("fixed cellular power must be positive")
     opts = opts or SolveOptions()
     p_cell = [p_cell_fixed_w] * system.num_bands
-    p_d2d, diag = solve_d2d_phase(system, p_cell, opts)
+    phase = solve_d2d_phase(system, p_cell, opts)
+    p_d2d = phase.powers
     alloc = PowerAllocation(p_d2d, p_cell)
     trace = IterationTrace(
         p_d2d_w=[list(p_d2d)],
@@ -524,7 +514,7 @@ def baseline_fixed_cell(
     rep = metrics(system, alloc)
     trace.ee_d2d_total.append(rep.ee_d2d_total)
     trace.ee_cell_total.append(rep.ee_cell_total)
-    return _result(system, alloc, trace, rep, list(diag["flags"]))
+    return _result(system, alloc, trace, rep, list(phase.flags))
 
 
 def _result(system: SystemParams, alloc: PowerAllocation, trace: IterationTrace,

@@ -18,19 +18,17 @@ from d2dee import (
     ExperimentConfig,
     SimScenario,
     SystemParams,
-    curvature_interval,
     ee_per_band,
     estimate_links,
     gamma_product,
     solve_d2d_phase,
     stp_cell,
     stp_d2d,
-    x_from_powers,
 )
 from d2dee.config import build_system
 from d2dee.harness import run_sweep
 from d2dee.solver import optimize_powers
-from xspace import power_from_x
+from xspace import curvature_interval, power_from_x, x_from_powers
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -93,7 +91,7 @@ def test_criterion_3_phase1_stationarity_and_curvature():
     band = band1(density_d2d=0.0, density_cell=1e-6, outage_cap_d2d=0.96,
                  outage_cap_cell=0.5, max_power_d2d_w=1e3, max_power_cell_w=1e3)
     system = SystemParams(bands=[band], budget_d2d_w=1e3, budget_cell_w=1.0)
-    p, _ = solve_d2d_phase(system, [0.3])
+    p = solve_d2d_phase(system, [0.3]).powers
     x = x_from_powers(band, 0.3, p[0])
     x_err = abs(x - math.e**2) / math.e**2
 

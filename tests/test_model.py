@@ -223,6 +223,27 @@ class TestMetrics:
             metrics(system, PowerAllocation([0.02, 0.02], [0.3, 0.3]))
 
 
+def metrics_of_band_1(band, p_cell_w, p_d2d_w):
+    """``metrics`` of two copies of ``band``, band 1 at the given powers."""
+    system = SystemParams(bands=[band, band], budget_d2d_w=0.06, budget_cell_w=1.0)
+    return metrics(system, PowerAllocation([0.02, p_d2d_w], [0.3, p_cell_w]))
+
+
+class TestNanPower:
+    @pytest.mark.parametrize("slot", ["p_cell_w", "p_d2d_w"])
+    @pytest.mark.parametrize("evaluate, prefix", [(stp_d2d, ""), (stp_cell, ""),
+                                                  (ee_per_band, ""),
+                                                  (metrics_of_band_1, "band 1: ")],
+                             ids=["stp_d2d", "stp_cell", "ee_per_band", "metrics"])
+    def test_rejected_by_name(self, band1, evaluate, prefix, slot):
+        # nan <= 0 is False, so a check written that way let NaN through: it
+        # gave a NaN STP, and metrics an STP error naming neither power nor band
+        powers = {"p_cell_w": 0.3, "p_d2d_w": 0.02, slot: math.nan}
+        with pytest.raises(ValueError,
+                           match=f"^{prefix}transmit powers must be strictly positive$"):
+            evaluate(band1, **powers)
+
+
 class TestBandParamsValidation:
     def test_alpha_at_two_rejected(self, make_band):
         with pytest.raises(ValueError, match="pathloss exponent must exceed 2"):

@@ -7,13 +7,15 @@ powers within the budget that permute exactly with the bands.  A phase
 on bands that earlier calls used gives the result, or the error, of one
 on freshly built bands, and tiny densities give finite powers too, in a
 phase and in a whole solve.  At a positive multiplier a band's argmax
-beats a dense grid of its box, at any interference coefficient.
+beats a dense grid of its box, at any interference coefficient; at mu = 0
+it is the band's own QoS lower end exactly when the solver's closed-form
+inequality says so.
 """
 
 import math
 import sys
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from d2dee import BandParams, InfeasibleProblem, PowerAllocation, SystemParams
@@ -59,8 +61,8 @@ def phase_problems(draw):
 
 
 PHASES = {
-    "d2d": (lambda system, q: solve_d2d_phase(system, q)[0], "budget_d2d_w"),
-    "cell": (lambda system, q: solve_cell_phase(system, q)[0], "budget_cell_w"),
+    "d2d": (lambda system, q: solve_d2d_phase(system, q).powers, "budget_d2d_w"),
+    "cell": (lambda system, q: solve_cell_phase(system, q).powers, "budget_cell_w"),
 }
 
 
@@ -122,6 +124,34 @@ def test_zero_multiplier_argmax_is_the_clamped_root(b):
     for q in [b.lo, b.hi] + [b.lo * (b.hi / b.lo) ** (k / 16) for k in range(1, 16)]:
         v = b.value(q, 0.0)
         assert best >= v - 8 * math.ulp(v)
+
+
+@st.composite
+def two_density_phases(draw):
+    """A one-band phase whose band has both densities positive: its class
+    and the other class's power."""
+    band = BandParams(**{**vars(draw(bands)), "density_d2d": draw(log_uniform(-7, -3)),
+                         "density_cell": draw(log_uniform(-7, -3))})
+    return band, draw(st.sampled_from(["d2d", "cell"])), draw(log_uniform(-6, 0))
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(two_density_phases())
+def test_zero_multiplier_argmax_is_the_lower_end_exactly_in_the_qos_bound_regime(problem):
+    """At mu = 0 a band's answer is its own QoS lower end exactly when
+    exp(-coeff_own * lambda_own - alpha/2) <= 1 - theta_own, the own success
+    probability at the stationary point against the one the cap allows."""
+    band, own, q = problem
+    system = SystemParams(bands=[band], budget_d2d_w=1.0, budget_cell_w=1.0)
+    try:
+        _, (b,), _ = _phase_bands(system, own, [q], SolveOptions())
+    except InfeasibleProblem:
+        return  # an unreachable cap or an empty box: no phase to solve
+    coeff = band.coeff_d2d() if own == "d2d" else band.coeff_cell()
+    stationary = math.exp(-coeff * getattr(band, f"density_{own}") - band.pathloss_exponent / 2)
+    allowed = 1.0 - getattr(band, f"outage_cap_{own}")
+    assume(abs(stationary - allowed) > 1e-12 * allowed)  # a tie within rounding
+    assert (b.argmax(0.0) == b.lo) == (stationary <= allowed)
 
 
 @st.composite

@@ -152,14 +152,6 @@ class TestEstimateStp:
         joint = math.hypot(e1.std_err, e4.std_err)
         assert abs(e1.p_hat - e4.p_hat) <= 3.3 * joint
 
-    def test_window_invariant(self, band1):
-        with pytest.raises(ValueError, match="window too small for edge-effect control"):
-            estimate_links(scenario(band1, window_radius_m=400.0))
-
-    def test_minimum_trials(self, band1):
-        with pytest.raises(ValueError):
-            estimate_links(scenario(band1, trials=50))
-
     def test_stderr_and_z_fields(self, band1):
         _, est = estimate_links(scenario(band1, trials=10_000))
         assert est.std_err == pytest.approx(

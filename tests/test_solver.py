@@ -16,15 +16,13 @@ from d2dee import (
     SystemParams,
     baseline_fixed_cell,
     check_feasible,
-    curvature_interval,
     ee_per_band,
     metrics,
     optimize_powers,
     solve_cell_phase,
     solve_d2d_phase,
-    x_from_powers,
 )
-from xspace import power_from_x, x_feasible_box
+from xspace import curvature_interval, power_from_x, x_feasible_box, x_from_powers
 
 
 def slack_band(make_band, **overrides):
@@ -212,7 +210,7 @@ class TestFeasibleBox:
 class TestPhaseOne:
     def test_unconstrained_stationary_point(self, make_band, make_system):
         system = make_system(bands=[slack_band(make_band)], budget_d2d_w=1e3)
-        p_d, _ = solve_d2d_phase(system, [0.3])
+        p_d = solve_d2d_phase(system, [0.3]).powers
         x = x_from_powers(system.bands[0], 0.3, p_d[0])
         target = math.exp(2.0)  # ln x = alpha/2
         assert abs(x - target) / target <= 1e-4
@@ -225,15 +223,15 @@ class TestPhaseOne:
                              budget_d2d_w=10.0)
         box = x_feasible_box(system.bands[0], 0.3)
         assert box.hi < math.exp(2.0)
-        p_d, _ = solve_d2d_phase(system, [0.3])
+        p_d = solve_d2d_phase(system, [0.3]).powers
         assert x_from_powers(system.bands[0], 0.3, p_d[0]) == pytest.approx(box.hi, rel=1e-9)
 
     def test_amplitude_scaling_leaves_argmax(self, make_band, make_system):
         base = make_system(bands=[slack_band(make_band)], budget_d2d_w=1e3)
         scaled = make_system(bands=[slack_band(make_band, bandwidth_hz=140e6)],
                              budget_d2d_w=1e3)
-        p0, _ = solve_d2d_phase(base, [0.3])
-        p1, _ = solve_d2d_phase(scaled, [0.3])
+        p0 = solve_d2d_phase(base, [0.3]).powers
+        p1 = solve_d2d_phase(scaled, [0.3]).powers
         x0 = x_from_powers(base.bands[0], 0.3, p0[0])
         x1 = x_from_powers(scaled.bands[0], 0.3, p1[0])
         assert x0 == pytest.approx(x1, rel=1e-7)
@@ -241,7 +239,7 @@ class TestPhaseOne:
     def test_dominates_random_feasible_points(self, make_band, make_system):
         system = make_system(bands=[slack_band(make_band)], budget_d2d_w=1e-7)
         band = system.bands[0]
-        p_d, _ = solve_d2d_phase(system, [0.3])
+        p_d = solve_d2d_phase(system, [0.3]).powers
         best = ee_per_band(band, 0.3, p_d[0])[0]
         box = x_feasible_box(band, 0.3)
         rng = np.random.default_rng(3)
@@ -256,10 +254,10 @@ class TestPhaseOne:
         band = slack_band(make_band)
         budget = 2.5e-8  # between the QoS minimum and the unconstrained spend
         system = make_system(bands=[band, band], budget_d2d_w=budget)
-        p_d, diag = solve_d2d_phase(system, [0.3, 0.3])
+        p_d, mu, _, _ = solve_d2d_phase(system, [0.3, 0.3])
         spent = math.fsum(p_d)
         assert spent <= budget * (1 + 1e-12)
-        assert diag["mu"] > 0
+        assert mu > 0
         assert (budget - spent) <= 1e-6 * budget  # complementary slackness
         # pushed up to save power
         assert all(x_from_powers(band, 0.3, p) > math.exp(2.0) for p in p_d)
@@ -269,9 +267,8 @@ class TestPhaseOne:
         # over its whole box, checked on a fine grid through the public model
         band = slack_band(make_band)
         system = make_system(bands=[band, band], budget_d2d_w=2.5e-8)
-        p_d, diag = solve_d2d_phase(system, [0.3, 0.3])
-        mu = diag["mu"]
-        assert mu > 0 and not diag["flags"]
+        p_d, mu, flags, _ = solve_d2d_phase(system, [0.3, 0.3])
+        assert mu > 0 and not flags
         for i, band in enumerate(system.bands):
             box = x_feasible_box(band, 0.3, i)
             grid = np.geomspace(power_from_x(band, 0.3, box.hi),
@@ -294,7 +291,7 @@ class TestPhaseOne:
         box = x_feasible_box(band, 1e-30)
         assert box.lo > 1.0 and box.lo_source == "qos_cell"
         assert power_from_x(band, 1e-30, box.lo) <= band.max_power_d2d_w
-        p_d, _ = solve_d2d_phase(make_system(bands=[band]), [1e-30])
+        p_d = solve_d2d_phase(make_system(bands=[band]), [1e-30]).powers
         x = x_from_powers(band, 1e-30, p_d[0])
         assert math.isfinite(x) and x > 1.0
         assert 0.0 < p_d[0] <= band.max_power_d2d_w
@@ -303,9 +300,9 @@ class TestPhaseOne:
         band = make_band(density_cell=0.0, density_d2d=1e-6)
         system = make_system(bands=[band])
         opts = SolveOptions()
-        p_d, diag = solve_d2d_phase(system, [0.3], opts)
+        p_d, _, flags, _ = solve_d2d_phase(system, [0.3], opts)
         assert p_d[0] == opts.eps_power_w
-        assert any("anchored" in f for f in diag["flags"])
+        assert any("anchored" in f for f in flags)
 
 
 class TestObjective:
@@ -329,14 +326,14 @@ class TestObjective:
         monkeypatch.setattr(solver._Objective, "ln_gain", counted)
         band = slack_band(make_band)
         system = make_system(bands=[band, band], budget_d2d_w=1e3, budget_cell_w=1e3)
-        p_d, diag_d = solve_d2d_phase(system, [0.3, 0.3])
-        _, diag_c = solve_cell_phase(system, p_d)
-        assert diag_d["mu"] == diag_c["mu"] == 0.0
+        p_d, mu_d, _, _ = solve_d2d_phase(system, [0.3, 0.3])
+        mu_c = solve_cell_phase(system, p_d).mu
+        assert mu_d == mu_c == 0.0
         assert calls == []
         # a budget-bound phase compares values, and the count sees them
-        _, diag = solve_d2d_phase(make_system(bands=[band, band], budget_d2d_w=2.5e-8),
-                                  [0.3, 0.3])
-        assert diag["mu"] > 0.0 and calls and -math.inf not in calls
+        mu = solve_d2d_phase(make_system(bands=[band, band], budget_d2d_w=2.5e-8),
+                             [0.3, 0.3]).mu
+        assert mu > 0.0 and calls and -math.inf not in calls
 
     def test_underflowing_coefficient_at_positive_multiplier_gives_lower_end(self):
         # c = 1e-300 puts the rising root at p = (c / t*)^2, which underflows
@@ -350,7 +347,7 @@ class TestPhaseTwo:
         # wide box so the interior optimum is admissible
         band = make_band(outage_cap_d2d=0.9999, outage_cap_cell=0.999999)
         system = make_system(bands=[band], budget_cell_w=1.0)
-        p_c, _ = solve_cell_phase(system, [0.02])
+        p_c = solve_cell_phase(system, [0.02]).powers
         c = band.coeff_cell() * band.density_d2d * 0.02**0.5
         closed = (2 * c / 4.0) ** 2
         assert p_c[0] == pytest.approx(closed, rel=1e-12)
@@ -378,8 +375,8 @@ class TestPhaseTwo:
                            bandwidth_hz=5e6, sir_threshold_cell=3.0)
         sys_a = make_system(bands=[band_a])
         sys_b = make_system(bands=[band_b])
-        pa, _ = solve_cell_phase(sys_a, [0.02])
-        pb, _ = solve_cell_phase(sys_b, [0.02])
+        pa = solve_cell_phase(sys_a, [0.02]).powers
+        pb = solve_cell_phase(sys_b, [0.02]).powers
         # thresholds change coeff_cell, so compare at matched coefficient
         c_a = band_a.coeff_cell() * band_a.density_d2d * 0.02**0.5
         c_b = band_b.coeff_cell() * band_b.density_d2d * 0.02**0.5
@@ -389,7 +386,7 @@ class TestPhaseTwo:
     def test_interior_stationarity(self, make_band, make_system):
         band = make_band(outage_cap_d2d=0.9999, outage_cap_cell=0.999999)
         system = make_system(bands=[band])
-        p_c, _ = solve_cell_phase(system, [0.02])
+        p_c = solve_cell_phase(system, [0.02]).powers
         c = band.coeff_cell() * band.density_d2d * 0.02**0.5
         h = lambda p: math.exp(-c / math.sqrt(p)) / p
         step = 1e-6 * p_c[0]
@@ -401,7 +398,7 @@ class TestPhaseTwo:
         # result rides the floor
         system = make_system(outage_cap_d2d=0.5, outage_cap_cell=0.5)
         band = system.bands[0]
-        p_c, _ = solve_cell_phase(system, [0.001])
+        p_c = solve_cell_phase(system, [0.001]).powers
         margin = -math.log(1 - band.outage_cap_cell) - band.coeff_cell() * band.density_cell
         lo = 0.001 * (band.coeff_cell() * band.density_d2d / margin) ** 2
         assert p_c[0] == pytest.approx(lo, rel=1e-12)
@@ -425,8 +422,8 @@ class TestPhaseTwo:
                            max_power_d2d_w=1e3, max_power_cell_w=1e3,
                            outage_cap_d2d=cap_d, outage_cap_cell=cap_c)
                  for cap_d, cap_c in ((0.5, 0.5), (0.9999, 0.999999))]
-        _, slack = solve_cell_phase(make_system(bands=bands, budget_cell_w=1e3), [0.02, 0.02])
-        floor = math.fsum(lo for lo, _ in slack["bounds"])
+        slack = solve_cell_phase(make_system(bands=bands, budget_cell_w=1e3), [0.02, 0.02])
+        floor = math.fsum(lo for lo, _ in slack.bounds)
         budget = floor / (1.0 + 0.5e-6)
         return make_system(bands=bands, budget_cell_w=budget), budget
 
@@ -434,17 +431,17 @@ class TestPhaseTwo:
         # no multiplier meets the budget; scaling whole powers (lower ends
         # included) once clamped band 0 back to its lower end and overspent
         system, budget = self.over_budget_lower_ends(make_band, make_system)
-        p_c, diag = solve_cell_phase(system, [0.02, 0.02])
-        assert diag["flags"] == ["cellular lower ends exceed the budget within BUDGET_TOL_REL"]
+        p_c, _, flags, bounds = solve_cell_phase(system, [0.02, 0.02])
+        assert flags == ["cellular lower ends exceed the budget within BUDGET_TOL_REL"]
         assert math.fsum(p_c) <= budget * (1.0 + solver.BUDGET_TOL_REL)
-        for p, (lo, hi) in zip(p_c, diag["bounds"]):
+        for p, (lo, hi) in zip(p_c, bounds):
             assert lo <= p <= hi
 
     def test_over_budget_lower_ends_read_feasible(self, make_band, make_system):
         # the lower ends overspend the budget inside its relative tolerance,
         # which check_feasible accepts as the solver does; twice it does not
         system, _ = self.over_budget_lower_ends(make_band, make_system)
-        p_c, _ = solve_cell_phase(system, [0.02, 0.02])
+        p_c = solve_cell_phase(system, [0.02, 0.02]).powers
         alloc = PowerAllocation([0.02, 0.02], p_c)
         report = check_feasible(system, alloc)
         assert report.budget_cell_slack < -1e-8
@@ -468,11 +465,11 @@ class TestPhaseTwo:
             return dual_bisect(solve, *args)
 
         monkeypatch.setattr(solver, "_dual_bisect", counted)
-        p_c, diag = solve_cell_phase(system, [0.02, 0.02])
+        p_c, mu, flags, bounds = solve_cell_phase(system, [0.02, 0.02])
         assert len(calls) <= 2
-        assert p_c == [lo for lo, _ in diag["bounds"]]
-        assert diag["mu"] == 0.0
-        assert diag["flags"] == ["cellular lower ends exceed the budget within BUDGET_TOL_REL"]
+        assert p_c == [lo for lo, _ in bounds]
+        assert mu == 0.0
+        assert flags == ["cellular lower ends exceed the budget within BUDGET_TOL_REL"]
 
     def test_budget_met_by_multiplier_at_tiny_other_powers(self, make_band, make_system):
         # at D2D powers of 1e-140 W the budget, halfway between the lower
@@ -482,14 +479,15 @@ class TestPhaseTwo:
         band = make_band(max_power_d2d_w=1e3, max_power_cell_w=1e3,
                          outage_cap_d2d=0.9999, outage_cap_cell=0.999999)
         for q in ([1e-140] * 2, [1e-170] * 2, [1e-200] * 2):
-            free, slack = solve_cell_phase(make_system(bands=[band, band]), q)
-            floor = math.fsum(lo for lo, _ in slack["bounds"])
+            free, _, _, slack_bounds = solve_cell_phase(make_system(bands=[band, band]), q)
+            floor = math.fsum(lo for lo, _ in slack_bounds)
             budget = 0.5 * (floor + math.fsum(free))
-            p_c, diag = solve_cell_phase(make_system(bands=[band, band], budget_cell_w=budget), q)
-            assert diag["mu"] > 0.0
-            assert diag["flags"] == []
+            p_c, mu, flags, bounds = solve_cell_phase(
+                make_system(bands=[band, band], budget_cell_w=budget), q)
+            assert mu > 0.0
+            assert flags == []
             assert budget * (1.0 - solver.BUDGET_TOL_REL) <= math.fsum(p_c) <= budget
-            for p, (lo, hi) in zip(p_c, diag["bounds"]):
+            for p, (lo, hi) in zip(p_c, bounds):
                 assert lo < p < hi
 
     def test_subnormal_lower_end_meets_its_outage_cap(self, make_band, make_system):
@@ -498,8 +496,8 @@ class TestPhaseTwo:
         # of slack here, unless the end steps up)
         system = make_system(pathloss_exponent=2.5, density_d2d=1e-260, outage_cap_d2d=0.5,
                              outage_cap_cell=0.5, max_power_d2d_w=1.0, max_power_cell_w=1.0)
-        p_c, diag = solve_cell_phase(system, [0.01])
-        assert p_c[0] == diag["bounds"][0][0] < sys.float_info.min
+        p_c, _, _, bounds = solve_cell_phase(system, [0.01])
+        assert p_c[0] == bounds[0][0] < sys.float_info.min
         slacks = check_feasible(system, PowerAllocation([0.01], p_c)).band_slacks[0]
         assert slacks["qos_cell"] >= 0.0
 
@@ -523,11 +521,11 @@ class TestPhaseTwo:
         interior = (c / 2) ** 2
         budget = 1.2 * interior  # < 2 * interior
         system = make_system(bands=[band, band], budget_cell_w=budget)
-        p_c, diag = solve_cell_phase(system, [0.02, 0.02])
+        p_c, mu, _, _ = solve_cell_phase(system, [0.02, 0.02])
         spent = math.fsum(p_c)
         assert spent <= budget * (1 + 1e-12)
         assert (budget - spent) <= 1e-6 * budget
-        assert diag["mu"] > 0
+        assert mu > 0
 
     def test_budget_bound_powers_maximize_penalized_objective(self, make_band, make_system):
         # same system as the dual-bisection test: each band's cellular power
@@ -535,11 +533,10 @@ class TestPhaseTwo:
         band = make_band(outage_cap_d2d=0.9999, outage_cap_cell=0.999999)
         c = band.coeff_cell() * band.density_d2d * 0.02**0.5
         system = make_system(bands=[band, band], budget_cell_w=1.2 * (c / 2) ** 2)
-        p_c, diag = solve_cell_phase(system, [0.02, 0.02])
-        mu = diag["mu"]
-        assert mu > 0 and not diag["flags"]
+        p_c, mu, flags, bounds = solve_cell_phase(system, [0.02, 0.02])
+        assert mu > 0 and not flags
         for i, band in enumerate(system.bands):
-            lo, hi = diag["bounds"][i]
+            lo, hi = bounds[i]
             assert lo <= p_c[i] <= hi
             penalized = lambda p: ee_per_band(band, p, 0.02)[1] - mu * p
             best = penalized(p_c[i])
@@ -578,12 +575,12 @@ class TestMirror:
         ]
         system = SystemParams(bands=bands, budget_d2d_w=budget_d2d_w, budget_cell_w=1.0)
         q = [0.3, 0.1]
-        p_d, diag_d = solve_d2d_phase(system, q)
-        p_c, diag_c = solve_cell_phase(mirror(system), q)
-        assert p_d == p_c
-        assert diag_d["mu"] == diag_c["mu"]
-        assert diag_d["bounds"] == diag_c["bounds"]
-        assert (diag_d["mu"] > 0) == (budget_d2d_w < 1.0)  # both regimes covered
+        d2d = solve_d2d_phase(system, q)
+        cell = solve_cell_phase(mirror(system), q)
+        assert d2d.powers == cell.powers
+        assert d2d.mu == cell.mu
+        assert d2d.bounds == cell.bounds
+        assert (d2d.mu > 0) == (budget_d2d_w < 1.0)  # both regimes covered
 
 
 def cap_pinned_system(make_band):
@@ -647,8 +644,8 @@ class TestIterate:
         assert result.trace.delta_c_w[-1] == 0.0
         assert result.alloc.p_cell_w == [0.3]  # pinned at the cellular cap
         p_c = list(result.alloc.p_cell_w)
-        p_d_again, _ = solve_d2d_phase(system, p_c)
-        p_c_again, _ = solve_cell_phase(system, p_d_again)
+        p_d_again = solve_d2d_phase(system, p_c).powers
+        p_c_again = solve_cell_phase(system, p_d_again).powers
         assert p_d_again == result.alloc.p_d2d_w
         assert p_c_again == p_c
 
@@ -691,8 +688,8 @@ class TestIterate:
         system = make_system(density_d2d=5e-324, sir_threshold_d2d=1e-5,
                              sir_threshold_cell=1e-6, cell_link_distance_m=5.0)
         assert system.bands[0].coeff_cell() * 5e-324 == 0.0
-        _, diag = solve_d2d_phase(system, [0.3])
-        assert diag["bounds"][0][1] == system.bands[0].max_power_d2d_w
+        bounds = solve_d2d_phase(system, [0.3]).bounds
+        assert bounds[0][1] == system.bands[0].max_power_d2d_w
         result = optimize_powers(system)
         assert result.feasibility.ok
         powers = result.alloc.p_d2d_w + result.alloc.p_cell_w
@@ -807,6 +804,13 @@ class TestApi:
         with pytest.raises(ValueError, match=f"^{field} must be positive$"):
             SolveOptions(**{field: value})
 
+    @pytest.mark.parametrize("value", [2.5, math.nan, True, "3"])
+    def test_max_outer_iters_is_a_count(self, value):
+        # as in a config document: 2.5 and nan once built and failed in
+        # optimize_powers with a TypeError, and True ran one iteration
+        with pytest.raises(ValueError, match="^max_outer_iters must be an integer$"):
+            SolveOptions(max_outer_iters=value)
+
     @pytest.mark.parametrize("q", [0.0, -1.0, math.inf, math.nan])
     @pytest.mark.parametrize("phase, other", [(solve_d2d_phase, "cellular"),
                                               (solve_cell_phase, "D2D")])
@@ -823,13 +827,15 @@ class TestApi:
             assert not missing, f"d2dee.{info.name}: {missing}"
 
     def test_x_space_reference_lives_in_the_tests(self):
-        for name in ("x_feasible_box", "FeasibleBox", "power_from_x"):
+        for name in ("x_feasible_box", "FeasibleBox", "power_from_x", "x_from_powers",
+                     "curvature_interval"):
             assert not hasattr(d2dee, name)
             assert not hasattr(solver, name)
 
     def test_both_phases_return_powers_and_diagnostics(self, make_band):
         system = table1_system(make_band)
-        p_d, diag_d = solve_d2d_phase(system, [0.2] * 5)
-        p_c, diag_c = solve_cell_phase(system, p_d)
-        assert len(p_d) == len(p_c) == system.num_bands
-        assert diag_d.keys() == diag_c.keys()
+        d2d = solve_d2d_phase(system, [0.2] * 5)
+        cell = solve_cell_phase(system, d2d.powers)
+        assert len(d2d.powers) == len(cell.powers) == system.num_bands
+        assert isinstance(d2d, solver.PhaseResult) and isinstance(cell, solver.PhaseResult)
+        assert d2dee.PhaseResult is solver.PhaseResult

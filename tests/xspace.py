@@ -1,9 +1,10 @@
 """The paper's phase-one x space, kept as an independent test reference.
 
-The solver works in power space; these are the paper's box on the
-substituted variable x = exp(cd * lambda_c * (Pc/Pd)^(2/alpha)) and the
-inverse of d2dee.solver.x_from_powers, against which the tests check the
-power-space solve.
+The paper states phase one in the substituted variable x = exp(cd *
+lambda_c * (Pc/Pd)^(2/alpha)); the solver works in power space and never
+forms x.  These are the map from powers to x and its inverse, the paper's
+concavity interval in x and its box on x, against which the tests check
+the power-space solve.
 """
 
 from __future__ import annotations
@@ -12,6 +13,33 @@ import math
 from dataclasses import dataclass
 
 from d2dee import BandParams, InfeasibleProblem
+from d2dee.model import _ratio_power
+
+
+def x_from_powers(band: BandParams, p_cell_w: float, p_d2d_w: float) -> float:
+    """Substituted variable exp(cd * lambda_c * (Pc/Pd)^(2/alpha))."""
+    if not (p_cell_w > 0 and p_d2d_w > 0):  # NaN fails it
+        raise ValueError("transmit powers must be strictly positive")
+    if band.density_cell == 0:
+        raise ValueError("transform undefined without cellular density")
+    ratio = _ratio_power(p_cell_w, p_d2d_w, 2.0 / band.pathloss_exponent)
+    return math.exp(band.coeff_d2d() * band.density_cell * ratio)
+
+
+def curvature_interval(alpha: float) -> tuple[float, float]:
+    """Interval (t1, t2) of x where the per-band D2D objective is concave.
+
+    t_{1,2} = exp((3*alpha -/+ sqrt(alpha^2 + 16*alpha)) / 8); outside the
+    interval the objective is convex.  t1 > 1 for every alpha > 2.
+    """
+    if alpha <= 2.0:
+        raise ValueError(
+            "pathloss exponent must exceed 2 (interference Laplace functional diverges)"
+        )
+    root = math.sqrt(alpha * alpha + 16.0 * alpha)
+    t1 = math.exp((3.0 * alpha - root) / 8.0)
+    t2 = math.exp((3.0 * alpha + root) / 8.0)
+    return t1, t2
 
 
 @dataclass
