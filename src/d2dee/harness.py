@@ -1,8 +1,21 @@
 """Experiment runners behind the CLI: validate, solve, trace, sweep.
 
-All file outputs start with comment lines embedding the resolved config so
-a result can always be traced back to its inputs.  CSV bodies follow
-RFC-4180; reruns with the same config and seed are byte-identical.
+Each output's keys are those of the one type that carries them:
+
+- ``validate.json``: each estimate record is ``simulate.StpEstimate``'s
+  fields (``StpEstimate.to_record``) plus ``rng``, ``band``,
+  ``count_prob`` and ``pass`` (``run_validate``);
+- ``solve.json``: the result is ``solver.AllocationResult.to_dict``,
+  whose ``trace``, ``metrics`` and ``feasibility`` are the fields of
+  ``IterationTrace``, ``model.MetricsReport`` and ``FeasibilityReport``;
+- ``trace.csv`` and ``sweep.csv``: the columns of ``trace_fieldnames``
+  and ``sweep_fieldnames``, which share the power and EE-total columns
+  that ``_shared_columns`` names.
+
+CSV files start with comment lines embedding the resolved config, and the
+JSON files carry it under ``config``, so a result can always be traced
+back to its inputs.  CSV bodies follow RFC-4180; reruns with the same
+config and seed are byte-identical.
 
 Only ``run_validate`` calls the Monte Carlo oracle, and it imports
 ``simulate``, and numpy with it, on first use: solve, trace and sweep
@@ -141,15 +154,9 @@ def run_validate(
     idx = sim["band"] if band_index is None else band_index
     if not 0 <= idx < system.num_bands:
         raise ValueError(f"band index {idx} out of range")
-    scenario = SimScenario(
-        band=system.bands[idx],
-        p_cell_w=sim["p_cell_w"],
-        p_d2d_w=sim["p_d2d_w"],
-        window_radius_m=sim["window_radius_m"],
-        trials=sim["trials"],
-        seed=sim["seed"],
-        workers=sim["workers"],
-    )
+    # the sim section holds SimScenario's fields by name, and the band index
+    scenario = SimScenario(band=system.bands[idx],
+                           **{k: v for k, v in sim.items() if k != "band"})
     estimates = [est for est in estimate_links(scenario) if which in ("both", est.which)]
     records = []
     ok = True
@@ -202,12 +209,22 @@ def format_solve_table(result: AllocationResult) -> str:
     return "\n".join(lines)
 
 
+def _shared_columns(num_bands: int) -> list[str]:
+    """The columns that trace and sweep rows share, in order: each band's
+    D2D power, each band's cellular power, then the three EE totals."""
+    powers = [f"p_{cls}_w_{i}" for cls in ("d2d", "cell") for i in range(num_bands)]
+    return powers + ["ee_d2d_total", "ee_cell_total", "ee_total"]
+
+
+def _shared_cells(p_d2d: list[float], p_cell: list[float], ee_d2d: float, ee_cell: float) -> dict:
+    """The shared columns' cells of one row; ``ee_total`` is ee_d2d + ee_cell,
+    as ``model.metrics`` sums it."""
+    values = [*p_d2d, *p_cell, ee_d2d, ee_cell, ee_d2d + ee_cell]
+    return dict(zip(_shared_columns(len(p_d2d)), map(_cell, values)))
+
+
 def trace_fieldnames(num_bands: int) -> list[str]:
-    cols = ["iteration"]
-    cols += [f"p_d2d_w_{i}" for i in range(num_bands)]
-    cols += [f"p_cell_w_{i}" for i in range(num_bands)]
-    cols += ["ee_d2d_total", "ee_cell_total", "ee_total", "delta_d_w", "delta_c_w"]
-    return cols
+    return ["iteration", *_shared_columns(num_bands), "delta_d_w", "delta_c_w"]
 
 
 def run_trace(cfg: ExperimentConfig) -> tuple[list[dict], AllocationResult]:
@@ -216,13 +233,8 @@ def run_trace(cfg: ExperimentConfig) -> tuple[list[dict], AllocationResult]:
     rows = []
     for n in range(trace.iterations):
         row: dict = {"iteration": n + 1}
-        for i, p in enumerate(trace.p_d2d_w[n]):
-            row[f"p_d2d_w_{i}"] = _cell(p)
-        for i, p in enumerate(trace.p_cell_w[n]):
-            row[f"p_cell_w_{i}"] = _cell(p)
-        row["ee_d2d_total"] = _cell(trace.ee_d2d_total[n])
-        row["ee_cell_total"] = _cell(trace.ee_cell_total[n])
-        row["ee_total"] = _cell(trace.ee_d2d_total[n] + trace.ee_cell_total[n])
+        row.update(_shared_cells(trace.p_d2d_w[n], trace.p_cell_w[n],
+                                 trace.ee_d2d_total[n], trace.ee_cell_total[n]))
         row["delta_d_w"] = _cell(trace.delta_d_w[n])
         row["delta_c_w"] = _cell(trace.delta_c_w[n])
         rows.append(row)
@@ -234,20 +246,17 @@ def run_trace(cfg: ExperimentConfig) -> tuple[list[dict], AllocationResult]:
 
 
 def sweep_fieldnames(num_bands: int) -> list[str]:
-    cols = ["index", "swept_variable", "swept_value"]
-    cols += [f"p_d2d_w_{i}" for i in range(num_bands)]
-    cols += [f"p_cell_w_{i}" for i in range(num_bands)]
-    cols += [
-        "ee_d2d_total",
-        "ee_cell_total",
-        "ee_total",
+    return [
+        "index",
+        "swept_variable",
+        "swept_value",
+        *_shared_columns(num_bands),
         "baseline_ee_d2d_total",
         "iterations",
         "converged",
         "infeasible_bands",
         "band_params_md5",
     ]
-    return cols
 
 
 def _note(row: dict, exc: ValueError, prefix: str = "") -> None:
@@ -278,8 +287,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     if variable is None or not grid:
         raise ValueError("config field 'sweep': variable and grid must be set")
     key = SWEEP_KEYS[variable]
-    m = cfg["num_bands"]
-    fields = sweep_fieldnames(m)
+    fields = sweep_fieldnames(cfg["num_bands"])
     options, p_cell_w = cfg.options, cfg["baseline_p_cell_w"]
     band_hash = _point_hash(cfg.system, key)
     rows = []
@@ -295,12 +303,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
         row["band_params_md5"] = band_hash(system)
         try:
             result = optimize_powers(system, options)
-            for i in range(m):
-                row[f"p_d2d_w_{i}"] = _cell(result.alloc.p_d2d_w[i])
-                row[f"p_cell_w_{i}"] = _cell(result.alloc.p_cell_w[i])
-            row["ee_d2d_total"] = _cell(result.metrics.ee_d2d_total)
-            row["ee_cell_total"] = _cell(result.metrics.ee_cell_total)
-            row["ee_total"] = _cell(result.metrics.ee_total)
+            row.update(_shared_cells(result.alloc.p_d2d_w, result.alloc.p_cell_w,
+                                     result.metrics.ee_d2d_total, result.metrics.ee_cell_total))
             row["iterations"] = result.trace.iterations
             row["converged"] = result.trace.converged
         except ValueError as exc:

@@ -41,10 +41,12 @@ def gamma_product(alpha: float) -> float:
     a general gamma evaluation.  Diverges as alpha -> 2 (pole of the second
     factor), which is why the model requires alpha > 2.
     """
-    if alpha <= 2.0:
+    if not alpha > 2.0:  # NaN fails it
         raise ValueError(
             "pathloss exponent must exceed 2 (interference Laplace functional diverges)"
         )
+    if alpha == math.inf:  # x = 0 would divide by sin(0)
+        raise ValueError("pathloss exponent must be finite")
     x = 2.0 / alpha
     return math.pi * x / math.sin(math.pi * x)
 

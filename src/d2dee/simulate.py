@@ -47,7 +47,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -102,32 +102,26 @@ class SimScenario:
 
 @dataclass
 class StpEstimate:
-    """Empirical STP with its binomial standard error and analytic anchor."""
+    """Empirical STP of one link with its binomial standard error and
+    analytic anchor, its fields in the order of its validate record."""
 
+    which: str
     p_hat: float
     std_err: float
-    trials: int
     analytic: float
     z_score: float  # nan when std_err == 0
-    which: str = ""
-    seed: int = 0
-    workers: int = 1
-    window_radius_m: float = 0.0
+    trials: int
+    seed: int
+    workers: int
+    window_radius_m: float
 
     def to_record(self) -> dict:
-        z = None if math.isnan(self.z_score) else self.z_score
-        return {
-            "which": self.which,
-            "p_hat": self.p_hat,
-            "std_err": self.std_err,
-            "analytic": self.analytic,
-            "z_score": z,
-            "trials": self.trials,
-            "seed": self.seed,
-            "workers": self.workers,
-            "window_radius_m": self.window_radius_m,
-            "rng": RNG_NAME,
-        }
+        """The fields, z_score None where it is NaN, then the generator's name."""
+        record = asdict(self)
+        if math.isnan(self.z_score):
+            record["z_score"] = None
+        record["rng"] = RNG_NAME
+        return record
 
 
 def _streams(seed: int, chunk: int) -> tuple[np.random.Generator, np.random.Generator]:

@@ -112,34 +112,15 @@ class IterationTrace:
 
 @dataclass
 class FeasibilityReport:
-    """Constraint slacks of an allocation; nonnegative slack means satisfied,
-    and ``ok`` also accepts -1e-8 per band and BUDGET_TOL_REL per budget."""
+    """Constraint slacks of an allocation, as check_feasible reports them;
+    nonnegative slack means satisfied, and ``ok`` also accepts -1e-8 per
+    band and BUDGET_TOL_REL times each budget."""
 
     band_slacks: list[dict]
     budget_d2d_slack: float
     budget_cell_slack: float
-    budget_d2d_w: float
-    budget_cell_w: float
+    ok: bool
     notes: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        worst = min(
-            (min(row.values()) for row in self.band_slacks),
-            default=0.0,
-        )
-        return (worst >= -1e-8
-                and self.budget_d2d_slack >= -BUDGET_TOL_REL * self.budget_d2d_w
-                and self.budget_cell_slack >= -BUDGET_TOL_REL * self.budget_cell_w)
-
-    def to_dict(self) -> dict:
-        return {
-            "band_slacks": self.band_slacks,
-            "budget_d2d_slack": self.budget_d2d_slack,
-            "budget_cell_slack": self.budget_cell_slack,
-            "ok": self.ok,
-            "notes": list(self.notes),
-        }
 
 
 @dataclass
@@ -151,14 +132,11 @@ class AllocationResult:
     flags: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "p_d2d_w": list(self.alloc.p_d2d_w),
-            "p_cell_w": list(self.alloc.p_cell_w),
-            "trace": asdict(self.trace),
-            "metrics": asdict(self.metrics),
-            "feasibility": self.feasibility.to_dict(),
-            "flags": list(self.flags),
-        }
+        """Every field as ``asdict`` renders it, ``alloc`` flattened into
+        its two power lists."""
+        record = asdict(self)
+        alloc = record.pop("alloc")
+        return {**alloc, **record}
 
 
 # ---------------------------------------------------------------------------
@@ -503,17 +481,17 @@ def baseline_fixed_cell(
     phase = solve_d2d_phase(system, p_cell, opts)
     p_d2d = phase.powers
     alloc = PowerAllocation(p_d2d, p_cell)
+    rep = metrics(system, alloc)
     trace = IterationTrace(
         p_d2d_w=[list(p_d2d)],
         p_cell_w=[list(p_cell)],
+        ee_d2d_total=[rep.ee_d2d_total],
+        ee_cell_total=[rep.ee_cell_total],
         delta_d_w=[max(p_d2d)],
         delta_c_w=[0.0],
         converged=True,
         iterations=1,
     )
-    rep = metrics(system, alloc)
-    trace.ee_d2d_total.append(rep.ee_d2d_total)
-    trace.ee_cell_total.append(rep.ee_cell_total)
     return _result(system, alloc, trace, rep, list(phase.flags))
 
 
@@ -560,11 +538,11 @@ def check_feasible(
             row["qos_cell"] = band.outage_cap_cell - 1.0
             notes.append(f"band {i}: nonpositive power, outage reported as violated")
         rows.append(row)
-    return FeasibilityReport(
-        band_slacks=rows,
-        budget_d2d_slack=system.budget_d2d_w - alloc.total_d2d(),
-        budget_cell_slack=system.budget_cell_w - alloc.total_cell(),
-        budget_d2d_w=system.budget_d2d_w,
-        budget_cell_w=system.budget_cell_w,
-        notes=notes,
-    )
+    slack_d = system.budget_d2d_w - alloc.total_d2d()
+    slack_c = system.budget_cell_w - alloc.total_cell()
+    worst = min((min(row.values()) for row in rows), default=0.0)
+    ok = (worst >= -1e-8
+          and slack_d >= -BUDGET_TOL_REL * system.budget_d2d_w
+          and slack_c >= -BUDGET_TOL_REL * system.budget_cell_w)
+    return FeasibilityReport(band_slacks=rows, budget_d2d_slack=slack_d,
+                             budget_cell_slack=slack_c, ok=ok, notes=notes)

@@ -28,7 +28,7 @@ from d2dee import (
 from d2dee.config import build_system
 from d2dee.harness import run_sweep
 from d2dee.solver import optimize_powers
-from xspace import curvature_interval, power_from_x, x_from_powers
+from xspace import curvature_interval, golden_section_max, power_from_x, x_from_powers
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -117,20 +117,7 @@ def test_criterion_4_phase2_closed_form():
     def h(p):
         return math.exp(-c / math.sqrt(p)) / p
 
-    lo, hi = 1e-8, 0.3
-    invphi = (math.sqrt(5) - 1) / 2
-    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-    f1, f2 = h(x1), h(x2)
-    while hi - lo > 1e-14:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = h(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = h(x1)
-    golden = 0.5 * (lo + hi)
+    golden = golden_section_max(h, 1e-8, 0.3, 1e-14)
     rel = abs(closed - golden) / golden
     ok = rel <= 1e-6 and abs(closed - 7.610e-3) / 7.610e-3 < 1e-3
     report("4 phase2-closed-form", ok,
@@ -259,6 +246,44 @@ def test_criterion_7b_cellular_density_monotonicity():
     dec_c = all(b < a for a, b in zip(ee_c, ee_c[1:]))
     report("7b cellular-density-monotonicity", dec_d and dec_c,
            f"ee_d2d strictly decreasing={dec_d}, ee_cell strictly decreasing={dec_c}")
+
+
+def test_qos_bound_regime_count():
+    """How many bands and classes of criteria 5-7's configs are in the
+    QoS-bound regime (ROADMAP item 11): printed, not gated.
+
+    A class is in it when its own success probability at the mu = 0
+    stationary point, exp(-coeff_own * lambda_own - alpha/2), is at most
+    1 - theta_own; its phase then returns its outage-cap lower end.  A sweep
+    config counts every grid point's system.
+    """
+    dense = dict(sir_threshold_d2d=1e-6, sir_threshold_cell=1e-6, lambda_c_ref=1e-5,
+                 sweep_variable="lambda_d_ref", sweep_grid=list(np.geomspace(1e-5, 1e-3, 12)))
+    configs = {
+        "5": table1_config(),
+        "6": table1_config(**dense, budget_d2d_w=0.08, baseline_p_cell_w=0.325),
+        "7a": table1_config(**dense, budget_d2d_w=0.06),
+        "7b": table1_config(sir_threshold_d2d=1e-8, sir_threshold_cell=1e-8,
+                            budget_d2d_w=0.08, lambda_d_ref=1e-4,
+                            sweep_variable="lambda_c_ref",
+                            sweep_grid=list(np.geomspace(5e-6, 5e-5, 12))),
+    }
+
+    def in_regime(band, cls):
+        coeff = band.coeff_d2d() if cls == "d2d" else band.coeff_cell()
+        own = coeff * getattr(band, f"density_{cls}") + band.pathloss_exponent / 2
+        return math.exp(-own) <= 1 - getattr(band, f"outage_cap_{cls}")
+
+    counts = []
+    for name, cfg in configs.items():
+        variable, grid = cfg["sweep"]["variable"], cfg["sweep"]["grid"]
+        systems = ([build_system(cfg.with_overrides(**{variable: v})) for v in grid]
+                   if variable else [build_system(cfg)])
+        pairs = [(band, cls) for system in systems for band in system.bands
+                 for cls in ("d2d", "cell")]
+        counts.append(f"{name}: {sum(in_regime(*p) for p in pairs)}/{len(pairs)}")
+    report("5-7 qos-bound-regime", True,
+           "band-classes in the regime: " + ", ".join(counts))
 
 
 def test_criterion_8_property_suites():

@@ -368,6 +368,14 @@ class TestValidate:
         assert rec["count_prob"] == pytest.approx(hit**20_000, rel=1e-9)
         assert ok is passes and rec["pass"] is passes
 
+    @pytest.mark.parametrize("which, links", [("both", 2), ("d2d", 1), ("cell", 1)])
+    def test_record_keys_in_order(self, which, links):
+        # the estimate's fields in declaration order, then what run_validate adds
+        keys = ["which", "p_hat", "std_err", "analytic", "z_score", "trials", "seed",
+                "workers", "window_radius_m", "rng", "band", "count_prob", "pass"]
+        records, _ = run_validate(ExperimentConfig().with_overrides(trials=1000), which=which)
+        assert [list(rec) for rec in records] == [keys] * links
+
     def test_count_gate_matches_z_gate_mass(self):
         assert VALIDATE_TAIL_MASS == pytest.approx(2.0 * norm.sf(VALIDATE_Z_LIMIT), rel=1e-12)
 

@@ -47,6 +47,20 @@ class TestGammaProduct:
         with pytest.raises(ValueError, match="pathloss exponent must exceed 2"):
             gamma_product(alpha)
 
+    @pytest.mark.parametrize("call, alpha, message", [
+        ("gamma_product", math.nan, "must exceed 2"),
+        ("gamma_product", math.inf, "must be finite"),
+        ("interference_coeff", math.inf, "must be finite"),
+        ("BandParams", math.inf, "must be finite"),
+    ])
+    def test_non_finite_exponent_rejected(self, make_band, call, alpha, message):
+        # NaN passed `alpha <= 2.0` and gave a NaN product; inf divided by sin(0)
+        calls = {"gamma_product": gamma_product,
+                 "interference_coeff": lambda a: interference_coeff(1.0, 10.0, a),
+                 "BandParams": lambda a: make_band(pathloss_exponent=a)}
+        with pytest.raises(ValueError, match=f"^pathloss exponent {message}"):
+            calls[call](alpha)
+
 
 class TestInterferenceCoeff:
     def test_unit_threshold_examples(self):

@@ -22,7 +22,8 @@ from d2dee import (
     solve_cell_phase,
     solve_d2d_phase,
 )
-from xspace import curvature_interval, power_from_x, x_feasible_box, x_from_powers
+from xspace import (curvature_interval, golden_section_max, power_from_x, x_feasible_box,
+                    x_from_powers)
 
 
 def slack_band(make_band, **overrides):
@@ -354,20 +355,7 @@ class TestPhaseTwo:
         assert closed == pytest.approx(7.610e-3, rel=1e-4)
         # independent golden-section search over the raw objective
         h = lambda p: math.exp(-c / math.sqrt(p)) / p
-        lo, hi = 1e-8, 0.3
-        invphi = (math.sqrt(5) - 1) / 2
-        x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-        f1, f2 = h(x1), h(x2)
-        while hi - lo > 1e-13:
-            if f1 < f2:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + invphi * (hi - lo)
-                f2 = h(x2)
-            else:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - invphi * (hi - lo)
-                f1 = h(x1)
-        assert p_c[0] == pytest.approx(0.5 * (lo + hi), rel=1e-6)
+        assert p_c[0] == pytest.approx(golden_section_max(h, 1e-8, 0.3, 1e-13), rel=1e-6)
 
     def test_argmax_independent_of_amplitude(self, make_band, make_system):
         band_a = make_band(outage_cap_d2d=0.9999, outage_cap_cell=0.999999)
@@ -793,7 +781,7 @@ class TestCheckFeasible:
         assert calls == []
         for result in results:
             recomputed = check_feasible(system, result.alloc)
-            assert result.feasibility.to_dict() == recomputed.to_dict()
+            assert result.feasibility == recomputed
 
 
 class TestApi:

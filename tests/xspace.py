@@ -4,7 +4,8 @@ The paper states phase one in the substituted variable x = exp(cd *
 lambda_c * (Pc/Pd)^(2/alpha)); the solver works in power space and never
 forms x.  These are the map from powers to x and its inverse, the paper's
 concavity interval in x and its box on x, against which the tests check
-the power-space solve.
+the power-space solve.  It also holds the tests' one golden-section
+search, the independent reference for the closed-form maximizers.
 """
 
 from __future__ import annotations
@@ -24,6 +25,24 @@ def x_from_powers(band: BandParams, p_cell_w: float, p_d2d_w: float) -> float:
         raise ValueError("transform undefined without cellular density")
     ratio = _ratio_power(p_cell_w, p_d2d_w, 2.0 / band.pathloss_exponent)
     return math.exp(band.coeff_d2d() * band.density_cell * ratio)
+
+
+def golden_section_max(f, lo: float, hi: float, width: float) -> float:
+    """The maximizer of ``f``, unimodal on [lo, hi], as the midpoint of the
+    bracket that golden-section search narrows to at most ``width``."""
+    invphi = (math.sqrt(5) - 1) / 2
+    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > width:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = f(x1)
+    return 0.5 * (lo + hi)
 
 
 def curvature_interval(alpha: float) -> tuple[float, float]:
