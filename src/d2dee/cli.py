@@ -2,35 +2,25 @@
 
 Exit codes: 0 ok, 1 infeasible problem, 2 validation failure, 3 config
 error (a malformed or invalid config document, option or command line,
-or a --config or --out path that cannot be used).
+or a --config or --out path, or an output file in it, that cannot be used).
 The default output directory comes from --out or the D2DEE_OUT
 environment variable.
+
+``main`` only parses the command line, resolves the config once (each
+option overrides its config key), and calls the command's
+``harness.write_<command>``, which writes every output file and returns the
+summary printed here.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from .config import SWEEP_KEYS, ExperimentConfig, load_config
-from .harness import (
-    SWEEP_PLOT,
-    TRACE_PLOT,
-    VALIDATE_LINKS,
-    _config_header,
-    format_solve_table,
-    run_solve,
-    run_sweep,
-    run_trace,
-    run_validate,
-    solve_record,
-    sweep_fieldnames,
-    trace_fieldnames,
-    write_csv,
-)
+from .harness import VALIDATE_LINKS, write_solve, write_sweep, write_trace, write_validate
 from .solver import InfeasibleProblem
 
 EXIT_OK = 0
@@ -86,7 +76,8 @@ def _load(args) -> ExperimentConfig:
                          f"got {grid!r}") from None
     return load_config(
         args.config, seed=args.seed, trials=args.trials, workers=args.workers,
-        sweep_variable=getattr(args, "sweep_var", None), sweep_grid=values,
+        band=getattr(args, "band", None), sweep_variable=getattr(args, "sweep_var", None),
+        sweep_grid=values,
     )
 
 
@@ -106,62 +97,22 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load(args)
         out = _out_dir(args)
-    except (ValueError, OSError) as exc:
-        # an OSError names its path: a missing or unreadable --config, or an
-        # --out that is not a directory
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         if args.command == "validate":
-            m = cfg["num_bands"]
-            if args.band is not None and not 0 <= args.band < m:
-                raise ValueError(f"argument --band: must be a band index in [0, {m}), "
-                                 f"got {args.band}")
-            records, ok = run_validate(cfg, which=args.which, band_index=args.band)
-            payload = {"config": cfg.raw, "estimates": records, "pass": ok}
-            (out / "validate.json").write_text(json.dumps(payload, indent=2) + "\n")
-            for rec in records:
-                print(
-                    f"{rec['which']}: p_hat={rec['p_hat']:.5f} analytic={rec['analytic']:.5f} "
-                    f"z={rec['z_score'] if rec['z_score'] is not None else 'n/a'} "
-                    f"-> {'pass' if rec['pass'] else 'FAIL'}"
-                )
-            return EXIT_OK if ok else EXIT_VALIDATION
-
-        if args.command == "solve":
-            result = run_solve(cfg)
-            (out / "solve.json").write_text(
-                json.dumps(solve_record(cfg, result), indent=2) + "\n"
-            )
-            print(format_solve_table(result))
-            return EXIT_OK
-
-        if args.command == "trace":
-            rows, result = run_trace(cfg)
-            fields = trace_fieldnames(cfg["num_bands"])
-            write_csv(out / "trace.csv", _config_header(cfg), fields, rows)
-            (out / "plot_trace.py").write_text(TRACE_PLOT)
-            print(f"{len(rows)} iterations, converged={result.trace.converged}")
-            print(f"wrote {out / 'trace.csv'}")
-            return EXIT_OK
-
-        if args.command == "sweep":
-            rows = run_sweep(cfg)
-            fields = sweep_fieldnames(cfg["num_bands"])
-            write_csv(out / "sweep.csv", _config_header(cfg), fields, rows)
-            (out / "plot_sweep.py").write_text(SWEEP_PLOT)
-            n_bad = sum(1 for r in rows if r["infeasible_bands"])
-            print(f"wrote {out / 'sweep.csv'} ({len(rows)} points, {n_bad} infeasible)")
-            return EXIT_OK
+            summary, ok = write_validate(cfg, out, args.which)
+        else:
+            writer = {"solve": write_solve, "trace": write_trace, "sweep": write_sweep}
+            summary, ok = writer[args.command](cfg, out), True
     except InfeasibleProblem as exc:
         print(f"infeasible: {exc} (band={exc.band}, constraint={exc.constraint})",
               file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # an OSError names its path: a missing or unreadable --config, an
+        # --out that is not a directory, or an output file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return EXIT_OK
+    print(summary)
+    return EXIT_OK if ok else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -85,7 +85,7 @@ SWEEP_KEYS = {"lambda_d_ref": "lambda_d_ref", "lambda_c_ref": "lambda_c_ref",
 DENSITY_FIELDS = {"lambda_d_ref": ("density_d2d", "multiplier_d2d"),
                   "lambda_c_ref": ("density_cell", "multiplier_cell")}
 # override -> the section whose key it sets: its own name, less "sweep_"
-_SECTION_OF = {"trials": "sim", "seed": "sim", "workers": "sim",
+_SECTION_OF = {"trials": "sim", "seed": "sim", "workers": "sim", "band": "sim",
                "sweep_variable": "sweep", "sweep_grid": "sweep"}
 # retired key -> its one accepted value; None accepts any value of the retired
 # grid/golden-section search's knobs, which all asked for the per-band maximum

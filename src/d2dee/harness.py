@@ -1,6 +1,8 @@
 """Experiment runners behind the CLI: validate, solve, trace, sweep.
 
-Each output's keys are those of the one type that carries them:
+Each command's output files are written by its ``write_<command>``, which
+returns the summary the CLI prints.  Each output's keys are those of the one
+type that carries them:
 
 - ``validate.json``: each estimate record is ``simulate.StpEstimate``'s
   fields (``StpEstimate.to_record``) plus ``rng``, ``band``,
@@ -8,14 +10,16 @@ Each output's keys are those of the one type that carries them:
 - ``solve.json``: the result is ``solver.AllocationResult.to_dict``,
   whose ``trace``, ``metrics`` and ``feasibility`` are the fields of
   ``IterationTrace``, ``model.MetricsReport`` and ``FeasibilityReport``;
-- ``trace.csv`` and ``sweep.csv``: the columns of ``trace_fieldnames``
-  and ``sweep_fieldnames``, which share the power and EE-total columns
-  that ``_shared_columns`` names.
+- ``trace.csv`` and ``sweep.csv``: the keys of their first row, which
+  ``run_trace`` builds in column order and ``run_sweep`` from
+  ``sweep_fieldnames``; both share the power and EE-total columns that
+  ``_shared_columns`` names.
 
-CSV files start with comment lines embedding the resolved config, and the
-JSON files carry it under ``config``, so a result can always be traced
-back to its inputs.  CSV bodies follow RFC-4180; reruns with the same
-config and seed are byte-identical.
+CSV files start with a comment line embedding the resolved config
+(``_write_table``), and the JSON files carry it under ``config``
+(``_write_json``), so a result can always be traced back to its inputs.
+CSV bodies follow RFC-4180; reruns with the same config and seed are
+byte-identical.
 
 Only ``run_validate`` calls the Monte Carlo oracle, and it imports
 ``simulate``, and numpy with it, on first use: solve, trace and sweep
@@ -40,9 +44,12 @@ __all__ = [
     "run_solve",
     "run_trace",
     "run_sweep",
+    "write_validate",
+    "write_solve",
+    "write_trace",
+    "write_sweep",
     "write_csv",
     "sweep_fieldnames",
-    "trace_fieldnames",
 ]
 
 # the links run_validate can report: "both" keeps the two records of a pass
@@ -98,11 +105,6 @@ def _cell(value: float) -> str:
     return repr(float(value))
 
 
-def _config_header(cfg: ExperimentConfig) -> list[str]:
-    payload = json.dumps(cfg.raw, sort_keys=True)
-    return [f"# config: {payload}"]
-
-
 def write_csv(path: Path, header_lines: list[str], fieldnames: list[str], rows: list[dict]) -> None:
     buf = io.StringIO()
     for line in header_lines:
@@ -120,16 +122,28 @@ def read_csv(path: Path) -> list[dict]:
     return list(csv.DictReader(io.StringIO("\n".join(lines))))
 
 
+def _write_json(path: Path, cfg: ExperimentConfig, fields: dict) -> None:
+    """``fields`` after the resolved config, as every JSON output holds them."""
+    path.write_text(json.dumps({"config": cfg.raw, **fields}, indent=2) + "\n")
+
+
+def _write_table(out: Path, name: str, cfg: ExperimentConfig, rows: list[dict],
+                 plot: str) -> Path:
+    """``rows`` as ``out/<name>.csv`` under the resolved config, with the
+    script ``plot`` beside it as ``plot_<name>.py``; the columns are the
+    first row's keys.  Returns the CSV's path."""
+    path = out / f"{name}.csv"
+    write_csv(path, [f"# config: {json.dumps(cfg.raw, sort_keys=True)}"], list(rows[0]), rows)
+    (out / f"plot_{name}.py").write_text(plot)
+    return path
+
+
 # ---------------------------------------------------------------------------
 # validate
 
 
-def run_validate(
-    cfg: ExperimentConfig,
-    which: str = "both",
-    band_index: int | None = None,
-) -> tuple[list[dict], bool]:
-    """Monte Carlo estimates against the closed forms on one band.
+def run_validate(cfg: ExperimentConfig, which: str = "both") -> tuple[list[dict], bool]:
+    """Monte Carlo estimates against the closed forms on band ``sim.band``.
 
     ``which`` is "d2d", "cell" or "both", checked before any draw and
     before the oracle, and numpy with it, is loaded.  Every
@@ -149,13 +163,10 @@ def run_validate(
     # imported here: the oracle loads numpy, which no other command needs
     from .simulate import SimScenario, estimate_links
 
-    system = cfg.system
     sim = cfg["sim"]
-    idx = sim["band"] if band_index is None else band_index
-    if not 0 <= idx < system.num_bands:
-        raise ValueError(f"band index {idx} out of range")
+    idx = sim["band"]
     # the sim section holds SimScenario's fields by name, and the band index
-    scenario = SimScenario(band=system.bands[idx],
+    scenario = SimScenario(band=cfg.system.bands[idx],
                            **{k: v for k, v in sim.items() if k != "band"})
     estimates = [est for est in estimate_links(scenario) if which in ("both", est.which)]
     records = []
@@ -177,6 +188,19 @@ def run_validate(
     return records, ok
 
 
+def write_validate(cfg: ExperimentConfig, out: Path, which: str) -> tuple[str, bool]:
+    """Write ``validate.json``; returns one summary line per estimate, and the verdict."""
+    records, ok = run_validate(cfg, which)
+    _write_json(out / "validate.json", cfg, {"estimates": records, "pass": ok})
+    lines = [
+        f"{rec['which']}: p_hat={rec['p_hat']:.5f} analytic={rec['analytic']:.5f} "
+        f"z={rec['z_score'] if rec['z_score'] is not None else 'n/a'} "
+        f"-> {'pass' if rec['pass'] else 'FAIL'}"
+        for rec in records
+    ]
+    return "\n".join(lines), ok
+
+
 # ---------------------------------------------------------------------------
 # solve / trace
 
@@ -185,8 +209,11 @@ def run_solve(cfg: ExperimentConfig) -> AllocationResult:
     return optimize_powers(cfg.system, cfg.options)
 
 
-def solve_record(cfg: ExperimentConfig, result: AllocationResult) -> dict:
-    return {"config": cfg.raw, "result": result.to_dict()}
+def write_solve(cfg: ExperimentConfig, out: Path) -> str:
+    """Write ``solve.json``; returns the solve's table."""
+    result = run_solve(cfg)
+    _write_json(out / "solve.json", cfg, {"result": result.to_dict()})
+    return format_solve_table(result)
 
 
 def format_solve_table(result: AllocationResult) -> str:
@@ -223,11 +250,9 @@ def _shared_cells(p_d2d: list[float], p_cell: list[float], ee_d2d: float, ee_cel
     return dict(zip(_shared_columns(len(p_d2d)), map(_cell, values)))
 
 
-def trace_fieldnames(num_bands: int) -> list[str]:
-    return ["iteration", *_shared_columns(num_bands), "delta_d_w", "delta_c_w"]
-
-
 def run_trace(cfg: ExperimentConfig) -> tuple[list[dict], AllocationResult]:
+    """One row per outer iteration, its cells in column order: the iteration,
+    the shared columns, then the two power deltas."""
     result = run_solve(cfg)
     trace = result.trace
     rows = []
@@ -239,6 +264,14 @@ def run_trace(cfg: ExperimentConfig) -> tuple[list[dict], AllocationResult]:
         row["delta_c_w"] = _cell(trace.delta_c_w[n])
         rows.append(row)
     return rows, result
+
+
+def write_trace(cfg: ExperimentConfig, out: Path) -> str:
+    """Write ``trace.csv`` and ``plot_trace.py``; returns the iteration count
+    and the CSV's path."""
+    rows, result = run_trace(cfg)
+    path = _write_table(out, "trace", cfg, rows, TRACE_PLOT)
+    return f"{len(rows)} iterations, converged={result.trace.converged}\nwrote {path}"
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +349,15 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
             _note(row, exc, "baseline: ")
         rows.append(row)
     return rows
+
+
+def write_sweep(cfg: ExperimentConfig, out: Path) -> str:
+    """Write ``sweep.csv`` and ``plot_sweep.py``; returns the CSV's path and
+    the point counts."""
+    rows = run_sweep(cfg)
+    path = _write_table(out, "sweep", cfg, rows, SWEEP_PLOT)
+    n_bad = sum(1 for r in rows if r["infeasible_bands"])
+    return f"wrote {path} ({len(rows)} points, {n_bad} infeasible)"
 
 
 # ---------------------------------------------------------------------------

@@ -277,13 +277,16 @@ def _check(scenario: SimScenario) -> None:
     if not math.isfinite(scenario.window_radius_m):
         raise ValueError("window radius must be finite")
     if scenario.window_radius_m < 10.0 * max_link:
-        raise ValueError("window too small for edge-effect control")
+        raise ValueError(f"window too small for edge-effect control: "
+                         f"window_radius_m={scenario.window_radius_m!r} is below "
+                         f"{10.0 * max_link!r} m, 10 times the longest link")
     area = math.pi * scenario.window_radius_m * scenario.window_radius_m
     if not math.isfinite((band.density_d2d + band.density_cell) * area):
         raise ValueError(f"mean interferer count per trial is not finite at "
                          f"window_radius_m={scenario.window_radius_m!r}")
     if scenario.trials < 100:
-        raise ValueError("at least 100 trials are required for an estimate")
+        raise ValueError(f"at least 100 trials are required for an estimate, "
+                         f"got trials={scenario.trials!r}")
 
 
 def _run(scenario: SimScenario) -> tuple[int, int]:

@@ -267,7 +267,7 @@ class TestConfig:
         (["solve"], '{"sir_threshold_cell_db": "low"}',
          "config field 'sir_threshold_cell_db': must be a finite number of dB"),
         (["validate", "--band", "9"], "{}",
-         "argument --band: must be a band index in [0, 5), got 9"),
+         "config field 'sim.band': must be a band index in [0, 5)"),
         (["validate"], '{"sim": {"band": -1}}',
          "config field 'sim.band': must be a band index in [0, 5)"),
         (["solve"], '{"sim": {"band": 9}}',
@@ -407,6 +407,34 @@ class TestValidate:
         for i, which in enumerate(("d2d", "cell")):
             assert records[which] == [records["both"][i]]
 
+    def test_band_flag_replays_from_its_config(self, tmp_path):
+        # --band sets sim.band, so validate.json records it and a rerun on
+        # the embedded config validates the same band
+        first = tmp_path / "first"
+        main(["validate", "--band", "1", "--trials", "2000", "--workers", "2",
+              "--seed", "3", "--out", str(first)])
+        written = json.loads((first / "validate.json").read_text())
+        assert written["config"]["sim"]["band"] == 1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(written["config"]))
+        again = tmp_path / "again"
+        main(["validate", "--config", str(cfg_path), "--out", str(again)])
+        assert json.loads((again / "validate.json").read_text()) == written
+
+    @pytest.mark.parametrize("doc, argv, names", [
+        ({"sim": {"window_radius_m": 100}}, [],
+         "window too small for edge-effect control: window_radius_m=100 is below 500.0 m"),
+        ({}, ["--trials", "50"], "at least 100 trials are required for an estimate, "
+         "got trials=50"),
+    ], ids=["window", "trials"])
+    def test_oracle_rejection_names_its_field(self, doc, argv, names, tmp_path, capsys):
+        # band 0's longest link is 50 m, so its window must reach 500 m
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        code = main(["validate", "--config", str(cfg_path), *argv, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert f"error: {names}" in capsys.readouterr().err
+
     def test_overflowing_window_is_config_exit(self, tmp_path, capsys):
         # the window's mean interferer count overflowed inside the kernel,
         # and the OverflowError left validate with the infeasible exit code
@@ -499,6 +527,26 @@ class TestSolveAndTrace:
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and names in err and str(path(tmp_path)) in err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["solve"], "solve.json"),
+        (["trace"], "trace.csv"),
+        (["trace"], "plot_trace.py"),
+        (["sweep", "--sweep-var", "lambda_d_ref", "--sweep-grid", "1e-5,1e-4"], "sweep.csv"),
+        (["sweep", "--sweep-var", "lambda_d_ref", "--sweep-grid", "1e-5,1e-4"],
+         "plot_sweep.py"),
+        (["validate", "--trials", "200"], "validate.json"),
+    ], ids=["solve_json", "trace_csv", "plot_trace", "sweep_csv", "plot_sweep", "validate_json"])
+    def test_unwritable_output_is_config_exit(self, argv, name, tmp_path, capsys):
+        # an output file's path taken by a directory: a config error naming
+        # the path, not a traceback with the infeasible exit code
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(acc5_overrides()))
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main([*argv, "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out / name) in err
 
     @pytest.mark.parametrize("argv", [
         ["validate", "--which", "bogus"],

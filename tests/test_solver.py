@@ -714,6 +714,66 @@ class TestIterate:
         assert err.value.constraint == "qos_cell"
 
 
+def qos_bound_sequence(system, opts):
+    """The joint solve in closed form on a QoS-bound config (ROADMAP item 11):
+    every phase returns its own outage-cap end, so band i alternates
+    Pd <- f_lo,d * Pc and Pc <- f_lo,c * Pd from the solver's start until
+    both classes' largest per-band changes are within eps_power_w.  Each
+    lower box factor comes from public band fields.  Returns the iterates
+    as (D2D powers, cellular powers) pairs, and whether the sequence stopped
+    on its changes."""
+    def f_lo(band, own, other):
+        coeff = band.coeff_d2d() if own == "d2d" else band.coeff_cell()
+        margin = (-math.log1p(-getattr(band, f"outage_cap_{own}"))
+                  - coeff * getattr(band, f"density_{own}"))
+        return (coeff * getattr(band, f"density_{other}") / margin) ** (
+            band.pathloss_exponent / 2.0)
+
+    f_d = [f_lo(band, "d2d", "cell") for band in system.bands]
+    f_c = [f_lo(band, "cell", "d2d") for band in system.bands]
+    m = system.num_bands
+    p_d = [0.0] * m
+    p_c = [min(band.max_power_cell_w, system.budget_cell_w / m) for band in system.bands]
+    iterates = []
+    for _ in range(opts.max_outer_iters):
+        new_d = [f * pc for f, pc in zip(f_d, p_c)]
+        new_c = [f * pd for f, pd in zip(f_c, new_d)]
+        delta_d = max(abs(a - b) for a, b in zip(new_d, p_d))
+        delta_c = max(abs(a - b) for a, b in zip(new_c, p_c))
+        p_d, p_c = new_d, new_c
+        iterates.append((p_d, p_c))
+        if delta_d <= opts.eps_power_w and delta_c <= opts.eps_power_w:
+            return iterates, True
+    return iterates, False
+
+
+# acceptance criterion 5's config, and criterion 6's without its sweep
+CRITERION_5 = dict(sir_threshold_d2d=1e-5, sir_threshold_cell=1e-5,
+                   lambda_d_ref=1e-4, lambda_c_ref=1.5e-5, budget_d2d_w=0.06)
+CRITERION_6 = dict(CRITERION_5, sir_threshold_d2d=1e-6, sir_threshold_cell=1e-6,
+                   budget_d2d_w=0.08, lambda_c_ref=1e-5, baseline_p_cell_w=0.325)
+
+
+@pytest.mark.parametrize("systems", [
+    lambda: [d2dee.ExperimentConfig().with_overrides(**CRITERION_5).system],
+    # criterion 6 over the sweep-density range, 100 log-spaced points
+    lambda: [d2dee.ExperimentConfig().with_overrides(**CRITERION_6).point_system(
+        "lambda_d_ref", v) for v in np.geomspace(1e-5, 1e-3, 100).tolist()],
+], ids=["criterion_5", "criterion_6_density_grid"])
+def test_solve_is_the_closed_form_sequence_on_qos_bound_configs(systems):
+    # each phase is one multiply per band, so each iterate is a product of
+    # at most 2 * max_outer_iters box factors: 1e-12 relative is a few ulps
+    # per step
+    for system in systems():
+        opts = SolveOptions()
+        trace = optimize_powers(system, opts).trace
+        iterates, converged = qos_bound_sequence(system, opts)
+        assert (trace.iterations, trace.converged) == (len(iterates), converged)
+        for n, (p_d, p_c) in enumerate(iterates):
+            assert trace.p_d2d_w[n] == pytest.approx(p_d, rel=1e-12, abs=0.0)
+            assert trace.p_cell_w[n] == pytest.approx(p_c, rel=1e-12, abs=0.0)
+
+
 class TestBaseline:
     def test_matches_converged_cell_powers(self, make_band):
         # freezing the cellular powers at a converged allocation reproduces
