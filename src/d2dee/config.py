@@ -27,11 +27,11 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .model import BandParams, SystemParams
-from .solver import SolveOptions
+from .solver import BUDGET_TOL_REL, SolveOptions
 
 __all__ = ["ExperimentConfig", "DEFAULTS", "load_config", "save_config", "build_system"]
 
@@ -64,10 +64,7 @@ DEFAULTS: dict = {
         "p_d2d_w": 0.02,
         "band": 0,
     },
-    "solver": {
-        "eps_power_w": 1e-5,
-        "max_outer_iters": 10,
-    },
+    "solver": {f.name: f.default for f in fields(SolveOptions)},
 }
 
 _DB_KEYS = ("sir_threshold_d2d", "sir_threshold_cell")
@@ -90,7 +87,7 @@ _SECTION_OF = {"trials": "sim", "seed": "sim", "workers": "sim", "band": "sim",
 # retired key -> its one accepted value; None accepts any value of the retired
 # grid/golden-section search's knobs, which all asked for the per-band maximum
 _RETIRED = {("solver", "grid_points"): None, ("solver", "line_search_tol_rel"): None,
-            ("solver", "phase2_mode"): "coupled", ("solver", "budget_tol_rel"): 1e-6}
+            ("solver", "phase2_mode"): "coupled", ("solver", "budget_tol_rel"): BUDGET_TOL_REL}
 _NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be at least 1")

@@ -251,8 +251,8 @@ def asr(band: BandParams, stp: float, density: float, threshold: float) -> float
     density * W * log2(1+T) * STP, the fixed-threshold evaluation of the
     rate lower bound.
     """
-    if not 0.0 < stp <= 1.0:
-        raise ValueError("stp must lie in (0, 1]")
+    if not 0.0 <= stp <= 1.0:  # NaN fails too
+        raise ValueError("stp must lie in [0, 1]")
     return density * band.bandwidth_hz * math.log2(1.0 + threshold) * stp
 
 
@@ -283,6 +283,14 @@ def ee_per_band(band: BandParams, p_cell_w: float, p_d2d_w: float) -> tuple[floa
             _ee(band, p_cell_w, band.sir_threshold_cell, stp_cell(band, p_cell_w, p_d2d_w)))
 
 
+def _check_band_count(system: SystemParams, alloc: PowerAllocation) -> None:
+    """Raise unless ``alloc`` has one power of each class per band of ``system``."""
+    if len(alloc.p_d2d_w) != system.num_bands:
+        raise ValueError(
+            f"allocation has {len(alloc.p_d2d_w)} bands, system has {system.num_bands}"
+        )
+
+
 def metrics(system: SystemParams, alloc: PowerAllocation) -> MetricsReport:
     """Evaluate STP/ASR/EE on every band and aggregate the totals.
 
@@ -290,10 +298,7 @@ def metrics(system: SystemParams, alloc: PowerAllocation) -> MetricsReport:
     it, so ``ee_d2d``/``ee_cell`` equal ``ee_per_band`` bit for bit.  Totals
     use exact (fsum) summation so they are invariant under band permutation.
     """
-    if len(alloc.p_d2d_w) != system.num_bands:
-        raise ValueError(
-            f"allocation has {len(alloc.p_d2d_w)} bands, system has {system.num_bands}"
-        )
+    _check_band_count(system, alloc)
     rep = MetricsReport()
     for i, (band, pd, pc) in enumerate(zip(system.bands, alloc.p_d2d_w, alloc.p_cell_w)):
         try:

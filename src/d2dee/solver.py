@@ -44,6 +44,7 @@ from typing import NamedTuple
 
 from .model import (
     BandParams,
+    _check_band_count,
     _ratio_power,
     _rising_root,
     MetricsReport,
@@ -98,7 +99,16 @@ class SolveOptions:
 
 @dataclass
 class IterationTrace:
-    """Outer-iteration history of the alternating solve."""
+    """Outer-iteration history of the alternating solve, written by _record.
+
+    Entry n is outer iteration n's iterate: the D2D phase's powers, the
+    cellular phase's powers at them, both classes' EE totals from
+    ``metrics``, and each class's largest per-band power change from the
+    previous entry (the first from zero D2D powers and the starting
+    cellular powers).  ``baseline_fixed_cell`` writes one entry: its D2D
+    phase's powers at the fixed cellular powers, ``delta_d_w`` the largest
+    D2D power (its change from zero), ``delta_c_w`` 0.0, and ``converged``.
+    """
 
     p_d2d_w: list[list[float]] = field(default_factory=list)
     p_cell_w: list[list[float]] = field(default_factory=list)
@@ -419,45 +429,27 @@ def optimize_powers(system: SystemParams, opts: SolveOptions | None = None) -> A
     p_cell = [
         min(band.max_power_cell_w, system.budget_cell_w / m) for band in system.bands
     ]
-    p_d_prev = [0.0] * m
-    p_c_prev = list(p_cell)
+    p_d2d = [0.0] * m
     trace = IterationTrace()
     flags: list[str] = []
-    converged = False
-    p_d2d: list[float] = list(p_d_prev)
     rep = None
 
-    for it in range(1, opts.max_outer_iters + 1):
+    while trace.iterations < opts.max_outer_iters and not trace.converged:
         if min(p_cell) <= 0.0:
             # geometric scale collapse underflowed; the ratio is already pinned
             flags.append("cellular power underflow, iteration stopped early")
             break
         phase_d = solve_d2d_phase(system, p_cell, opts)
-        p_d2d = phase_d.powers
-        delta_d = max(abs(a - b) for a, b in zip(p_d2d, p_d_prev))
-        p_d_prev = list(p_d2d)
-
-        phase_c = solve_cell_phase(system, p_d2d, opts)
-        p_cell = phase_c.powers
-        delta_c = max(abs(a - b) for a, b in zip(p_cell, p_c_prev))
-        p_c_prev = list(p_cell)
-
-        rep = metrics(system, PowerAllocation(p_d2d, p_cell))
-        trace.p_d2d_w.append(list(p_d2d))
-        trace.p_cell_w.append(list(p_cell))
-        trace.ee_d2d_total.append(rep.ee_d2d_total)
-        trace.ee_cell_total.append(rep.ee_cell_total)
-        trace.delta_d_w.append(delta_d)
-        trace.delta_c_w.append(delta_c)
-        trace.iterations = it
+        phase_c = solve_cell_phase(system, phase_d.powers, opts)
+        delta_d = max(abs(a - b) for a, b in zip(phase_d.powers, p_d2d))
+        delta_c = max(abs(a - b) for a, b in zip(phase_c.powers, p_cell))
+        p_d2d, p_cell = phase_d.powers, phase_c.powers
+        rep = _record(system, trace, p_d2d, p_cell, delta_d, delta_c)
+        trace.converged = delta_d <= opts.eps_power_w and delta_c <= opts.eps_power_w
         for msg in phase_d.flags + phase_c.flags:
             if msg not in flags:
                 flags.append(msg)
-        if delta_d <= opts.eps_power_w and delta_c <= opts.eps_power_w:
-            converged = True
-            break
 
-    trace.converged = converged
     alloc = PowerAllocation(list(p_d2d), list(p_cell))
     if rep is None:
         # the last iteration's report is of these powers; none exists only
@@ -476,23 +468,26 @@ def baseline_fixed_cell(
     """
     if p_cell_fixed_w <= 0:
         raise ValueError("fixed cellular power must be positive")
-    opts = opts or SolveOptions()
     p_cell = [p_cell_fixed_w] * system.num_bands
     phase = solve_d2d_phase(system, p_cell, opts)
-    p_d2d = phase.powers
-    alloc = PowerAllocation(p_d2d, p_cell)
-    rep = metrics(system, alloc)
-    trace = IterationTrace(
-        p_d2d_w=[list(p_d2d)],
-        p_cell_w=[list(p_cell)],
-        ee_d2d_total=[rep.ee_d2d_total],
-        ee_cell_total=[rep.ee_cell_total],
-        delta_d_w=[max(p_d2d)],
-        delta_c_w=[0.0],
-        converged=True,
-        iterations=1,
-    )
-    return _result(system, alloc, trace, rep, list(phase.flags))
+    trace = IterationTrace(converged=True)
+    rep = _record(system, trace, phase.powers, p_cell, max(phase.powers), 0.0)
+    return _result(system, PowerAllocation(phase.powers, p_cell), trace, rep, list(phase.flags))
+
+
+def _record(system: SystemParams, trace: IterationTrace, p_d2d: list[float],
+            p_cell: list[float], delta_d: float, delta_c: float) -> MetricsReport:
+    """Append one iterate to ``trace`` and return its ``metrics`` report:
+    the one place a trace entry is written."""
+    rep = metrics(system, PowerAllocation(p_d2d, p_cell))
+    trace.p_d2d_w.append(list(p_d2d))
+    trace.p_cell_w.append(list(p_cell))
+    trace.ee_d2d_total.append(rep.ee_d2d_total)
+    trace.ee_cell_total.append(rep.ee_cell_total)
+    trace.delta_d_w.append(delta_d)
+    trace.delta_c_w.append(delta_c)
+    trace.iterations += 1
+    return rep
 
 
 def _result(system: SystemParams, alloc: PowerAllocation, trace: IterationTrace,
@@ -510,13 +505,16 @@ def _result(system: SystemParams, alloc: PowerAllocation, trace: IterationTrace,
 def check_feasible(
     system: SystemParams, alloc: PowerAllocation, report: MetricsReport | None = None
 ) -> FeasibilityReport:
-    """Slack of every constraint of both problems; reports, never raises.
+    """Slack of every constraint of both problems.  Reports, never raises,
+    on an allocation of the system's band count; any other count raises
+    ``ValueError``, as in ``metrics``.
 
     Outage slacks come from the closed-form success probabilities, read
     from ``report`` when given (a ``metrics`` report of ``alloc``).  A band
     with nonpositive transmit power cannot satisfy its own outage cap (the
     success probability is not defined), so it is reported as a violation.
     """
+    _check_band_count(system, alloc)
     rows: list[dict] = []
     notes: list[str] = []
     for i, band in enumerate(system.bands):

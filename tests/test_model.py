@@ -18,6 +18,7 @@ from d2dee import (
     stp_cell,
     stp_d2d,
 )
+from d2dee.config import load_config
 
 
 class TestGammaProduct:
@@ -154,6 +155,10 @@ class TestAsr:
     def test_zero_threshold_zero_rate(self, band1):
         assert asr(band1, 0.9, 1e-4, 0.0) == 0.0
 
+    def test_nan_stp_rejected(self, band1):
+        with pytest.raises(ValueError, match="stp must lie in"):
+            asr(band1, math.nan, 1e-4, 1.0)
+
 
 class TestEePerBand:
     def test_example_arithmetic(self, band1):
@@ -191,6 +196,14 @@ class TestMetrics:
         assert rep.ee_d2d == [ee_d]
         assert rep.ee_cell == [ee_c]
         assert rep.ee_total == rep.ee_d2d_total + rep.ee_cell_total
+
+    def test_underflowing_stp_is_ee_per_band(self):
+        # at Pc/Pd = 3e299 the D2D success probability underflows to 0.0
+        system = load_config(None).system
+        alloc = PowerAllocation([1e-300] + [0.02] * 4, [0.3] * 5)
+        rep = metrics(system, alloc)
+        assert rep.stp_d2d[0] == 0.0
+        assert (rep.ee_d2d[0], rep.ee_cell[0]) == ee_per_band(system.bands[0], 0.3, 1e-300)
 
     def test_totals_are_hand_summed_per_band(self, make_band):
         # Table-1 band geometry at fixed powers on every band

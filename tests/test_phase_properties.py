@@ -6,7 +6,8 @@ Every draw either raises an InfeasibleProblem that names its constraint
 powers within the budget that permute exactly with the bands.  A phase
 on bands that earlier calls used gives the result, or the error, of one
 on freshly built bands, and tiny densities give finite powers too, in a
-phase and in a whole solve.  At a positive multiplier a band's argmax
+phase and in a whole solve.  A solve's trace holds one entry per
+iterate, with exact deltas and bit-exact EE totals.  At a positive multiplier a band's argmax
 beats a dense grid of its box, at any interference coefficient; at mu = 0
 it is the band's own QoS lower end exactly when the solver's closed-form
 inequality says so.
@@ -211,6 +212,61 @@ def test_whole_solve_is_named_or_feasible(problem):
     swapped = optimize_powers(permuted(system, order)).alloc
     assert swapped.p_d2d_w == [p_d2d[j] for j in order]
     assert swapped.p_cell_w == [p_cell[j] for j in order]
+
+
+def check_entries(system: SystemParams, trace) -> None:
+    """Every trace list has one entry per iteration, and each entry's EE
+    totals are ``metrics`` of its powers, bit for bit."""
+    lists = (trace.p_d2d_w, trace.p_cell_w, trace.ee_d2d_total, trace.ee_cell_total,
+             trace.delta_d_w, trace.delta_c_w)
+    assert [len(entries) for entries in lists] == [trace.iterations] * 6
+    for p_d, p_c, ee_d, ee_c in zip(*lists[:4]):
+        rep = metrics(system, PowerAllocation(p_d, p_c))
+        assert (ee_d, ee_c) == (rep.ee_d2d_total, rep.ee_cell_total)
+
+
+def max_change(new: list[float], old: list[float]) -> float:
+    return max(abs(a - b) for a, b in zip(new, old))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(solve_problems(), st.integers(1, 10), log_uniform(-3, 0))
+def test_trace_records_each_iterate(problem, max_outer_iters, p_cell_fixed):
+    system, _ = problem
+    opts = SolveOptions(max_outer_iters=max_outer_iters)
+    eps = opts.eps_power_w
+    try:
+        result = optimize_powers(system, opts)
+    except InfeasibleProblem:
+        pass
+    else:
+        trace = result.trace
+        check_entries(system, trace)
+        start = [min(b.max_power_cell_w, system.budget_cell_w / system.num_bands)
+                 for b in system.bands]
+        assert trace.delta_d_w[0] == max(trace.p_d2d_w[0])
+        assert trace.delta_c_w[0] == max_change(trace.p_cell_w[0], start)
+        for n in range(1, trace.iterations):
+            assert trace.delta_d_w[n] == max_change(trace.p_d2d_w[n], trace.p_d2d_w[n - 1])
+            assert trace.delta_c_w[n] == max_change(trace.p_cell_w[n], trace.p_cell_w[n - 1])
+        settled = [d <= eps and c <= eps for d, c in zip(trace.delta_d_w, trace.delta_c_w)]
+        assert trace.converged == settled[-1]
+        assert not any(settled[:-1])  # the loop stops at the first settled iterate
+        assert (trace.converged or trace.iterations == max_outer_iters
+                or "cellular power underflow, iteration stopped early" in result.flags)
+        assert (result.alloc.p_d2d_w, result.alloc.p_cell_w) == (trace.p_d2d_w[-1],
+                                                                 trace.p_cell_w[-1])
+    try:
+        result = baseline_fixed_cell(system, p_cell_fixed, opts)
+    except InfeasibleProblem:
+        return
+    trace = result.trace
+    check_entries(system, trace)
+    assert trace.iterations == 1 and trace.converged
+    assert trace.p_d2d_w == [result.alloc.p_d2d_w]
+    assert trace.p_cell_w == [[p_cell_fixed] * system.num_bands]
+    assert trace.delta_d_w == [max(result.alloc.p_d2d_w)]
+    assert trace.delta_c_w == [0.0]
 
 
 def twin(system: SystemParams) -> SystemParams:

@@ -827,6 +827,15 @@ class TestCheckFeasible:
         report = check_feasible(system, PowerAllocation([-1.0], [-1.0]))
         assert not report.ok
 
+    @pytest.mark.parametrize("num_bands", [1, 6])
+    def test_wrong_band_count_raises_as_metrics_does(self, make_band, num_bands):
+        system = table1_system(make_band)
+        alloc = PowerAllocation([0.001] * num_bands, [0.1] * num_bands)
+        message = f"allocation has {num_bands} bands, system has 5"
+        for check in (metrics, check_feasible):
+            with pytest.raises(ValueError, match=message):
+                check(system, alloc)
+
     def test_solves_read_outage_slacks_from_their_report(self, make_band, monkeypatch):
         # the slacks of a solve's result come from the metrics report it
         # already holds, so the solver module evaluates no success probability
