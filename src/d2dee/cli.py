@@ -4,7 +4,11 @@ Exit codes: 0 ok, 1 infeasible problem, 2 validation failure, 3 config
 error (a malformed or invalid config document, option or command line,
 or a --config or --out path, or an output file in it, that cannot be used).
 The default output directory comes from --out or the D2DEE_OUT
-environment variable.
+environment variable.  Without --config a command runs on the shipped
+defaults, which are validate's layout: at its SIR thresholds of 1 no
+allocation meets the outage caps, so solve and trace exit 1 there and say
+to pass --config, and every sweep point is infeasible.  The help of all
+three says so.
 
 ``main`` only parses the command line, resolves the config once (each
 option overrides its config key), and calls the command's
@@ -15,6 +19,7 @@ summary printed here.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -28,6 +33,10 @@ EXIT_INFEASIBLE = 1
 EXIT_VALIDATION = 2
 EXIT_CONFIG = 3
 
+# what solve, trace and sweep say in their help, and on exit 1 without --config
+_NEEDS_CONFIG = ("pass --config: the defaults are validate's layout, whose SIR "
+                 "thresholds of 1 no allocation can meet")
+
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=str, default=None, help="JSON config path")
@@ -40,7 +49,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                           "CPU, and the estimate depends on the chunk count only")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process; parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="d2dee",
         description="Energy-efficiency metrics and power allocation for "
@@ -53,13 +64,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=VALIDATE_LINKS, default="both")
     p.add_argument("--band", type=int, default=None)
 
-    p = subs.add_parser("solve", help="one joint power-allocation solve")
+    p = subs.add_parser("solve", help="one joint power-allocation solve",
+                        description=f"One joint power-allocation solve; {_NEEDS_CONFIG}.")
     _add_common(p)
 
-    p = subs.add_parser("trace", help="per-iteration trace of a joint solve")
+    p = subs.add_parser("trace", help="per-iteration trace of a joint solve",
+                        description=f"Per-iteration trace of a joint solve; {_NEEDS_CONFIG}.")
     _add_common(p)
 
-    p = subs.add_parser("sweep", help="parameter sweep with fixed-cellular baseline")
+    p = subs.add_parser("sweep", help="parameter sweep with fixed-cellular baseline",
+                        description="Parameter sweep with fixed-cellular baseline; "
+                                    f"{_NEEDS_CONFIG}.")
     _add_common(p)
     p.add_argument("--sweep-var", choices=list(SWEEP_KEYS), default=None)
     p.add_argument("--sweep-grid", type=str, default=None,
@@ -103,7 +118,8 @@ def main(argv: list[str] | None = None) -> int:
             writer = {"solve": write_solve, "trace": write_trace, "sweep": write_sweep}
             summary, ok = writer[args.command](cfg, out), True
     except InfeasibleProblem as exc:
-        print(f"infeasible: {exc} (band={exc.band}, constraint={exc.constraint})",
+        hint = "" if args.config else f"; {_NEEDS_CONFIG}"
+        print(f"infeasible: {exc} (band={exc.band}, constraint={exc.constraint}){hint}",
               file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ValueError, OSError) as exc:

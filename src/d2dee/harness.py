@@ -243,11 +243,12 @@ def _shared_columns(num_bands: int) -> list[str]:
     return powers + ["ee_d2d_total", "ee_cell_total", "ee_total"]
 
 
-def _shared_cells(p_d2d: list[float], p_cell: list[float], ee_d2d: float, ee_cell: float) -> dict:
-    """The shared columns' cells of one row; ``ee_total`` is ee_d2d + ee_cell,
-    as ``model.metrics`` sums it."""
+def _shared_cells(columns: list[str], p_d2d: list[float], p_cell: list[float],
+                  ee_d2d: float, ee_cell: float) -> dict:
+    """The cells of one row under ``columns``, the ``_shared_columns`` of its
+    band count; ``ee_total`` is ee_d2d + ee_cell, as ``model.metrics`` sums it."""
     values = [*p_d2d, *p_cell, ee_d2d, ee_cell, ee_d2d + ee_cell]
-    return dict(zip(_shared_columns(len(p_d2d)), map(_cell, values)))
+    return dict(zip(columns, map(_cell, values)))
 
 
 def run_trace(cfg: ExperimentConfig) -> tuple[list[dict], AllocationResult]:
@@ -255,10 +256,11 @@ def run_trace(cfg: ExperimentConfig) -> tuple[list[dict], AllocationResult]:
     the shared columns, then the two power deltas."""
     result = run_solve(cfg)
     trace = result.trace
+    columns = _shared_columns(cfg["num_bands"])
     rows = []
     for n in range(trace.iterations):
         row: dict = {"iteration": n + 1}
-        row.update(_shared_cells(trace.p_d2d_w[n], trace.p_cell_w[n],
+        row.update(_shared_cells(columns, trace.p_d2d_w[n], trace.p_cell_w[n],
                                  trace.ee_d2d_total[n], trace.ee_cell_total[n]))
         row["delta_d_w"] = _cell(trace.delta_d_w[n])
         row["delta_c_w"] = _cell(trace.delta_c_w[n])
@@ -321,6 +323,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
         raise ValueError("config field 'sweep': variable and grid must be set")
     key = SWEEP_KEYS[variable]
     fields = sweep_fieldnames(cfg["num_bands"])
+    columns = _shared_columns(cfg["num_bands"])
     options, p_cell_w = cfg.options, cfg["baseline_p_cell_w"]
     band_hash = _point_hash(cfg.system, key)
     rows = []
@@ -336,7 +339,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
         row["band_params_md5"] = band_hash(system)
         try:
             result = optimize_powers(system, options)
-            row.update(_shared_cells(result.alloc.p_d2d_w, result.alloc.p_cell_w,
+            row.update(_shared_cells(columns, result.alloc.p_d2d_w, result.alloc.p_cell_w,
                                      result.metrics.ee_d2d_total, result.metrics.ee_cell_total))
             row["iterations"] = result.trace.iterations
             row["converged"] = result.trace.converged

@@ -8,13 +8,17 @@ and EE per band cheap closed forms.  All quantities are SI (W, Hz, m,
 per m^2); SIR thresholds are linear, not dB.
 
 Every function here is pure.  Bands and systems are frozen: a band
-computes its interference coefficients and the constants of both power
-allocation phases once, on construction, and nothing changes them after.
-Safe to call from any thread.
+computes its interference coefficients, each class's rate per unit
+bandwidth log2(1+T) and the constants of both power allocation phases
+once, on construction, and nothing changes them after.  Each success
+probability is written once, in ``_stp``, and ``metrics`` evaluates a band
+in one pass that gives what ``stp_d2d``, ``stp_cell``, ``asr`` and
+``ee_per_band`` give, bit for bit.  Safe to call from any thread.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -33,13 +37,16 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def gamma_product(alpha: float) -> float:
     """Gamma(1 + 2/alpha) * Gamma(1 - 2/alpha) for path-loss exponent alpha.
 
     Uses the reflection identity Gamma(1+x)Gamma(1-x) = pi*x/sin(pi*x) with
     x = 2/alpha, which is exact to machine precision on alpha > 2 and avoids
     a general gamma evaluation.  Diverges as alpha -> 2 (pole of the second
-    factor), which is why the model requires alpha > 2.
+    factor), which is why the model requires alpha > 2.  Each band needs it
+    twice, and a sweep builds its bands anew at every point, so the value of
+    each recent alpha is kept.
     """
     if not alpha > 2.0:  # NaN fails it
         raise ValueError(
@@ -94,14 +101,15 @@ class BandParams:
     Densities are per m^2, distances in m, powers in W, bandwidth in Hz.
     Outage caps bound the tolerated outage probability per link class.
     A band computes on construction, once, what depends on it alone: the
-    interference coefficients, the outage margins -ln(1-theta) - coeff*lambda
-    of both classes, which are positive where a class's cap is reachable,
-    and, if both are, the phase constants of each class that
-    ``solver._phase_bands`` scales by the other class's powers.  They sit
-    in slots, so ``vars(band)`` holds the parameters alone.
+    interference coefficients, each class's rate per unit bandwidth
+    log2(1+T), the outage margins -ln(1-theta) - coeff*lambda of both
+    classes, which are positive where a class's cap is reachable, and, if
+    both are, the phase constants of each class that ``solver._phase_bands``
+    scales by the other class's powers.  They sit in slots, so
+    ``vars(band)`` holds the parameters alone.
     """
 
-    __slots__ = ("__dict__", "_coeffs", "_margins", "_phase")
+    __slots__ = ("__dict__", "_coeffs", "_rates", "_margins", "_phase")
 
     bandwidth_hz: float
     pathloss_exponent: float
@@ -141,12 +149,14 @@ class BandParams:
         cross_d, cross_c = cd * self.density_cell, cc * self.density_d2d
         margin_d = -math.log(1.0 - self.outage_cap_d2d) - used_d
         margin_c = -math.log(1.0 - self.outage_cap_cell) - used_c
+        rate_d = math.log2(1.0 + self.sir_threshold_d2d)
+        rate_c = math.log2(1.0 + self.sir_threshold_cell)
         # each class's (f_lo, f_hi, power cap, c, K); see solver._phase_bands
         phase = None
         if margin_d > 0.0 and margin_c > 0.0:
             k = a / 2.0
-            amp_d = self.bandwidth_hz * math.log2(1.0 + self.sir_threshold_d2d) * math.exp(-used_d)
-            amp_c = self.bandwidth_hz * math.log2(1.0 + self.sir_threshold_cell) * math.exp(-used_c)
+            amp_d = self.bandwidth_hz * rate_d * math.exp(-used_d)
+            amp_c = self.bandwidth_hz * rate_c * math.exp(-used_c)
             phase = {
                 "d2d": (_ratio_power(cross_d, margin_d, k), _ratio_power(margin_c, cross_c, k),
                         self.max_power_d2d_w, cross_d, amp_d),
@@ -154,6 +164,7 @@ class BandParams:
                          self.max_power_cell_w, cross_c, amp_c),
             }
         object.__setattr__(self, "_coeffs", (cd, cc))
+        object.__setattr__(self, "_rates", (rate_d, rate_c))
         object.__setattr__(self, "_margins", {"d2d": margin_d, "cell": margin_c})
         object.__setattr__(self, "_phase", phase)
 
@@ -223,8 +234,16 @@ class MetricsReport:
 
 
 def _check_powers(p_cell_w: float, p_d2d_w: float) -> None:
-    if not (p_cell_w > 0 and p_d2d_w > 0):  # NaN fails it
-        raise ValueError("transmit powers must be strictly positive")
+    if not (0.0 < p_cell_w < math.inf and 0.0 < p_d2d_w < math.inf):  # NaN fails it
+        raise ValueError("transmit powers must be positive and finite")
+
+
+def _stp(coeff: float, density_own: float, density_other: float,
+         p_other_w: float, p_own_w: float, e: float) -> float:
+    """exp{-coeff * [lambda_own + lambda_other * (P_other/P_own)^e]}: the
+    success probability of a class whose interference coefficient is
+    ``coeff``, at e = 2/alpha and powers already checked."""
+    return math.exp(-coeff * (density_own + density_other * _ratio_power(p_other_w, p_own_w, e)))
 
 
 def stp_d2d(band: BandParams, p_cell_w: float, p_d2d_w: float) -> float:
@@ -234,15 +253,15 @@ def stp_d2d(band: BandParams, p_cell_w: float, p_d2d_w: float) -> float:
     the powers only through their ratio.
     """
     _check_powers(p_cell_w, p_d2d_w)
-    ratio = _ratio_power(p_cell_w, p_d2d_w, 2.0 / band.pathloss_exponent)
-    return math.exp(-band.coeff_d2d() * (band.density_d2d + band.density_cell * ratio))
+    return _stp(band._coeffs[0], band.density_d2d, band.density_cell,
+                p_cell_w, p_d2d_w, 2.0 / band.pathloss_exponent)
 
 
 def stp_cell(band: BandParams, p_cell_w: float, p_d2d_w: float) -> float:
     """Success probability of the typical base station, mirror of stp_d2d."""
     _check_powers(p_cell_w, p_d2d_w)
-    ratio = _ratio_power(p_d2d_w, p_cell_w, 2.0 / band.pathloss_exponent)
-    return math.exp(-band.coeff_cell() * (band.density_cell + band.density_d2d * ratio))
+    return _stp(band._coeffs[1], band.density_cell, band.density_d2d,
+                p_d2d_w, p_cell_w, 2.0 / band.pathloss_exponent)
 
 
 def asr(band: BandParams, stp: float, density: float, threshold: float) -> float:
@@ -268,8 +287,9 @@ def _rising_root(g, a: float, b: float) -> float:
             b = mid
 
 
-def _ee(band: BandParams, power_w: float, threshold: float, stp: float) -> float:
-    return (band.bandwidth_hz / power_w) * math.log2(1.0 + threshold) * stp
+def _ee(band: BandParams, power_w: float, rate: float, stp: float) -> float:
+    """W/P * log2(1+T) * STP, with ``rate`` the class's log2(1+T) from ``band._rates``."""
+    return (band.bandwidth_hz / power_w) * rate * stp
 
 
 def ee_per_band(band: BandParams, p_cell_w: float, p_d2d_w: float) -> tuple[float, float]:
@@ -279,8 +299,9 @@ def ee_per_band(band: BandParams, p_cell_w: float, p_d2d_w: float) -> tuple[floa
     and each class sees W/P * log2(1+T) * STP.  Scaling both powers by k
     divides both values by exactly k.
     """
-    return (_ee(band, p_d2d_w, band.sir_threshold_d2d, stp_d2d(band, p_cell_w, p_d2d_w)),
-            _ee(band, p_cell_w, band.sir_threshold_cell, stp_cell(band, p_cell_w, p_d2d_w)))
+    rate_d, rate_c = band._rates
+    return (_ee(band, p_d2d_w, rate_d, stp_d2d(band, p_cell_w, p_d2d_w)),
+            _ee(band, p_cell_w, rate_c, stp_cell(band, p_cell_w, p_d2d_w)))
 
 
 def _check_band_count(system: SystemParams, alloc: PowerAllocation) -> None:
@@ -294,25 +315,32 @@ def _check_band_count(system: SystemParams, alloc: PowerAllocation) -> None:
 def metrics(system: SystemParams, alloc: PowerAllocation) -> MetricsReport:
     """Evaluate STP/ASR/EE on every band and aggregate the totals.
 
-    Each STP is evaluated once and both its ASR and its EE are derived from
-    it, so ``ee_d2d``/``ee_cell`` equal ``ee_per_band`` bit for bit.  Totals
-    use exact (fsum) summation so they are invariant under band permutation.
+    One pass per band: its powers are checked once, each STP is evaluated
+    once (``_stp``), and its ASR and EE are derived from it with the band's
+    rates, in the order ``asr`` and ``ee_per_band`` evaluate them.  So every
+    value equals theirs bit for bit, and a fault names its band.  Totals use
+    exact (fsum) summation so they are invariant under band permutation.
     """
     _check_band_count(system, alloc)
-    rep = MetricsReport()
+    stp_d, stp_c, asr_d, asr_c, ee_d, ee_c = [], [], [], [], [], []
     for i, (band, pd, pc) in enumerate(zip(system.bands, alloc.p_d2d_w, alloc.p_cell_w)):
         try:
-            s_d = stp_d2d(band, pc, pd)
-        except ValueError as exc:  # a power that is not positive
+            _check_powers(pc, pd)
+        except ValueError as exc:
             raise ValueError(f"band {i}: {exc}") from exc
-        s_c = stp_cell(band, pc, pd)
-        rep.stp_d2d.append(s_d)
-        rep.stp_cell.append(s_c)
-        rep.asr_d2d.append(asr(band, s_d, band.density_d2d, band.sir_threshold_d2d))
-        rep.asr_cell.append(asr(band, s_c, band.density_cell, band.sir_threshold_cell))
-        rep.ee_d2d.append(_ee(band, pd, band.sir_threshold_d2d, s_d))
-        rep.ee_cell.append(_ee(band, pc, band.sir_threshold_cell, s_c))
-    rep.ee_d2d_total = math.fsum(rep.ee_d2d)
-    rep.ee_cell_total = math.fsum(rep.ee_cell)
-    rep.ee_total = rep.ee_d2d_total + rep.ee_cell_total
-    return rep
+        (cd, cc), (rate_d, rate_c) = band._coeffs, band._rates
+        dens_d, dens_c, w = band.density_d2d, band.density_cell, band.bandwidth_hz
+        e = 2.0 / band.pathloss_exponent
+        s_d = _stp(cd, dens_d, dens_c, pc, pd, e)
+        s_c = _stp(cc, dens_c, dens_d, pd, pc, e)
+        # NaN where a density of 0 meets a ratio of inf, or inf meets 0, as asr says
+        if not (0.0 <= s_d <= 1.0 and 0.0 <= s_c <= 1.0):
+            raise ValueError(f"band {i}: stp must lie in [0, 1]")
+        stp_d.append(s_d)
+        stp_c.append(s_c)
+        asr_d.append(dens_d * w * rate_d * s_d)
+        asr_c.append(dens_c * w * rate_c * s_c)
+        ee_d.append(_ee(band, pd, rate_d, s_d))
+        ee_c.append(_ee(band, pc, rate_c, s_c))
+    total_d, total_c = math.fsum(ee_d), math.fsum(ee_c)
+    return MetricsReport(stp_d, stp_c, asr_d, asr_c, ee_d, ee_c, total_d, total_c, total_d + total_c)

@@ -9,18 +9,21 @@ and the power cap set, and the class's single power budget is handled by
 bisection on ln mu, the log of its Lagrange multiplier, between two
 closed-form ends (see _solve_phase).  At mu = 0 the objective rises up to
 its one stationary point (2c/alpha)^(alpha/2) and falls beyond it, so that
-point clamped to the box is the band's power, with no objective evaluated;
-at mu > 0 the band's power depends on c and on the one number ln mu +
-alpha ln c - ln K, and is the better of the lower end and the clamped
-rising root of the slope (see _Objective.argmax_ln).
+point clamped to the box is the band's power, with no objective evaluated
+(see _argmax_free); at mu > 0 the band's power depends on c and on the one
+number ln mu + alpha ln c - ln K, and is the better of the lower end and
+the clamped rising root of the slope (see _Objective.argmax_ln).
 
 Each band's box and objective split into constants of the band and a
 scaling by the other class's powers q, the only input a phase varies:
 the box factors, K and the interference coefficient are computed once,
-when the band is built (see model.BandParams).  A phase call multiplies
-them by q or q^(2/alpha) into one _Objective per band, its box and
-objective, whose argmax at a multiplier mu is that band's best power
-(see _phase_bands).
+when the band is built (see model.BandParams).  A phase call makes one
+pass over the bands that multiplies them by q or q^(2/alpha) into each
+band's box, the fields of its objective and its answer at mu = 0 (see
+_phase_bands).  Where those answers fit the budget, as in every phase of
+a slack-budget sweep, that pass is the whole phase; only a binding
+budget builds each band's _Objective, whose argmax at a multiplier mu is
+that band's best power, and bisects ln mu.
 
 A mu = 0 phase returns its own QoS lower end exactly when exp(-coeff_own *
 lambda_own - alpha/2) <= 1 - theta_own, the own success probability at the
@@ -181,6 +184,7 @@ def _dual_bisect(solve_at, budget: float, lo: float, hi: float):
 # one phase: the powers of one class at the other class's fixed powers
 
 BUDGET_TOL_REL = 1e-6  # the overspend of a power budget, relative to it, that is accepted
+_TINY = sys.float_info.min  # the smallest normal float
 _NAME = {"d2d": "D2D", "cell": "cellular"}
 _BUDGET_INFEASIBLE = {
     "d2d": "D2D budget infeasible under QoS caps",
@@ -217,6 +221,36 @@ def _t_peak(a: float) -> float:
     return (3.0 * a + 2.0 + math.sqrt(a * a + 12.0 * a + 4.0)) / 4.0
 
 
+def _argmax_free(lo: float, hi: float, c: float, a: float) -> float:
+    """The maximizing power on [lo, hi] of K * exp(-c * p^(-2/alpha)) / p,
+    the objective at mu = 0, for alpha = ``a``.
+
+    This is the stationary point (2c/alpha)^(alpha/2) clamped to the box,
+    found without evaluating the objective, and lo where c is 0.  With s =
+    p^(-2/alpha) and beta = 2c/alpha, the slope of K e^(-cs) / p has the
+    sign of beta s - 1: the objective rises in p up to that point and falls
+    beyond it, so the clamped point is the exact box maximum.  A comparison
+    of values at the box ends and the clamped point could pick otherwise
+    only through rounding: where every value underflows to 0.0 (it would
+    pick the lower end, although the objective rises across the box), or
+    where a box end lies within about 1e-7 (relative) of the point and ties
+    with it, which changes the value by at most 1e-15, relatively.  A point
+    beyond the largest float clamps to hi.  The answer is lo exactly when
+    the own success probability there, exp(-coeff_own * lambda_own -
+    alpha/2), is at most 1 - theta_own, as for every outage cap below
+    1 - e^(-1) (see the module docstring).
+    """
+    if c <= 0.0:
+        return lo  # no interference from the other class: the objective falls
+    try:
+        p = (2.0 * c / a) ** (a / 2.0)
+    except OverflowError:
+        p = math.inf
+    if lo > p:  # min(max(p, lo), hi), without the calls
+        p = lo
+    return hi if hi < p else p
+
+
 class _Objective(NamedTuple):
     """One band's phase objective K * exp(-c * p^(-2/alpha)) / p - mu * p
     on lo <= p <= hi, with the lower end anchored (see _phase_bands)."""
@@ -245,28 +279,10 @@ class _Objective(NamedTuple):
         return ln_scale + _h(math.nextafter(a / 2.0, math.inf), a), ln_scale + _h(_t_peak(a), a)
 
     def argmax(self, mu: float) -> float:
-        """The maximizing power on the box at multiplier ``mu``.
-
-        At mu = 0 this is the stationary point (2c/alpha)^(alpha/2) clamped
-        to the box, found without evaluating the objective.  With s =
-        p^(-2/alpha) and beta = 2c/alpha, the slope of K e^(-cs) / p has the
-        sign of beta s - 1: the objective rises in p up to that point and
-        falls beyond it, so the clamped point is the exact box maximum.  A
-        comparison of values at the box ends and the clamped point could
-        pick otherwise only through rounding: where every value underflows
-        to 0.0 (it would pick the lower end, although the objective rises
-        across the box), or where a box end lies within about 1e-7
-        (relative) of the point and ties with it, which changes the value
-        by at most 1e-15, relatively.  The answer is lo exactly when the own
-        success probability there, exp(-coeff_own * lambda_own - alpha/2), is
-        at most 1 - theta_own, as for every outage cap below 1 - e^(-1) (see
-        the module docstring).  At mu > 0 see argmax_ln.
-        """
-        lo, hi, c, a = self.lo, self.hi, self.c, self.alpha
-        if c <= 0.0:
-            return lo  # no interference from the other class: the objective falls
+        """The maximizing power on the box at multiplier ``mu``: at mu = 0
+        see _argmax_free, at mu > 0 see argmax_ln."""
         if mu == 0.0:
-            return min(max((2.0 * c / a) ** (a / 2.0), lo), hi)
+            return _argmax_free(self.lo, self.hi, self.c, self.alpha)
         return self.argmax_ln(math.log(mu))
 
     def argmax_ln(self, ln_mu: float) -> float:
@@ -296,9 +312,9 @@ class _Objective(NamedTuple):
 
 def _phase_bands(
     system: SystemParams, own: str, q: list[float], opts: SolveOptions
-) -> tuple[list[tuple[float, float]], list[_Objective], list[str]]:
-    """Per-band power box and objective of class ``own`` at the other
-    class's powers ``q``.
+) -> tuple[list[tuple[float, float]], list[tuple], list[float], list[str]]:
+    """Per-band power box, objective and mu = 0 answer of class ``own`` at
+    the other class's powers ``q``, in one pass over the bands.
 
     With k = alpha/2 the box is q * (coeff_own * lambda_other / margin_own)^k
     <= p <= min(q * (margin_other / (coeff_other * lambda_own))^k, cap), and
@@ -308,11 +324,13 @@ def _phase_bands(
     (see model.BandParams); a call only scales the box factors and c by q.
     A box factor that overflows is inf, and a lower end below the smallest
     normal float steps up one ulp.  A band without the constants, where
-    an outage cap is unreachable, raises.  Returns (bounds, objectives,
-    flags): bounds[i] is band i's box and objectives[i] its _Objective.  A
-    band without other-class density has no positive lower end and no
-    interior optimum: its objective's lower end is anchored at the power
-    tolerance, and _solve_phase checks the budget against that anchor.
+    an outage cap is unreachable, raises.  Returns (bounds, terms, free,
+    flags): bounds[i] is band i's box, terms[i] the fields (lo, hi, c, K,
+    alpha) of its _Objective, which a phase builds only where the budget
+    binds, and free[i] its answer at mu = 0 (_argmax_free).  A band without
+    other-class density has no positive lower end and no interior optimum:
+    its objective's lower end is anchored at the power tolerance, and
+    _solve_phase checks the budget against that anchor.
     """
     other = "cell" if own == "d2d" else "d2d"
     if len(q) != system.num_bands:
@@ -322,26 +340,32 @@ def _phase_bands(
             raise ValueError(f"{_NAME[other]} power on band {i} must be positive and finite")
 
     bounds: list[tuple[float, float]] = []
-    objectives: list[_Objective] = []
+    terms: list[tuple] = []
+    free: list[float] = []
     flags: list[str] = []
-    for i, band in enumerate(system.bands):
+    for i, (band, qi) in enumerate(zip(system.bands, q)):
         if band._phase is None:
             raise _unreachable(band, own, other, i)
         f_lo, f_hi, cap, c_unit, k_amp = band._phase[own]
         a = band.pathloss_exponent
-        lo, hi = q[i] * f_lo, q[i] * f_hi
-        if 0.0 < lo < sys.float_info.min:  # rounded to fewer bits, it can miss its outage cap
+        lo, hi = qi * f_lo, qi * f_hi
+        if 0.0 < lo < _TINY:  # rounded to fewer bits, it can miss its outage cap
             lo = math.nextafter(lo, math.inf)
-        hi, hi_source = (hi, f"qos_{other}") if hi <= cap else (cap, "power_cap")
+        capped = not hi <= cap
+        if capped:
+            hi = cap
         if lo > hi:
-            raise InfeasibleProblem(f"empty feasible set on band {i}", band=i, constraint=hi_source)
+            raise InfeasibleProblem(f"empty feasible set on band {i}", band=i,
+                                    constraint="power_cap" if capped else f"qos_{other}")
         bounds.append((lo, hi))
         if lo <= 0.0:
             lo = min(opts.eps_power_w, hi)
             flags.append(f"band {i}: no {_NAME[other]} density, "
                          f"{_NAME[own]} power anchored at tolerance")
-        objectives.append(_Objective(lo, hi, c_unit * q[i] ** (2.0 / a), k_amp, a))
-    return bounds, objectives, flags
+        c = c_unit * qi ** (2.0 / a)
+        terms.append((lo, hi, c, k_amp, a))
+        free.append(_argmax_free(lo, hi, c, a))
+    return bounds, terms, free, flags
 
 
 class PhaseResult(NamedTuple):
@@ -361,31 +385,32 @@ def _solve_phase(
 ) -> PhaseResult:
     """Maximize the total energy efficiency of class ``own`` at fixed ``q``.
 
-    Each band maximizes its _Objective over its box (see _phase_bands).
+    Each band maximizes its objective over its box (see _phase_bands).
     Lower ends that exceed the budget by more than its tolerance raise;
     within it they are the answer, flagged.  Where the answers at mu = 0
-    overspend, ln mu is bisected (see _dual_bisect) from the least bottom
-    to the greatest top of the bands' _Objective.ln_mu_ends, where every
-    band is at its lower end.  Returns the phase's PhaseResult.
+    overspend, each band's _Objective is built and ln mu is bisected (see
+    _dual_bisect) from the least bottom to the greatest top of their
+    ln_mu_ends, where every band is at its lower end.  Returns the phase's
+    PhaseResult.
     """
-    bounds, objectives, flags = _phase_bands(system, own, q, opts)
-    budget = getattr(system, f"budget_{own}_w")
-    floor = math.fsum(b.lo for b in objectives)
+    bounds, terms, dec, flags = _phase_bands(system, own, q, opts)
+    budget = system.budget_d2d_w if own == "d2d" else system.budget_cell_w
+    lows = [t[0] for t in terms]
+    floor = math.fsum(lows)
     if floor > budget * (1.0 + BUDGET_TOL_REL):
         raise InfeasibleProblem(_BUDGET_INFEASIBLE[own], band=None, constraint=f"budget_{own}")
     mu = 0.0
     if floor > budget:
         # no multiplier takes a band below its lower end
         flags.append(f"{_NAME[own]} lower ends exceed the budget within BUDGET_TOL_REL")
-        dec = [b.lo for b in objectives]
-    else:
-        dec = [b.argmax(0.0) for b in objectives]
-        if math.fsum(dec) > budget:
-            ends = [e for e in (b.ln_mu_ends() for b in objectives) if e is not None]
-            dec, ln_mu = _dual_bisect(lambda ln_mu: [b.argmax_ln(ln_mu) for b in objectives],
-                                      budget, min((e[0] for e in ends), default=0.0),
-                                      max((e[1] for e in ends), default=0.0))
-            mu = math.exp(ln_mu) if ln_mu <= math.log(sys.float_info.max) else math.inf
+        dec = lows
+    elif math.fsum(dec) > budget:
+        objectives = [_Objective(*t) for t in terms]
+        ends = [e for e in (b.ln_mu_ends() for b in objectives) if e is not None]
+        dec, ln_mu = _dual_bisect(lambda ln_mu: [b.argmax_ln(ln_mu) for b in objectives],
+                                  budget, min((e[0] for e in ends), default=0.0),
+                                  max((e[1] for e in ends), default=0.0))
+        mu = math.exp(ln_mu) if ln_mu <= math.log(sys.float_info.max) else math.inf
     return PhaseResult(dec, mu, flags, bounds)
 
 
@@ -497,7 +522,7 @@ def _result(system: SystemParams, alloc: PowerAllocation, trace: IterationTrace,
     such a power carries fewer than 53 bits, so its ratio is less exact."""
     for name, powers in (("D2D", alloc.p_d2d_w), ("cellular", alloc.p_cell_w)):
         flags += [f"band {i}: {name} power below the smallest normal float"
-                  for i, p in enumerate(powers) if p < sys.float_info.min]
+                  for i, p in enumerate(powers) if p < _TINY]
     return AllocationResult(alloc=alloc, trace=trace, metrics=rep,
                             feasibility=check_feasible(system, alloc, rep), flags=flags)
 
@@ -517,28 +542,26 @@ def check_feasible(
     _check_band_count(system, alloc)
     rows: list[dict] = []
     notes: list[str] = []
-    for i, band in enumerate(system.bands):
-        pd = alloc.p_d2d_w[i]
-        pc = alloc.p_cell_w[i]
-        row = {
-            "cap_d2d": band.max_power_d2d_w - pd,
-            "cap_cell": band.max_power_cell_w - pc,
-        }
+    worst = 0.0  # the least slack of any band, as min() over the rows would find it
+    for i, (band, pd, pc) in enumerate(zip(system.bands, alloc.p_d2d_w, alloc.p_cell_w)):
+        cap_d, cap_c = band.max_power_d2d_w - pd, band.max_power_cell_w - pc
         if pd > 0 and pc > 0:
             if report is None:
                 s_d, s_c = stp_d2d(band, pc, pd), stp_cell(band, pc, pd)
             else:
                 s_d, s_c = report.stp_d2d[i], report.stp_cell[i]
-            row["qos_d2d"] = band.outage_cap_d2d - (1.0 - s_d)
-            row["qos_cell"] = band.outage_cap_cell - (1.0 - s_c)
+            qos_d = band.outage_cap_d2d - (1.0 - s_d)
+            qos_c = band.outage_cap_cell - (1.0 - s_c)
         else:
-            row["qos_d2d"] = band.outage_cap_d2d - 1.0
-            row["qos_cell"] = band.outage_cap_cell - 1.0
+            qos_d = band.outage_cap_d2d - 1.0
+            qos_c = band.outage_cap_cell - 1.0
             notes.append(f"band {i}: nonpositive power, outage reported as violated")
-        rows.append(row)
+        rows.append({"cap_d2d": cap_d, "cap_cell": cap_c, "qos_d2d": qos_d, "qos_cell": qos_c})
+        least = min(cap_d, cap_c, qos_d, qos_c)
+        if i == 0 or least < worst:
+            worst = least
     slack_d = system.budget_d2d_w - alloc.total_d2d()
     slack_c = system.budget_cell_w - alloc.total_cell()
-    worst = min((min(row.values()) for row in rows), default=0.0)
     ok = (worst >= -1e-8
           and slack_d >= -BUDGET_TOL_REL * system.budget_d2d_w
           and slack_c >= -BUDGET_TOL_REL * system.budget_cell_w)

@@ -562,6 +562,24 @@ class TestSolveAndTrace:
         assert main(["solve", "--help"]) == EXIT_OK
         assert "--workers" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["solve", "trace"])
+    def test_shipped_defaults_say_to_pass_config(self, command, tmp_path, capsys):
+        # the defaults are validate's T = 1 layout, which no allocation meets:
+        # without --config the exit-1 message and each command's help say so
+        assert main([command, "--out", str(tmp_path / "a")]) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err.endswith("pass --config: the defaults are validate's "
+                                                "layout, whose SIR thresholds of 1 no "
+                                                "allocation can meet\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("{}")
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "b")]) \
+            == EXIT_INFEASIBLE
+        assert "pass --config" not in capsys.readouterr().err
+        for name in ("solve", "trace", "sweep"):
+            assert main([name, "--help"]) == EXIT_OK
+            assert "pass --config" in " ".join(capsys.readouterr().out.split())
+        assert build_parser() is build_parser()  # built once per process
+
     def test_trace_rows_and_termination(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         save_config(ExperimentConfig().with_overrides(**acc5_overrides()), cfg_path)
@@ -607,19 +625,29 @@ class TestSweep:
             assert list(row) == fields or set(row) == set(fields)
             assert row["band_params_md5"]
 
-    def test_sweep_body_pinned(self, tmp_path):
-        # the md5 of a 10-point criterion-6 sweep body, pinned when each
-        # band's constants moved out of the phase calls
+    @staticmethod
+    def density_sweep_md5(tmp_path, points: int) -> str:
+        """The md5 of the body of a criterion-6 sweep over ``points``
+        lambda_d_ref values, log-spaced over [1e-5, 1e-3]."""
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(dict(
             sir_threshold_d2d=1e-6, sir_threshold_cell=1e-6, budget_d2d_w=0.08,
             lambda_c_ref=1e-5, baseline_p_cell_w=0.325)))
-        grid = ",".join(repr(1e-5 * 100.0 ** (i / 9)) for i in range(10))
+        grid = ",".join(repr(1e-5 * 100.0 ** (i / (points - 1))) for i in range(points))
         assert main(["sweep", "--config", str(cfg_path), "--sweep-var", "lambda_d_ref",
                      "--sweep-grid", grid, "--out", str(tmp_path)]) == EXIT_OK
         lines = (tmp_path / "sweep.csv").read_bytes().splitlines(keepends=True)
-        body = b"".join(line for line in lines if not line.startswith(b"#"))
-        assert hashlib.md5(body).hexdigest() == "c3032d089a485f9bd0f59e11f315f6cf"
+        return hashlib.md5(b"".join(line for line in lines if not line.startswith(b"#"))).hexdigest()
+
+    def test_sweep_body_pinned(self, tmp_path):
+        # the md5 of a 10-point criterion-6 sweep body, pinned when each
+        # band's constants moved out of the phase calls
+        assert self.density_sweep_md5(tmp_path, 10) == "c3032d089a485f9bd0f59e11f315f6cf"
+
+    def test_large_sweep_body_pinned(self, tmp_path):
+        # the md5 of a 100-point criterion-6 sweep body, pinned before each
+        # mu = 0 phase became one pass over the bands
+        assert self.density_sweep_md5(tmp_path, 100) == "3f643a1f5019367d89d767581a085a15"
 
     def test_vanishing_density_point_solves(self, tmp_path):
         # at lambda_d_ref = 1e-300 each D2D interference exponent underflows

@@ -43,6 +43,14 @@ class TestGammaProduct:
             value = gamma_product(alpha) * math.sin(2 * math.pi / alpha) * alpha / (2 * math.pi)
             assert abs(value - 1.0) < 1e-9
 
+    def test_kept_values_keep_their_argument_type(self):
+        # each alpha's value is kept per argument type, so a numpy alpha
+        # never hands its numpy product to a float alpha, or back
+        for first, second in ((np.float64(3.5), 3.5), (4.5, np.float64(4.5))):
+            assert type(gamma_product(first)) is type(first)
+            assert type(gamma_product(second)) is type(second)
+            assert gamma_product(first) == gamma_product(second)
+
     @pytest.mark.parametrize("alpha", [2.0, 1.5, -1.0])
     def test_domain_error_at_or_below_two(self, alpha):
         with pytest.raises(ValueError, match="pathloss exponent must exceed 2"):
@@ -184,7 +192,7 @@ class TestEePerBand:
 
     @pytest.mark.parametrize("p_cell_w, p_d2d_w", [(0.0, 0.02), (0.3, -1.0)])
     def test_nonpositive_power_rejected(self, band1, p_cell_w, p_d2d_w):
-        with pytest.raises(ValueError, match="transmit powers must be strictly positive"):
+        with pytest.raises(ValueError, match="transmit powers must be positive and finite"):
             ee_per_band(band1, p_cell_w, p_d2d_w)
 
 
@@ -256,18 +264,33 @@ def metrics_of_band_1(band, p_cell_w, p_d2d_w):
     return metrics(system, PowerAllocation([0.02, p_d2d_w], [0.3, p_cell_w]))
 
 
+# each closed form of a power pair, and the band prefix of its errors
+POWER_SLOTS = pytest.mark.parametrize("slot", ["p_cell_w", "p_d2d_w"])
+EVALUATORS = pytest.mark.parametrize(
+    "evaluate, prefix",
+    [(stp_d2d, ""), (stp_cell, ""), (ee_per_band, ""), (metrics_of_band_1, "band 1: ")],
+    ids=["stp_d2d", "stp_cell", "ee_per_band", "metrics"])
+
+
 class TestNanPower:
-    @pytest.mark.parametrize("slot", ["p_cell_w", "p_d2d_w"])
-    @pytest.mark.parametrize("evaluate, prefix", [(stp_d2d, ""), (stp_cell, ""),
-                                                  (ee_per_band, ""),
-                                                  (metrics_of_band_1, "band 1: ")],
-                             ids=["stp_d2d", "stp_cell", "ee_per_band", "metrics"])
+    @POWER_SLOTS
+    @EVALUATORS
     def test_rejected_by_name(self, band1, evaluate, prefix, slot):
         # nan <= 0 is False, so a check written that way let NaN through: it
         # gave a NaN STP, and metrics an STP error naming neither power nor band
         powers = {"p_cell_w": 0.3, "p_d2d_w": 0.02, slot: math.nan}
         with pytest.raises(ValueError,
-                           match=f"^{prefix}transmit powers must be strictly positive$"):
+                           match=f"^{prefix}transmit powers must be positive and finite$"):
+            evaluate(band1, **powers)
+
+    @POWER_SLOTS
+    @EVALUATORS
+    def test_infinite_rejected_by_name(self, band1, evaluate, prefix, slot):
+        # an infinite power passed the positivity check: stp_cell(band, inf,
+        # inf) gave NaN, and metrics an EE of 0.0 without complaint
+        powers = {"p_cell_w": 0.3, "p_d2d_w": 0.02, slot: math.inf}
+        with pytest.raises(ValueError,
+                           match=f"^{prefix}transmit powers must be positive and finite$"):
             evaluate(band1, **powers)
 
 

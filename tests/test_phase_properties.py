@@ -7,21 +7,23 @@ powers within the budget that permute exactly with the bands.  A phase
 on bands that earlier calls used gives the result, or the error, of one
 on freshly built bands, and tiny densities give finite powers too, in a
 phase and in a whole solve.  A solve's trace holds one entry per
-iterate, with exact deltas and bit-exact EE totals.  At a positive multiplier a band's argmax
-beats a dense grid of its box, at any interference coefficient; at mu = 0
-it is the band's own QoS lower end exactly when the solver's closed-form
-inequality says so.
+iterate, with exact deltas and bit-exact EE totals, and ``metrics`` gives
+the bits of each closed form and names the band of a bad power.  At a
+positive multiplier a band's argmax beats a dense grid of its box, at any
+interference coefficient; at mu = 0 it is the band's own QoS lower end
+exactly when the solver's closed-form inequality says so.
 """
 
 import math
 import sys
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from d2dee import BandParams, InfeasibleProblem, PowerAllocation, SystemParams
-from d2dee import (baseline_fixed_cell, ee_per_band, metrics, optimize_powers, solve_cell_phase,
-                   solve_d2d_phase)
+from d2dee import (asr, baseline_fixed_cell, ee_per_band, metrics, optimize_powers,
+                   solve_cell_phase, solve_d2d_phase, stp_cell, stp_d2d)
 from d2dee.solver import (BUDGET_TOL_REL, SolveOptions, _h, _Objective, _phase_bands,
                           _solve_phase, _t_peak)
 
@@ -145,9 +147,11 @@ def test_zero_multiplier_argmax_is_the_lower_end_exactly_in_the_qos_bound_regime
     band, own, q = problem
     system = SystemParams(bands=[band], budget_d2d_w=1.0, budget_cell_w=1.0)
     try:
-        _, (b,), _ = _phase_bands(system, own, [q], SolveOptions())
+        _, (terms,), (free,), _ = _phase_bands(system, own, [q], SolveOptions())
     except InfeasibleProblem:
         return  # an unreachable cap or an empty box: no phase to solve
+    b = _Objective(*terms)
+    assert free == b.argmax(0.0)  # the phase's own answer at mu = 0
     coeff = band.coeff_d2d() if own == "d2d" else band.coeff_cell()
     stationary = math.exp(-coeff * getattr(band, f"density_{own}") - band.pathloss_exponent / 2)
     allowed = 1.0 - getattr(band, f"outage_cap_{own}")
@@ -298,19 +302,69 @@ def test_cached_constants_change_no_result(problem, data):
         assert outcome(system, own, q) == warm  # a repeated error is the same error
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(phase_problems(), st.data())
-def test_metrics_ee_is_ee_per_band(problem, data):
-    system, q, _ = problem
-    p = data.draw(st.lists(log_uniform(-6, 0), min_size=len(q), max_size=len(q)))
-    per_band = [ee_per_band(band, qi, pi) for band, qi, pi in zip(system.bands, q, p)]
-    try:
-        rep = metrics(system, PowerAllocation(p, q))
-    except ValueError:
-        # asr refuses an STP that underflows to 0, and only that
-        assert 0.0 in {ee for pair in per_band for ee in pair}
+# powers from 1e-300 to 1e3 W and subnormal ones, so that a power ratio
+# overflows or underflows a float, and at alpha below about 2.12 its root
+# (Pc/Pd)^(2/alpha) overflows too
+wide_powers = st.one_of(log_uniform(-300, 3), st.just(5e-324), log_uniform(-323.3, -308))
+
+
+@st.composite
+def wide_metrics_problems(draw):
+    """Bands with alpha down to 2.01, and each band's (cellular, D2D) powers."""
+    band_list = [BandParams(**{**vars(b), "pathloss_exponent": draw(st.floats(2.01, 6.0))})
+                 for b in draw(st.lists(bands, min_size=1, max_size=4))]
+    system = SystemParams(bands=band_list, budget_d2d_w=1.0, budget_cell_w=1.0)
+    return system, [(draw(wide_powers), draw(wide_powers)) for _ in band_list]
+
+
+def bits(values) -> list[str]:
+    return [v.hex() for v in values]
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(wide_metrics_problems())
+def test_metrics_ee_is_ee_per_band(problem):
+    """The one pass of ``metrics`` gives, bit for bit, what ``stp_d2d``,
+    ``stp_cell``, ``asr`` and ``ee_per_band`` give on each band; where asr
+    refuses an STP (NaN, as a density of 0 times a ratio of inf gives), it
+    names the first such band."""
+    system, powers = problem
+    columns, refused = [], None
+    for i, (band, (pc, pd)) in enumerate(zip(system.bands, powers)):
+        s_d, s_c = stp_d2d(band, pc, pd), stp_cell(band, pc, pd)
+        try:
+            asrs = (asr(band, s_d, band.density_d2d, band.sir_threshold_d2d),
+                    asr(band, s_c, band.density_cell, band.sir_threshold_cell))
+        except ValueError:
+            refused = i
+            break
+        columns.append((s_d, s_c, *asrs, *ee_per_band(band, pc, pd)))
+    alloc = PowerAllocation([pd for _, pd in powers], [pc for pc, _ in powers])
+    if refused is not None:
+        with pytest.raises(ValueError, match=rf"^band {refused}: stp must lie in \[0, 1\]$"):
+            metrics(system, alloc)
         return
-    assert list(zip(rep.ee_d2d, rep.ee_cell)) == per_band
+    rep = metrics(system, alloc)
+    fields = (rep.stp_d2d, rep.stp_cell, rep.asr_d2d, rep.asr_cell, rep.ee_d2d, rep.ee_cell)
+    for field, expected in zip(fields, zip(*columns)):
+        assert bits(field) == bits(expected)
+    assert bits([rep.ee_d2d_total, rep.ee_cell_total, rep.ee_total]) == bits([
+        math.fsum(rep.ee_d2d), math.fsum(rep.ee_cell),
+        math.fsum(rep.ee_d2d) + math.fsum(rep.ee_cell)])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(phase_problems(), st.data())
+def test_metrics_names_the_band_of_a_bad_power(problem, data):
+    """A nonpositive, NaN or infinite power raises, naming its band."""
+    system, q, _ = problem
+    p, q = data.draw(st.lists(log_uniform(-6, 0), min_size=len(q), max_size=len(q))), list(q)
+    band = data.draw(st.integers(0, len(q) - 1))
+    bad = data.draw(st.sampled_from([0.0, -0.0, -1e-3, -math.inf, math.nan, math.inf]))
+    (p if data.draw(st.booleans()) else q)[band] = bad
+    with pytest.raises(ValueError,
+                       match=f"^band {band}: transmit powers must be positive and finite$"):
+        metrics(system, PowerAllocation(p, q))
 
 
 # densities whose interference exponent coeff * lambda underflows to 0 or
@@ -361,9 +415,10 @@ def tiny_solve_problems(draw):
     q0 = [min(b.max_power_cell_w, budget_cell / len(band_list)) for b in band_list]
     slack = SystemParams(bands=band_list, budget_d2d_w=1.0, budget_cell_w=budget_cell)
     try:
-        _, first, _ = _phase_bands(slack, "d2d", q0, SolveOptions())
+        _, terms, _, _ = _phase_bands(slack, "d2d", q0, SolveOptions())
     except InfeasibleProblem:
-        first = []
+        terms = []
+    first = [_Objective(*t) for t in terms]
     floor, free = math.fsum(b.lo for b in first), math.fsum(b.argmax(0.0) for b in first)
     if free > floor:
         budget_d2d = floor + draw(st.floats(0.0, 1.0)) * (free - floor) or budget_d2d

@@ -336,6 +336,12 @@ class TestObjective:
                              [0.3, 0.3]).mu
         assert mu > 0.0 and calls and -math.inf not in calls
 
+    def test_zero_multiplier_argmax_beyond_the_largest_float_is_the_upper_end(self):
+        # (2c/alpha)^(alpha/2) overflows: the objective rises across the whole
+        # box, whose upper end is the answer, where the power raised OverflowError
+        b = solver._Objective(lo=1.0, hi=1e300, c=1e160, k_amp=1.0, alpha=4.0)
+        assert b.argmax(0.0) == b.hi
+
     def test_underflowing_coefficient_at_positive_multiplier_gives_lower_end(self):
         # c = 1e-300 puts the rising root at p = (c / t*)^2, which underflows
         # below the box, and c^2 underflows to 0.0: nothing may divide by it
