@@ -18,7 +18,6 @@ in one pass that gives what ``stp_d2d``, ``stp_cell``, ``asr`` and
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -37,16 +36,13 @@ __all__ = [
 ]
 
 
-@functools.lru_cache(maxsize=64, typed=True)
 def gamma_product(alpha: float) -> float:
     """Gamma(1 + 2/alpha) * Gamma(1 - 2/alpha) for path-loss exponent alpha.
 
     Uses the reflection identity Gamma(1+x)Gamma(1-x) = pi*x/sin(pi*x) with
     x = 2/alpha, which is exact to machine precision on alpha > 2 and avoids
     a general gamma evaluation.  Diverges as alpha -> 2 (pole of the second
-    factor), which is why the model requires alpha > 2.  Each band needs it
-    twice, and a sweep builds its bands anew at every point, so the value of
-    each recent alpha is kept.
+    factor), which is why the model requires alpha > 2.
     """
     if not alpha > 2.0:  # NaN fails it
         raise ValueError(
@@ -270,9 +266,14 @@ def asr(band: BandParams, stp: float, density: float, threshold: float) -> float
     density * W * log2(1+T) * STP, the fixed-threshold evaluation of the
     rate lower bound.
     """
+    return _asr(band, density, math.log2(1.0 + threshold), stp)
+
+
+def _asr(band: BandParams, density: float, rate: float, stp: float) -> float:
+    """density * W * log2(1+T) * STP, with ``rate`` the class's log2(1+T)."""
     if not 0.0 <= stp <= 1.0:  # NaN fails too
         raise ValueError("stp must lie in [0, 1]")
-    return density * band.bandwidth_hz * math.log2(1.0 + threshold) * stp
+    return density * band.bandwidth_hz * rate * stp
 
 
 def _rising_root(g, a: float, b: float) -> float:
@@ -324,22 +325,22 @@ def metrics(system: SystemParams, alloc: PowerAllocation) -> MetricsReport:
     _check_band_count(system, alloc)
     stp_d, stp_c, asr_d, asr_c, ee_d, ee_c = [], [], [], [], [], []
     for i, (band, pd, pc) in enumerate(zip(system.bands, alloc.p_d2d_w, alloc.p_cell_w)):
+        (cd, cc), (rate_d, rate_c) = band._coeffs, band._rates
+        dens_d, dens_c = band.density_d2d, band.density_cell
+        e = 2.0 / band.pathloss_exponent
         try:
             _check_powers(pc, pd)
+            s_d = _stp(cd, dens_d, dens_c, pc, pd, e)
+            s_c = _stp(cc, dens_c, dens_d, pd, pc, e)
+            # _asr rejects a NaN STP: a density of 0 times a ratio of inf
+            a_d = _asr(band, dens_d, rate_d, s_d)
+            a_c = _asr(band, dens_c, rate_c, s_c)
         except ValueError as exc:
             raise ValueError(f"band {i}: {exc}") from exc
-        (cd, cc), (rate_d, rate_c) = band._coeffs, band._rates
-        dens_d, dens_c, w = band.density_d2d, band.density_cell, band.bandwidth_hz
-        e = 2.0 / band.pathloss_exponent
-        s_d = _stp(cd, dens_d, dens_c, pc, pd, e)
-        s_c = _stp(cc, dens_c, dens_d, pd, pc, e)
-        # NaN where a density of 0 meets a ratio of inf, or inf meets 0, as asr says
-        if not (0.0 <= s_d <= 1.0 and 0.0 <= s_c <= 1.0):
-            raise ValueError(f"band {i}: stp must lie in [0, 1]")
         stp_d.append(s_d)
         stp_c.append(s_c)
-        asr_d.append(dens_d * w * rate_d * s_d)
-        asr_c.append(dens_c * w * rate_c * s_c)
+        asr_d.append(a_d)
+        asr_c.append(a_c)
         ee_d.append(_ee(band, pd, rate_d, s_d))
         ee_c.append(_ee(band, pc, rate_c, s_c))
     total_d, total_c = math.fsum(ee_d), math.fsum(ee_c)

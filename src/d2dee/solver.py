@@ -184,7 +184,6 @@ def _dual_bisect(solve_at, budget: float, lo: float, hi: float):
 # one phase: the powers of one class at the other class's fixed powers
 
 BUDGET_TOL_REL = 1e-6  # the overspend of a power budget, relative to it, that is accepted
-_TINY = sys.float_info.min  # the smallest normal float
 _NAME = {"d2d": "D2D", "cell": "cellular"}
 _BUDGET_INFEASIBLE = {
     "d2d": "D2D budget infeasible under QoS caps",
@@ -349,7 +348,7 @@ def _phase_bands(
         f_lo, f_hi, cap, c_unit, k_amp = band._phase[own]
         a = band.pathloss_exponent
         lo, hi = qi * f_lo, qi * f_hi
-        if 0.0 < lo < _TINY:  # rounded to fewer bits, it can miss its outage cap
+        if 0.0 < lo < sys.float_info.min:  # rounded to fewer bits, it can miss its outage cap
             lo = math.nextafter(lo, math.inf)
         capped = not hi <= cap
         if capped:
@@ -394,7 +393,7 @@ def _solve_phase(
     PhaseResult.
     """
     bounds, terms, dec, flags = _phase_bands(system, own, q, opts)
-    budget = system.budget_d2d_w if own == "d2d" else system.budget_cell_w
+    budget = getattr(system, f"budget_{own}_w")
     lows = [t[0] for t in terms]
     floor = math.fsum(lows)
     if floor > budget * (1.0 + BUDGET_TOL_REL):
@@ -522,7 +521,7 @@ def _result(system: SystemParams, alloc: PowerAllocation, trace: IterationTrace,
     such a power carries fewer than 53 bits, so its ratio is less exact."""
     for name, powers in (("D2D", alloc.p_d2d_w), ("cellular", alloc.p_cell_w)):
         flags += [f"band {i}: {name} power below the smallest normal float"
-                  for i, p in enumerate(powers) if p < _TINY]
+                  for i, p in enumerate(powers) if p < sys.float_info.min]
     return AllocationResult(alloc=alloc, trace=trace, metrics=rep,
                             feasibility=check_feasible(system, alloc, rep), flags=flags)
 
@@ -536,8 +535,9 @@ def check_feasible(
 
     Outage slacks come from the closed-form success probabilities, read
     from ``report`` when given (a ``metrics`` report of ``alloc``).  A band
-    with nonpositive transmit power cannot satisfy its own outage cap (the
-    success probability is not defined), so it is reported as a violation.
+    with a transmit power that is not positive and finite cannot satisfy its
+    own outage cap (the success probability is not defined), so it is
+    reported as a violation.
     """
     _check_band_count(system, alloc)
     rows: list[dict] = []
@@ -545,7 +545,7 @@ def check_feasible(
     worst = 0.0  # the least slack of any band, as min() over the rows would find it
     for i, (band, pd, pc) in enumerate(zip(system.bands, alloc.p_d2d_w, alloc.p_cell_w)):
         cap_d, cap_c = band.max_power_d2d_w - pd, band.max_power_cell_w - pc
-        if pd > 0 and pc > 0:
+        if 0.0 < pd < math.inf and 0.0 < pc < math.inf:  # NaN fails it
             if report is None:
                 s_d, s_c = stp_d2d(band, pc, pd), stp_cell(band, pc, pd)
             else:
@@ -555,7 +555,8 @@ def check_feasible(
         else:
             qos_d = band.outage_cap_d2d - 1.0
             qos_c = band.outage_cap_cell - 1.0
-            notes.append(f"band {i}: nonpositive power, outage reported as violated")
+            notes.append(f"band {i}: power not positive and finite, "
+                         "outage reported as violated")
         rows.append({"cap_d2d": cap_d, "cap_cell": cap_c, "qos_d2d": qos_d, "qos_cell": qos_c})
         least = min(cap_d, cap_c, qos_d, qos_c)
         if i == 0 or least < worst:

@@ -43,14 +43,6 @@ class TestGammaProduct:
             value = gamma_product(alpha) * math.sin(2 * math.pi / alpha) * alpha / (2 * math.pi)
             assert abs(value - 1.0) < 1e-9
 
-    def test_kept_values_keep_their_argument_type(self):
-        # each alpha's value is kept per argument type, so a numpy alpha
-        # never hands its numpy product to a float alpha, or back
-        for first, second in ((np.float64(3.5), 3.5), (4.5, np.float64(4.5))):
-            assert type(gamma_product(first)) is type(first)
-            assert type(gamma_product(second)) is type(second)
-            assert gamma_product(first) == gamma_product(second)
-
     @pytest.mark.parametrize("alpha", [2.0, 1.5, -1.0])
     def test_domain_error_at_or_below_two(self, alpha):
         with pytest.raises(ValueError, match="pathloss exponent must exceed 2"):

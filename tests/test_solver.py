@@ -833,6 +833,14 @@ class TestCheckFeasible:
         report = check_feasible(system, PowerAllocation([-1.0], [-1.0]))
         assert not report.ok
 
+    @pytest.mark.parametrize("p_d2d, p_cell", [(math.inf, 0.3), (1e-3, math.inf), (math.nan, 0.3)])
+    def test_never_raises_on_non_finite_power(self, make_system, p_d2d, p_cell):
+        # no success probability is evaluated at such a power: its outage is violated
+        report = check_feasible(make_system(), PowerAllocation([p_d2d], [p_cell]))
+        assert not report.ok
+        assert report.notes == ["band 0: power not positive and finite, outage reported as violated"]
+        assert report.band_slacks[0]["qos_d2d"] < 0 and report.band_slacks[0]["qos_cell"] < 0
+
     @pytest.mark.parametrize("num_bands", [1, 6])
     def test_wrong_band_count_raises_as_metrics_does(self, make_band, num_bands):
         system = table1_system(make_band)
