@@ -7,8 +7,8 @@ The default output directory comes from --out or the D2DEE_OUT
 environment variable.  Without --config a command runs on the shipped
 defaults, which are validate's layout: at its SIR thresholds of 1 no
 allocation meets the outage caps, so solve and trace exit 1 there and say
-to pass --config, and every sweep point is infeasible.  The help of all
-three says so.
+to pass --config, and every sweep point is infeasible, which a sweep's
+summary then says.  The help of all three says so too.
 
 ``main`` only parses the command line, resolves the config once (each
 option overrides its config key), and calls the command's
@@ -33,7 +33,8 @@ EXIT_INFEASIBLE = 1
 EXIT_VALIDATION = 2
 EXIT_CONFIG = 3
 
-# what solve, trace and sweep say in their help, and on exit 1 without --config
+# what solve, trace and sweep say in their help, and without --config on
+# exit 1 or with infeasible sweep points
 _NEEDS_CONFIG = ("pass --config: the defaults are validate's layout, whose SIR "
                  "thresholds of 1 no allocation can meet")
 
@@ -114,8 +115,13 @@ def main(argv: list[str] | None = None) -> int:
         out = _out_dir(args)
         if args.command == "validate":
             summary, ok = write_validate(cfg, out, args.which)
+        elif args.command == "sweep":
+            summary, infeasible = write_sweep(cfg, out)
+            if infeasible and not args.config:
+                summary += f"; {_NEEDS_CONFIG}"
+            ok = True
         else:
-            writer = {"solve": write_solve, "trace": write_trace, "sweep": write_sweep}
+            writer = {"solve": write_solve, "trace": write_trace}
             summary, ok = writer[args.command](cfg, out), True
     except InfeasibleProblem as exc:
         hint = "" if args.config else f"; {_NEEDS_CONFIG}"

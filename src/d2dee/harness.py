@@ -354,13 +354,13 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def write_sweep(cfg: ExperimentConfig, out: Path) -> str:
-    """Write ``sweep.csv`` and ``plot_sweep.py``; returns the CSV's path and
-    the point counts."""
+def write_sweep(cfg: ExperimentConfig, out: Path) -> tuple[str, int]:
+    """Write ``sweep.csv`` and ``plot_sweep.py``; returns a summary of the
+    CSV's path and the point counts, and the count of infeasible points."""
     rows = run_sweep(cfg)
     path = _write_table(out, "sweep", cfg, rows, SWEEP_PLOT)
     n_bad = sum(1 for r in rows if r["infeasible_bands"])
-    return f"wrote {path} ({len(rows)} points, {n_bad} infeasible)"
+    return f"wrote {path} ({len(rows)} points, {n_bad} infeasible)", n_bad
 
 
 # ---------------------------------------------------------------------------

@@ -101,8 +101,13 @@ class BandParams:
     log2(1+T), the outage margins -ln(1-theta) - coeff*lambda of both
     classes, which are positive where a class's cap is reachable, and, if
     both are, the phase constants of each class that ``solver._phase_bands``
-    scales by the other class's powers.  They sit in slots, so
-    ``vars(band)`` holds the parameters alone.
+    scales by the other class's powers.  With k = alpha/2 and c = coeff_own
+    * lambda_other, these are the box factors f_lo = (c / margin_own)^k and
+    f_hi = (margin_other / (coeff_other * lambda_own))^k, and f_free =
+    (2c/alpha)^k, the factor of the class's best power at a slack budget.
+    So f_free <= f_lo, and a slack phase returns the class's QoS lower end,
+    exactly when its own outage margin is at most alpha/2.  They sit in
+    slots, so ``vars(band)`` holds the parameters alone.
     """
 
     __slots__ = ("__dict__", "_coeffs", "_rates", "_margins", "_phase")
@@ -147,7 +152,7 @@ class BandParams:
         margin_c = -math.log(1.0 - self.outage_cap_cell) - used_c
         rate_d = math.log2(1.0 + self.sir_threshold_d2d)
         rate_c = math.log2(1.0 + self.sir_threshold_cell)
-        # each class's (f_lo, f_hi, power cap, c, K); see solver._phase_bands
+        # each class's (f_lo, f_hi, f_free, power cap, c, K); see solver._phase_bands
         phase = None
         if margin_d > 0.0 and margin_c > 0.0:
             k = a / 2.0
@@ -155,9 +160,10 @@ class BandParams:
             amp_c = self.bandwidth_hz * rate_c * math.exp(-used_c)
             phase = {
                 "d2d": (_ratio_power(cross_d, margin_d, k), _ratio_power(margin_c, cross_c, k),
-                        self.max_power_d2d_w, cross_d, amp_d),
+                        _ratio_power(2.0 * cross_d, a, k), self.max_power_d2d_w, cross_d, amp_d),
                 "cell": (_ratio_power(cross_c, margin_c, k), _ratio_power(margin_d, cross_d, k),
-                         self.max_power_cell_w, cross_c, amp_c),
+                         _ratio_power(2.0 * cross_c, a, k), self.max_power_cell_w, cross_c,
+                         amp_c),
             }
         object.__setattr__(self, "_coeffs", (cd, cc))
         object.__setattr__(self, "_rates", (rate_d, rate_c))
@@ -238,7 +244,11 @@ def _stp(coeff: float, density_own: float, density_other: float,
          p_other_w: float, p_own_w: float, e: float) -> float:
     """exp{-coeff * [lambda_own + lambda_other * (P_other/P_own)^e]}: the
     success probability of a class whose interference coefficient is
-    ``coeff``, at e = 2/alpha and powers already checked."""
+    ``coeff``, at e = 2/alpha and powers already checked.  Without
+    interferers of the other class their term is 0, also where the ratio
+    overflows to inf."""
+    if density_other == 0.0:
+        return math.exp(-coeff * density_own)
     return math.exp(-coeff * (density_own + density_other * _ratio_power(p_other_w, p_own_w, e)))
 
 
@@ -332,7 +342,7 @@ def metrics(system: SystemParams, alloc: PowerAllocation) -> MetricsReport:
             _check_powers(pc, pd)
             s_d = _stp(cd, dens_d, dens_c, pc, pd, e)
             s_c = _stp(cc, dens_c, dens_d, pd, pc, e)
-            # _asr rejects a NaN STP: a density of 0 times a ratio of inf
+            # _asr rejects a NaN STP: an infinite density times a ratio of 0
             a_d = _asr(band, dens_d, rate_d, s_d)
             a_c = _asr(band, dens_c, rate_c, s_c)
         except ValueError as exc:

@@ -9,10 +9,12 @@ and the power cap set, and the class's single power budget is handled by
 bisection on ln mu, the log of its Lagrange multiplier, between two
 closed-form ends (see _solve_phase).  At mu = 0 the objective rises up to
 its one stationary point (2c/alpha)^(alpha/2) and falls beyond it, so that
-point clamped to the box is the band's power, with no objective evaluated
-(see _argmax_free); at mu > 0 the band's power depends on c and on the one
-number ln mu + alpha ln c - ln K, and is the better of the lower end and
-the clamped rising root of the slope (see _Objective.argmax_ln).
+point clamped to the box is the band's power, with no objective evaluated:
+since c scales as q^(2/alpha), the point is q * f_free, f_free a constant
+of the band (see _phase_bands).  At mu > 0 the band's power depends on c
+and on the one number ln mu + alpha ln c - ln K, and is the better of the
+lower end and the clamped rising root of the slope (see
+_Objective.argmax_ln).
 
 Each band's box and objective split into constants of the band and a
 scaling by the other class's powers q, the only input a phase varies:
@@ -22,15 +24,15 @@ pass over the bands that multiplies them by q or q^(2/alpha) into each
 band's box, the fields of its objective and its answer at mu = 0 (see
 _phase_bands).  Where those answers fit the budget, as in every phase of
 a slack-budget sweep, that pass is the whole phase; only a binding
-budget builds each band's _Objective, whose argmax at a multiplier mu is
-that band's best power, and bisects ln mu.
+budget builds each band's _Objective, whose argmax_ln at a multiplier
+ln mu is that band's best power, and bisects ln mu.
 
-A mu = 0 phase returns its own QoS lower end exactly when exp(-coeff_own *
-lambda_own - alpha/2) <= 1 - theta_own, the own success probability at the
-stationary point (where c * p^(-2/alpha) = alpha/2) against the one the
-outage cap allows; that holds for every cap below 1 - e^(-1) ~ 0.632.  The
-energy efficiency depends on the powers only through their ratio and a 1/P
-factor, so the joint problem has no interior scale optimum: where both
+A mu = 0 phase returns its own QoS lower end exactly when f_free <= f_lo,
+a property of the band alone: its own outage margin -ln(1 - theta_own) -
+coeff_own * lambda_own is at most alpha/2, as for every outage cap below
+1 - e^(-1) ~ 0.632 (see model.BandParams).  The energy efficiency
+depends on the powers only through their ratio and a 1/P factor, so the
+joint problem has no interior scale optimum: where both
 phases return their lower ends, each iteration scales band i's powers by
 f_lo,d * f_lo,c <= 1, the product of the lower box factors, and the
 reported ratio Pc/Pd is f_lo,c.  See check_feasible and the iteration
@@ -220,36 +222,6 @@ def _t_peak(a: float) -> float:
     return (3.0 * a + 2.0 + math.sqrt(a * a + 12.0 * a + 4.0)) / 4.0
 
 
-def _argmax_free(lo: float, hi: float, c: float, a: float) -> float:
-    """The maximizing power on [lo, hi] of K * exp(-c * p^(-2/alpha)) / p,
-    the objective at mu = 0, for alpha = ``a``.
-
-    This is the stationary point (2c/alpha)^(alpha/2) clamped to the box,
-    found without evaluating the objective, and lo where c is 0.  With s =
-    p^(-2/alpha) and beta = 2c/alpha, the slope of K e^(-cs) / p has the
-    sign of beta s - 1: the objective rises in p up to that point and falls
-    beyond it, so the clamped point is the exact box maximum.  A comparison
-    of values at the box ends and the clamped point could pick otherwise
-    only through rounding: where every value underflows to 0.0 (it would
-    pick the lower end, although the objective rises across the box), or
-    where a box end lies within about 1e-7 (relative) of the point and ties
-    with it, which changes the value by at most 1e-15, relatively.  A point
-    beyond the largest float clamps to hi.  The answer is lo exactly when
-    the own success probability there, exp(-coeff_own * lambda_own -
-    alpha/2), is at most 1 - theta_own, as for every outage cap below
-    1 - e^(-1) (see the module docstring).
-    """
-    if c <= 0.0:
-        return lo  # no interference from the other class: the objective falls
-    try:
-        p = (2.0 * c / a) ** (a / 2.0)
-    except OverflowError:
-        p = math.inf
-    if lo > p:  # min(max(p, lo), hi), without the calls
-        p = lo
-    return hi if hi < p else p
-
-
 class _Objective(NamedTuple):
     """One band's phase objective K * exp(-c * p^(-2/alpha)) / p - mu * p
     on lo <= p <= hi, with the lower end anchored (see _phase_bands)."""
@@ -276,13 +248,6 @@ class _Objective(NamedTuple):
             return None
         ln_scale = math.log(self.k_amp) - a * math.log(self.c)
         return ln_scale + _h(math.nextafter(a / 2.0, math.inf), a), ln_scale + _h(_t_peak(a), a)
-
-    def argmax(self, mu: float) -> float:
-        """The maximizing power on the box at multiplier ``mu``: at mu = 0
-        see _argmax_free, at mu > 0 see argmax_ln."""
-        if mu == 0.0:
-            return _argmax_free(self.lo, self.hi, self.c, self.alpha)
-        return self.argmax_ln(math.log(mu))
 
     def argmax_ln(self, ln_mu: float) -> float:
         """The maximizing power on the box at multiplier mu = exp(ln_mu) > 0.
@@ -319,17 +284,21 @@ def _phase_bands(
     <= p <= min(q * (margin_other / (coeff_other * lambda_own))^k, cap), and
     the objective is K * exp(-c * p^(-2/alpha)) / p with K = W log2(1+T_own)
     exp(-coeff_own * lambda_own), c = coeff_own * lambda_other * q^(2/alpha).
-    Everything but q is a constant of the band, computed when it is built
-    (see model.BandParams); a call only scales the box factors and c by q.
-    A box factor that overflows is inf, and a lower end below the smallest
-    normal float steps up one ulp.  A band without the constants, where
-    an outage cap is unreachable, raises.  Returns (bounds, terms, free,
-    flags): bounds[i] is band i's box, terms[i] the fields (lo, hi, c, K,
-    alpha) of its _Objective, which a phase builds only where the budget
-    binds, and free[i] its answer at mu = 0 (_argmax_free).  A band without
-    other-class density has no positive lower end and no interior optimum:
-    its objective's lower end is anchored at the power tolerance, and
-    _solve_phase checks the budget against that anchor.
+    Its slope has the sign of 2c/alpha * p^(-2/alpha) - 1, so at mu = 0 it
+    rises up to q * f_free, f_free = (2 * coeff_own * lambda_other /
+    alpha)^k, and falls beyond: that point clamped to the box is the exact
+    box maximum, with no value compared.  Everything but q is a constant
+    of the band, computed when it is built (see model.BandParams); a call
+    only scales the factors and c by q.  A factor that overflows is inf (an
+    f_free of inf gives hi), and a lower end below the smallest normal
+    float, 0.0 included, steps up one ulp.  A band without the constants,
+    where an outage cap is unreachable, raises.  Returns (bounds, terms,
+    free, flags): bounds[i] is band i's box, terms[i] the fields (lo, hi,
+    c, K, alpha) of its _Objective, which a phase builds only where the
+    budget binds, and free[i] its answer at mu = 0.  A band whose f_lo is
+    0, without other-class density, has no positive lower end and no
+    interior optimum: its objective's lower end is anchored at the power
+    tolerance, and _solve_phase checks the budget against that anchor.
     """
     other = "cell" if own == "d2d" else "d2d"
     if len(q) != system.num_bands:
@@ -345,10 +314,10 @@ def _phase_bands(
     for i, (band, qi) in enumerate(zip(system.bands, q)):
         if band._phase is None:
             raise _unreachable(band, own, other, i)
-        f_lo, f_hi, cap, c_unit, k_amp = band._phase[own]
+        f_lo, f_hi, f_free, cap, c_unit, k_amp = band._phase[own]
         a = band.pathloss_exponent
         lo, hi = qi * f_lo, qi * f_hi
-        if 0.0 < lo < sys.float_info.min:  # rounded to fewer bits, it can miss its outage cap
+        if lo < sys.float_info.min and f_lo > 0.0:  # subnormal or 0.0: it can miss its outage cap
             lo = math.nextafter(lo, math.inf)
         capped = not hi <= cap
         if capped:
@@ -357,13 +326,15 @@ def _phase_bands(
             raise InfeasibleProblem(f"empty feasible set on band {i}", band=i,
                                     constraint="power_cap" if capped else f"qos_{other}")
         bounds.append((lo, hi))
-        if lo <= 0.0:
+        if f_lo == 0.0:
             lo = min(opts.eps_power_w, hi)
             flags.append(f"band {i}: no {_NAME[other]} density, "
                          f"{_NAME[own]} power anchored at tolerance")
-        c = c_unit * qi ** (2.0 / a)
-        terms.append((lo, hi, c, k_amp, a))
-        free.append(_argmax_free(lo, hi, c, a))
+        terms.append((lo, hi, c_unit * qi ** (2.0 / a), k_amp, a))
+        p = qi * f_free
+        if p < lo:  # min(max(p, lo), hi), without the calls
+            p = lo
+        free.append(hi if hi < p else p)
     return bounds, terms, free, flags
 
 

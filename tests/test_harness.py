@@ -20,6 +20,7 @@ from d2dee.config import SWEEP_KEYS
 from d2dee.harness import (
     VALIDATE_TAIL_MASS,
     VALIDATE_Z_LIMIT,
+    format_solve_table,
     read_csv,
     run_solve,
     run_sweep,
@@ -462,6 +463,17 @@ class TestSolveAndTrace:
         assert len(rec["p_d2d_w"]) == 5
         assert rec["feasibility"]["ok"] is True
 
+    @pytest.mark.parametrize("overrides, flagged", [({}, False), ({"lambda_c_ref": 0.0}, True)],
+                             ids=["unflagged", "no_cellular_density"])
+    def test_solve_table_lists_flags(self, overrides, flagged):
+        # without cellular density every D2D power is anchored, and flagged
+        result = run_solve(ExperimentConfig().with_overrides(**acc5_overrides(), **overrides))
+        lines = format_solve_table(result).splitlines()
+        assert bool(result.flags) == flagged
+        assert [line for line in lines if line.startswith("flags: ")] == (
+            ["flags: " + "; ".join(result.flags)] if flagged else [])
+        assert lines[-1] == "feasible: yes"
+
     def test_unreachable_cell_cap_is_infeasible_exit(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         doc = dict(acc5_overrides())
@@ -488,7 +500,9 @@ class TestSolveAndTrace:
 
     @pytest.mark.parametrize("budget_d2d_w, digest", [
         (0.1, "c311e5e86f5703f479833e7b33cfcc08"),  # converges in 7; 14 of 14 phases mu > 0
-        (0.2, "ff78dbdae823969ff6e91f0516ed9582"),  # 10-iteration cap; 15 of 20 mu > 0
+        # 10-iteration cap; 15 of 20 mu > 0; re-pinned when the mu = 0 answer
+        # became q * f_free (powers moved by at most 4.5e-15, relatively)
+        (0.2, "3e0190952edd5cb09e62e7040fbd9b10"),
     ], ids=["budget_d2d_0.1", "budget_d2d_0.2"])
     def test_budget_bound_result_pinned(self, budget_d2d_w, digest, tmp_path):
         # the md5 of the result block on the sweep-budget layout, where the
@@ -579,6 +593,19 @@ class TestSolveAndTrace:
             assert main([name, "--help"]) == EXIT_OK
             assert "pass --config" in " ".join(capsys.readouterr().out.split())
         assert build_parser() is build_parser()  # built once per process
+
+    def test_sweep_without_config_says_to_pass_one(self, tmp_path, capsys):
+        # every point of a sweep on the shipped defaults is infeasible: its
+        # summary says to pass --config, and the exit code stays 0
+        argv = ["sweep", "--sweep-var", "lambda_d_ref", "--sweep-grid", "1e-4,2e-4"]
+        assert main(argv + ["--out", str(tmp_path / "a")]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("(2 points, 2 infeasible); pass --config: the "
+                                                "defaults are validate's layout, whose SIR "
+                                                "thresholds of 1 no allocation can meet\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("{}")
+        assert main(argv + ["--config", str(cfg_path), "--out", str(tmp_path / "b")]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("(2 points, 2 infeasible)\n")
 
     def test_trace_rows_and_termination(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -72,6 +72,15 @@ class TestInterferenceCoeff:
         assert interference_coeff(0.0, 10.0, 4.0) == 0.0
         assert interference_coeff(1e-30, 10.0, 4.0) < 1e-10
 
+    @pytest.mark.parametrize("threshold, distance, message", [
+        (-1.0, 10.0, "SIR threshold must be nonnegative"),
+        (1.0, 0.0, "link distance must be positive"),
+        (1.0, -10.0, "link distance must be positive"),
+    ], ids=["negative_threshold", "zero_distance", "negative_distance"])
+    def test_domain_rejected(self, threshold, distance, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            interference_coeff(threshold, distance, 4.0)
+
 
 class TestStp:
     def test_d2d_example(self, band1):
@@ -136,6 +145,17 @@ class TestStp:
             )
             value = stp_d2d(band, 10 ** rng.uniform(-3, 0), 10 ** rng.uniform(-3, 0))
             assert 0.0 < value <= 1.0
+
+    @pytest.mark.parametrize("own, other", [("d2d", "cell"), ("cell", "d2d")])
+    def test_absent_other_class_ignores_an_overflowing_ratio(self, make_band, own, other):
+        # at alpha = 2.05, (1e3 / 5e-324)^(2/alpha) overflows to inf; without
+        # interferers of the other class their term is 0, where it was 0 * inf = nan
+        band = make_band(pathloss_exponent=2.05, **{f"density_{other}": 0.0})
+        powers = {f"p_{other}_w": 1e3, f"p_{own}_w": 5e-324}
+        coeff = band.coeff_d2d() if own == "d2d" else band.coeff_cell()
+        expected = math.exp(-coeff * getattr(band, f"density_{own}"))
+        assert {"d2d": stp_d2d, "cell": stp_cell}[own](band, **powers) == expected
+        assert getattr(metrics_of_band_1(band, **powers), f"stp_{own}")[1] == expected
 
     def test_nonpositive_power_rejected(self, band1):
         with pytest.raises(ValueError):
@@ -249,6 +269,14 @@ class TestMetrics:
         with pytest.raises(ValueError, match="bands"):
             metrics(system, PowerAllocation([0.02, 0.02], [0.3, 0.3]))
 
+    def test_infinite_density_times_a_vanishing_ratio_refused_by_band(self, make_band):
+        # (5e-324 / 1e300)^(2/2.05) underflows to 0.0, and inf * 0.0 is nan:
+        # asr refuses that STP, and metrics names its band
+        band = make_band(pathloss_exponent=2.05, density_cell=math.inf)
+        assert math.isnan(stp_d2d(band, 5e-324, 1e300))
+        with pytest.raises(ValueError, match=r"^band 1: stp must lie in \[0, 1\]$"):
+            metrics_of_band_1(band, 5e-324, 1e300)
+
 
 def metrics_of_band_1(band, p_cell_w, p_d2d_w):
     """``metrics`` of two copies of ``band``, band 1 at the given powers."""
@@ -320,6 +348,16 @@ class TestBandParamsValidation:
         # a NaN D2D budget once solved to converged=True on an infeasible allocation
         with pytest.raises(ValueError, match="^power budgets must be positive$"):
             make_system(**{budget: math.nan})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SystemParams(bands=[], budget_d2d_w=0.06, budget_cell_w=1.0),
+     "at least one band is required"),
+    (lambda: PowerAllocation([0.02, 0.02], [0.3]), "power vectors must have equal length"),
+], ids=["system_without_bands", "allocation_of_unequal_lengths"])
+def test_empty_or_ragged_inputs_rejected(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 class TestFrozenInputs:

@@ -255,11 +255,18 @@ class TestEstimateLinks:
         ("workers", 2.0, "workers must be an integer"),
         ("seed", 1.5, "seed must be an integer"),
         ("seed", -1, "seed must be nonnegative"),
+        ("trials", 0, "trials must be at least 1"),
+        ("workers", 0, "workers must be at least 1"),
     ])
     def test_counts_checked_by_name(self, band1, field, value, message):
         # numpy once rejected these itself, with errors that named no field
         with pytest.raises(ValueError, match=f"^{message}$"):
             scenario(band1, **{field: value})
+
+    @pytest.mark.parametrize("power, value", [("p_cell_w", 0.0), ("p_d2d_w", -0.02)])
+    def test_nonpositive_power_rejected(self, band1, power, value):
+        with pytest.raises(ValueError, match="^transmit powers must be strictly positive$"):
+            scenario(band1, **{power: value})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_window_rejected(self, band1, value):

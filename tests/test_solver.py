@@ -22,8 +22,8 @@ from d2dee import (
     solve_cell_phase,
     solve_d2d_phase,
 )
-from xspace import (curvature_interval, golden_section_max, power_from_x, x_feasible_box,
-                    x_from_powers)
+from xspace import (curvature_interval, free_reference, golden_section_max, power_from_x,
+                    x_feasible_box, x_from_powers)
 
 
 def slack_band(make_band, **overrides):
@@ -306,14 +306,23 @@ class TestPhaseOne:
         assert any("anchored" in f for f in flags)
 
 
+def zero_multiplier_phase(system, own, q):
+    """Band 0's _Objective fields and its answer at mu = 0, from _phase_bands."""
+    _, terms, free, _ = solver._phase_bands(system, own, q, SolveOptions())
+    return solver._Objective(*terms[0]), free[0]
+
+
 class TestObjective:
-    def test_zero_multiplier_argmax_survives_underflow(self):
-        # the objective rises across this box, which lies below the root 0.25 W,
-        # but every value on it underflows to 0.0: a comparison of values
-        # would pick the lower end
-        b = solver._Objective(lo=1e-10, hi=1e-8, c=1.0, k_amp=2e7, alpha=4.0)
+    def test_zero_multiplier_argmax_survives_underflow(self, make_band, make_system):
+        # a bandwidth of 1e-300 Hz and powers near 3e32 W: the objective rises
+        # across this box, which the power cap puts below the stationary point
+        # 6.1e32 W, but every value on it underflows to 0.0: a comparison of
+        # values would pick the lower end
+        band = slack_band(make_band, bandwidth_hz=1e-300, max_power_d2d_w=4e32)
+        system = make_system(bands=[band], budget_d2d_w=1e40, budget_cell_w=1e40)
+        b, free = zero_multiplier_phase(system, "d2d", [1e40])
         assert b.value(b.lo, 0.0) == b.value(b.hi, 0.0) == 0.0
-        assert b.argmax(0.0) == b.hi == min(max((2.0 * b.c / b.alpha) ** 2.0, b.lo), b.hi)
+        assert free == b.hi == free_reference(b.lo, b.hi, b.c, b.alpha)
 
     def test_zero_multiplier_phase_evaluates_no_objective(self, make_band, make_system,
                                                           monkeypatch):
@@ -336,17 +345,24 @@ class TestObjective:
                              [0.3, 0.3]).mu
         assert mu > 0.0 and calls and -math.inf not in calls
 
-    def test_zero_multiplier_argmax_beyond_the_largest_float_is_the_upper_end(self):
-        # (2c/alpha)^(alpha/2) overflows: the objective rises across the whole
-        # box, whose upper end is the answer, where the power raised OverflowError
-        b = solver._Objective(lo=1.0, hi=1e300, c=1e160, k_amp=1.0, alpha=4.0)
-        assert b.argmax(0.0) == b.hi
+    def test_zero_multiplier_argmax_beyond_the_largest_float_is_the_upper_end(
+            self, make_band, make_system):
+        # f_free = (2 * coeff_d2d * lambda_c / alpha)^3 overflows, though the
+        # box factor f_lo = 1.1e306 does not: the answer is the upper end, as
+        # the c-based stationary point, about 2e3 W at Pc = 1e-306 W, gives
+        band = make_band(pathloss_exponent=6.0, sir_threshold_d2d=1e9, d2d_link_distance_m=1e50,
+                         sir_threshold_cell=1e-6, cell_link_distance_m=1.0, density_d2d=0.0,
+                         density_cell=1.0, outage_cap_d2d=1.0 - 2.0**-53, max_power_d2d_w=10.0)
+        f_lo, _, f_free = band._phase["d2d"][:3]
+        assert f_free == math.inf and f_lo < math.inf
+        b, free = zero_multiplier_phase(make_system(bands=[band]), "d2d", [1e-306])
+        assert free == b.hi == 10.0 == free_reference(b.lo, b.hi, b.c, b.alpha)
 
     def test_underflowing_coefficient_at_positive_multiplier_gives_lower_end(self):
         # c = 1e-300 puts the rising root at p = (c / t*)^2, which underflows
         # below the box, and c^2 underflows to 0.0: nothing may divide by it
         b = solver._Objective(lo=1e-10, hi=1.0, c=1e-300, k_amp=1.0, alpha=4.0)
-        assert b.argmax(1.0) == b.lo
+        assert b.argmax_ln(0.0) == b.lo
 
 
 class TestPhaseTwo:
@@ -494,6 +510,17 @@ class TestPhaseTwo:
         assert p_c[0] == bounds[0][0] < sys.float_info.min
         slacks = check_feasible(system, PowerAllocation([0.01], p_c)).band_slacks[0]
         assert slacks["qos_cell"] >= 0.0
+
+    def test_underflowing_lower_end_steps_up_unanchored(self, make_band, make_system):
+        # the cellular box factor f_lo is 3.4e-7 here, so at a D2D power of
+        # 1e-320 W the lower end rounds to 0.0; the band has D2D density, so
+        # the end steps up one ulp rather than being anchored and flagged
+        system = make_system(density_d2d=1e-7, outage_cap_cell=0.9)
+        assert system.bands[0]._phase["cell"][0] * 1e-320 == 0.0
+        p_c, _, flags, bounds = solve_cell_phase(system, [1e-320])
+        assert p_c == [bounds[0][0]] == [5e-324]
+        assert flags == []
+        assert check_feasible(system, PowerAllocation([1e-320], p_c)).ok
 
     def test_anchored_band_counts_against_budget(self, make_band, make_system):
         # band 0 has no D2D density, so its cellular power is anchored at the
@@ -676,6 +703,16 @@ class TestIterate:
             ratios.append([pc / pd for pc, pd in zip(alloc.p_cell_w, alloc.p_d2d_w)])
         assert ratios[1] == pytest.approx(ratios[0], rel=1e-12)
 
+    def test_underflowing_lower_ends_are_not_anchored(self, make_band):
+        # at a power tolerance of 1e-100 the powers shrink for 53 iterations,
+        # until band 1's cellular lower end underflows to 0.0: it was anchored
+        # and flagged "no D2D density", though band 1's D2D density is 1e-4
+        result = optimize_powers(table1_system(make_band),
+                                 SolveOptions(eps_power_w=1e-100, max_outer_iters=100))
+        assert result.trace.converged and result.feasibility.ok
+        assert result.trace.iterations == 53
+        assert not any("anchored" in flag for flag in result.flags)
+
     def test_subnormal_density_solves(self, make_system):
         # coeff_cell * 5e-324 underflows to 0: the D2D box's cellular-QoS end
         # is +inf, as at zero D2D density, and the power cap bounds the box
@@ -789,6 +826,11 @@ class TestBaseline:
         result = baseline_fixed_cell(system, joint.alloc.p_cell_w[0])
         assert result.alloc.p_d2d_w == joint.alloc.p_d2d_w
 
+    @pytest.mark.parametrize("p_cell_fixed_w", [0.0, -0.325])
+    def test_nonpositive_fixed_power_rejected(self, make_band, p_cell_fixed_w):
+        with pytest.raises(ValueError, match="^fixed cellular power must be positive$"):
+            baseline_fixed_cell(table1_system(make_band), p_cell_fixed_w)
+
     def test_runs_single_phase(self, make_band):
         system = table1_system(make_band)
         result = baseline_fixed_cell(system, 0.325)
@@ -890,6 +932,13 @@ class TestApi:
         message = f"^{other} power on band 1 must be positive and finite$"
         with pytest.raises(ValueError, match=message):
             phase(system, [0.1, q])
+
+    @pytest.mark.parametrize("phase, other", [(solve_d2d_phase, "cellular"),
+                                              (solve_cell_phase, "D2D")])
+    def test_other_class_power_count_checked(self, make_system, phase, other):
+        with pytest.raises(ValueError,
+                           match=f"^{other} power vector length must match the band count$"):
+            phase(make_system(), [0.3, 0.3])
 
     def test_every_exported_name_resolves(self):
         for info in pkgutil.iter_modules(d2dee.__path__):

@@ -5,7 +5,9 @@ lambda_c * (Pc/Pd)^(2/alpha)); the solver works in power space and never
 forms x.  These are the map from powers to x and its inverse, the paper's
 concavity interval in x and its box on x, against which the tests check
 the power-space solve.  It also holds the tests' one golden-section
-search, the independent reference for the closed-form maximizers.
+search, the independent reference for the closed-form maximizers, and the
+answer at mu = 0 written in the objective's own coefficient c, the
+reference for the band constant f_free that the solver scales instead.
 """
 
 from __future__ import annotations
@@ -25,6 +27,18 @@ def x_from_powers(band: BandParams, p_cell_w: float, p_d2d_w: float) -> float:
         raise ValueError("transform undefined without cellular density")
     ratio = _ratio_power(p_cell_w, p_d2d_w, 2.0 / band.pathloss_exponent)
     return math.exp(band.coeff_d2d() * band.density_cell * ratio)
+
+
+def free_reference(lo: float, hi: float, c: float, alpha: float) -> float:
+    """The stationary point (2c/alpha)^(alpha/2) of K * exp(-c * p^(-2/alpha))
+    / p clamped to [lo, hi]: lo where c is 0, hi where the point overflows."""
+    if c <= 0.0:
+        return lo
+    try:
+        p = (2.0 * c / alpha) ** (alpha / 2.0)
+    except OverflowError:
+        p = math.inf
+    return min(max(p, lo), hi)
 
 
 def golden_section_max(f, lo: float, hi: float, width: float) -> float:
