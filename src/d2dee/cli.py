@@ -43,8 +43,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", type=str, default=None, help="JSON config path")
     sub.add_argument("--out", type=str, default=None,
                      help="output directory (default: $D2DEE_OUT or .)")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--trials", type=int, default=None)
+    sub.add_argument("--seed", type=int, default=None,
+                     help="Monte Carlo seed; only validate uses it, other commands "
+                          "record it in their config")
+    sub.add_argument("--trials", type=int, default=None,
+                     help="Monte Carlo trials; only validate uses them, other commands "
+                          "record them in their config")
     sub.add_argument("--workers", type=int, default=None,
                      help="Monte Carlo chunks; they run on up to one process per usable "
                           "CPU, and the estimate depends on the chunk count only")

@@ -136,6 +136,8 @@ class BandParams:
                      "max_power_d2d_w", "max_power_cell_w"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
+        if self.bandwidth_hz == math.inf:  # a class without density would read a NaN ASR
+            raise ValueError("bandwidth_hz must be finite")
         for name in ("density_d2d", "density_cell"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -284,18 +286,6 @@ def _asr(band: BandParams, density: float, rate: float, stp: float) -> float:
     if not 0.0 <= stp <= 1.0:  # NaN fails too
         raise ValueError("stp must lie in [0, 1]")
     return density * band.bandwidth_hz * rate * stp
-
-
-def _rising_root(g, a: float, b: float) -> float:
-    """Root of g increasing on [a, b] with g(a) < 0 <= g(b), to adjacent floats."""
-    while True:
-        mid = 0.5 * (a + b)
-        if not a < mid < b:
-            return b
-        if g(mid) < 0.0:
-            a = mid
-        else:
-            b = mid
 
 
 def _ee(band: BandParams, power_w: float, rate: float, stp: float) -> float:

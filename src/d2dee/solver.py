@@ -14,7 +14,8 @@ since c scales as q^(2/alpha), the point is q * f_free, f_free a constant
 of the band (see _phase_bands).  At mu > 0 the band's power depends on c
 and on the one number ln mu + alpha ln c - ln K, and is the better of the
 lower end and the clamped rising root of the slope (see
-_Objective.argmax_ln).
+_Objective.argmax_ln).  One bisection, _rising_root, finds both that root
+and ln mu.
 
 Each band's box and objective split into constants of the band and a
 scaling by the other class's powers q, the only input a phase varies:
@@ -51,7 +52,6 @@ from .model import (
     BandParams,
     _check_band_count,
     _ratio_power,
-    _rising_root,
     MetricsReport,
     PowerAllocation,
     SystemParams,
@@ -95,6 +95,8 @@ class SolveOptions:
     def __post_init__(self):
         if not self.eps_power_w > 0:
             raise ValueError("eps_power_w must be positive")
+        if self.eps_power_w == math.inf:
+            raise ValueError("eps_power_w must be finite")
         n = self.max_outer_iters
         if isinstance(n, bool) or not isinstance(n, numbers.Integral):  # as in config documents
             raise ValueError("max_outer_iters must be an integer")
@@ -155,34 +157,6 @@ class AllocationResult:
 
 
 # ---------------------------------------------------------------------------
-# budget multiplier
-
-
-def _dual_bisect(solve_at, budget: float, lo: float, hi: float):
-    """Bisection on ln mu, the log of a single coupling power budget's multiplier.
-
-    ``solve_at(ln_mu)`` returns the per-band powers maximizing the penalized
-    objectives; their sum is nonincreasing in ln_mu and meets the budget at
-    ``hi``.  Stops at adjacent floats or once the spend is within
-    BUDGET_TOL_REL below the budget, and returns (powers, ln_mu) at the upper
-    end: a bracket that collapses on a jump (duality gap) may undershoot.
-    """
-    dec_hi = solve_at(hi)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return dec_hi, hi
-        dec_mid = solve_at(mid)
-        spent = math.fsum(dec_mid)
-        if spent <= budget:
-            hi, dec_hi = mid, dec_mid
-            if budget - spent <= BUDGET_TOL_REL * budget:
-                return dec_hi, hi
-        else:
-            lo = mid
-
-
-# ---------------------------------------------------------------------------
 # one phase: the powers of one class at the other class's fixed powers
 
 BUDGET_TOL_REL = 1e-6  # the overspend of a power budget, relative to it, that is accepted
@@ -210,6 +184,22 @@ def _unreachable(band: BandParams, own: str, other: str, i: int) -> InfeasiblePr
         band=i,
         constraint="qos_cell",
     )
+
+
+def _rising_root(g, a: float, b: float) -> float:
+    """Root of g increasing on [a, b] with g(a) < 0 <= g(b), by bisection:
+    a midpoint where g is exactly 0, else b once a and b are adjacent floats."""
+    while True:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            return b
+        g_mid = g(mid)
+        if g_mid == 0.0:
+            return mid
+        if g_mid < 0.0:
+            a = mid
+        else:
+            b = mid
 
 
 def _h(t: float, a: float) -> float:
@@ -289,9 +279,11 @@ def _phase_bands(
     alpha)^k, and falls beyond: that point clamped to the box is the exact
     box maximum, with no value compared.  Everything but q is a constant
     of the band, computed when it is built (see model.BandParams); a call
-    only scales the factors and c by q.  A factor that overflows is inf (an
-    f_free of inf gives hi), and a lower end below the smallest normal
-    float, 0.0 included, steps up one ulp.  A band without the constants,
+    only scales the factors and c by q.  A product that is inf is formed
+    again at this q, from c, the margins and coeff_other * lambda_own, as a
+    tiny q may bring an overflowed factor back into range (an f_free still
+    inf gives hi), and a lower end below the smallest normal float, 0.0
+    included, steps up one ulp.  A band without the constants,
     where an outage cap is unreachable, raises.  Returns (bounds, terms,
     free, flags): bounds[i] is band i's box, terms[i] the fields (lo, hi,
     c, K, alpha) of its _Objective, which a phase builds only where the
@@ -316,7 +308,15 @@ def _phase_bands(
             raise _unreachable(band, own, other, i)
         f_lo, f_hi, f_free, cap, c_unit, k_amp = band._phase[own]
         a = band.pathloss_exponent
-        lo, hi = qi * f_lo, qi * f_hi
+        scale = qi ** (2.0 / a)
+        c = c_unit * scale
+        lo, hi, p = qi * f_lo, qi * f_hi, qi * f_free
+        if lo == math.inf:  # an overflowed factor: the product at this q
+            lo = _ratio_power(c, band._margins[own], a / 2.0)
+        if hi == math.inf:
+            hi = _ratio_power(band._margins[other] * scale, band._phase[other][4], a / 2.0)
+        if p == math.inf:
+            p = _ratio_power(2.0 * c, a, a / 2.0)
         if lo < sys.float_info.min and f_lo > 0.0:  # subnormal or 0.0: it can miss its outage cap
             lo = math.nextafter(lo, math.inf)
         capped = not hi <= cap
@@ -330,8 +330,7 @@ def _phase_bands(
             lo = min(opts.eps_power_w, hi)
             flags.append(f"band {i}: no {_NAME[other]} density, "
                          f"{_NAME[own]} power anchored at tolerance")
-        terms.append((lo, hi, c_unit * qi ** (2.0 / a), k_amp, a))
-        p = qi * f_free
+        terms.append((lo, hi, c, k_amp, a))
         if p < lo:  # min(max(p, lo), hi), without the calls
             p = lo
         free.append(hi if hi < p else p)
@@ -358,10 +357,12 @@ def _solve_phase(
     Each band maximizes its objective over its box (see _phase_bands).
     Lower ends that exceed the budget by more than its tolerance raise;
     within it they are the answer, flagged.  Where the answers at mu = 0
-    overspend, each band's _Objective is built and ln mu is bisected (see
-    _dual_bisect) from the least bottom to the greatest top of their
-    ln_mu_ends, where every band is at its lower end.  Returns the phase's
-    PhaseResult.
+    overspend, each band's _Objective is built and _rising_root finds the
+    ln mu where the slack budget - fsum(argmax_ln(ln mu)) turns nonnegative,
+    stopping early at one in [0, BUDGET_TOL_REL * budget], between the least
+    bottom and the greatest top of their ln_mu_ends.  The powers are argmax_ln
+    there: a bracket that collapses on a jump of one band's argmax (a
+    duality gap) may undershoot.  Returns the phase's PhaseResult.
     """
     bounds, terms, dec, flags = _phase_bands(system, own, q, opts)
     budget = getattr(system, f"budget_{own}_w")
@@ -377,9 +378,12 @@ def _solve_phase(
     elif math.fsum(dec) > budget:
         objectives = [_Objective(*t) for t in terms]
         ends = [e for e in (b.ln_mu_ends() for b in objectives) if e is not None]
-        dec, ln_mu = _dual_bisect(lambda ln_mu: [b.argmax_ln(ln_mu) for b in objectives],
-                                  budget, min((e[0] for e in ends), default=0.0),
-                                  max((e[1] for e in ends), default=0.0))
+        def slack(ln_mu: float) -> float:
+            left = budget - math.fsum([b.argmax_ln(ln_mu) for b in objectives])
+            return 0.0 if 0.0 <= left <= BUDGET_TOL_REL * budget else left
+        ln_mu = _rising_root(slack, min((e[0] for e in ends), default=0.0),
+                             max((e[1] for e in ends), default=0.0))
+        dec = [b.argmax_ln(ln_mu) for b in objectives]
         mu = math.exp(ln_mu) if ln_mu <= math.log(sys.float_info.max) else math.inf
     return PhaseResult(dec, mu, flags, bounds)
 

@@ -499,17 +499,17 @@ class TestSolveAndTrace:
         assert digest == "995e20e8218566631d5d64dc814e5cb9"
 
     @pytest.mark.parametrize("budget_d2d_w, digest", [
-        (0.1, "c311e5e86f5703f479833e7b33cfcc08"),  # converges in 7; 14 of 14 phases mu > 0
-        # 10-iteration cap; 15 of 20 mu > 0; re-pinned when the mu = 0 answer
-        # became q * f_free (powers moved by at most 4.5e-15, relatively)
-        (0.2, "3e0190952edd5cb09e62e7040fbd9b10"),
+        (0.1, "3f8466cd39d96e08ef59b9057bfe0948"),  # converges in 7; 14 of 14 phases mu > 0
+        (0.2, "5f27b3540749e87cbe49fbff2906db91"),  # 10-iteration cap; 15 of 20 mu > 0
     ], ids=["budget_d2d_0.1", "budget_d2d_0.2"])
     def test_budget_bound_result_pinned(self, budget_d2d_w, digest, tmp_path):
         # the md5 of the result block on the sweep-budget layout, where the
-        # budgets bind and the dual bisection runs (the Table-1 pin above has
+        # budgets bind and ln mu is bisected (the Table-1 pin above has
         # mu = 0 in every phase).  Pinned when the bisection moved to ln mu,
-        # between closed-form ends.  ROADMAP item 2's exact phase moves these
-        # bits on purpose: it must re-pin, recording the old and new digests.
+        # between closed-form ends, and re-pinned since where powers moved by
+        # a few ulps (CHANGES.md records each digest).  ROADMAP item 2's exact
+        # phase moves these bits on purpose: it must re-pin, recording the old
+        # and new digests.
         coupled = 2.5 / (math.pi * 20.0**2 * math.pi / 2.0)
         doc = {
             "num_bands": 5, "bandwidth_hz": 20e6, "pathloss_exponent": 4.0,
@@ -574,7 +574,11 @@ class TestSolveAndTrace:
 
     def test_help_exit(self, capsys):
         assert main(["solve", "--help"]) == EXIT_OK
-        assert "--workers" in capsys.readouterr().out
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--workers" in out
+        # every command takes the Monte Carlo inputs; only validate runs them
+        assert "--seed SEED Monte Carlo seed; only validate uses it" in out
+        assert "--trials TRIALS Monte Carlo trials; only validate uses them" in out
 
     @pytest.mark.parametrize("command", ["solve", "trace"])
     def test_shipped_defaults_say_to_pass_config(self, command, tmp_path, capsys):
@@ -826,7 +830,7 @@ swept_values = st.one_of(
 )
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(cfg=st.sampled_from(POINT_BASES), key=st.sampled_from(sorted(set(SWEEP_KEYS.values()))),
        value=swept_values)
 def test_point_system_matches_full_resolution(cfg, key, value):

@@ -343,6 +343,11 @@ class TestBandParamsValidation:
         with pytest.raises(ValueError, match=f"^{self.NAN_MESSAGES[name]}"):
             make_band(**{name: math.nan})
 
+    def test_infinite_bandwidth_rejected(self, make_band):
+        # it once built, and a class without density then read a NaN ASR (0 * inf)
+        with pytest.raises(ValueError, match="^bandwidth_hz must be finite$"):
+            make_band(bandwidth_hz=math.inf)
+
     @pytest.mark.parametrize("budget", ["budget_d2d_w", "budget_cell_w"])
     def test_nan_budget_rejected(self, make_system, budget):
         # a NaN D2D budget once solved to converged=True on an infeasible allocation

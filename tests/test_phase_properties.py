@@ -15,6 +15,7 @@ clamped to the box, within a few ulps, and the band's own QoS lower end
 exactly when its own outage margin is at most alpha/2.
 """
 
+import dataclasses
 import math
 import sys
 
@@ -108,6 +109,53 @@ def test_phase_results_are_named_or_feasible(problem):
     system, q, order = problem
     for phase in PHASES:
         check_phase(phase, system, q, order)
+
+
+def reference_dual_bisect(solve_at, budget: float, lo: float, hi: float):
+    """The bisection on ln mu that _solve_phase ran before it called
+    _rising_root on the budget's slack, kept as the reference its answers
+    must equal.  Returns (powers, ln_mu) at the upper end."""
+    dec_hi = solve_at(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return dec_hi, hi
+        dec_mid = solve_at(mid)
+        spent = math.fsum(dec_mid)
+        if spent <= budget:
+            hi, dec_hi = mid, dec_mid
+            if budget - spent <= BUDGET_TOL_REL * budget:
+                return dec_hi, hi
+        else:
+            lo = mid
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(phase_problems(), st.floats(0.0, 1.0, exclude_max=True))
+def test_budget_bound_phase_is_the_reference_bisection(problem, share):
+    """With the budget put between a phase's lower ends and its answers at
+    mu = 0, so that it binds, the phase's powers and mu are those of the
+    reference bisection over the same band objectives, bit for bit."""
+    system, q, _ = problem
+    for own in PHASES:
+        try:
+            _, terms, free, _ = _phase_bands(system, own, q, SolveOptions())
+        except InfeasibleProblem:
+            continue
+        floor, spend = math.fsum(t[0] for t in terms), math.fsum(free)
+        budget = floor + share * (spend - floor)
+        if not 0.0 < floor <= budget < spend:
+            continue
+        bound = dataclasses.replace(system, **{f"budget_{own}_w": budget})
+        result = _solve_phase(bound, own, q, SolveOptions())
+        objectives = [_Objective(*t) for t in terms]
+        ends = [e for e in (b.ln_mu_ends() for b in objectives) if e is not None]
+        powers, ln_mu = reference_dual_bisect(
+            lambda ln_mu: [b.argmax_ln(ln_mu) for b in objectives], budget,
+            min((e[0] for e in ends), default=0.0), max((e[1] for e in ends), default=0.0))
+        assert result.powers == powers
+        assert result.mu == (math.exp(ln_mu) if ln_mu <= math.log(sys.float_info.max)
+                             else math.inf)
 
 
 @st.composite

@@ -21,6 +21,8 @@ from d2dee import (
     optimize_powers,
     solve_cell_phase,
     solve_d2d_phase,
+    stp_cell,
+    stp_d2d,
 )
 from xspace import (curvature_interval, free_reference, golden_section_max, power_from_x,
                     x_feasible_box, x_from_powers)
@@ -358,11 +360,71 @@ class TestObjective:
         b, free = zero_multiplier_phase(make_system(bands=[band]), "d2d", [1e-306])
         assert free == b.hi == 10.0 == free_reference(b.lo, b.hi, b.c, b.alpha)
 
+    def test_overflowing_free_factor_gives_the_c_based_point(self, make_band, make_system):
+        # the band above under a 1e4 W cap: q * f_free is inf, yet the
+        # c-based stationary point at Pc = 1e-306 W is 2030.39 W, inside the box
+        band = make_band(pathloss_exponent=6.0, sir_threshold_d2d=1e9, d2d_link_distance_m=1e50,
+                         sir_threshold_cell=1e-6, cell_link_distance_m=1.0, density_d2d=0.0,
+                         density_cell=1.0, outage_cap_d2d=1.0 - 2.0**-53, max_power_d2d_w=1e4)
+        system = make_system(bands=[band], budget_d2d_w=1e9)
+        b, free = zero_multiplier_phase(system, "d2d", [1e-306])
+        assert b.lo < free < b.hi
+        assert free == free_reference(b.lo, b.hi, b.c, b.alpha)
+        assert solve_d2d_phase(system, [1e-306]).powers == [free]
+        assert free == pytest.approx(2030.39, rel=1e-6)
+
+    def test_overflowing_lower_factor_gives_the_d2d_cap_end(self, make_band, make_system):
+        # ten times the cellular density: f_lo overflows too, and the lower
+        # end at Pc = 1e-306 W, where the D2D outage cap binds, is 1105.7 W
+        band = make_band(pathloss_exponent=6.0, sir_threshold_d2d=1e9, d2d_link_distance_m=1e50,
+                         sir_threshold_cell=1e-6, cell_link_distance_m=1.0, density_d2d=0.0,
+                         density_cell=10.0, outage_cap_d2d=1.0 - 2.0**-53,
+                         outage_cap_cell=0.9, max_power_d2d_w=1e4)
+        assert band._phase["d2d"][0] == math.inf
+        (lo, hi), = solve_d2d_phase(make_system(bands=[band], budget_d2d_w=1e9), [1e-306]).bounds
+        assert lo == pytest.approx(1105.7058, rel=1e-6) and hi == 1e4
+        assert stp_d2d(band, 1e-306, lo) == pytest.approx(2.0**-53, rel=1e-9)
+
+    def test_overflowing_upper_factor_gives_the_cellular_cap_end(self, make_band, make_system):
+        # f_hi = (margin_c / (coeff_cell * lambda_d))^3 = 1e309 overflows, but
+        # at Pc = 1e-306 W the upper end, where the cellular outage cap binds,
+        # is 1000 W, below the 1e4 W power cap
+        coeff = make_band(pathloss_exponent=6.0, cell_link_distance_m=1.0).coeff_cell()
+        lam_c = 0.2 / coeff
+        lam_d = (math.log(2.0) - 0.2) / (coeff * 1e103)
+        band = make_band(pathloss_exponent=6.0, d2d_link_distance_m=1.0, cell_link_distance_m=1.0,
+                         density_d2d=lam_d, density_cell=lam_c, outage_cap_d2d=0.3,
+                         outage_cap_cell=0.5, max_power_d2d_w=1e4)
+        assert band._phase["d2d"][1] == math.inf
+        (_, hi), = solve_d2d_phase(make_system(bands=[band], budget_d2d_w=1e9), [1e-306]).bounds
+        assert hi == pytest.approx(1000.0, rel=1e-12)
+        assert stp_cell(band, 1e-306, hi) == pytest.approx(0.5, rel=1e-12)
+
     def test_underflowing_coefficient_at_positive_multiplier_gives_lower_end(self):
         # c = 1e-300 puts the rising root at p = (c / t*)^2, which underflows
         # below the box, and c^2 underflows to 0.0: nothing may divide by it
         b = solver._Objective(lo=1e-10, hi=1.0, c=1e-300, k_amp=1.0, alpha=4.0)
         assert b.argmax_ln(0.0) == b.lo
+
+
+class TestRisingRoot:
+    def test_ends_at_adjacent_floats(self):
+        # t^2 - 2 is 0 at no float: the root is where it first turns nonnegative
+        g = lambda t: t * t - 2.0
+        root = solver._rising_root(g, 1.0, 2.0)
+        assert g(math.nextafter(root, 0.0)) < 0.0 <= g(root)
+
+    def test_returns_a_midpoint_where_g_is_zero(self):
+        # g is 0 on [0.25, 0.75], as a budget's slack is inside its tolerance:
+        # the first midpoint, 0.5, is the answer, with no further evaluation
+        calls = []
+
+        def g(t):
+            calls.append(t)
+            return -1.0 if t < 0.25 else 0.0 if t <= 0.75 else 1.0
+
+        assert solver._rising_root(g, 0.0, 1.0) == 0.5
+        assert calls == [0.5]
 
 
 class TestPhaseTwo:
@@ -466,17 +528,15 @@ class TestPhaseTwo:
         # one (401 phase solves) cannot change the answer
         system, _ = self.over_budget_lower_ends(make_band, make_system)
         calls = []
-        dual_bisect = solver._dual_bisect
+        argmax_ln = solver._Objective.argmax_ln
 
-        def counted(solve_at_mu, *args):
-            def solve(mu):
-                calls.append(mu)
-                return solve_at_mu(mu)
-            return dual_bisect(solve, *args)
+        def counted(self, ln_mu):
+            calls.append(ln_mu)
+            return argmax_ln(self, ln_mu)
 
-        monkeypatch.setattr(solver, "_dual_bisect", counted)
+        monkeypatch.setattr(solver._Objective, "argmax_ln", counted)
         p_c, mu, flags, bounds = solve_cell_phase(system, [0.02, 0.02])
-        assert len(calls) <= 2
+        assert calls == []
         assert p_c == [lo for lo, _ in bounds]
         assert mu == 0.0
         assert flags == ["cellular lower ends exceed the budget within BUDGET_TOL_REL"]
@@ -916,6 +976,12 @@ class TestApi:
         # a config names the section too; these guard direct callers
         with pytest.raises(ValueError, match=f"^{field} must be positive$"):
             SolveOptions(**{field: value})
+
+    def test_infinite_power_tolerance_rejected(self):
+        # an infinite tolerance once stopped the criterion-6 solve after one
+        # iteration, with converged True
+        with pytest.raises(ValueError, match="^eps_power_w must be finite$"):
+            SolveOptions(eps_power_w=math.inf)
 
     @pytest.mark.parametrize("value", [2.5, math.nan, True, "3"])
     def test_max_outer_iters_is_a_count(self, value):
