@@ -18,8 +18,11 @@ solver ``options`` once.
 
 A sweep point resolves nothing: it derives from the resolved config that
 holds the sweep.  ``ExperimentConfig.point_system`` checks the one swept
-value by the rule that resolution applies to its key, and rebuilds only
-what that value reaches: each band's one density, or the D2D budget.
+value by the rule that resolution applies to its key, and derives only
+what that value reaches: a density point copies each band with its one
+density set and derives that band's outage margins and phase constants
+anew, keeping its interference coefficients and rates; a budget point
+shares the bands.
 """
 
 from __future__ import annotations
@@ -135,9 +138,12 @@ class ExperimentConfig:
         """The system of one sweep point: this config's with ``key``, a value
         of ``SWEEP_KEYS``, set to ``value``.  It equals
         ``with_overrides(**{key: value}).system`` and fails with the same
-        message, but resolves nothing.  A density point rebuilds each band
-        with that one density set to the product ``build_system`` forms; a
-        budget point shares this config's bands."""
+        message, but resolves nothing.  A density point copies each band
+        with that one density set to the product ``build_system`` forms
+        (``BandParams._with_density``): the interference coefficients and
+        rates are the band's, and only the outage margins and phase
+        constants are derived anew.  A budget point shares this config's
+        bands."""
         why = _number_fault(key, None, value) or _range_fault(key, None, value)
         if why is not None:
             _fail(key, why)
@@ -149,7 +155,7 @@ class ExperimentConfig:
         bands = []
         for i, (band, mul) in enumerate(zip(system.bands, _per_band(self.raw, multiplier))):
             try:
-                bands.append(BandParams(**{**vars(band), density: mul * value}))
+                bands.append(band._with_density(density, mul * value))
             except ValueError as exc:
                 raise ValueError(f"config band {i}: {exc}") from exc
         return SystemParams(bands=bands, budget_d2d_w=system.budget_d2d_w,

@@ -79,8 +79,8 @@ def _point_hash(system: SystemParams, key: str):
     that set ``key`` of the config whose system is ``system``.  A budget
     point shares its bands, and so their md5.  A density point differs only
     in each band's one density: each band's text is rendered once, and each
-    point renders only its densities (with ``json.dumps``, as the full text
-    has them, ``Infinity`` included) into it."""
+    point renders only its densities, with one ``json.dumps`` of their list
+    (as the full text has them, ``Infinity`` included), into it."""
     if key not in DENSITY_FIELDS:
         md5 = _band_hash(system)
         return lambda point: md5
@@ -90,8 +90,10 @@ def _point_hash(system: SystemParams, key: str):
               for b in system.bands]
 
     def band_hash(point: SystemParams) -> str:
-        return _bands_md5(f"{head}{label}{json.dumps(getattr(b, density))}{tail}"
-                          for (head, tail), b in zip(halves, point.bands))
+        # a rendered number holds no ", ", so the list splits into its items
+        values = json.dumps([getattr(b, density) for b in point.bands])[1:-1].split(", ")
+        return _bands_md5(f"{head}{label}{value}{tail}"
+                          for (head, tail), value in zip(halves, values))
 
     return band_hash
 
@@ -106,13 +108,15 @@ def _cell(value: float) -> str:
 
 
 def write_csv(path: Path, header_lines: list[str], fieldnames: list[str], rows: list[dict]) -> None:
+    """Write ``rows`` under the comment lines ``header_lines`` and a header of
+    ``fieldnames``: each row's values in that column order, as
+    ``csv.DictWriter`` would, from rows that hold every column's key."""
     buf = io.StringIO()
     for line in header_lines:
         buf.write(line + "\r\n")
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\r\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(fieldnames)
+    writer.writerows([row[key] for key in fieldnames] for row in rows)
     path.write_text(buf.getvalue())
 
 
@@ -312,10 +316,11 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
 
     ``cfg`` is resolved once, and no point resolves again: each derives its
     system from ``cfg.system`` (``ExperimentConfig.point_system``).  A
-    density point rebuilds the bands with their one density changed, and a
-    budget point shares them.  Every point solves with ``cfg``'s options and
+    density point copies the bands with their one density changed and
+    derives only their outage margins and phase constants, and a budget
+    point shares them.  Every point solves with ``cfg``'s options and
     baseline cellular power, and its band md5 renders only the swept
-    densities anew (see ``_point_hash``).
+    densities anew, in one ``json.dumps`` (see ``_point_hash``).
     """
     sweep = cfg["sweep"]
     variable, grid = sweep["variable"], sweep["grid"]

@@ -10,10 +10,12 @@ per m^2); SIR thresholds are linear, not dB.
 Every function here is pure.  Bands and systems are frozen: a band
 computes its interference coefficients, each class's rate per unit
 bandwidth log2(1+T) and the constants of both power allocation phases
-once, on construction, and nothing changes them after.  Each success
-probability is written once, in ``_stp``, and ``metrics`` evaluates a band
-in one pass that gives what ``stp_d2d``, ``stp_cell``, ``asr`` and
-``ee_per_band`` give, bit for bit.  Safe to call from any thread.
+once, on construction, and nothing changes them after; a copy with one
+density changed keeps the first two and derives the phase constants.
+Each success probability is written once, in ``_stp``, and ``metrics``
+evaluates a band in one pass that gives what ``stp_d2d``, ``stp_cell``,
+``asr`` and ``ee_per_band`` give, bit for bit.  Safe to call from any
+thread.
 """
 
 from __future__ import annotations
@@ -107,7 +109,11 @@ class BandParams:
     (2c/alpha)^k, the factor of the class's best power at a slack budget.
     So f_free <= f_lo, and a slack phase returns the class's QoS lower end,
     exactly when its own outage margin is at most alpha/2.  They sit in
-    slots, so ``vars(band)`` holds the parameters alone.
+    slots, so ``vars(band)`` holds the parameters alone.  The coefficients
+    and rates do not depend on the densities; the margins and phase
+    constants do, and ``_set_density_constants`` alone derives them, so a
+    band with one density changed (``_with_density``, a sweep point)
+    copies the first two and derives only the rest.
     """
 
     __slots__ = ("__dict__", "_coeffs", "_rates", "_margins", "_phase")
@@ -138,25 +144,34 @@ class BandParams:
                 raise ValueError(f"{name} must be strictly positive")
         if self.bandwidth_hz == math.inf:  # a class without density would read a NaN ASR
             raise ValueError("bandwidth_hz must be finite")
-        for name in ("density_d2d", "density_cell"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative")
         for name in ("outage_cap_d2d", "outage_cap_cell"):
             cap = getattr(self, name)
             if not 0.0 < cap < 1.0:
                 raise ValueError(f"{name} must lie strictly inside (0, 1)")
         a = self.pathloss_exponent
-        cd = interference_coeff(self.sir_threshold_d2d, self.d2d_link_distance_m, a)
-        cc = interference_coeff(self.sir_threshold_cell, self.cell_link_distance_m, a)
+        object.__setattr__(self, "_coeffs", (
+            interference_coeff(self.sir_threshold_d2d, self.d2d_link_distance_m, a),
+            interference_coeff(self.sir_threshold_cell, self.cell_link_distance_m, a)))
+        object.__setattr__(self, "_rates", (math.log2(1.0 + self.sir_threshold_d2d),
+                                            math.log2(1.0 + self.sir_threshold_cell)))
+        self._set_density_constants()
+
+    def _set_density_constants(self) -> None:
+        """Check both densities and set what they reach: the outage margins
+        and the phase constants, from the density-free ``_coeffs`` and
+        ``_rates``."""
+        for name in ("density_d2d", "density_cell"):
+            if not getattr(self, name) >= 0:  # NaN fails it
+                raise ValueError(f"{name} must be nonnegative")
+        (cd, cc), (rate_d, rate_c) = self._coeffs, self._rates
         used_d, used_c = cd * self.density_d2d, cc * self.density_cell
         cross_d, cross_c = cd * self.density_cell, cc * self.density_d2d
         margin_d = -math.log(1.0 - self.outage_cap_d2d) - used_d
         margin_c = -math.log(1.0 - self.outage_cap_cell) - used_c
-        rate_d = math.log2(1.0 + self.sir_threshold_d2d)
-        rate_c = math.log2(1.0 + self.sir_threshold_cell)
         # each class's (f_lo, f_hi, f_free, power cap, c, K); see solver._phase_bands
         phase = None
         if margin_d > 0.0 and margin_c > 0.0:
+            a = self.pathloss_exponent
             k = a / 2.0
             amp_d = self.bandwidth_hz * rate_d * math.exp(-used_d)
             amp_c = self.bandwidth_hz * rate_c * math.exp(-used_c)
@@ -167,10 +182,20 @@ class BandParams:
                          _ratio_power(2.0 * cross_c, a, k), self.max_power_cell_w, cross_c,
                          amp_c),
             }
-        object.__setattr__(self, "_coeffs", (cd, cc))
-        object.__setattr__(self, "_rates", (rate_d, rate_c))
         object.__setattr__(self, "_margins", {"d2d": margin_d, "cell": margin_c})
         object.__setattr__(self, "_phase", phase)
+
+    def _with_density(self, name: str, value: float) -> "BandParams":
+        """This band with the density field ``name`` set to ``value``: the
+        other fields and the density-free ``_coeffs`` and ``_rates`` are
+        copied, and only the density constants are derived anew."""
+        band = object.__new__(type(self))
+        band.__dict__.update(self.__dict__)
+        band.__dict__[name] = value
+        object.__setattr__(band, "_coeffs", self._coeffs)
+        object.__setattr__(band, "_rates", self._rates)
+        band._set_density_constants()
+        return band
 
     def __reduce__(self):
         # rebuild through __init__: a frozen instance cannot have its slot set

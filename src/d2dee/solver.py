@@ -288,9 +288,12 @@ def _phase_bands(
     free, flags): bounds[i] is band i's box, terms[i] the fields (lo, hi,
     c, K, alpha) of its _Objective, which a phase builds only where the
     budget binds, and free[i] its answer at mu = 0.  A band whose f_lo is
-    0, without other-class density, has no positive lower end and no
-    interior optimum: its objective's lower end is anchored at the power
-    tolerance, and _solve_phase checks the budget against that anchor.
+    0 has no positive lower end: without other-class density (c = 0) it has
+    no interior optimum either, and where that density is so small that
+    f_lo underflows, its optimum lies below every positive float.  Its
+    objective's lower end is anchored at the power tolerance, the flag
+    names which of the two it is, and _solve_phase checks the budget
+    against that anchor.
     """
     other = "cell" if own == "d2d" else "d2d"
     if len(q) != system.num_bands:
@@ -328,8 +331,9 @@ def _phase_bands(
         bounds.append((lo, hi))
         if f_lo == 0.0:
             lo = min(opts.eps_power_w, hi)
-            flags.append(f"band {i}: no {_NAME[other]} density, "
-                         f"{_NAME[own]} power anchored at tolerance")
+            cause = (f"{_NAME[other]} density too small for a positive {_NAME[own]} lower end"
+                     if c_unit > 0.0 else f"no {_NAME[other]} density")
+            flags.append(f"band {i}: {cause}, {_NAME[own]} power anchored at tolerance")
         terms.append((lo, hi, c, k_amp, a))
         if p < lo:  # min(max(p, lo), hi), without the calls
             p = lo
@@ -395,7 +399,9 @@ def solve_d2d_phase(
 
     Returns the phase's PhaseResult, whose ``powers`` are the D2D powers.
     Bands without cellular density have an objective that falls in the D2D
-    power, so they are anchored at the solver's power tolerance (flagged).
+    power, and bands whose cellular density is so small that the lower box
+    factor underflows to 0 have their optimum below every positive float;
+    both are anchored at the solver's power tolerance, and flagged by cause.
     """
     return _solve_phase(system, "d2d", p_cell, opts or SolveOptions())
 

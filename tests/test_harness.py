@@ -1,5 +1,7 @@
 import copy
+import csv
 import hashlib
+import io
 import importlib
 import json
 import math
@@ -27,6 +29,7 @@ from d2dee.harness import (
     run_trace,
     run_validate,
     sweep_fieldnames,
+    write_csv,
 )
 
 
@@ -851,7 +854,32 @@ def test_point_system_matches_full_resolution(cfg, key, value):
     assert [list(map(type, vars(b).values())) for b in point.bands] == \
         [list(map(type, vars(b).values())) for b in full.bands]
     assert type(point.budget_d2d_w) is type(full.budget_d2d_w)
+    # the derived constants too, which == on the fields cannot see
+    slots = ("_coeffs", "_rates", "_margins", "_phase")
+    assert [[repr(getattr(b, s)) for s in slots] for b in point.bands] == \
+        [[repr(getattr(b, s)) for s in slots] for b in full.bands]
     assert _point_hash(cfg.system, key)(point) == _band_hash(full)
+
+
+@pytest.mark.parametrize("fieldnames, rows", [
+    (["a", "b,c", 'd"e'],
+     [{"a": "x,y", "b,c": 'say "hi"', 'd"e': ""},
+      {'d"e': "two\r\nlines", "a": "", "b,c": "cr\rlf\n"},
+      {"a": 1.5, "b,c": True, 'd"e': None}]),
+    (["only"], [{"only": "a,b"}, {"only": ""}, {"only": 0.1}]),
+    (["a", "b"], []),
+], ids=["quoted", "one_column", "no_rows"])
+def test_write_csv_matches_dict_writer(tmp_path, fieldnames, rows):
+    # csv.DictWriter is the reference: same header, cells, quoting and
+    # line ends, rows given in another key order included
+    ref = io.StringIO()
+    ref.write("# a comment\r\n")
+    writer = csv.DictWriter(ref, fieldnames=fieldnames, lineterminator="\r\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    path = tmp_path / "out.csv"
+    write_csv(path, ["# a comment"], fieldnames, rows)
+    assert path.read_bytes() == ref.getvalue().encode()
 
 
 def test_cli_import_loads_no_pool_or_logging():

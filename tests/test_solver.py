@@ -305,7 +305,23 @@ class TestPhaseOne:
         opts = SolveOptions()
         p_d, _, flags, _ = solve_d2d_phase(system, [0.3], opts)
         assert p_d[0] == opts.eps_power_w
-        assert any("anchored" in f for f in flags)
+        assert flags == ["band 0: no cellular density, D2D power anchored at tolerance"]
+
+    def test_underflowing_lower_factor_names_the_density_too_small(self, make_band,
+                                                                   make_system):
+        # at cellular density 1e-200 the D2D lower box factor (c / margin)^2
+        # underflows to 0.0 though c = 2e-197: the band has cellular density,
+        # and its optimum, below every positive float, is anchored and flagged
+        # as such, not as an absence
+        band = make_band(density_d2d=0.0, density_cell=1e-200, outage_cap_d2d=0.96,
+                         outage_cap_cell=0.5, d2d_link_distance_m=20.0,
+                         cell_link_distance_m=60.0)
+        f_lo, _, _, _, c = band._phase["d2d"][:5]
+        assert f_lo == 0.0 and c > 0.0
+        p_d, _, flags, bounds = solve_d2d_phase(make_system(bands=[band]), [0.3])
+        assert p_d == [SolveOptions().eps_power_w] and bounds == [(0.0, 0.02)]
+        assert flags == ["band 0: cellular density too small for a positive D2D lower end, "
+                         "D2D power anchored at tolerance"]
 
 
 def zero_multiplier_phase(system, own, q):
