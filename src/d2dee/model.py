@@ -338,6 +338,14 @@ def _check_band_count(system: SystemParams, alloc: PowerAllocation) -> None:
         )
 
 
+def _ee_total(ee: list[float]) -> float:
+    """fsum of one class's EEs, which are nonnegative: +inf where it overflows."""
+    try:
+        return math.fsum(ee)
+    except OverflowError:
+        return math.inf
+
+
 def metrics(system: SystemParams, alloc: PowerAllocation) -> MetricsReport:
     """Evaluate STP/ASR/EE on every band and aggregate the totals.
 
@@ -345,7 +353,8 @@ def metrics(system: SystemParams, alloc: PowerAllocation) -> MetricsReport:
     once (``_stp``), and its ASR and EE are derived from it with the band's
     rates, in the order ``asr`` and ``ee_per_band`` evaluate them.  So every
     value equals theirs bit for bit, and a fault names its band.  Totals use
-    exact (fsum) summation so they are invariant under band permutation.
+    exact (fsum) summation so they are invariant under band permutation; a
+    total past the largest float is +inf, as + gives.
     """
     _check_band_count(system, alloc)
     stp_d, stp_c, asr_d, asr_c, ee_d, ee_c = [], [], [], [], [], []
@@ -368,5 +377,5 @@ def metrics(system: SystemParams, alloc: PowerAllocation) -> MetricsReport:
         asr_c.append(a_c)
         ee_d.append(_ee(band, pd, rate_d, s_d))
         ee_c.append(_ee(band, pc, rate_c, s_c))
-    total_d, total_c = math.fsum(ee_d), math.fsum(ee_c)
+    total_d, total_c = _ee_total(ee_d), _ee_total(ee_c)
     return MetricsReport(stp_d, stp_c, asr_d, asr_c, ee_d, ee_c, total_d, total_c, total_d + total_c)

@@ -32,12 +32,13 @@ process when that is one, otherwise on a process pool that lives only for
 the call.  A chunk's successes depend on its streams alone, so the pool
 size never changes a bit of the estimate.
 
-A chunk runs in blocks of _BLOCK trials; _sir_block fixes the order of a
-block's draws and _interference_block the draw order and tiling within
-each field, on which every bit of an estimate rests.  Each interferer
-contributes g / u^(alpha/2), its fading gain over a power of its uniform
-radius draw: at alpha = 4 numpy's power takes its square path (exactly
-u*u), so the kernel computes no general pow there.
+A chunk runs in blocks of _BLOCK trials.  _chunk_successes fixes the order
+of a block's draws, and only there do the power ratio and the SIR
+thresholds meet them; _interference_block fixes the draw order and tiling
+within each field.  Every bit of an estimate rests on the two.  Each
+interferer contributes g / u^(alpha/2), its fading gain over a power of its
+uniform radius draw: at alpha = 4 numpy's power takes its square path
+(exactly u*u), so the kernel computes no general pow there.
 """
 
 from __future__ import annotations
@@ -198,33 +199,6 @@ def _interference_block(
     return agg, counts
 
 
-def _sir_block(
-    scenario: SimScenario,
-    n: int,
-    rng: np.random.Generator,
-    cell_rng: np.random.Generator,
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
-    """Signal and interference powers of both links for n trials.
-
-    Returns ``(signal, interference)`` of the D2D link, then of the
-    cellular link, then the D2D and the cellular interferer counts.
-    ``rng`` draws the D2D signal fading, the D2D field, then the cellular
-    field; ``cell_rng`` draws the cellular signal fading.  Both links
-    weight the same two field sums.
-    """
-    band = scenario.band
-    alpha = band.pathloss_exponent
-    window = scenario.window_radius_m
-    signal_d2d = rng.standard_exponential(n) * band.d2d_link_distance_m ** (-alpha)
-    agg_d2d, counts_d2d = _interference_block(n, band.density_d2d, alpha, window, rng)
-    agg_cell, counts_cell = _interference_block(n, band.density_cell, alpha, window, rng)
-    signal_cell = cell_rng.standard_exponential(n) * band.cell_link_distance_m ** (-alpha)
-    scale = window ** (-alpha)
-    itf_d2d = scale * agg_d2d + (scenario.p_cell_w / scenario.p_d2d_w * scale) * agg_cell
-    itf_cell = scale * agg_cell + (scenario.p_d2d_w / scenario.p_cell_w * scale) * agg_d2d
-    return (signal_d2d, itf_d2d), (signal_cell, itf_cell), counts_d2d, counts_cell
-
-
 def _successes(signal: np.ndarray, itf: np.ndarray, threshold: float) -> int:
     """Trials with signal >= T * interference, an empty field always succeeding."""
     return int(np.count_nonzero((itf == 0.0) | (signal >= threshold * itf)))
@@ -254,17 +228,28 @@ def _chunks(trials: int, workers: int) -> list[tuple[int, int]]:
 
 def _chunk_successes(scenario: SimScenario, chunk: int, n_chunk: int) -> tuple[int, int, int]:
     """D2D and cellular successes among the ``n_chunk`` trials of one chunk,
-    and the interferers of both fields drawn for them."""
+    and the interferers of both fields drawn for them.  Each block is drawn
+    in the streams' order (see the module docstring), and each link is
+    scored where its interference is formed from the two field sums."""
     band = scenario.band
+    alpha = band.pathloss_exponent
+    window = scenario.window_radius_m
+    scale = window ** (-alpha)
+    cell_at_d2d = scenario.p_cell_w / scenario.p_d2d_w * scale
+    d2d_at_cell = scenario.p_d2d_w / scenario.p_cell_w * scale
     rng, cell_rng = _streams(scenario.seed, chunk)
     d2d = cell = interferers = 0
     done = 0
     while done < n_chunk:
         n = min(_BLOCK, n_chunk - done)
-        (signal_d2d, itf_d2d), (signal_cell, itf_cell), counts_d2d, counts_cell = _sir_block(
-            scenario, n, rng, cell_rng)
-        d2d += _successes(signal_d2d, itf_d2d, band.sir_threshold_d2d)
-        cell += _successes(signal_cell, itf_cell, band.sir_threshold_cell)
+        signal_d2d = rng.standard_exponential(n) * band.d2d_link_distance_m ** (-alpha)
+        agg_d2d, counts_d2d = _interference_block(n, band.density_d2d, alpha, window, rng)
+        agg_cell, counts_cell = _interference_block(n, band.density_cell, alpha, window, rng)
+        d2d += _successes(signal_d2d, scale * agg_d2d + cell_at_d2d * agg_cell,
+                          band.sir_threshold_d2d)
+        signal_cell = cell_rng.standard_exponential(n) * band.cell_link_distance_m ** (-alpha)
+        cell += _successes(signal_cell, scale * agg_cell + d2d_at_cell * agg_d2d,
+                           band.sir_threshold_cell)
         interferers += int(counts_d2d.sum()) + int(counts_cell.sum())
         done += n
     return d2d, cell, interferers

@@ -222,12 +222,19 @@ class _Objective(NamedTuple):
     k_amp: float
     alpha: float
 
+    def _exponent(self, p: float) -> float:
+        """c p^(-2/alpha), the power +inf where it overflows (subnormal p, alpha < ~2.1)."""
+        try:
+            return self.c * p ** (-2.0 / self.alpha)
+        except OverflowError:
+            return self.c * math.inf
+
     def value(self, p: float, mu: float) -> float:
-        return self.k_amp * math.exp(-self.c * p ** (-2.0 / self.alpha)) / p - mu * p
+        return self.k_amp * math.exp(-self._exponent(p)) / p - mu * p
 
     def ln_gain(self, p: float, ln_mu: float) -> float:
         """ln K - c p^(-2/alpha) - ln p - ln mu, the log of the objective's first term over mu."""
-        return math.log(self.k_amp) - self.c * p ** (-2.0 / self.alpha) - math.log(p) - ln_mu
+        return math.log(self.k_amp) - self._exponent(p) - math.log(p) - ln_mu
 
     def ln_mu_ends(self) -> tuple[float, float] | None:
         """(bottom, top): below bottom the root t* rounds to alpha/2, the answer
@@ -437,13 +444,8 @@ def optimize_powers(system: SystemParams, opts: SolveOptions | None = None) -> A
     p_d2d = [0.0] * m
     trace = IterationTrace()
     flags: list[str] = []
-    rep = None
 
     while trace.iterations < opts.max_outer_iters and not trace.converged:
-        if min(p_cell) <= 0.0:
-            # geometric scale collapse underflowed; the ratio is already pinned
-            flags.append("cellular power underflow, iteration stopped early")
-            break
         phase_d = solve_d2d_phase(system, p_cell, opts)
         phase_c = solve_cell_phase(system, phase_d.powers, opts)
         delta_d = max(abs(a - b) for a, b in zip(phase_d.powers, p_d2d))
@@ -455,12 +457,7 @@ def optimize_powers(system: SystemParams, opts: SolveOptions | None = None) -> A
             if msg not in flags:
                 flags.append(msg)
 
-    alloc = PowerAllocation(list(p_d2d), list(p_cell))
-    if rep is None:
-        # the last iteration's report is of these powers; none exists only
-        # when the starting cellular powers underflow, and then this raises
-        rep = metrics(system, alloc)
-    return _result(system, alloc, trace, rep, flags)
+    return _result(system, PowerAllocation(list(p_d2d), list(p_cell)), trace, rep, flags)
 
 
 def baseline_fixed_cell(
@@ -498,11 +495,17 @@ def _record(system: SystemParams, trace: IterationTrace, p_d2d: list[float],
 def _result(system: SystemParams, alloc: PowerAllocation, trace: IterationTrace,
             rep: MetricsReport, flags: list[str]) -> AllocationResult:
     """The result of ``alloc``, whose ``metrics`` report is ``rep``, with a
-    flag for every band whose power lies below the smallest normal float:
-    such a power carries fewer than 53 bits, so its ratio is less exact."""
-    for name, powers in (("D2D", alloc.p_d2d_w), ("cellular", alloc.p_cell_w)):
+    flag for every band whose power lies below the smallest normal float
+    (such a power carries fewer than 53 bits, so its ratio is less exact),
+    and for every band EE and class total that is not finite."""
+    for name, powers, ee, total in (("D2D", alloc.p_d2d_w, rep.ee_d2d, rep.ee_d2d_total),
+                                    ("cellular", alloc.p_cell_w, rep.ee_cell, rep.ee_cell_total)):
         flags += [f"band {i}: {name} power below the smallest normal float"
                   for i, p in enumerate(powers) if p < sys.float_info.min]
+        if not math.isfinite(total):  # every band EE is finite where the total is
+            flags += [f"band {i}: {name} EE is not finite"
+                      for i, e in enumerate(ee) if not math.isfinite(e)]
+            flags.append(f"{name} EE total is not finite")
     return AllocationResult(alloc=alloc, trace=trace, metrics=rep,
                             feasibility=check_feasible(system, alloc, rep), flags=flags)
 

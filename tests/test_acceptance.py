@@ -9,6 +9,7 @@ gives the argument.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from d2dee import (
     ee_per_band,
     estimate_links,
     gamma_product,
+    load_config,
     solve_d2d_phase,
     stp_cell,
     stp_d2d,
@@ -129,6 +131,14 @@ def table1_config(**overrides) -> ExperimentConfig:
                 lambda_d_ref=1e-4, lambda_c_ref=1.5e-5, budget_d2d_w=0.06)
     base.update(overrides)
     return ExperimentConfig().with_overrides(**base)
+
+
+def test_shipped_example_is_table1():
+    """examples/table1.json resolves to the Table-1 layout, which solves."""
+    cfg = load_config(Path(__file__).resolve().parents[1] / "examples" / "table1.json")
+    assert cfg.raw == table1_config().raw
+    result = optimize_powers(cfg.system, cfg.options)
+    assert result.trace.converged and result.feasibility.ok
 
 
 def test_criterion_5_algorithm_convergence():

@@ -327,6 +327,15 @@ def acc5_overrides():
     return dict(sir_threshold_d2d=1e-5, sir_threshold_cell=1e-5)
 
 
+# two bands whose cellular EEs, each finite, sum past the largest float at
+# lambda_d_ref = 6.606934480075856e-79
+OVERFLOWING_EE_DOC = dict(
+    num_bands=2, sir_threshold_d2d=1.0, sir_threshold_cell=1.0, d2d_link_distance_m=20.0,
+    cell_link_distance_m=60.0, multiplier_d2d=1.0, multiplier_cell=1.0, lambda_c_ref=1e-7,
+    budget_d2d_w=0.08)
+OVERFLOWING_EE_DENSITY = 6.606934480075856e-79
+
+
 class TestValidate:
     def test_zero_density_passes(self):
         cfg = ExperimentConfig().with_overrides(
@@ -490,6 +499,32 @@ class TestSolveAndTrace:
         cfg_path.write_text(json.dumps({"num_bands": 0}))
         code = main(["solve", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert code == EXIT_CONFIG
+
+    def test_underflowing_start_is_config_exit(self, tmp_path, capsys):
+        # budget_cell_w / 5 underflows to 0.0, a starting cellular power that
+        # phase one rejects by band
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**acc5_overrides(), "budget_cell_w": 5e-324}))
+        assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: cellular power on band 0 must be positive and finite\n")
+
+    @pytest.mark.parametrize("doc, flags", [
+        # each band's cellular EE is finite, their sum is not
+        ({**OVERFLOWING_EE_DOC, "lambda_d_ref": OVERFLOWING_EE_DENSITY},
+         ["cellular EE total is not finite"]),
+        # the criterion-6 layout: band 1's cellular power, 1.1e-306 W, is
+        # normal, and its EE overflows
+        (dict(sir_threshold_d2d=1e-6, sir_threshold_cell=1e-6, budget_d2d_w=0.08,
+              lambda_c_ref=1e-5, baseline_p_cell_w=0.325, lambda_d_ref=1e-50),
+         ["band 1: cellular EE is not finite", "cellular EE total is not finite"]),
+    ], ids=["total_overflows", "band_overflows"])
+    def test_non_finite_ee_flagged(self, doc, flags):
+        result = run_solve(ExperimentConfig().with_overrides(**doc))
+        assert result.trace.converged and result.feasibility.ok
+        assert result.flags == flags
+        assert result.metrics.ee_cell_total == result.metrics.ee_total == math.inf
+        assert math.isfinite(result.metrics.ee_d2d_total)
 
     def test_solve_result_pinned(self, tmp_path):
         # the md5 of the Table-1 result block (thresholds 1e-5), pinned when
@@ -699,6 +734,20 @@ class TestSweep:
             assert row["infeasible_bands"] == ""
             cells = [v for k, v in row.items() if k.startswith(("p_", "ee_", "baseline_"))]
             assert len(cells) == 14 and all(math.isfinite(float(v)) for v in cells)
+
+    def test_ee_total_past_the_largest_float_is_inf(self, tmp_path):
+        # the exact sum of two finite cellular EEs overflows: the point's
+        # total is inf, as + gives, and the sweep still writes every row
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(OVERFLOWING_EE_DOC))
+        assert main(["sweep", "--config", str(cfg_path), "--sweep-var", "lambda_d_ref",
+                     "--sweep-grid", f"1e-6,{OVERFLOWING_EE_DENSITY!r}",
+                     "--out", str(tmp_path)]) == EXIT_OK
+        rows = read_csv(tmp_path / "sweep.csv")
+        assert [r["infeasible_bands"] for r in rows] == ["", ""]
+        assert math.isfinite(float(rows[0]["ee_total"]))
+        assert (rows[1]["ee_cell_total"], rows[1]["ee_total"]) == ("inf", "inf")
+        assert math.isfinite(float(rows[1]["ee_d2d_total"]))
 
     @pytest.mark.parametrize("variable, grid, digest", [
         # a negative density is an error row; the two densest points fail qos_cell

@@ -317,8 +317,7 @@ def test_trace_records_each_iterate(problem, max_outer_iters, p_cell_fixed):
         settled = [d <= eps and c <= eps for d, c in zip(trace.delta_d_w, trace.delta_c_w)]
         assert trace.converged == settled[-1]
         assert not any(settled[:-1])  # the loop stops at the first settled iterate
-        assert (trace.converged or trace.iterations == max_outer_iters
-                or "cellular power underflow, iteration stopped early" in result.flags)
+        assert trace.converged or trace.iterations == max_outer_iters
         assert (result.alloc.p_d2d_w, result.alloc.p_cell_w) == (trace.p_d2d_w[-1],
                                                                  trace.p_cell_w[-1])
     try:

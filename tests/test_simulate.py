@@ -15,7 +15,6 @@ from d2dee.simulate import (
     _chunks,
     _interference_block,
     _pool_size,
-    _sir_block,
     _streams,
     _usable_cpus,
 )
@@ -28,6 +27,38 @@ def scenario(band, **overrides):
     return SimScenario(**params)
 
 
+def reference_chunk(sc, chunk, n_chunk):
+    """Both links' signal and interference and both fields' counts over one
+    chunk's trials: each block drawn from the chunk's streams in the
+    documented order, each link's interference with its weights written out."""
+    band = sc.band
+    alpha, window = band.pathloss_exponent, sc.window_radius_m
+    scale = window ** (-alpha)
+    rng, cell_rng = _streams(sc.seed, chunk)
+    blocks = []
+    for first in range(0, n_chunk, simulate._BLOCK):
+        n = min(simulate._BLOCK, n_chunk - first)
+        signal_d2d = rng.standard_exponential(n) * band.d2d_link_distance_m ** (-alpha)
+        agg_d2d, counts_d2d = _interference_block(n, band.density_d2d, alpha, window, rng)
+        agg_cell, counts_cell = _interference_block(n, band.density_cell, alpha, window, rng)
+        signal_cell = cell_rng.standard_exponential(n) * band.cell_link_distance_m ** (-alpha)
+        itf_d2d = scale * agg_d2d + (sc.p_cell_w / sc.p_d2d_w * scale) * agg_cell
+        itf_cell = scale * agg_cell + (sc.p_d2d_w / sc.p_cell_w * scale) * agg_d2d
+        blocks.append((signal_d2d, itf_d2d, signal_cell, itf_cell, counts_d2d, counts_cell))
+    return tuple(np.concatenate(column) for column in zip(*blocks))
+
+
+def successes(signal, itf, threshold):
+    """Trials with signal >= T * interference, an empty field always succeeding."""
+    return int(np.count_nonzero((itf == 0.0) | (signal >= threshold * itf)))
+
+
+def boundary_thresholds(signal, itf, picks):
+    """Each picked trial's own SIR: a threshold that puts it on the edge of
+    the success rule, where a weight one ulp off can flip it."""
+    return [float(signal[k] / itf[k]) for k in picks]
+
+
 class TestSampling:
     def test_zero_density_always_empty(self):
         agg, counts = _interference_block(200, 0.0, 4.0, 2000.0, _streams(1, 0)[0])
@@ -35,14 +66,15 @@ class TestSampling:
         assert np.array_equal(agg, np.zeros(200))
 
     def test_poisson_mean(self, band1):
-        # both fields of a block: the D2D field at the D2D density, the
-        # cellular field at the cellular density
+        # both fields of each block: the D2D field at the D2D density, the
+        # cellular field at the cellular density; the chunk counts them all
         n, window = 10_000, 500.0
-        _, _, counts_d2d, counts_cell = _sir_block(
-            scenario(band1, window_radius_m=window), n, *_streams(2, 0))
+        sc = scenario(band1, window_radius_m=window, seed=2)
+        *_, counts_d2d, counts_cell = reference_chunk(sc, 0, n)
         for counts, density in ((counts_d2d, band1.density_d2d), (counts_cell, band1.density_cell)):
             expected = density * math.pi * window**2
             assert abs(counts.mean() - expected) < 3 * math.sqrt(expected / n)
+        assert _chunk_successes(sc, 0, n)[2] == int(counts_d2d.sum() + counts_cell.sum())
 
     def test_radii_squared_uniform(self):
         # a trial with one interferer sums t = g * (r/R)^(-alpha) with unit
@@ -65,20 +97,27 @@ class TestSampling:
 class TestSirRealization:
     def test_empty_field_sentinel(self, make_band):
         # an empty field is exactly zero interference, which the success rule
-        # counts as a success whatever the signal
-        band = make_band(density_d2d=0.0, density_cell=0.0)
-        d2d, cell, counts_d2d, counts_cell = _sir_block(scenario(band), 100, *_streams(1, 0))
+        # counts as a success whatever the signal and the threshold
+        band = make_band(density_d2d=0.0, density_cell=0.0,
+                         sir_threshold_d2d=1e300, sir_threshold_cell=1e300)
+        sc = scenario(band, seed=1)
+        signal_d2d, itf_d2d, signal_cell, itf_cell, counts_d2d, counts_cell = (
+            reference_chunk(sc, 0, 100))
         assert not counts_d2d.any() and not counts_cell.any()
-        for signal, itf in (d2d, cell):
+        for signal, itf in ((signal_d2d, itf_d2d), (signal_cell, itf_cell)):
             assert np.array_equal(itf, np.zeros(100))
             assert (signal > 0).all()
+        assert _chunk_successes(sc, 0, 100) == (100, 100, 0)
 
     def test_counts_reported(self, band1):
-        d2d, cell, counts_d2d, counts_cell = _sir_block(scenario(band1), 16, *_streams(4, 0))
+        sc = scenario(band1, seed=4)
+        signal_d2d, itf_d2d, signal_cell, itf_cell, counts_d2d, counts_cell = (
+            reference_chunk(sc, 0, 16))
         assert (counts_d2d > 0).all()
         assert (counts_cell >= 0).all()
-        for signal, itf in (d2d, cell):
+        for signal, itf in ((signal_d2d, itf_d2d), (signal_cell, itf_cell)):
             assert np.isfinite(signal).all() and np.isfinite(itf).all() and (itf > 0).all()
+        assert _chunk_successes(sc, 0, 16)[2] == int(counts_d2d.sum() + counts_cell.sum())
 
     def test_role_swap_matches_distribution(self, make_band):
         # the cellular link of a band with swapped densities, link distances and
@@ -95,36 +134,35 @@ class TestSirRealization:
         assert est_a.analytic == pytest.approx(est_b.analytic, rel=1e-12)
         assert abs(est_a.p_hat - est_b.p_hat) <= 3.3 * math.hypot(est_a.std_err, est_b.std_err)
 
-    def test_cell_interference_from_d2d_field_sums(self, band1):
+    def test_cell_interference_from_d2d_field_sums(self, make_band):
         # per trial, both links weight the same two field sums, which the main
         # stream draws after the D2D signal fading; the cellular signal fading
-        # comes from the chunk's second stream
-        n, window, alpha = 3000, 500.0, band1.pathloss_exponent
-        sc = scenario(band1, window_radius_m=window)
-        (signal_d2d, itf_d2d), (signal_cell, itf_cell), _, _ = _sir_block(sc, n, *_streams(12, 0))
-        rng, cell_rng = _streams(12, 0)
-        want_signal_d2d = rng.standard_exponential(n) * band1.d2d_link_distance_m ** (-alpha)
-        agg_d2d, _ = _interference_block(n, band1.density_d2d, alpha, window, rng)
-        agg_cell, _ = _interference_block(n, band1.density_cell, alpha, window, rng)
-        scale = window ** (-alpha)
-        want_d2d = scale * agg_d2d + (0.3 / 0.02 * scale) * agg_cell
-        want_cell = scale * agg_cell + (0.02 / 0.3 * scale) * agg_d2d
-        assert np.array_equal(signal_d2d, want_signal_d2d)
-        assert np.array_equal(itf_d2d.view(np.uint64), want_d2d.view(np.uint64))
-        assert np.array_equal(itf_cell.view(np.uint64), want_cell.view(np.uint64))
+        # comes from the chunk's second stream.  At thresholds on trials' own
+        # SIRs the chunk's counts are the reference's, trial for trial
+        n, window = 3000, 500.0
+        signal_d2d, itf_d2d, signal_cell, itf_cell, _, _ = reference_chunk(
+            scenario(make_band(), window_radius_m=window, seed=12), 0, n)
         np.testing.assert_allclose(itf_cell, 0.02 / 0.3 * itf_d2d, rtol=1e-12, atol=0.0)
-        assert np.array_equal(
-            signal_cell, cell_rng.standard_exponential(n) * band1.cell_link_distance_m ** (-alpha))
+        picks = range(0, n, 97)
+        for t_d, t_c in zip(boundary_thresholds(signal_d2d, itf_d2d, picks),
+                            boundary_thresholds(signal_cell, itf_cell, picks)):
+            sc = scenario(make_band(sir_threshold_d2d=t_d, sir_threshold_cell=t_c),
+                          window_radius_m=window, seed=12)
+            assert _chunk_successes(sc, 0, n)[:2] == (
+                successes(signal_d2d, itf_d2d, t_d), successes(signal_cell, itf_cell, t_c))
 
-    def test_ratio_invariance_per_trial(self, band1):
+    def test_ratio_invariance_per_trial(self, make_band):
         # identical draws, both powers scaled: every trial's signal and
-        # interference, hence its SIR, is unchanged
-        sc = scenario(band1)
-        sc_scaled = scenario(band1, p_cell_w=4 * 0.3, p_d2d_w=4 * 0.02)
-        d2d_a, cell_a, *counts_a = _sir_block(sc, 50, *_streams(21, 0))
-        d2d_b, cell_b, *counts_b = _sir_block(sc_scaled, 50, *_streams(21, 0))
-        for x, y in zip((*d2d_a, *cell_a, *counts_a), (*d2d_b, *cell_b, *counts_b)):
-            assert np.array_equal(x, y)
+        # interference, hence its SIR, is unchanged, so at a threshold on
+        # each trial's own SIR both scenarios count as the reference does
+        signal_d2d, itf_d2d, signal_cell, itf_cell, _, _ = reference_chunk(
+            scenario(make_band(), seed=21), 0, 50)
+        for t_d, t_c in zip(boundary_thresholds(signal_d2d, itf_d2d, range(50)),
+                            boundary_thresholds(signal_cell, itf_cell, range(50))):
+            band = make_band(sir_threshold_d2d=t_d, sir_threshold_cell=t_c)
+            want = (successes(signal_d2d, itf_d2d, t_d), successes(signal_cell, itf_cell, t_c))
+            for powers in ({}, {"p_cell_w": 4 * 0.3, "p_d2d_w": 4 * 0.02}):
+                assert _chunk_successes(scenario(band, seed=21, **powers), 0, 50)[:2] == want
 
     def test_fading_gains_unit_mean(self):
         gains = _streams(8, 0)[0].standard_exponential(1_000_000)
@@ -441,8 +479,7 @@ class TestChunkPool:
         line, = [r.getMessage() for r in caplog.records if r.name == "d2dee"]
         drawn = 0
         for c, n in _chunks(sc.trials, sc.workers):
-            rng, cell_rng = _streams(sc.seed, c)
-            _, _, counts_d2d, counts_cell = _sir_block(sc, n, rng, cell_rng)
+            *_, counts_d2d, counts_cell = reference_chunk(sc, c, n)
             drawn += int(counts_d2d.sum() + counts_cell.sum())
         assert drawn > 1000 * 1000
         assert f", pool {_pool_size(1000, 3)}, {drawn} interferers, " in line

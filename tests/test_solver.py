@@ -416,6 +416,30 @@ class TestObjective:
         assert hi == pytest.approx(1000.0, rel=1e-12)
         assert stp_cell(band, 1e-306, hi) == pytest.approx(0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("lambda_c", [1e-306, 1e-309, 1e-312])
+    def test_budget_bound_argmax_survives_a_subnormal_lower_end(self, make_band, make_system,
+                                                                lambda_c):
+        # at alpha = 2.05 band 0's lower end is subnormal and lo^(-2/alpha)
+        # overflows: its log gain is -inf, and a budget a tenth of the way
+        # from the lower ends to the mu = 0 answers still binds and solves
+        shared = dict(pathloss_exponent=2.05, sir_threshold_d2d=1e-6, sir_threshold_cell=1e-6,
+                      density_d2d=1e-6, d2d_link_distance_m=10.0, cell_link_distance_m=50.0,
+                      outage_cap_d2d=0.95, outage_cap_cell=0.95, max_power_d2d_w=1.0,
+                      max_power_cell_w=1.0)
+        bands = [make_band(density_cell=lambda_c, **shared),
+                 make_band(density_cell=1e-5, **shared)]
+        slack = solve_d2d_phase(make_system(bands=bands, budget_d2d_w=1e3), [0.3, 0.3])
+        lows = [lo for lo, _ in slack.bounds]
+        assert slack.mu == 0.0 and lows[0] < sys.float_info.min
+        b, _ = zero_multiplier_phase(make_system(bands=bands), "d2d", [0.3, 0.3])
+        assert b.ln_gain(b.lo, 0.0) == -math.inf
+        budget = math.fsum(lows) + 0.1 * (math.fsum(slack.powers) - math.fsum(lows))
+        phase = solve_d2d_phase(make_system(bands=bands, budget_d2d_w=budget), [0.3, 0.3])
+        assert phase.mu > 0.0 and phase.flags == []
+        assert phase.powers[0] == lows[0]
+        assert lows[1] < phase.powers[1] < slack.powers[1]
+        assert math.fsum(phase.powers) <= budget * (1.0 + solver.BUDGET_TOL_REL)
+
     def test_underflowing_coefficient_at_positive_multiplier_gives_lower_end(self):
         # c = 1e-300 puts the rising root at p = (c / t*)^2, which underflows
         # below the box, and c^2 underflows to 0.0: nothing may divide by it
