@@ -36,8 +36,9 @@ import math
 from pathlib import Path
 
 from .config import DENSITY_FIELDS, SWEEP_KEYS, ExperimentConfig
-from .model import SystemParams
-from .solver import AllocationResult, InfeasibleProblem, baseline_fixed_cell, optimize_powers
+from .model import PowerAllocation, SystemParams, metrics
+from .solver import (AllocationResult, InfeasibleProblem, _alternate, optimize_powers,
+                     solve_d2d_phase)
 
 __all__ = [
     "run_validate",
@@ -321,6 +322,19 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     point shares them.  Every point solves with ``cfg``'s options and
     baseline cellular power, and its band md5 renders only the swept
     densities anew, in one ``json.dumps`` (see ``_point_hash``).
+
+    A row reads only the joint solve's last iterate and the baseline's D2D
+    EE total.  So a point runs ``solver._alternate``, the loop of
+    ``optimize_powers``, and ``solve_d2d_phase`` at the baseline power on
+    every band, as ``baseline_fixed_cell`` does, and evaluates ``metrics``
+    once on each answer; it builds no trace, flags or feasibility report.
+    Skipping the earlier iterates' ``metrics`` cannot change a row, as none
+    of them could raise.  On a resolved config every cap is finite, and
+    ``metrics`` raises only on a power that is not positive and finite or
+    on a NaN success probability.  A phase returns neither: each power lies
+    in its box [lo, hi], with lo > 0 and hi at most the cap, and ``_stp``
+    drops the other class's term where its density is 0, the one case where
+    that density times an overflowed power ratio would be NaN.
     """
     sweep = cfg["sweep"]
     variable, grid = sweep["variable"], sweep["grid"]
@@ -329,7 +343,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     key = SWEEP_KEYS[variable]
     fields = sweep_fieldnames(cfg["num_bands"])
     columns = _shared_columns(cfg["num_bands"])
-    options, p_cell_w = cfg.options, cfg["baseline_p_cell_w"]
+    options = cfg.options
+    base_p_cell = [cfg["baseline_p_cell_w"]] * cfg["num_bands"]
     band_hash = _point_hash(cfg.system, key)
     rows = []
     for index, value in enumerate(grid):
@@ -343,16 +358,20 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
             continue
         row["band_params_md5"] = band_hash(system)
         try:
-            result = optimize_powers(system, options)
-            row.update(_shared_cells(columns, result.alloc.p_d2d_w, result.alloc.p_cell_w,
-                                     result.metrics.ee_d2d_total, result.metrics.ee_cell_total))
-            row["iterations"] = result.trace.iterations
-            row["converged"] = result.trace.converged
+            for iterations, (phase_d, phase_c, _, _, converged) in enumerate(
+                    _alternate(system, options), 1):
+                pass
+            rep = metrics(system, PowerAllocation(phase_d.powers, phase_c.powers))
+            row.update(_shared_cells(columns, phase_d.powers, phase_c.powers,
+                                     rep.ee_d2d_total, rep.ee_cell_total))
+            row["iterations"] = iterations
+            row["converged"] = converged
         except ValueError as exc:
             _note(row, exc)
         try:
-            base = baseline_fixed_cell(system, p_cell_w, options)
-            row["baseline_ee_d2d_total"] = _cell(base.metrics.ee_d2d_total)
+            base = solve_d2d_phase(system, base_p_cell, options)
+            rep = metrics(system, PowerAllocation(base.powers, base_p_cell))
+            row["baseline_ee_d2d_total"] = _cell(rep.ee_d2d_total)
         except ValueError as exc:
             _note(row, exc, "baseline: ")
         rows.append(row)

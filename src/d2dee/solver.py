@@ -36,8 +36,13 @@ depends on the powers only through their ratio and a 1/P factor, so the
 joint problem has no interior scale optimum: where both
 phases return their lower ends, each iteration scales band i's powers by
 f_lo,d * f_lo,c <= 1, the product of the lower box factors, and the
-reported ratio Pc/Pd is f_lo,c.  See check_feasible and the iteration
-trace for how results are reported.
+reported ratio Pc/Pd is f_lo,c.
+
+The alternation itself is one loop, _alternate, which yields each outer
+iterate's two phases, power changes and stopping verdict and nothing
+else.  optimize_powers reports every iterate: its trace, its flags and a
+check_feasible report of the last; a caller that needs only the last
+iterate, as a sweep row does, reads the same loop without that report.
 """
 
 from __future__ import annotations
@@ -108,13 +113,14 @@ class SolveOptions:
 class IterationTrace:
     """Outer-iteration history of the alternating solve, written by _record.
 
-    Entry n is outer iteration n's iterate: the D2D phase's powers, the
-    cellular phase's powers at them, both classes' EE totals from
-    ``metrics``, and each class's largest per-band power change from the
-    previous entry (the first from zero D2D powers and the starting
-    cellular powers).  ``baseline_fixed_cell`` writes one entry: its D2D
-    phase's powers at the fixed cellular powers, ``delta_d_w`` the largest
-    D2D power (its change from zero), ``delta_c_w`` 0.0, and ``converged``.
+    Entry n is outer iteration n's iterate, as _alternate, the one loop,
+    yields it: the D2D phase's powers, the cellular phase's powers at them,
+    both classes' EE totals from ``metrics``, and each class's largest
+    per-band power change from the previous entry (the first from zero D2D
+    powers and the starting cellular powers).  ``baseline_fixed_cell``
+    writes one entry: its D2D phase's powers at the fixed cellular powers,
+    ``delta_d_w`` the largest D2D power (its change from zero), ``delta_c_w``
+    0.0, and ``converged``.
     """
 
     p_d2d_w: list[list[float]] = field(default_factory=list)
@@ -289,12 +295,14 @@ def _phase_bands(
     only scales the factors and c by q.  A product that is inf is formed
     again at this q, from c, the margins and coeff_other * lambda_own, as a
     tiny q may bring an overflowed factor back into range (an f_free still
-    inf gives hi), and a lower end below the smallest normal float, 0.0
-    included, steps up one ulp.  A band without the constants,
-    where an outage cap is unreachable, raises.  Returns (bounds, terms,
-    free, flags): bounds[i] is band i's box, terms[i] the fields (lo, hi,
-    c, K, alpha) of its _Objective, which a phase builds only where the
-    budget binds, and free[i] its answer at mu = 0.  A band whose f_lo is
+    inf gives hi), and so is an upper end of 0.0, as a large q may bring an
+    underflowed f_hi back; a lower end below the smallest normal float, 0.0
+    included, steps up one ulp.  A box that holds no positive power raises,
+    as does a band without the constants, where an outage cap is
+    unreachable.  Returns (bounds, terms, free, flags): bounds[i] is band
+    i's box, terms[i] the fields (lo, hi, c, K, alpha) of its _Objective,
+    which a phase builds only where the budget binds, and free[i] its
+    answer at mu = 0.  A band whose f_lo is
     0 has no positive lower end: without other-class density (c = 0) it has
     no interior optimum either, and where that density is so small that
     f_lo underflows, its optimum lies below every positive float.  Its
@@ -323,7 +331,7 @@ def _phase_bands(
         lo, hi, p = qi * f_lo, qi * f_hi, qi * f_free
         if lo == math.inf:  # an overflowed factor: the product at this q
             lo = _ratio_power(c, band._margins[own], a / 2.0)
-        if hi == math.inf:
+        if not 0.0 < hi < math.inf:  # an overflowed or underflowed factor: the product at this q
             hi = _ratio_power(band._margins[other] * scale, band._phase[other][4], a / 2.0)
         if p == math.inf:
             p = _ratio_power(2.0 * c, a, a / 2.0)
@@ -332,7 +340,7 @@ def _phase_bands(
         capped = not hi <= cap
         if capped:
             hi = cap
-        if lo > hi:
+        if lo > hi or hi == 0.0:  # no positive power, also where f_lo = 0 gives lo = 0.0
             raise InfeasibleProblem(f"empty feasible set on band {i}", band=i,
                                     constraint="power_cap" if capped else f"qos_{other}")
         bounds.append((lo, hi))
@@ -429,35 +437,50 @@ def solve_cell_phase(
 # alternating iteration and baseline
 
 
-def optimize_powers(system: SystemParams, opts: SolveOptions | None = None) -> AllocationResult:
-    """Alternate the two phases until both power changes fall below tolerance.
+def _alternate(system: SystemParams, opts: SolveOptions):
+    """The alternating solve, one outer iteration per item: the one loop.
 
     Cellular powers start at min(cap, budget/M) per band (an all-zero start
-    would leave phase one undefined).  Stops when the largest per-band power
-    change of both classes is at most eps_power_w, or after max_outer_iters.
+    would leave phase one undefined), D2D powers at zero.  Each iteration
+    solves the D2D phase at the current cellular powers, then the cellular
+    phase at its D2D powers, and yields (phase_d, phase_c, delta_d, delta_c,
+    converged): both PhaseResults, each class's largest per-band power
+    change from the previous iterate, and whether both changes are at most
+    eps_power_w.  Stops after the first converged iterate or the
+    max_outer_iters-th.
     """
-    opts = opts or SolveOptions()
     m = system.num_bands
-    p_cell = [
-        min(band.max_power_cell_w, system.budget_cell_w / m) for band in system.bands
-    ]
+    p_cell = [min(band.max_power_cell_w, system.budget_cell_w / m) for band in system.bands]
     p_d2d = [0.0] * m
-    trace = IterationTrace()
-    flags: list[str] = []
-
-    while trace.iterations < opts.max_outer_iters and not trace.converged:
+    for _ in range(opts.max_outer_iters):
         phase_d = solve_d2d_phase(system, p_cell, opts)
         phase_c = solve_cell_phase(system, phase_d.powers, opts)
         delta_d = max(abs(a - b) for a, b in zip(phase_d.powers, p_d2d))
         delta_c = max(abs(a - b) for a, b in zip(phase_c.powers, p_cell))
         p_d2d, p_cell = phase_d.powers, phase_c.powers
-        rep = _record(system, trace, p_d2d, p_cell, delta_d, delta_c)
-        trace.converged = delta_d <= opts.eps_power_w and delta_c <= opts.eps_power_w
+        converged = delta_d <= opts.eps_power_w and delta_c <= opts.eps_power_w
+        yield phase_d, phase_c, delta_d, delta_c, converged
+        if converged:
+            return
+
+
+def optimize_powers(system: SystemParams, opts: SolveOptions | None = None) -> AllocationResult:
+    """Alternate the two phases until both power changes fall below tolerance.
+
+    The iterates are _alternate's, the one loop: each is recorded in the
+    trace (see _record) before the next is solved, and the phases' flags are
+    gathered in order of first appearance.  The result holds the last one.
+    """
+    opts = opts or SolveOptions()
+    trace = IterationTrace()
+    flags: list[str] = []
+    for phase_d, phase_c, delta_d, delta_c, trace.converged in _alternate(system, opts):
+        rep = _record(system, trace, phase_d.powers, phase_c.powers, delta_d, delta_c)
         for msg in phase_d.flags + phase_c.flags:
             if msg not in flags:
                 flags.append(msg)
-
-    return _result(system, PowerAllocation(list(p_d2d), list(p_cell)), trace, rep, flags)
+    alloc = PowerAllocation(list(phase_d.powers), list(phase_c.powers))
+    return _result(system, alloc, trace, rep, flags)
 
 
 def baseline_fixed_cell(
@@ -466,10 +489,15 @@ def baseline_fixed_cell(
     """Single D2D solve with every band's cellular power pinned externally.
 
     The fixed power is exogenous reference data, not an optimization
-    variable, so the per-band cellular cap is not applied to it.
+    variable, so the per-band cellular cap is not applied to it.  It must
+    be a positive, finite number; a bool is not one, as in SolveOptions.
     """
-    if p_cell_fixed_w <= 0:
+    if isinstance(p_cell_fixed_w, bool):
+        raise ValueError("fixed cellular power must be a number, not a bool")
+    if not p_cell_fixed_w > 0:  # NaN fails it
         raise ValueError("fixed cellular power must be positive")
+    if p_cell_fixed_w == math.inf:
+        raise ValueError("fixed cellular power must be finite")
     p_cell = [p_cell_fixed_w] * system.num_bands
     phase = solve_d2d_phase(system, p_cell, opts)
     trace = IterationTrace(converged=True)

@@ -22,6 +22,7 @@ from d2dee.config import SWEEP_KEYS
 from d2dee.harness import (
     VALIDATE_TAIL_MASS,
     VALIDATE_Z_LIMIT,
+    _shared_columns,
     format_solve_table,
     read_csv,
     run_solve,
@@ -31,6 +32,7 @@ from d2dee.harness import (
     sweep_fieldnames,
     write_csv,
 )
+from d2dee.solver import InfeasibleProblem, baseline_fixed_cell, optimize_powers
 
 
 class TestConfig:
@@ -771,6 +773,89 @@ class TestSweep:
         lines = (tmp_path / "sweep.csv").read_bytes().splitlines(keepends=True)
         body = b"".join(line for line in lines if not line.startswith(b"#"))
         assert hashlib.md5(body).hexdigest() == digest
+
+    # test_sweep_body_pinned's config and the grids of the pinned sweeps:
+    # the 100-point density grid and test_sweep_bodies_pinned's two, whose
+    # error rows and infeasible rows fail at each stage of a point
+    CRITERION6 = dict(sir_threshold_d2d=1e-6, sir_threshold_cell=1e-6, budget_d2d_w=0.08,
+                      lambda_c_ref=1e-5, baseline_p_cell_w=0.325)
+    PINNED_GRIDS = [
+        ("lambda_d_ref", [1e-5 * 100.0 ** (i / 99) for i in range(100)]),
+        ("lambda_c_ref", [1e-06, -1e-05, 1e-05, 0.0001, 0.001, 0.01]),
+        ("budget_d2d", [1e-05, 3e-05, 5e-05, 0.0001, 0.0, 0.001, -0.01, 0.08]),
+    ]
+
+    @staticmethod
+    def reported_row(cfg: ExperimentConfig, key: str, value: float) -> dict:
+        """The cells of a sweep row that ``optimize_powers`` and
+        ``baseline_fixed_cell`` report for one point, empty where they fail."""
+        columns = _shared_columns(cfg["num_bands"])
+        row = dict.fromkeys([*columns, "iterations", "converged", "baseline_ee_d2d_total"], "")
+        notes = []
+
+        def note(exc: ValueError, prefix: str = "") -> None:
+            notes.append(prefix + (f"band={exc.band} constraint={exc.constraint}"
+                                   if isinstance(exc, InfeasibleProblem) else f"error={exc}"))
+
+        try:
+            system = cfg.point_system(key, value)
+        except ValueError as exc:
+            note(exc)
+            return {**row, "infeasible_bands": "; ".join(notes)}
+        try:
+            result = optimize_powers(system, cfg.options)
+            totals = [result.metrics.ee_d2d_total, result.metrics.ee_cell_total]
+            values = [*result.alloc.p_d2d_w, *result.alloc.p_cell_w, *totals, sum(totals)]
+            row.update(zip(columns, (repr(float(v)) for v in values)),
+                       iterations=result.trace.iterations, converged=result.trace.converged)
+        except ValueError as exc:
+            note(exc)
+        try:
+            base = baseline_fixed_cell(system, cfg["baseline_p_cell_w"], cfg.options)
+            row["baseline_ee_d2d_total"] = repr(float(base.metrics.ee_d2d_total))
+        except ValueError as exc:
+            note(exc, "baseline: ")
+        return {**row, "infeasible_bands": "; ".join(notes)}
+
+    @pytest.mark.parametrize("variable, grid", PINNED_GRIDS, ids=[v for v, _ in PINNED_GRIDS])
+    def test_row_is_what_the_solve_and_baseline_report(self, variable, grid):
+        # a row reads the joint solve's last iterate and the baseline phase
+        # without their reports; its cells are still theirs, failures included
+        cfg = ExperimentConfig().with_overrides(**self.CRITERION6, sweep_variable=variable,
+                                                sweep_grid=grid)
+        key = SWEEP_KEYS[variable]
+        rows = run_sweep(cfg)
+        assert len(rows) == len(grid)
+        for row, value in zip(rows, grid):
+            expected = self.reported_row(cfg, key, value)
+            assert {k: row[k] for k in expected} == expected
+
+    def test_point_evaluates_metrics_twice_and_reports_nothing(self, monkeypatch):
+        # the closed forms of the last iterate and of the baseline only: no
+        # earlier iterate's metrics, no trace entry and no feasibility report
+        import d2dee.harness
+        import d2dee.model
+        import d2dee.solver
+
+        calls = {"metrics": 0, "check_feasible": 0, "_record": 0}
+        for module, name in [(d2dee.model, "metrics"), (d2dee.solver, "check_feasible"),
+                             (d2dee.solver, "_record")]:
+            real = getattr(module, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            # every module that holds the function by name calls the spy
+            for holder in (d2dee.model, d2dee.solver, d2dee.harness):
+                if holder.__dict__.get(name) is real:
+                    monkeypatch.setattr(holder, name, counted)
+        variable, grid = self.PINNED_GRIDS[0]
+        cfg = ExperimentConfig().with_overrides(**self.CRITERION6, sweep_variable=variable,
+                                                sweep_grid=grid[::11])
+        rows = run_sweep(cfg)
+        assert all(row["infeasible_bands"] == "" for row in rows)
+        assert any(row["iterations"] > 1 for row in rows)  # optimize_powers would record each
+        assert calls == {"metrics": 2 * len(rows), "check_feasible": 0, "_record": 0}
 
     def test_bytes_identical_rerun(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -416,6 +416,27 @@ class TestObjective:
         assert hi == pytest.approx(1000.0, rel=1e-12)
         assert stp_cell(band, 1e-306, hi) == pytest.approx(0.5, rel=1e-12)
 
+    def test_underflowing_upper_factor_gives_the_d2d_qos_end(self, make_band, make_system):
+        # coeff_d2d * lambda_c is 1e170 times the D2D margin: the cellular
+        # f_hi = 1e-340 underflows to 0.0, and with almost no D2D density so
+        # does f_lo.  At Pd ~ 9e239 W the upper end, where the D2D outage cap
+        # binds, is 9.26e-101 W; a box of [0, 0] once gave the cellular
+        # phase a power of 0.0, which the solve's metrics then refused
+        band = make_band(d2d_link_distance_m=1e89, cell_link_distance_m=1.0,
+                         density_d2d=1e-300, density_cell=1e-10, max_power_d2d_w=1e300)
+        assert band._phase["cell"][:2] == (0.0, 0.0)
+        system = make_system(bands=[band], budget_d2d_w=1e300, budget_cell_w=1e-100)
+        result = optimize_powers(system)
+        (p_d,), (p_c,) = result.alloc.p_d2d_w, result.alloc.p_cell_w
+        assert p_d == pytest.approx(9.2559e239, rel=1e-4) and p_c == 1e-100
+        (_, hi), = solve_cell_phase(system, [p_d]).bounds
+        assert hi == pytest.approx(9.2559e-101, rel=1e-4)
+        assert stp_d2d(band, hi, p_d) == pytest.approx(0.95, rel=1e-12)
+        # at Pd = 1e-300 W the true upper end, 1e-640 W, is below every float
+        with pytest.raises(InfeasibleProblem, match="^empty feasible set on band 0$") as raised:
+            solve_cell_phase(system, [1e-300])
+        assert raised.value.constraint == "qos_d2d"
+
     @pytest.mark.parametrize("lambda_c", [1e-306, 1e-309, 1e-312])
     def test_budget_bound_argmax_survives_a_subnormal_lower_end(self, make_band, make_system,
                                                                 lambda_c):
@@ -929,6 +950,16 @@ class TestBaseline:
     @pytest.mark.parametrize("p_cell_fixed_w", [0.0, -0.325])
     def test_nonpositive_fixed_power_rejected(self, make_band, p_cell_fixed_w):
         with pytest.raises(ValueError, match="^fixed cellular power must be positive$"):
+            baseline_fixed_cell(table1_system(make_band), p_cell_fixed_w)
+
+    @pytest.mark.parametrize("p_cell_fixed_w, message", [
+        (math.nan, "must be positive"), (math.inf, "must be finite"),
+        (True, "must be a number, not a bool"),
+    ])
+    def test_non_number_fixed_power_rejected(self, make_band, p_cell_fixed_w, message):
+        # NaN and inf once reached the phase and failed naming cellular power
+        # on band 0; True ran as 1 W and landed in the result as a bool
+        with pytest.raises(ValueError, match=f"^fixed cellular power {message}$"):
             baseline_fixed_cell(table1_system(make_band), p_cell_fixed_w)
 
     def test_runs_single_phase(self, make_band):
