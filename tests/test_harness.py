@@ -668,6 +668,14 @@ class TestSolveAndTrace:
         header = (out / "trace.csv").read_text().splitlines()[0]
         assert header.startswith("# config:")
 
+    def test_example_trace_pinned(self, tmp_path):
+        # the whole trace.csv of the shipped example, config line included:
+        # a change to how the solver keeps its iterates must not move a byte
+        example = Path(__file__).resolve().parents[1] / "examples" / "table1.json"
+        assert main(["trace", "--config", str(example), "--out", str(tmp_path)]) == EXIT_OK
+        digest = hashlib.md5((tmp_path / "trace.csv").read_bytes()).hexdigest()
+        assert digest == "2202fa7a17314b242eb5361eab9b4184"
+
     def test_validate_exit_codes(self, tmp_path):
         ok_cfg = tmp_path / "ok.json"
         ok_cfg.write_text(json.dumps({"lambda_d_ref": 0.0, "lambda_c_ref": 0.0,
