@@ -26,6 +26,7 @@ from .model import (
 from .solver import (
     AllocationResult,
     InfeasibleProblem,
+    Iterate,
     IterationTrace,
     PhaseResult,
     SolveOptions,

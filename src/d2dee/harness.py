@@ -8,8 +8,10 @@ type that carries them:
   fields (``StpEstimate.to_record``) plus ``rng``, ``band``,
   ``count_prob`` and ``pass`` (``run_validate``);
 - ``solve.json``: the result is ``solver.AllocationResult.to_dict``,
-  whose ``trace``, ``metrics`` and ``feasibility`` are the fields of
-  ``IterationTrace``, ``model.MetricsReport`` and ``FeasibilityReport``;
+  whose ``metrics`` and ``feasibility`` are the fields of
+  ``model.MetricsReport`` and ``FeasibilityReport``, and whose ``trace``
+  holds ``iterates`` and ``converged``: each iterate is an ``Iterate``'s
+  fields, its ``d2d`` and ``cell`` a ``PhaseResult``'s;
 - ``trace.csv`` and ``sweep.csv``: the keys of their first row, which
   ``run_trace`` builds in column order and ``run_sweep`` from
   ``sweep_fieldnames``; both share the power and EE-total columns that
@@ -260,16 +262,12 @@ def run_trace(cfg: ExperimentConfig) -> tuple[list[dict], AllocationResult]:
     """One row per outer iteration, its cells in column order: the iteration,
     the shared columns, then the two power deltas."""
     result = run_solve(cfg)
-    trace = result.trace
     columns = _shared_columns(cfg["num_bands"])
-    rows = []
-    for n in range(trace.iterations):
-        row: dict = {"iteration": n + 1}
-        row.update(_shared_cells(columns, trace.p_d2d_w[n], trace.p_cell_w[n],
-                                 trace.ee_d2d_total[n], trace.ee_cell_total[n]))
-        row["delta_d_w"] = _cell(trace.delta_d_w[n])
-        row["delta_c_w"] = _cell(trace.delta_c_w[n])
-        rows.append(row)
+    rows = [{"iteration": n,
+             **_shared_cells(columns, it.d2d.powers, it.cell.powers,
+                             it.ee_d2d_total, it.ee_cell_total),
+             "delta_d_w": _cell(it.delta_d_w), "delta_c_w": _cell(it.delta_c_w)}
+            for n, it in enumerate(result.trace.iterates, 1)]
     return rows, result
 
 

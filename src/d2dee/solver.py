@@ -39,10 +39,10 @@ f_lo,d * f_lo,c <= 1, the product of the lower box factors, and the
 reported ratio Pc/Pd is f_lo,c.
 
 The alternation itself is one loop, _alternate, which yields each outer
-iterate's two phases, power changes and stopping verdict and nothing
-else.  optimize_powers reports every iterate: its trace, its flags and a
-check_feasible report of the last; a caller that needs only the last
-iterate, as a sweep row does, reads the same loop without that report.
+iterate's two PhaseResults, power changes and stopping verdict.
+optimize_powers keeps each iterate as one Iterate record: both phases,
+both changes and its EE totals.  A caller that needs only the last
+iterate, as a sweep row does, reads the same loop and builds no record.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ from .model import (
 __all__ = [
     "InfeasibleProblem",
     "SolveOptions",
+    "Iterate",
     "IterationTrace",
     "AllocationResult",
     "FeasibilityReport",
@@ -110,27 +111,32 @@ class SolveOptions:
 
 
 @dataclass
+class Iterate:
+    """One outer iterate, as _alternate yields it: both phases, each class's
+    largest per-band power change from the previous iterate (the first from
+    zero D2D and the starting cellular powers), and both classes' EE totals
+    from ``metrics`` of the two phases' powers."""
+
+    d2d: PhaseResult
+    cell: PhaseResult
+    delta_d_w: float
+    delta_c_w: float
+    ee_d2d_total: float
+    ee_cell_total: float
+
+
+@dataclass
 class IterationTrace:
-    """Outer-iteration history of the alternating solve, written by _record.
+    """Outer-iteration history of the alternating solve: one Iterate per
+    outer iteration, in order, and whether the last one met the stopping
+    rule (both power changes at most ``eps_power_w``)."""
 
-    Entry n is outer iteration n's iterate, as _alternate, the one loop,
-    yields it: the D2D phase's powers, the cellular phase's powers at them,
-    both classes' EE totals from ``metrics``, and each class's largest
-    per-band power change from the previous entry (the first from zero D2D
-    powers and the starting cellular powers).  ``baseline_fixed_cell``
-    writes one entry: its D2D phase's powers at the fixed cellular powers,
-    ``delta_d_w`` the largest D2D power (its change from zero), ``delta_c_w``
-    0.0, and ``converged``.
-    """
-
-    p_d2d_w: list[list[float]] = field(default_factory=list)
-    p_cell_w: list[list[float]] = field(default_factory=list)
-    ee_d2d_total: list[float] = field(default_factory=list)
-    ee_cell_total: list[float] = field(default_factory=list)
-    delta_d_w: list[float] = field(default_factory=list)
-    delta_c_w: list[float] = field(default_factory=list)
+    iterates: list[Iterate] = field(default_factory=list)
     converged: bool = False
-    iterations: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.iterates)
 
 
 @dataclass
@@ -148,8 +154,13 @@ class FeasibilityReport:
 
 @dataclass
 class AllocationResult:
+    """An allocation, its ``metrics`` report, its feasibility report and its
+    flags.  ``trace`` holds the alternation's iterates (``optimize_powers``);
+    it is None where the result is one D2D phase at fixed cellular powers
+    (``baseline_fixed_cell``), which does not iterate."""
+
     alloc: PowerAllocation
-    trace: IterationTrace
+    trace: IterationTrace | None
     metrics: MetricsReport
     feasibility: FeasibilityReport
     flags: list[str] = field(default_factory=list)
@@ -356,7 +367,8 @@ def _phase_bands(
     return bounds, terms, free, flags
 
 
-class PhaseResult(NamedTuple):
+@dataclass(slots=True)
+class PhaseResult:
     """One phase's answer: the per-band powers of its class, the budget
     multiplier ``mu`` (0 where the budget is slack, inf where exp(ln mu)
     overflows a float), the phase's flags, and each band's power box
@@ -467,15 +479,17 @@ def _alternate(system: SystemParams, opts: SolveOptions):
 def optimize_powers(system: SystemParams, opts: SolveOptions | None = None) -> AllocationResult:
     """Alternate the two phases until both power changes fall below tolerance.
 
-    The iterates are _alternate's, the one loop: each is recorded in the
-    trace (see _record) before the next is solved, and the phases' flags are
+    The iterates are _alternate's, the one loop: each is appended to the
+    trace as an Iterate before the next is solved, and the phases' flags are
     gathered in order of first appearance.  The result holds the last one.
     """
     opts = opts or SolveOptions()
     trace = IterationTrace()
     flags: list[str] = []
     for phase_d, phase_c, delta_d, delta_c, trace.converged in _alternate(system, opts):
-        rep = _record(system, trace, phase_d.powers, phase_c.powers, delta_d, delta_c)
+        rep = metrics(system, PowerAllocation(phase_d.powers, phase_c.powers))
+        trace.iterates.append(Iterate(phase_d, phase_c, delta_d, delta_c,
+                                      rep.ee_d2d_total, rep.ee_cell_total))
         for msg in phase_d.flags + phase_c.flags:
             if msg not in flags:
                 flags.append(msg)
@@ -491,6 +505,7 @@ def baseline_fixed_cell(
     The fixed power is exogenous reference data, not an optimization
     variable, so the per-band cellular cap is not applied to it.  It must
     be a positive, finite number; a bool is not one, as in SolveOptions.
+    The result's ``trace`` is None: there is no iteration to record.
     """
     if isinstance(p_cell_fixed_w, bool):
         raise ValueError("fixed cellular power must be a number, not a bool")
@@ -500,27 +515,11 @@ def baseline_fixed_cell(
         raise ValueError("fixed cellular power must be finite")
     p_cell = [p_cell_fixed_w] * system.num_bands
     phase = solve_d2d_phase(system, p_cell, opts)
-    trace = IterationTrace(converged=True)
-    rep = _record(system, trace, phase.powers, p_cell, max(phase.powers), 0.0)
-    return _result(system, PowerAllocation(phase.powers, p_cell), trace, rep, list(phase.flags))
+    alloc = PowerAllocation(phase.powers, p_cell)
+    return _result(system, alloc, None, metrics(system, alloc), list(phase.flags))
 
 
-def _record(system: SystemParams, trace: IterationTrace, p_d2d: list[float],
-            p_cell: list[float], delta_d: float, delta_c: float) -> MetricsReport:
-    """Append one iterate to ``trace`` and return its ``metrics`` report:
-    the one place a trace entry is written."""
-    rep = metrics(system, PowerAllocation(p_d2d, p_cell))
-    trace.p_d2d_w.append(list(p_d2d))
-    trace.p_cell_w.append(list(p_cell))
-    trace.ee_d2d_total.append(rep.ee_d2d_total)
-    trace.ee_cell_total.append(rep.ee_cell_total)
-    trace.delta_d_w.append(delta_d)
-    trace.delta_c_w.append(delta_c)
-    trace.iterations += 1
-    return rep
-
-
-def _result(system: SystemParams, alloc: PowerAllocation, trace: IterationTrace,
+def _result(system: SystemParams, alloc: PowerAllocation, trace: IterationTrace | None,
             rep: MetricsReport, flags: list[str]) -> AllocationResult:
     """The result of ``alloc``, whose ``metrics`` report is ``rep``, with a
     flag for every band whose power lies below the smallest normal float

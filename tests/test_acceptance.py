@@ -29,7 +29,7 @@ from d2dee import (
 )
 from d2dee.config import build_system
 from d2dee.harness import run_sweep
-from d2dee.solver import optimize_powers
+from d2dee.solver import baseline_fixed_cell, optimize_powers
 from xspace import curvature_interval, golden_section_max, power_from_x, x_from_powers
 
 
@@ -154,14 +154,15 @@ def test_criterion_5_algorithm_convergence():
     result = optimize_powers(system, cfg.options)
     elapsed = time.perf_counter() - start
     trace = result.trace
-    totals = [d + c for d, c in zip(trace.ee_d2d_total, trace.ee_cell_total)]
+    last = trace.iterates[-1]
+    totals = [it.ee_d2d_total + it.ee_cell_total for it in trace.iterates]
     monotone = all(b >= a * (1 - 1e-6) for a, b in zip(totals, totals[1:]))
     ok = (trace.converged and trace.iterations <= 10
-          and trace.delta_d_w[-1] <= 1e-5 and trace.delta_c_w[-1] <= 1e-5
+          and last.delta_d_w <= 1e-5 and last.delta_c_w <= 1e-5
           and monotone and elapsed <= 5.0)
     report("5 algorithm-convergence", ok,
            f"converged={trace.converged} iters={trace.iterations} "
-           f"deltas=({trace.delta_d_w[-1]:.1e},{trace.delta_c_w[-1]:.1e}) "
+           f"deltas=({last.delta_d_w:.1e},{last.delta_c_w:.1e}) "
            f"monotone={monotone} time={elapsed:.2f}s")
 
 
@@ -186,6 +187,46 @@ def test_criterion_6_joint_vs_fixed_dominance():
     report("6 joint-vs-fixed-dominance", ok,
            f"dominant={dominance} densest improvement={improvement:.2e} "
            f"time={elapsed:.2f}s")
+
+
+def test_criterion_6s_scale_free_joint_vs_fixed_gain():
+    """Criterion 6 on the part of D2D EE that the model fixes: the gain of
+    the joint solve over the fixed-cellular baseline in the unit-power D2D
+    efficiency, W * log2(1+T) * STP_d2d summed over bands, at each point of
+    criterion 6's sweep.
+
+    Criterion 6's bit/J ratio compares two 1/P factors, which the stopping
+    rule sets (see 7a).  This gain is scale-free.  The layout is in the
+    QoS-bound regime, so the baseline's D2D phase returns its QoS end,
+    STP_d2d = 1 - theta_d on every band, while the joint solve ends on a
+    cellular phase, after which STP_d2d lies between 1 - theta_d and 1:
+    each gain lies in (0, theta_d / (1 - theta_d)].  Printed, as measured.
+    """
+    cfg = table1_config(
+        sir_threshold_d2d=1e-6, sir_threshold_cell=1e-6,
+        budget_d2d_w=0.08, lambda_c_ref=1e-5, baseline_p_cell_w=0.325,
+        sweep_variable="lambda_d_ref",
+        sweep_grid=list(np.geomspace(1e-5, 1e-3, 12)),
+    )
+    rows = run_sweep(cfg)
+    assert all(r["infeasible_bands"] == "" for r in rows)
+
+    def unit_power_d2d_ee(system, p_cell, p_d2d):
+        return math.fsum(ee_per_band(band, pc, pd)[0] * pd
+                         for band, pc, pd in zip(system.bands, p_cell, p_d2d))
+
+    gains = []
+    for r in rows:
+        system = build_system(cfg.with_overrides(lambda_d_ref=float(r["swept_value"])))
+        m = system.num_bands
+        joint = unit_power_d2d_ee(system, [float(r[f"p_cell_w_{i}"]) for i in range(m)],
+                                  [float(r[f"p_d2d_w_{i}"]) for i in range(m)])
+        base = baseline_fixed_cell(system, cfg["baseline_p_cell_w"], cfg.options).alloc
+        gains.append(joint / unit_power_d2d_ee(system, base.p_cell_w, base.p_d2d_w) - 1.0)
+    bound = max(b.outage_cap_d2d / (1.0 - b.outage_cap_d2d) for b in system.bands)
+    ok = all(0.0 < g <= bound for g in gains)
+    report("6s scale-free-joint-vs-fixed-gain", ok,
+           f"gains={', '.join(f'{g:+.3%}' for g in gains)} bound={bound:.3%}")
 
 
 def test_criterion_7a_d2d_density_unimodality():

@@ -528,28 +528,49 @@ class TestSolveAndTrace:
         assert result.metrics.ee_cell_total == result.metrics.ee_total == math.inf
         assert math.isfinite(result.metrics.ee_d2d_total)
 
+    @staticmethod
+    def result_digests(cfg_path, out) -> tuple[str, str]:
+        """The md5 of ``solve.json``'s result block, and of that block with
+        its trace laid out as six parallel lists, one entry per iterate,
+        plus ``converged`` and ``iterations``: the layout before the trace
+        kept one record per iterate, whose digests the pins keep."""
+        assert main(["solve", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+        result = json.loads((out / "solve.json").read_text())["result"]
+        trace = result["trace"]
+        lists = {
+            "p_d2d_w": [it["d2d"]["powers"] for it in trace["iterates"]],
+            "p_cell_w": [it["cell"]["powers"] for it in trace["iterates"]],
+            **{key: [it[key] for it in trace["iterates"]]
+               for key in ("ee_d2d_total", "ee_cell_total", "delta_d_w", "delta_c_w")},
+            "converged": trace["converged"], "iterations": len(trace["iterates"]),
+        }
+        return tuple(hashlib.md5(json.dumps(block, sort_keys=True).encode()).hexdigest()
+                     for block in (result, {**result, "trace": lists}))
+
     def test_solve_result_pinned(self, tmp_path):
         # the md5 of the Table-1 result block (thresholds 1e-5), pinned when
-        # each band's constants moved out of the phase calls
+        # each band's constants moved out of the phase calls, and re-pinned
+        # when the trace became one record per iterate
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(acc5_overrides()))
-        assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_OK
-        result = json.loads((tmp_path / "solve.json").read_text())["result"]
-        digest = hashlib.md5(json.dumps(result, sort_keys=True).encode()).hexdigest()
-        assert digest == "995e20e8218566631d5d64dc814e5cb9"
+        assert self.result_digests(cfg_path, tmp_path) == (
+            "12d85e1838134c5c34944b0317068305", "995e20e8218566631d5d64dc814e5cb9")
 
-    @pytest.mark.parametrize("budget_d2d_w, digest", [
-        (0.1, "3f8466cd39d96e08ef59b9057bfe0948"),  # converges in 7; 14 of 14 phases mu > 0
-        (0.2, "5f27b3540749e87cbe49fbff2906db91"),  # 10-iteration cap; 15 of 20 mu > 0
+    @pytest.mark.parametrize("budget_d2d_w, digests", [
+        # converges in 7; 14 of 14 phases mu > 0
+        (0.1, ("7eacd02daa9344a9dd61aa421b087560", "3f8466cd39d96e08ef59b9057bfe0948")),
+        # 10-iteration cap; 15 of 20 mu > 0
+        (0.2, ("01341c532d819fec8a0e7616248c7c72", "5f27b3540749e87cbe49fbff2906db91")),
     ], ids=["budget_d2d_0.1", "budget_d2d_0.2"])
-    def test_budget_bound_result_pinned(self, budget_d2d_w, digest, tmp_path):
+    def test_budget_bound_result_pinned(self, budget_d2d_w, digests, tmp_path):
         # the md5 of the result block on the sweep-budget layout, where the
         # budgets bind and ln mu is bisected (the Table-1 pin above has
-        # mu = 0 in every phase).  Pinned when the bisection moved to ln mu,
-        # between closed-form ends, and re-pinned since where powers moved by
-        # a few ulps (CHANGES.md records each digest).  ROADMAP item 2's exact
-        # phase moves these bits on purpose: it must re-pin, recording the old
-        # and new digests.
+        # mu = 0 in every phase), and of that block in the trace layout
+        # before one record per iterate.  Pinned when the bisection moved to
+        # ln mu, between closed-form ends, and re-pinned since where powers
+        # moved by a few ulps (CHANGES.md records each digest).  ROADMAP item
+        # 2's exact phase moves these bits on purpose: it must re-pin,
+        # recording the old and new digests.
         coupled = 2.5 / (math.pi * 20.0**2 * math.pi / 2.0)
         doc = {
             "num_bands": 5, "bandwidth_hz": 20e6, "pathloss_exponent": 4.0,
@@ -564,9 +585,7 @@ class TestSolveAndTrace:
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(doc))
-        assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == EXIT_OK
-        result = json.loads((tmp_path / "solve.json").read_text())["result"]
-        assert hashlib.md5(json.dumps(result, sort_keys=True).encode()).hexdigest() == digest
+        assert self.result_digests(cfg_path, tmp_path) == digests
 
     @pytest.mark.parametrize("where, path, names", [
         ("--config", lambda tmp: tmp / "missing.json", "No such file or directory"),
@@ -840,14 +859,14 @@ class TestSweep:
 
     def test_point_evaluates_metrics_twice_and_reports_nothing(self, monkeypatch):
         # the closed forms of the last iterate and of the baseline only: no
-        # earlier iterate's metrics, no trace entry and no feasibility report
+        # earlier iterate's metrics, no trace record and no feasibility report
         import d2dee.harness
         import d2dee.model
         import d2dee.solver
 
-        calls = {"metrics": 0, "check_feasible": 0, "_record": 0}
+        calls = {"metrics": 0, "check_feasible": 0, "Iterate": 0}
         for module, name in [(d2dee.model, "metrics"), (d2dee.solver, "check_feasible"),
-                             (d2dee.solver, "_record")]:
+                             (d2dee.solver, "Iterate")]:
             real = getattr(module, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
@@ -863,7 +882,7 @@ class TestSweep:
         rows = run_sweep(cfg)
         assert all(row["infeasible_bands"] == "" for row in rows)
         assert any(row["iterations"] > 1 for row in rows)  # optimize_powers would record each
-        assert calls == {"metrics": 2 * len(rows), "check_feasible": 0, "_record": 0}
+        assert calls == {"metrics": 2 * len(rows), "check_feasible": 0, "Iterate": 0}
 
     def test_bytes_identical_rerun(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

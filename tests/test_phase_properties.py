@@ -16,6 +16,7 @@ exactly when its own outage margin is at most alpha/2.
 """
 
 import dataclasses
+import functools
 import math
 import sys
 
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from d2dee import BandParams, InfeasibleProblem, PowerAllocation, SystemParams
+from d2dee import BandParams, ExperimentConfig, InfeasibleProblem, PowerAllocation, SystemParams
 from d2dee import (asr, baseline_fixed_cell, ee_per_band, metrics, optimize_powers,
                    solve_cell_phase, solve_d2d_phase, stp_cell, stp_d2d)
 from d2dee.solver import (BUDGET_TOL_REL, SolveOptions, _h, _Objective, _phase_bands,
@@ -280,14 +281,12 @@ def test_whole_solve_is_named_or_feasible(problem):
 
 
 def check_entries(system: SystemParams, trace) -> None:
-    """Every trace list has one entry per iteration, and each entry's EE
-    totals are ``metrics`` of its powers, bit for bit."""
-    lists = (trace.p_d2d_w, trace.p_cell_w, trace.ee_d2d_total, trace.ee_cell_total,
-             trace.delta_d_w, trace.delta_c_w)
-    assert [len(entries) for entries in lists] == [trace.iterations] * 6
-    for p_d, p_c, ee_d, ee_c in zip(*lists[:4]):
-        rep = metrics(system, PowerAllocation(p_d, p_c))
-        assert (ee_d, ee_c) == (rep.ee_d2d_total, rep.ee_cell_total)
+    """The trace holds one record per iteration, and each record's EE totals
+    are ``metrics`` of its two phases' powers, bit for bit."""
+    assert len(trace.iterates) == trace.iterations
+    for it in trace.iterates:
+        rep = metrics(system, PowerAllocation(it.d2d.powers, it.cell.powers))
+        assert (it.ee_d2d_total, it.ee_cell_total) == (rep.ee_d2d_total, rep.ee_cell_total)
 
 
 def max_change(new: list[float], old: list[float]) -> float:
@@ -307,30 +306,27 @@ def test_trace_records_each_iterate(problem, max_outer_iters, p_cell_fixed):
     else:
         trace = result.trace
         check_entries(system, trace)
+        iterates = trace.iterates
         start = [min(b.max_power_cell_w, system.budget_cell_w / system.num_bands)
                  for b in system.bands]
-        assert trace.delta_d_w[0] == max(trace.p_d2d_w[0])
-        assert trace.delta_c_w[0] == max_change(trace.p_cell_w[0], start)
-        for n in range(1, trace.iterations):
-            assert trace.delta_d_w[n] == max_change(trace.p_d2d_w[n], trace.p_d2d_w[n - 1])
-            assert trace.delta_c_w[n] == max_change(trace.p_cell_w[n], trace.p_cell_w[n - 1])
-        settled = [d <= eps and c <= eps for d, c in zip(trace.delta_d_w, trace.delta_c_w)]
+        assert iterates[0].delta_d_w == max(iterates[0].d2d.powers)
+        assert iterates[0].delta_c_w == max_change(iterates[0].cell.powers, start)
+        for prev, it in zip(iterates, iterates[1:]):
+            assert it.delta_d_w == max_change(it.d2d.powers, prev.d2d.powers)
+            assert it.delta_c_w == max_change(it.cell.powers, prev.cell.powers)
+        settled = [it.delta_d_w <= eps and it.delta_c_w <= eps for it in iterates]
         assert trace.converged == settled[-1]
         assert not any(settled[:-1])  # the loop stops at the first settled iterate
         assert trace.converged or trace.iterations == max_outer_iters
-        assert (result.alloc.p_d2d_w, result.alloc.p_cell_w) == (trace.p_d2d_w[-1],
-                                                                 trace.p_cell_w[-1])
+        assert (result.alloc.p_d2d_w, result.alloc.p_cell_w) == (iterates[-1].d2d.powers,
+                                                                 iterates[-1].cell.powers)
     try:
         result = baseline_fixed_cell(system, p_cell_fixed, opts)
     except InfeasibleProblem:
         return
-    trace = result.trace
-    check_entries(system, trace)
-    assert trace.iterations == 1 and trace.converged
-    assert trace.p_d2d_w == [result.alloc.p_d2d_w]
-    assert trace.p_cell_w == [[p_cell_fixed] * system.num_bands]
-    assert trace.delta_d_w == [max(result.alloc.p_d2d_w)]
-    assert trace.delta_c_w == [0.0]
+    assert result.trace is None  # one D2D phase at fixed cellular powers, no iteration
+    assert result.alloc.p_cell_w == [p_cell_fixed] * system.num_bands
+    assert result.metrics == metrics(system, result.alloc)
 
 
 def twin(system: SystemParams) -> SystemParams:
@@ -487,3 +483,71 @@ def test_tiny_density_solves_are_feasible_or_name_their_fault(problem):
             continue
         assert all(math.isfinite(p) for p in result.alloc.p_d2d_w + result.alloc.p_cell_w)
         assert result.feasibility.ok
+
+
+# ---------------------------------------------------------------------------
+# the alternation's outer map T(q): the cellular phase at the D2D phase's
+# answer at cellular powers q, one step of the solve
+
+# acceptance criterion 6's layout, whose budgets are slack
+CRITERION_6 = dict(sir_threshold_d2d=1e-6, sir_threshold_cell=1e-6, lambda_c_ref=1e-5,
+                   budget_d2d_w=0.08, baseline_p_cell_w=0.325)
+# the layout of the benchmark's budget sweep, without its D2D budget:
+# coupling 2.5 per unit multiplier at 20 m links and T = 1, caps lifted
+COUPLED = 2.5 / (math.pi * 20.0**2 * math.pi / 2.0)
+BUDGET_BOUND = dict(
+    sir_threshold_d2d=1.0, sir_threshold_cell=1.0, outage_cap_d2d=0.999,
+    outage_cap_cell=0.999999, d2d_link_distance_m=20.0, cell_link_distance_m=20.0,
+    lambda_d_ref=COUPLED, lambda_c_ref=COUPLED, multiplier_d2d=[1.0, 1.1, 1.2, 1.3, 1.4],
+    multiplier_cell=[1.0, 1.1, 1.2, 1.3, 1.4], max_power_d2d_w=1e3, max_power_cell_w=1e3,
+    budget_cell_w=0.1, baseline_p_cell_w=0.02)
+
+
+def outer_map(system: SystemParams, q: list[float]) -> list[float]:
+    return solve_cell_phase(system, solve_d2d_phase(system, q).powers).powers
+
+
+@functools.lru_cache
+def criterion_6_mid_iterate(lambda_d_ref: float) -> tuple[SystemParams, list[float]]:
+    """Criterion 6's system at ``lambda_d_ref`` and the cellular powers of
+    the middle iterate of its solve."""
+    system = ExperimentConfig().with_overrides(**CRITERION_6, lambda_d_ref=lambda_d_ref).system
+    iterates = optimize_powers(system).trace.iterates
+    return system, iterates[len(iterates) // 2].cell.powers
+
+
+@pytest.mark.parametrize("lambda_d_ref", [1e-5, 1e-4])
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_slack_budget_outer_map_is_monotone_and_homogeneous(lambda_d_ref, data):
+    """Where no budget binds, T is monotone (q <= q' gives T(q) <= T(q')) and
+    homogeneous of degree 1 band by band, T(beta q) = beta T(q): each band's
+    output is its input times the product of the two phases' clamp factors.
+    Pairs are drawn by log-perturbations of +-0.3 around a mid iterate."""
+    system, mid = criterion_6_mid_iterate(lambda_d_ref)
+    m = system.num_bands
+    shift = data.draw(st.lists(st.floats(-0.3, 0.3), min_size=m, max_size=m))
+    rise = data.draw(st.lists(st.floats(0.0, 0.3), min_size=m, max_size=m))
+    beta = math.exp(data.draw(st.floats(0.0, 0.3)))
+    q = [p * math.exp(s) for p, s in zip(mid, shift)]
+    q_up = [p * math.exp(r) for p, r in zip(q, rise)]
+    t, t_up, t_beta = (outer_map(system, x) for x in (q, q_up, [beta * p for p in q]))
+    assert all(a <= b for a, b in zip(t, t_up))
+    assert all(math.isclose(b, beta * a, rel_tol=4 * sys.float_info.epsilon, abs_tol=0.0)
+               for a, b in zip(t, t_beta))
+
+
+def test_budget_bound_outer_map_is_not_monotone():
+    # at budget_d2d_w 0.2 both phases bind: from the solve's start, 0.02 W on
+    # every band, 20% more cellular power on every band moves the D2D and
+    # cellular budgets between bands, and band 4's cellular answer falls
+    # from 5.51e-3 to 4.82e-3 W.  No standard-interference argument covers
+    # this regime.
+    system = ExperimentConfig().with_overrides(**BUDGET_BOUND, budget_d2d_w=0.2).system
+    q = [system.budget_cell_w / system.num_bands] * system.num_bands
+    cells = []
+    for x in (q, [1.2 * p for p in q]):
+        d2d = solve_d2d_phase(system, x)
+        cells.append(solve_cell_phase(system, d2d.powers))
+        assert d2d.mu > 0.0 and cells[-1].mu > 0.0
+    assert cells[1].powers[4] < 0.9 * cells[0].powers[4]

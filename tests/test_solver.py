@@ -257,7 +257,8 @@ class TestPhaseOne:
         band = slack_band(make_band)
         budget = 2.5e-8  # between the QoS minimum and the unconstrained spend
         system = make_system(bands=[band, band], budget_d2d_w=budget)
-        p_d, mu, _, _ = solve_d2d_phase(system, [0.3, 0.3])
+        phase = solve_d2d_phase(system, [0.3, 0.3])
+        p_d, mu = phase.powers, phase.mu
         spent = math.fsum(p_d)
         assert spent <= budget * (1 + 1e-12)
         assert mu > 0
@@ -270,7 +271,8 @@ class TestPhaseOne:
         # over its whole box, checked on a fine grid through the public model
         band = slack_band(make_band)
         system = make_system(bands=[band, band], budget_d2d_w=2.5e-8)
-        p_d, mu, flags, _ = solve_d2d_phase(system, [0.3, 0.3])
+        phase = solve_d2d_phase(system, [0.3, 0.3])
+        p_d, mu, flags = phase.powers, phase.mu, phase.flags
         assert mu > 0 and not flags
         for i, band in enumerate(system.bands):
             box = x_feasible_box(band, 0.3, i)
@@ -303,7 +305,8 @@ class TestPhaseOne:
         band = make_band(density_cell=0.0, density_d2d=1e-6)
         system = make_system(bands=[band])
         opts = SolveOptions()
-        p_d, _, flags, _ = solve_d2d_phase(system, [0.3], opts)
+        phase = solve_d2d_phase(system, [0.3], opts)
+        p_d, flags = phase.powers, phase.flags
         assert p_d[0] == opts.eps_power_w
         assert flags == ["band 0: no cellular density, D2D power anchored at tolerance"]
 
@@ -318,7 +321,8 @@ class TestPhaseOne:
                          cell_link_distance_m=60.0)
         f_lo, _, _, _, c = band._phase["d2d"][:5]
         assert f_lo == 0.0 and c > 0.0
-        p_d, _, flags, bounds = solve_d2d_phase(make_system(bands=[band]), [0.3])
+        phase = solve_d2d_phase(make_system(bands=[band]), [0.3])
+        p_d, flags, bounds = phase.powers, phase.flags, phase.bounds
         assert p_d == [SolveOptions().eps_power_w] and bounds == [(0.0, 0.02)]
         assert flags == ["band 0: cellular density too small for a positive D2D lower end, "
                          "D2D power anchored at tolerance"]
@@ -354,7 +358,8 @@ class TestObjective:
         monkeypatch.setattr(solver._Objective, "ln_gain", counted)
         band = slack_band(make_band)
         system = make_system(bands=[band, band], budget_d2d_w=1e3, budget_cell_w=1e3)
-        p_d, mu_d, _, _ = solve_d2d_phase(system, [0.3, 0.3])
+        phase = solve_d2d_phase(system, [0.3, 0.3])
+        p_d, mu_d = phase.powers, phase.mu
         mu_c = solve_cell_phase(system, p_d).mu
         assert mu_d == mu_c == 0.0
         assert calls == []
@@ -564,7 +569,8 @@ class TestPhaseTwo:
         # no multiplier meets the budget; scaling whole powers (lower ends
         # included) once clamped band 0 back to its lower end and overspent
         system, budget = self.over_budget_lower_ends(make_band, make_system)
-        p_c, _, flags, bounds = solve_cell_phase(system, [0.02, 0.02])
+        phase = solve_cell_phase(system, [0.02, 0.02])
+        p_c, flags, bounds = phase.powers, phase.flags, phase.bounds
         assert flags == ["cellular lower ends exceed the budget within BUDGET_TOL_REL"]
         assert math.fsum(p_c) <= budget * (1.0 + solver.BUDGET_TOL_REL)
         for p, (lo, hi) in zip(p_c, bounds):
@@ -596,7 +602,8 @@ class TestPhaseTwo:
             return argmax_ln(self, ln_mu)
 
         monkeypatch.setattr(solver._Objective, "argmax_ln", counted)
-        p_c, mu, flags, bounds = solve_cell_phase(system, [0.02, 0.02])
+        phase = solve_cell_phase(system, [0.02, 0.02])
+        p_c, mu, flags, bounds = phase.powers, phase.mu, phase.flags, phase.bounds
         assert calls == []
         assert p_c == [lo for lo, _ in bounds]
         assert mu == 0.0
@@ -610,11 +617,12 @@ class TestPhaseTwo:
         band = make_band(max_power_d2d_w=1e3, max_power_cell_w=1e3,
                          outage_cap_d2d=0.9999, outage_cap_cell=0.999999)
         for q in ([1e-140] * 2, [1e-170] * 2, [1e-200] * 2):
-            free, _, _, slack_bounds = solve_cell_phase(make_system(bands=[band, band]), q)
+            slack = solve_cell_phase(make_system(bands=[band, band]), q)
+            free, slack_bounds = slack.powers, slack.bounds
             floor = math.fsum(lo for lo, _ in slack_bounds)
             budget = 0.5 * (floor + math.fsum(free))
-            p_c, mu, flags, bounds = solve_cell_phase(
-                make_system(bands=[band, band], budget_cell_w=budget), q)
+            phase = solve_cell_phase(make_system(bands=[band, band], budget_cell_w=budget), q)
+            p_c, mu, flags, bounds = phase.powers, phase.mu, phase.flags, phase.bounds
             assert mu > 0.0
             assert flags == []
             assert budget * (1.0 - solver.BUDGET_TOL_REL) <= math.fsum(p_c) <= budget
@@ -627,7 +635,8 @@ class TestPhaseTwo:
         # of slack here, unless the end steps up)
         system = make_system(pathloss_exponent=2.5, density_d2d=1e-260, outage_cap_d2d=0.5,
                              outage_cap_cell=0.5, max_power_d2d_w=1.0, max_power_cell_w=1.0)
-        p_c, _, _, bounds = solve_cell_phase(system, [0.01])
+        phase = solve_cell_phase(system, [0.01])
+        p_c, bounds = phase.powers, phase.bounds
         assert p_c[0] == bounds[0][0] < sys.float_info.min
         slacks = check_feasible(system, PowerAllocation([0.01], p_c)).band_slacks[0]
         assert slacks["qos_cell"] >= 0.0
@@ -638,7 +647,8 @@ class TestPhaseTwo:
         # the end steps up one ulp rather than being anchored and flagged
         system = make_system(density_d2d=1e-7, outage_cap_cell=0.9)
         assert system.bands[0]._phase["cell"][0] * 1e-320 == 0.0
-        p_c, _, flags, bounds = solve_cell_phase(system, [1e-320])
+        phase = solve_cell_phase(system, [1e-320])
+        p_c, flags, bounds = phase.powers, phase.flags, phase.bounds
         assert p_c == [bounds[0][0]] == [5e-324]
         assert flags == []
         assert check_feasible(system, PowerAllocation([1e-320], p_c)).ok
@@ -663,7 +673,8 @@ class TestPhaseTwo:
         interior = (c / 2) ** 2
         budget = 1.2 * interior  # < 2 * interior
         system = make_system(bands=[band, band], budget_cell_w=budget)
-        p_c, mu, _, _ = solve_cell_phase(system, [0.02, 0.02])
+        phase = solve_cell_phase(system, [0.02, 0.02])
+        p_c, mu = phase.powers, phase.mu
         spent = math.fsum(p_c)
         assert spent <= budget * (1 + 1e-12)
         assert (budget - spent) <= 1e-6 * budget
@@ -675,7 +686,8 @@ class TestPhaseTwo:
         band = make_band(outage_cap_d2d=0.9999, outage_cap_cell=0.999999)
         c = band.coeff_cell() * band.density_d2d * 0.02**0.5
         system = make_system(bands=[band, band], budget_cell_w=1.2 * (c / 2) ** 2)
-        p_c, mu, flags, bounds = solve_cell_phase(system, [0.02, 0.02])
+        phase = solve_cell_phase(system, [0.02, 0.02])
+        p_c, mu, flags, bounds = phase.powers, phase.mu, phase.flags, phase.bounds
         assert mu > 0 and not flags
         for i, band in enumerate(system.bands):
             lo, hi = bounds[i]
@@ -773,8 +785,8 @@ class TestIterate:
         trace = result.trace
         assert trace.converged
         assert trace.iterations <= 10
-        assert trace.delta_d_w[-1] <= 1e-5
-        assert trace.delta_c_w[-1] <= 1e-5
+        assert trace.iterates[-1].delta_d_w <= 1e-5
+        assert trace.iterates[-1].delta_c_w <= 1e-5
         assert result.feasibility.ok
 
     def test_fixed_point_of_both_phases(self, make_band):
@@ -782,8 +794,8 @@ class TestIterate:
         system = cap_pinned_system(make_band)
         result = optimize_powers(system)
         assert result.trace.converged
-        assert result.trace.delta_d_w[-1] == 0.0
-        assert result.trace.delta_c_w[-1] == 0.0
+        assert result.trace.iterates[-1].delta_d_w == 0.0
+        assert result.trace.iterates[-1].delta_c_w == 0.0
         assert result.alloc.p_cell_w == [0.3]  # pinned at the cellular cap
         p_c = list(result.alloc.p_cell_w)
         p_d_again = solve_d2d_phase(system, p_c).powers
@@ -794,22 +806,22 @@ class TestIterate:
     def test_each_phase_improves_its_own_objective(self, make_band):
         system = table1_system(make_band)
         result = optimize_powers(system)
-        trace = result.trace
-        for n in range(1, trace.iterations):
-            p_c_prev = trace.p_cell_w[n - 1]
+        iterates = result.trace.iterates
+        for prev, it in zip(iterates, iterates[1:]):
+            p_c_prev = prev.cell.powers
             old_d = [  # previous D2D powers re-evaluated at the current cellular powers
-                ee_per_band(band, p_c_prev[i], trace.p_d2d_w[n - 1][i])[0]
+                ee_per_band(band, p_c_prev[i], prev.d2d.powers[i])[0]
                 for i, band in enumerate(system.bands)
             ]
             new_d = [
-                ee_per_band(band, p_c_prev[i], trace.p_d2d_w[n][i])[0]
+                ee_per_band(band, p_c_prev[i], it.d2d.powers[i])[0]
                 for i, band in enumerate(system.bands)
             ]
             assert math.fsum(new_d) >= math.fsum(old_d) * (1 - 1e-9)
 
     def test_monotone_ee_total_trace(self, make_band):
         trace = optimize_powers(table1_system(make_band)).trace
-        totals = [d + c for d, c in zip(trace.ee_d2d_total, trace.ee_cell_total)]
+        totals = [it.ee_d2d_total + it.ee_cell_total for it in trace.iterates]
         for a, b in zip(totals, totals[1:]):
             assert b >= a * (1 - 1e-6)
 
@@ -933,9 +945,9 @@ def test_solve_is_the_closed_form_sequence_on_qos_bound_configs(systems):
         trace = optimize_powers(system, opts).trace
         iterates, converged = qos_bound_sequence(system, opts)
         assert (trace.iterations, trace.converged) == (len(iterates), converged)
-        for n, (p_d, p_c) in enumerate(iterates):
-            assert trace.p_d2d_w[n] == pytest.approx(p_d, rel=1e-12, abs=0.0)
-            assert trace.p_cell_w[n] == pytest.approx(p_c, rel=1e-12, abs=0.0)
+        for it, (p_d, p_c) in zip(trace.iterates, iterates):
+            assert it.d2d.powers == pytest.approx(p_d, rel=1e-12, abs=0.0)
+            assert it.cell.powers == pytest.approx(p_c, rel=1e-12, abs=0.0)
 
 
 class TestBaseline:
@@ -965,7 +977,7 @@ class TestBaseline:
     def test_runs_single_phase(self, make_band):
         system = table1_system(make_band)
         result = baseline_fixed_cell(system, 0.325)
-        assert result.trace.iterations == 1
+        assert result.trace is None  # one D2D phase, no iteration
         assert all(p == 0.325 for p in result.alloc.p_cell_w)
         assert result.metrics.ee_d2d_total > 0
         assert all(math.isfinite(v) for v in result.metrics.ee_d2d)
