@@ -140,10 +140,10 @@ class ExperimentConfig:
         ``with_overrides(**{key: value}).system`` and fails with the same
         message, but resolves nothing.  A density point copies each band
         with that one density set to the product ``build_system`` forms
-        (``BandParams._with_density``): the interference coefficients and
-        rates are the band's, and only the outage margins and phase
-        constants are derived anew.  A budget point shares this config's
-        bands."""
+        (``BandParams._with_density``): the interference coefficients,
+        rates and outage exponents are the band's, and only the outage
+        margins and phase constants are derived anew.  A budget point
+        shares this config's bands."""
         why = _number_fault(key, None, value) or _range_fault(key, None, value)
         if why is not None:
             _fail(key, why)

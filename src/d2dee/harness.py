@@ -39,8 +39,8 @@ from pathlib import Path
 
 from .config import DENSITY_FIELDS, SWEEP_KEYS, ExperimentConfig
 from .model import PowerAllocation, SystemParams, metrics
-from .solver import (AllocationResult, InfeasibleProblem, _alternate, optimize_powers,
-                     solve_d2d_phase)
+from .solver import (AllocationResult, InfeasibleProblem, _alternate, _fixed_cell_phase,
+                     optimize_powers)
 
 __all__ = [
     "run_validate",
@@ -68,35 +68,42 @@ def _band_text(fields: dict) -> str:
     return json.dumps(fields, sort_keys=True)
 
 
-def _bands_md5(texts) -> str:
-    """The md5 of the JSON list of the bands whose texts are ``texts``."""
-    return hashlib.md5(f"[{', '.join(texts)}]".encode()).hexdigest()
+def _bands_text(bands) -> str:
+    """The JSON list of the bands whose fields are ``bands``, as the band hash hashes it."""
+    return f"[{', '.join(map(_band_text, bands))}]"
 
 
 def _band_hash(system: SystemParams) -> str:
-    return _bands_md5(_band_text(vars(b)) for b in system.bands)
+    return hashlib.md5(_bands_text(vars(b) for b in system.bands).encode()).hexdigest()
 
 
 def _point_hash(system: SystemParams, key: str):
     """``_band_hash`` as a function of a sweep point's system, for points
     that set ``key`` of the config whose system is ``system``.  A budget
     point shares its bands, and so their md5.  A density point differs only
-    in each band's one density: each band's text is rendered once, and each
-    point renders only its densities, with one ``json.dumps`` of their list
-    (as the full text has them, ``Infinity`` included), into it."""
+    in each band's one density: the text of the bands is rendered once,
+    with that density cut out, and hashed up to the first band's density.
+    Each point copies that md5 state and feeds it only its densities, from
+    one ``json.dumps`` of their list (as the full text has them,
+    ``Infinity`` included), and the constant bytes between them."""
     if key not in DENSITY_FIELDS:
         md5 = _band_hash(system)
         return lambda point: md5
     density = DENSITY_FIELDS[key][0]
     label = f'"{density}": '
-    halves = [_band_text({**vars(b), density: None}).split(label + "null")
-              for b in system.bands]
+    blank = _bands_text({**vars(b), density: None} for b in system.bands)
+    head, *rests = blank.split(label + "null")
+    prefix = hashlib.md5((head + label).encode())
+    gaps = [(rest + label).encode() for rest in rests[:-1]] + [rests[-1].encode()]
 
     def band_hash(point: SystemParams) -> str:
         # a rendered number holds no ", ", so the list splits into its items
         values = json.dumps([getattr(b, density) for b in point.bands])[1:-1].split(", ")
-        return _bands_md5(f"{head}{label}{value}{tail}"
-                          for (head, tail), value in zip(halves, values))
+        md5 = prefix.copy()
+        for value, gap in zip(values, gaps):
+            md5.update(value.encode())
+            md5.update(gap)
+        return md5.hexdigest()
 
     return band_hash
 
@@ -323,11 +330,12 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
 
     A row reads only the joint solve's last iterate and the baseline's D2D
     EE total.  So a point runs ``solver._alternate``, the loop of
-    ``optimize_powers``, and ``solve_d2d_phase`` at the baseline power on
-    every band, as ``baseline_fixed_cell`` does, and evaluates ``metrics``
-    once on each answer; it builds no trace, flags or feasibility report.
-    Skipping the earlier iterates' ``metrics`` cannot change a row, as none
-    of them could raise.  On a resolved config every cap is finite, and
+    ``optimize_powers``, and ``solver._fixed_cell_phase``, the D2D phase
+    at the baseline power on every band that ``baseline_fixed_cell`` runs,
+    and evaluates ``metrics`` once on each answer; it builds no trace,
+    flags or feasibility report.  Skipping the earlier iterates'
+    ``metrics`` cannot change a row, as none of them could raise.  On a
+    resolved config every cap is finite, and
     ``metrics`` raises only on a power that is not positive and finite or
     on a NaN success probability.  A phase returns neither: each power lies
     in its box [lo, hi], with lo > 0 and hi at most the cap, and ``_stp``
@@ -342,7 +350,6 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     fields = sweep_fieldnames(cfg["num_bands"])
     columns = _shared_columns(cfg["num_bands"])
     options = cfg.options
-    base_p_cell = [cfg["baseline_p_cell_w"]] * cfg["num_bands"]
     band_hash = _point_hash(cfg.system, key)
     rows = []
     for index, value in enumerate(grid):
@@ -367,7 +374,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
         except ValueError as exc:
             _note(row, exc)
         try:
-            base = solve_d2d_phase(system, base_p_cell, options)
+            base_p_cell, base = _fixed_cell_phase(system, cfg["baseline_p_cell_w"], options)
             rep = metrics(system, PowerAllocation(base.powers, base_p_cell))
             row["baseline_ee_d2d_total"] = _cell(rep.ee_d2d_total)
         except ValueError as exc:

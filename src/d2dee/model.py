@@ -9,9 +9,10 @@ per m^2); SIR thresholds are linear, not dB.
 
 Every function here is pure.  Bands and systems are frozen: a band
 computes its interference coefficients, each class's rate per unit
-bandwidth log2(1+T) and the constants of both power allocation phases
-once, on construction, and nothing changes them after; a copy with one
-density changed keeps the first two and derives the phase constants.
+bandwidth log2(1+T) and outage exponent -ln(1-theta), and the constants
+of both power allocation phases once, on construction, and nothing
+changes them after; a copy with one density changed keeps the first
+three and derives the phase constants.
 Each success probability is written once, in ``_stp``, and ``metrics``
 evaluates a band in one pass that gives what ``stp_d2d``, ``stp_cell``,
 ``asr`` and ``ee_per_band`` give, bit for bit.  Safe to call from any
@@ -100,23 +101,24 @@ class BandParams:
     Outage caps bound the tolerated outage probability per link class.
     A band computes on construction, once, what depends on it alone: the
     interference coefficients, each class's rate per unit bandwidth
-    log2(1+T), the outage margins -ln(1-theta) - coeff*lambda of both
-    classes, which are positive where a class's cap is reachable, and, if
-    both are, the phase constants of each class that ``solver._phase_bands``
-    scales by the other class's powers.  With k = alpha/2 and c = coeff_own
-    * lambda_other, these are the box factors f_lo = (c / margin_own)^k and
-    f_hi = (margin_other / (coeff_other * lambda_own))^k, and f_free =
-    (2c/alpha)^k, the factor of the class's best power at a slack budget.
+    log2(1+T) and outage exponent -ln(1-theta), the outage margins
+    -ln(1-theta) - coeff*lambda of both classes, which are positive where a
+    class's cap is reachable, and, if both are, the phase constants of each
+    class that ``solver._phase_bands`` scales by the other class's powers.
+    With k = alpha/2 and c = coeff_own * lambda_other, these are the box
+    factors f_lo = (c / margin_own)^k and f_hi = (margin_other /
+    (coeff_other * lambda_own))^k, and f_free = (2c/alpha)^k, the factor
+    of the class's best power at a slack budget.
     So f_free <= f_lo, and a slack phase returns the class's QoS lower end,
     exactly when its own outage margin is at most alpha/2.  They sit in
-    slots, so ``vars(band)`` holds the parameters alone.  The coefficients
-    and rates do not depend on the densities; the margins and phase
-    constants do, and ``_set_density_constants`` alone derives them, so a
-    band with one density changed (``_with_density``, a sweep point)
-    copies the first two and derives only the rest.
+    slots, so ``vars(band)`` holds the parameters alone.  The coefficients,
+    rates and outage exponents do not depend on the densities; the margins
+    and phase constants do, and ``_set_density_constants`` alone derives
+    them, so a band with one density changed (``_with_density``, a sweep
+    point) copies the first three and derives only the rest, with no log.
     """
 
-    __slots__ = ("__dict__", "_coeffs", "_rates", "_margins", "_phase")
+    __slots__ = ("__dict__", "_coeffs", "_rates", "_cap_exps", "_margins", "_phase")
 
     bandwidth_hz: float
     pathloss_exponent: float
@@ -154,20 +156,22 @@ class BandParams:
             interference_coeff(self.sir_threshold_cell, self.cell_link_distance_m, a)))
         object.__setattr__(self, "_rates", (math.log2(1.0 + self.sir_threshold_d2d),
                                             math.log2(1.0 + self.sir_threshold_cell)))
+        object.__setattr__(self, "_cap_exps", (-math.log(1.0 - self.outage_cap_d2d),
+                                               -math.log(1.0 - self.outage_cap_cell)))
         self._set_density_constants()
 
     def _set_density_constants(self) -> None:
         """Check both densities and set what they reach: the outage margins
-        and the phase constants, from the density-free ``_coeffs`` and
-        ``_rates``."""
+        and the phase constants, from the density-free ``_coeffs``,
+        ``_rates`` and ``_cap_exps``."""
         for name in ("density_d2d", "density_cell"):
             if not getattr(self, name) >= 0:  # NaN fails it
                 raise ValueError(f"{name} must be nonnegative")
-        (cd, cc), (rate_d, rate_c) = self._coeffs, self._rates
+        (cd, cc), (rate_d, rate_c), (exp_d, exp_c) = self._coeffs, self._rates, self._cap_exps
         used_d, used_c = cd * self.density_d2d, cc * self.density_cell
         cross_d, cross_c = cd * self.density_cell, cc * self.density_d2d
-        margin_d = -math.log(1.0 - self.outage_cap_d2d) - used_d
-        margin_c = -math.log(1.0 - self.outage_cap_cell) - used_c
+        margin_d = exp_d - used_d
+        margin_c = exp_c - used_c
         # each class's (f_lo, f_hi, f_free, power cap, c, K); see solver._phase_bands
         phase = None
         if margin_d > 0.0 and margin_c > 0.0:
@@ -187,13 +191,15 @@ class BandParams:
 
     def _with_density(self, name: str, value: float) -> "BandParams":
         """This band with the density field ``name`` set to ``value``: the
-        other fields and the density-free ``_coeffs`` and ``_rates`` are
-        copied, and only the density constants are derived anew."""
+        other fields and the density-free ``_coeffs``, ``_rates`` and
+        ``_cap_exps`` are copied, and only the density constants are derived
+        anew."""
         band = object.__new__(type(self))
         band.__dict__.update(self.__dict__)
         band.__dict__[name] = value
         object.__setattr__(band, "_coeffs", self._coeffs)
         object.__setattr__(band, "_rates", self._rates)
+        object.__setattr__(band, "_cap_exps", self._cap_exps)
         band._set_density_constants()
         return band
 

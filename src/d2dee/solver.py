@@ -21,12 +21,14 @@ Each band's box and objective split into constants of the band and a
 scaling by the other class's powers q, the only input a phase varies:
 the box factors, K and the interference coefficient are computed once,
 when the band is built (see model.BandParams).  A phase call makes one
-pass over the bands that multiplies them by q or q^(2/alpha) into each
-band's box, the fields of its objective and its answer at mu = 0 (see
-_phase_bands).  Where those answers fit the budget, as in every phase of
-a slack-budget sweep, that pass is the whole phase; only a binding
-budget builds each band's _Objective, whose argmax_ln at a multiplier
-ln mu is that band's best power, and bisects ln mu.
+pass over the bands that multiplies the box factors by q into each band's
+box, its anchored lower end and its answer at mu = 0 (see _phase_bands);
+it forms c = c_unit * q^(2/alpha) only to rebuild a factor that overflowed
+or underflowed.  Where those answers fit the budget, as in every phase of
+a slack-budget sweep, that pass is the whole phase.  Only a binding budget
+forms each band's c and builds its _Objective (see _objective), whose
+argmax_ln at a multiplier ln mu is that band's best power, and bisects
+ln mu.
 
 A mu = 0 phase returns its own QoS lower end exactly when f_free <= f_lo,
 a property of the band alone: its own outage margin -ln(1 - theta_own) -
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import sys
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
@@ -192,9 +195,8 @@ def _unreachable(band: BandParams, own: str, other: str, i: int) -> InfeasiblePr
         return InfeasibleProblem("D2D QoS unreachable: outage cap below the density-only outage",
                                  band=i, constraint="qos_d2d")
     # coeff grows as T^(2/alpha): the cap is reachable only below t_max
-    cap_exp = -math.log(1.0 - band.outage_cap_cell)
     used = band.coeff_cell() * band.density_cell
-    t_max = band.sir_threshold_cell * (cap_exp / used) ** (band.pathloss_exponent / 2.0)
+    t_max = band.sir_threshold_cell * (band._cap_exps[1] / used) ** (band.pathloss_exponent / 2.0)
     return InfeasibleProblem(
         "cellular outage cap unreachable at any power: "
         f"sir_threshold_cell must be below {t_max:.3g} on band {i}",
@@ -288,11 +290,20 @@ class _Objective(NamedTuple):
         return p if rise > 0.0 and g_p + math.log(rise) > math.log(p - lo) else lo
 
 
+def _objective(band: BandParams, own: str, q: float, lo: float, hi: float) -> _Objective:
+    """The _Objective of class ``own`` on ``band`` at the other class's power
+    ``q``, on the box lo <= p <= hi that _phase_bands gives it (lo anchored):
+    c = c_unit * q^(2/alpha) and K from the band's phase constants."""
+    _, _, _, _, c_unit, k_amp = band._phase[own]
+    a = band.pathloss_exponent
+    return _Objective(lo, hi, c_unit * q ** (2.0 / a), k_amp, a)
+
+
 def _phase_bands(
     system: SystemParams, own: str, q: list[float], opts: SolveOptions
-) -> tuple[list[tuple[float, float]], list[tuple], list[float], list[str]]:
-    """Per-band power box, objective and mu = 0 answer of class ``own`` at
-    the other class's powers ``q``, in one pass over the bands.
+) -> tuple[list[tuple[float, float]], list[float], list[float], list[str]]:
+    """Per-band power box, anchored lower end and mu = 0 answer of class
+    ``own`` at the other class's powers ``q``, in one pass over the bands.
 
     With k = alpha/2 the box is q * (coeff_own * lambda_other / margin_own)^k
     <= p <= min(q * (margin_other / (coeff_other * lambda_own))^k, cap), and
@@ -303,17 +314,18 @@ def _phase_bands(
     alpha)^k, and falls beyond: that point clamped to the box is the exact
     box maximum, with no value compared.  Everything but q is a constant
     of the band, computed when it is built (see model.BandParams); a call
-    only scales the factors and c by q.  A product that is inf is formed
-    again at this q, from c, the margins and coeff_other * lambda_own, as a
-    tiny q may bring an overflowed factor back into range (an f_free still
-    inf gives hi), and so is an upper end of 0.0, as a large q may bring an
-    underflowed f_hi back; a lower end below the smallest normal float, 0.0
-    included, steps up one ulp.  A box that holds no positive power raises,
-    as does a band without the constants, where an outage cap is
-    unreachable.  Returns (bounds, terms, free, flags): bounds[i] is band
-    i's box, terms[i] the fields (lo, hi, c, K, alpha) of its _Objective,
-    which a phase builds only where the budget binds, and free[i] its
-    answer at mu = 0.  A band whose f_lo is
+    only scales the factors by q.  A product that is inf is formed again
+    at this q, from c, the margins and coeff_other * lambda_own, as a tiny
+    q may bring an overflowed factor back into range (an f_free still inf
+    gives hi), and so is an upper end of 0.0, as a large q may bring an
+    underflowed f_hi back; only these rebuilds form q^(2/alpha) and c.  A
+    lower end below the smallest normal float, 0.0 included, steps up one
+    ulp.  A box that holds no positive power raises, as does a band without
+    the constants, where an outage cap is unreachable.  Returns (bounds,
+    lows, free, flags): bounds[i] is band i's box, lows[i] the lower end of
+    its objective, and free[i] its answer at mu = 0; a phase builds the
+    band's _Objective from lows[i] and the box's upper end only where the
+    budget binds (see _objective).  A band whose f_lo is
     0 has no positive lower end: without other-class density (c = 0) it has
     no interior optimum either, and where that density is so small that
     f_lo underflows, its optimum lies below every positive float.  Its
@@ -329,23 +341,25 @@ def _phase_bands(
             raise ValueError(f"{_NAME[other]} power on band {i} must be positive and finite")
 
     bounds: list[tuple[float, float]] = []
-    terms: list[tuple] = []
+    lows: list[float] = []
     free: list[float] = []
     flags: list[str] = []
     for i, (band, qi) in enumerate(zip(system.bands, q)):
         if band._phase is None:
             raise _unreachable(band, own, other, i)
-        f_lo, f_hi, f_free, cap, c_unit, k_amp = band._phase[own]
-        a = band.pathloss_exponent
-        scale = qi ** (2.0 / a)
-        c = c_unit * scale
+        f_lo, f_hi, f_free, cap, c_unit, _ = band._phase[own]
         lo, hi, p = qi * f_lo, qi * f_hi, qi * f_free
-        if lo == math.inf:  # an overflowed factor: the product at this q
-            lo = _ratio_power(c, band._margins[own], a / 2.0)
-        if not 0.0 < hi < math.inf:  # an overflowed or underflowed factor: the product at this q
-            hi = _ratio_power(band._margins[other] * scale, band._phase[other][4], a / 2.0)
-        if p == math.inf:
-            p = _ratio_power(2.0 * c, a, a / 2.0)
+        if lo == math.inf or p == math.inf or not 0.0 < hi < math.inf:
+            # an overflowed or underflowed factor: the product at this q
+            a = band.pathloss_exponent
+            scale = qi ** (2.0 / a)
+            c = c_unit * scale
+            if lo == math.inf:
+                lo = _ratio_power(c, band._margins[own], a / 2.0)
+            if not 0.0 < hi < math.inf:
+                hi = _ratio_power(band._margins[other] * scale, band._phase[other][4], a / 2.0)
+            if p == math.inf:
+                p = _ratio_power(2.0 * c, a, a / 2.0)
         if lo < sys.float_info.min and f_lo > 0.0:  # subnormal or 0.0: it can miss its outage cap
             lo = math.nextafter(lo, math.inf)
         capped = not hi <= cap
@@ -360,11 +374,11 @@ def _phase_bands(
             cause = (f"{_NAME[other]} density too small for a positive {_NAME[own]} lower end"
                      if c_unit > 0.0 else f"no {_NAME[other]} density")
             flags.append(f"band {i}: {cause}, {_NAME[own]} power anchored at tolerance")
-        terms.append((lo, hi, c, k_amp, a))
+        lows.append(lo)
         if p < lo:  # min(max(p, lo), hi), without the calls
             p = lo
         free.append(hi if hi < p else p)
-    return bounds, terms, free, flags
+    return bounds, lows, free, flags
 
 
 @dataclass(slots=True)
@@ -388,16 +402,16 @@ def _solve_phase(
     Each band maximizes its objective over its box (see _phase_bands).
     Lower ends that exceed the budget by more than its tolerance raise;
     within it they are the answer, flagged.  Where the answers at mu = 0
-    overspend, each band's _Objective is built and _rising_root finds the
-    ln mu where the slack budget - fsum(argmax_ln(ln mu)) turns nonnegative,
-    stopping early at one in [0, BUDGET_TOL_REL * budget], between the least
-    bottom and the greatest top of their ln_mu_ends.  The powers are argmax_ln
+    overspend, each band's _Objective is built (_objective) and
+    _rising_root finds the ln mu where the slack budget -
+    fsum(argmax_ln(ln mu)) turns nonnegative, stopping early at one in [0,
+    BUDGET_TOL_REL * budget], between the least bottom and the greatest top
+    of their ln_mu_ends.  The powers are argmax_ln
     there: a bracket that collapses on a jump of one band's argmax (a
     duality gap) may undershoot.  Returns the phase's PhaseResult.
     """
-    bounds, terms, dec, flags = _phase_bands(system, own, q, opts)
-    budget = getattr(system, f"budget_{own}_w")
-    lows = [t[0] for t in terms]
+    bounds, lows, dec, flags = _phase_bands(system, own, q, opts)
+    budget = system.budget_d2d_w if own == "d2d" else system.budget_cell_w
     floor = math.fsum(lows)
     if floor > budget * (1.0 + BUDGET_TOL_REL):
         raise InfeasibleProblem(_BUDGET_INFEASIBLE[own], band=None, constraint=f"budget_{own}")
@@ -407,7 +421,8 @@ def _solve_phase(
         flags.append(f"{_NAME[own]} lower ends exceed the budget within BUDGET_TOL_REL")
         dec = lows
     elif math.fsum(dec) > budget:
-        objectives = [_Objective(*t) for t in terms]
+        objectives = [_objective(band, own, qi, lo, hi)
+                      for band, qi, lo, (_, hi) in zip(system.bands, q, lows, bounds)]
         ends = [e for e in (b.ln_mu_ends() for b in objectives) if e is not None]
         def slack(ln_mu: float) -> float:
             left = budget - math.fsum([b.argmax_ln(ln_mu) for b in objectives])
@@ -467,8 +482,8 @@ def _alternate(system: SystemParams, opts: SolveOptions):
     for _ in range(opts.max_outer_iters):
         phase_d = solve_d2d_phase(system, p_cell, opts)
         phase_c = solve_cell_phase(system, phase_d.powers, opts)
-        delta_d = max(abs(a - b) for a, b in zip(phase_d.powers, p_d2d))
-        delta_c = max(abs(a - b) for a, b in zip(phase_c.powers, p_cell))
+        delta_d = max(map(abs, map(operator.sub, phase_d.powers, p_d2d)))
+        delta_c = max(map(abs, map(operator.sub, phase_c.powers, p_cell)))
         p_d2d, p_cell = phase_d.powers, phase_c.powers
         converged = delta_d <= opts.eps_power_w and delta_c <= opts.eps_power_w
         yield phase_d, phase_c, delta_d, delta_c, converged
@@ -503,10 +518,21 @@ def baseline_fixed_cell(
     """Single D2D solve with every band's cellular power pinned externally.
 
     The fixed power is exogenous reference data, not an optimization
-    variable, so the per-band cellular cap is not applied to it.  It must
-    be a positive, finite number; a bool is not one, as in SolveOptions.
-    The result's ``trace`` is None: there is no iteration to record.
+    variable, so the per-band cellular cap is not applied to it (see
+    _fixed_cell_phase).  The result's ``trace`` is None: there is no
+    iteration to record.
     """
+    p_cell, phase = _fixed_cell_phase(system, p_cell_fixed_w, opts)
+    alloc = PowerAllocation(phase.powers, p_cell)
+    return _result(system, alloc, None, metrics(system, alloc), list(phase.flags))
+
+
+def _fixed_cell_phase(
+    system: SystemParams, p_cell_fixed_w: float, opts: SolveOptions | None
+) -> tuple[list[float], PhaseResult]:
+    """The baseline's cellular powers, ``p_cell_fixed_w`` on every band, and
+    the D2D phase at them.  The fixed power must be a positive, finite
+    number; a bool is not one, as in SolveOptions."""
     if isinstance(p_cell_fixed_w, bool):
         raise ValueError("fixed cellular power must be a number, not a bool")
     if not p_cell_fixed_w > 0:  # NaN fails it
@@ -514,9 +540,7 @@ def baseline_fixed_cell(
     if p_cell_fixed_w == math.inf:
         raise ValueError("fixed cellular power must be finite")
     p_cell = [p_cell_fixed_w] * system.num_bands
-    phase = solve_d2d_phase(system, p_cell, opts)
-    alloc = PowerAllocation(phase.powers, p_cell)
-    return _result(system, alloc, None, metrics(system, alloc), list(phase.flags))
+    return p_cell, solve_d2d_phase(system, p_cell, opts)
 
 
 def _result(system: SystemParams, alloc: PowerAllocation, trace: IterationTrace | None,

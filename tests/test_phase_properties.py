@@ -27,7 +27,8 @@ from hypothesis import strategies as st
 from d2dee import BandParams, ExperimentConfig, InfeasibleProblem, PowerAllocation, SystemParams
 from d2dee import (asr, baseline_fixed_cell, ee_per_band, metrics, optimize_powers,
                    solve_cell_phase, solve_d2d_phase, stp_cell, stp_d2d)
-from d2dee.solver import (BUDGET_TOL_REL, SolveOptions, _h, _Objective, _phase_bands,
+from d2dee.model import _ratio_power
+from d2dee.solver import (BUDGET_TOL_REL, SolveOptions, _h, _objective, _Objective, _phase_bands,
                           _solve_phase, _t_peak)
 from xspace import free_reference
 
@@ -112,6 +113,14 @@ def test_phase_results_are_named_or_feasible(problem):
         check_phase(phase, system, q, order)
 
 
+def phase_objectives(system: SystemParams, own: str, q: list[float],
+                     bounds: list[tuple[float, float]], lows: list[float]) -> list[_Objective]:
+    """Each band's _Objective as a budget-bound phase builds it from what
+    _phase_bands returns."""
+    return [_objective(band, own, qi, lo, hi)
+            for band, qi, lo, (_, hi) in zip(system.bands, q, lows, bounds)]
+
+
 def reference_dual_bisect(solve_at, budget: float, lo: float, hi: float):
     """The bisection on ln mu that _solve_phase ran before it called
     _rising_root on the budget's slack, kept as the reference its answers
@@ -140,16 +149,16 @@ def test_budget_bound_phase_is_the_reference_bisection(problem, share):
     system, q, _ = problem
     for own in PHASES:
         try:
-            _, terms, free, _ = _phase_bands(system, own, q, SolveOptions())
+            bounds, lows, free, _ = _phase_bands(system, own, q, SolveOptions())
         except InfeasibleProblem:
             continue
-        floor, spend = math.fsum(t[0] for t in terms), math.fsum(free)
+        floor, spend = math.fsum(lows), math.fsum(free)
         budget = floor + share * (spend - floor)
         if not 0.0 < floor <= budget < spend:
             continue
         bound = dataclasses.replace(system, **{f"budget_{own}_w": budget})
         result = _solve_phase(bound, own, q, SolveOptions())
-        objectives = [_Objective(*t) for t in terms]
+        objectives = phase_objectives(system, own, q, bounds, lows)
         ends = [e for e in (b.ln_mu_ends() for b in objectives) if e is not None]
         powers, ln_mu = reference_dual_bisect(
             lambda ln_mu: [b.argmax_ln(ln_mu) for b in objectives], budget,
@@ -157,6 +166,87 @@ def test_budget_bound_phase_is_the_reference_bisection(problem, share):
         assert result.powers == powers
         assert result.mu == (math.exp(ln_mu) if ln_mu <= math.log(sys.float_info.max)
                              else math.inf)
+
+
+def reference_terms(system: SystemParams, own: str, q: list[float],
+                    opts: SolveOptions) -> list[tuple]:
+    """The fields (lo, hi, c, K, alpha) of each band's _Objective as
+    _phase_bands formed them in its pass over the bands, slack phases
+    included, before _objective built them from its answer; kept as the
+    reference that _objective must equal.  For phases that do not raise."""
+    other = "cell" if own == "d2d" else "d2d"
+    terms = []
+    for band, qi in zip(system.bands, q):
+        f_lo, f_hi, f_free, cap, c_unit, k_amp = band._phase[own]
+        a = band.pathloss_exponent
+        scale = qi ** (2.0 / a)
+        c = c_unit * scale
+        lo, hi = qi * f_lo, qi * f_hi
+        if lo == math.inf:
+            lo = _ratio_power(c, band._margins[own], a / 2.0)
+        if not 0.0 < hi < math.inf:
+            hi = _ratio_power(band._margins[other] * scale, band._phase[other][4], a / 2.0)
+        if lo < sys.float_info.min and f_lo > 0.0:
+            lo = math.nextafter(lo, math.inf)
+        if not hi <= cap:
+            hi = cap
+        if f_lo == 0.0:
+            lo = min(opts.eps_power_w, hi)
+        terms.append((lo, hi, c, k_amp, a))
+    return terms
+
+
+def _band(**fields) -> BandParams:
+    base = dict(bandwidth_hz=20e6, pathloss_exponent=4.0, sir_threshold_d2d=1.0,
+                sir_threshold_cell=1.0, density_d2d=1e-4, density_cell=1.5e-5,
+                d2d_link_distance_m=10.0, cell_link_distance_m=50.0, outage_cap_d2d=0.05,
+                outage_cap_cell=0.05, max_power_d2d_w=0.02, max_power_cell_w=0.3)
+    return BandParams(**{**base, **fields})
+
+
+_COEFF = _band(pathloss_exponent=6.0, cell_link_distance_m=1.0).coeff_cell()
+# bands whose box ends _phase_bands rebuilds, each at its other-class power:
+# f_lo, f_hi and f_free overflow in the D2D phase at 1e-306 W; f_hi
+# overflows in it at 1e-306 W; f_hi underflows, and f_lo too (anchored with
+# density), in the cellular phase at 9.2559e239 W
+REBUILT = [
+    (_band(pathloss_exponent=6.0, sir_threshold_d2d=1e9, d2d_link_distance_m=1e50,
+           sir_threshold_cell=1e-6, cell_link_distance_m=1.0, density_d2d=0.0,
+           density_cell=10.0, outage_cap_d2d=1.0 - 2.0**-53, outage_cap_cell=0.9,
+           max_power_d2d_w=1e4), 1e-306),
+    (_band(pathloss_exponent=6.0, d2d_link_distance_m=1.0, cell_link_distance_m=1.0,
+           density_d2d=(math.log(2.0) - 0.2) / (_COEFF * 1e103), density_cell=0.2 / _COEFF,
+           outage_cap_d2d=0.3, outage_cap_cell=0.5, max_power_d2d_w=1e4), 1e-306),
+    (_band(d2d_link_distance_m=1e89, cell_link_distance_m=1.0, density_d2d=1e-300,
+           density_cell=1e-10, max_power_d2d_w=1e300), 9.2559e239),
+]
+
+
+@st.composite
+def objective_problems(draw):
+    """A phase problem of 1 to 4 bands, each a random band at a random
+    other-class power or one of REBUILT at its own."""
+    pairs = draw(st.lists(st.one_of(st.tuples(bands, log_uniform(-6, 0)), st.sampled_from(REBUILT)),
+                          min_size=1, max_size=4))
+    system = SystemParams(bands=[band for band, _ in pairs], budget_d2d_w=1.0, budget_cell_w=1.0)
+    return system, [q for _, q in pairs]
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(objective_problems())
+def test_objective_is_the_reference_terms(problem):
+    """The _Objective a budget-bound phase builds for each band from
+    _phase_bands's answer has the fields that the pass over the bands once
+    formed, bit for bit: anchored bands and rebuilt box ends included."""
+    system, q = problem
+    for own in PHASES:
+        try:
+            bounds, lows, _, _ = _phase_bands(system, own, q, SolveOptions())
+        except InfeasibleProblem:
+            continue
+        built = phase_objectives(system, own, q, bounds, lows)
+        assert [list(map(float.hex, b)) for b in built] == \
+            [list(map(float.hex, t)) for t in reference_terms(system, own, q, SolveOptions())]
 
 
 @st.composite
@@ -169,14 +259,14 @@ def two_density_phases(draw):
 
 
 def zero_multiplier_phase(band: BandParams, own: str, q: float):
-    """The band's _Objective fields and its answer at mu = 0 from
-    _phase_bands, or None where a cap is unreachable or the box empty."""
+    """The band's _Objective and its answer at mu = 0 from _phase_bands, or
+    None where a cap is unreachable or the box empty."""
     system = SystemParams(bands=[band], budget_d2d_w=1.0, budget_cell_w=1.0)
     try:
-        _, (terms,), (free,), _ = _phase_bands(system, own, [q], SolveOptions())
+        bounds, lows, (free,), _ = _phase_bands(system, own, [q], SolveOptions())
     except InfeasibleProblem:
         return None
-    return _Objective(*terms), free
+    return phase_objectives(system, own, [q], bounds, lows)[0], free
 
 
 # how far q * f_free may lie from the c-based (2c/alpha)^(alpha/2), in ulps.
@@ -461,10 +551,10 @@ def tiny_solve_problems(draw):
     q0 = [min(b.max_power_cell_w, budget_cell / len(band_list)) for b in band_list]
     slack = SystemParams(bands=band_list, budget_d2d_w=1.0, budget_cell_w=budget_cell)
     try:
-        _, terms, answers, _ = _phase_bands(slack, "d2d", q0, SolveOptions())
+        _, lows, answers, _ = _phase_bands(slack, "d2d", q0, SolveOptions())
     except InfeasibleProblem:
-        terms, answers = [], []
-    floor, free = math.fsum(t[0] for t in terms), math.fsum(answers)
+        lows, answers = [], []
+    floor, free = math.fsum(lows), math.fsum(answers)
     if free > floor:
         budget_d2d = floor + draw(st.floats(0.0, 1.0)) * (free - floor) or budget_d2d
     system = SystemParams(bands=band_list, budget_d2d_w=budget_d2d, budget_cell_w=budget_cell)

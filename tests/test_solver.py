@@ -329,9 +329,9 @@ class TestPhaseOne:
 
 
 def zero_multiplier_phase(system, own, q):
-    """Band 0's _Objective fields and its answer at mu = 0, from _phase_bands."""
-    _, terms, free, _ = solver._phase_bands(system, own, q, SolveOptions())
-    return solver._Objective(*terms[0]), free[0]
+    """Band 0's _Objective and its answer at mu = 0, from _phase_bands."""
+    bounds, lows, free, _ = solver._phase_bands(system, own, q, SolveOptions())
+    return solver._objective(system.bands[0], own, q[0], lows[0], bounds[0][1]), free[0]
 
 
 class TestObjective:
@@ -356,6 +356,16 @@ class TestObjective:
             return ln_gain(self, p, ln_mu)
 
         monkeypatch.setattr(solver._Objective, "ln_gain", counted)
+        built = []
+
+        class Built(solver._Objective):
+            __slots__ = ()
+
+            def __new__(cls, *fields):
+                built.append(fields)
+                return super().__new__(cls, *fields)
+
+        monkeypatch.setattr(solver, "_Objective", Built)
         band = slack_band(make_band)
         system = make_system(bands=[band, band], budget_d2d_w=1e3, budget_cell_w=1e3)
         phase = solve_d2d_phase(system, [0.3, 0.3])
@@ -363,10 +373,13 @@ class TestObjective:
         mu_c = solve_cell_phase(system, p_d).mu
         assert mu_d == mu_c == 0.0
         assert calls == []
+        slack_built = len(built)
         # a budget-bound phase compares values, and the count sees them
         mu = solve_d2d_phase(make_system(bands=[band, band], budget_d2d_w=2.5e-8),
                              [0.3, 0.3]).mu
         assert mu > 0.0 and calls and -math.inf not in calls
+        # a slack phase builds no objective, a budget-bound one one per band
+        assert (slack_built, len(built)) == (0, 2)
 
     def test_zero_multiplier_argmax_beyond_the_largest_float_is_the_upper_end(
             self, make_band, make_system):
