@@ -3,8 +3,17 @@
 A config document is flat JSON; any omitted key takes the default below.
 Per-band values accept either a scalar (broadcast to all bands) or a list
 of length ``num_bands``.  SIR thresholds may be given in dB through the
-``*_db`` variants, converted to linear at the boundary.  Numbers must be
-finite, and counts integers.
+``*_db`` variants, converted to linear at the boundary.
+
+Each key has one rule, and ``_fault`` applies it, to a resolved document
+and to a single sweep value alike: counts must be integers and every other
+number finite (a bool is neither), and a key of ``_RANGES`` must then pass
+its range test, a per-band list entry by entry.  ``_validate`` makes one
+pass over the document in ``DEFAULTS`` order, a section's entries in
+theirs, and names the first fault it meets.  Only the checks that compare
+two fields come after it: ``sim.band`` against ``num_bands``, and the
+sweep's variable against its grid.  A per-band list's length is checked
+where the bands are built (``_per_band``).
 
 A retired key still loads from older saved configs, but only at its one old
 meaning, which the toolkit now always runs; any other value is rejected by
@@ -18,11 +27,11 @@ solver ``options`` once.
 
 A sweep point resolves nothing: it derives from the resolved config that
 holds the sweep.  ``ExperimentConfig.point_system`` checks the one swept
-value by the rule that resolution applies to its key, and derives only
-what that value reaches: a density point copies each band with its one
-density set and derives that band's outage margins and phase constants
-anew, keeping its interference coefficients and rates; a budget point
-shares the bands.
+value by its key's rule and replaces one field of the config's system
+(``dataclasses.replace``), so every other field reaches the point as it
+is.  A budget point shares the bands; a density point copies each band
+with its one density set and derives that band's outage margins and phase
+constants anew, keeping its interference coefficients and rates.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .model import BandParams, SystemParams
@@ -94,12 +103,17 @@ _RETIRED = {("solver", "grid_points"): None, ("solver", "line_search_tol_rel"): 
 _NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be at least 1")
-# (key, None) or (section, key) -> (the test its value passes, the message if
-# not); a per-band key is tested on its least entry.  Each band's densities
-# are lambda_*_ref times multiplier_*, so those are checked here: BandParams
-# would name the density, a field the document does not have.  SolveOptions
-# and SimScenario would not name the section either.
+# (key, None) or (section, key) -> the range rule its value must pass once it
+# is a number of the right type: (the test, the message if not).  A per-band
+# list passes if each entry does.  Each band's densities are lambda_*_ref
+# times multiplier_*, so those are checked here: BandParams would name the
+# density, a field the document does not have.  SolveOptions and SimScenario
+# would not name the section either.
 _RANGES = {
+    ("num_bands", None): (lambda v: v >= 1, "must be a positive integer"),
+    ("pathloss_exponent", None): (
+        lambda v: v > 2.0,
+        "pathloss exponent must exceed 2 (interference Laplace functional diverges)"),
     ("lambda_d_ref", None): _NONNEGATIVE, ("lambda_c_ref", None): _NONNEGATIVE,
     ("multiplier_d2d", None): _NONNEGATIVE, ("multiplier_cell", None): _NONNEGATIVE,
     ("budget_d2d_w", None): _POSITIVE, ("budget_cell_w", None): _POSITIVE,
@@ -140,26 +154,18 @@ class ExperimentConfig:
         ``with_overrides(**{key: value}).system`` and fails with the same
         message, but resolves nothing.  A density point copies each band
         with that one density set to the product ``build_system`` forms
-        (``BandParams._with_density``): the interference coefficients,
-        rates and outage exponents are the band's, and only the outage
-        margins and phase constants are derived anew.  A budget point
-        shares this config's bands."""
-        why = _number_fault(key, None, value) or _range_fault(key, None, value)
+        (``BandParams._with_density``), which no band rejects: the value
+        passed its rule here and each multiplier at resolution, so it is
+        nonnegative or +inf."""
+        why = _fault(key, None, value)
         if why is not None:
             _fail(key, why)
-        system = self.system
         if key == "budget_d2d_w":
-            return SystemParams(bands=system.bands, budget_d2d_w=float(value),
-                                budget_cell_w=system.budget_cell_w)
+            return replace(self.system, budget_d2d_w=float(value))
         density, multiplier = DENSITY_FIELDS[key]
-        bands = []
-        for i, (band, mul) in enumerate(zip(system.bands, _per_band(self.raw, multiplier))):
-            try:
-                bands.append(band._with_density(density, mul * value))
-            except ValueError as exc:
-                raise ValueError(f"config band {i}: {exc}") from exc
-        return SystemParams(bands=bands, budget_d2d_w=system.budget_d2d_w,
-                            budget_cell_w=system.budget_cell_w)
+        return replace(self.system, bands=[
+            band._with_density(density, mul * value)
+            for band, mul in zip(self.system.bands, _per_band(self.raw, multiplier))])
 
 
 def _fail(field_name: str, why: str):
@@ -235,7 +241,10 @@ def _per_band(cfg: dict, key: str) -> list[float]:
         if len(value) != m:
             _fail(key, f"expected {m} entries, got {len(value)}")
         return [float(v) for v in value]
-    return [float(value)] * m
+    try:
+        return [float(value)] * m
+    except (OverflowError, MemoryError):  # longer than a list may be, or than memory holds
+        _fail("num_bands", "too many bands to build")
 
 
 def _finite(values: list) -> bool:
@@ -246,54 +255,35 @@ def _finite(values: list) -> bool:
         return False
 
 
-def _check_numbers(cfg: dict) -> None:
-    """Every count is an int and every other number finite; bools are neither."""
-    for key, value in cfg.items():
-        in_section = isinstance(DEFAULTS[key], dict)
-        for sub, v in value.items() if in_section else ((None, value),):
-            why = _number_fault(key, sub, v)
-            if why is not None:
-                _fail(key if sub is None else f"{key}.{sub}", why)
-
-
-def _number_fault(key: str, sub: str | None, v) -> str | None:
+def _fault(key: str, sub: str | None, v) -> str | None:
     """What is wrong with value ``v`` of ``key`` (of its entry ``sub`` in a
-    section), or None; the common cases, an int count and a float, are
-    settled by type."""
+    section), or None: first its number type, then its ``_RANGES`` rule.
+    The common cases, an int count and a float, are settled by type."""
     if (key, sub) in _INT_KEYS:
-        if type(v) is int or (not isinstance(v, bool) and isinstance(v, numbers.Integral)):
-            return None
-        return "must be an integer"
-    if (key, sub) == ("sweep", "grid") or (key in _PER_BAND and isinstance(v, list)):
-        return None if isinstance(v, list) and _finite(v) else "must be a list of finite numbers"
-    if (key, sub) == ("sweep", "variable") or (
+        if not (type(v) is int or (not isinstance(v, bool) and isinstance(v, numbers.Integral))):
+            return "must be an integer"
+    elif (key, sub) == ("sweep", "grid") or (key in _PER_BAND and isinstance(v, list)):
+        if not (isinstance(v, list) and _finite(v)):
+            return "must be a list of finite numbers"
+    elif (key, sub) != ("sweep", "variable") and not (
             math.isfinite(v) if type(v) is float else _finite([v])):
-        return None
-    return "must be a finite number"
-
-
-def _range_fault(key: str, sub: str | None, v) -> str | None:
-    """What is wrong with the range of number ``v`` of ``key`` (see ``_RANGES``), or None."""
-    test, why = _RANGES[key, sub]
-    return None if test(v) else why
+        return "must be a finite number"
+    if (key, sub) in _RANGES:
+        test, why = _RANGES[key, sub]
+        if not all(map(test, v if isinstance(v, list) else (v,))):
+            return why
+    return None
 
 
 def _validate(cfg: dict) -> None:
-    _check_numbers(cfg)
-    if cfg["num_bands"] < 1:
-        _fail("num_bands", "must be a positive integer")
+    for key, value in cfg.items():
+        in_section = isinstance(DEFAULTS[key], dict)
+        for sub, v in value.items() if in_section else ((None, value),):
+            why = _fault(key, sub, v)
+            if why is not None:
+                _fail(key if sub is None else f"{key}.{sub}", why)
     if not 0 <= cfg["sim"]["band"] < cfg["num_bands"]:
         _fail("sim.band", f"must be a band index in [0, {cfg['num_bands']})")
-    if cfg["pathloss_exponent"] <= 2.0:
-        _fail(
-            "pathloss_exponent",
-            "pathloss exponent must exceed 2 (interference Laplace functional diverges)",
-        )
-    for key, sub in _RANGES:
-        value = min(_per_band(cfg, key)) if key in _PER_BAND else cfg[key]
-        why = _range_fault(key, sub, value if sub is None else value[sub])
-        if why is not None:
-            _fail(key if sub is None else f"{key}.{sub}", why)
     sweep = cfg["sweep"]
     if sweep["variable"] is not None:
         if not isinstance(sweep["variable"], str) or sweep["variable"] not in SWEEP_KEYS:

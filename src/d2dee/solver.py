@@ -180,6 +180,7 @@ class AllocationResult:
 # one phase: the powers of one class at the other class's fixed powers
 
 BUDGET_TOL_REL = 1e-6  # the overspend of a power budget, relative to it, that is accepted
+_MIN_NORMAL = sys.float_info.min  # the least positive normal float
 _NAME = {"d2d": "D2D", "cell": "cellular"}
 _BUDGET_INFEASIBLE = {
     "d2d": "D2D budget infeasible under QoS caps",
@@ -360,7 +361,7 @@ def _phase_bands(
                 hi = _ratio_power(band._margins[other] * scale, band._phase[other][4], a / 2.0)
             if p == math.inf:
                 p = _ratio_power(2.0 * c, a, a / 2.0)
-        if lo < sys.float_info.min and f_lo > 0.0:  # subnormal or 0.0: it can miss its outage cap
+        if lo < _MIN_NORMAL and f_lo > 0.0:  # subnormal or 0.0: it can miss its outage cap
             lo = math.nextafter(lo, math.inf)
         capped = not hi <= cap
         if capped:
@@ -552,7 +553,7 @@ def _result(system: SystemParams, alloc: PowerAllocation, trace: IterationTrace 
     for name, powers, ee, total in (("D2D", alloc.p_d2d_w, rep.ee_d2d, rep.ee_d2d_total),
                                     ("cellular", alloc.p_cell_w, rep.ee_cell, rep.ee_cell_total)):
         flags += [f"band {i}: {name} power below the smallest normal float"
-                  for i, p in enumerate(powers) if p < sys.float_info.min]
+                  for i, p in enumerate(powers) if p < _MIN_NORMAL]
         if not math.isfinite(total):  # every band EE is finite where the total is
             flags += [f"band {i}: {name} EE is not finite"
                       for i, e in enumerate(ee) if not math.isfinite(e)]

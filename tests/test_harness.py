@@ -250,12 +250,16 @@ class TestConfig:
         (["validate"], {"sim": {"p_cell_w": 0}}, "sim.p_cell_w"),
         (["validate"], {"sim": {"p_d2d_w": -0.02}}, "sim.p_d2d_w"),
         (["solve"], {"sim": {"window_radius_m": -5}}, "sim.window_radius_m"),
+        (["solve"], {"multiplier_d2d": []}, "multiplier_d2d"),
+        # each key's whole rule, type then range, key by key in DEFAULTS order
+        (["solve"], {"lambda_d_ref": -1, "sim": {"workers": 2.0}}, "lambda_d_ref"),
     ], ids=["scalar", "per_band_entry", "sim_trials", "sim_workers", "bool_count", "sweep_grid",
             "int_beyond_float", "unhashable_variable", "negative_multiplier_d2d",
             "negative_multiplier_cell", "zero_eps_power", "zero_outer_iters", "db_non_threshold",
             "section_not_mapping", "per_band_length", "empty_sweep_grid", "mapping_for_number",
             "mapping_for_per_band", "zero_sim_trials", "zero_workers_flag", "negative_seed_flag",
-            "zero_sim_p_cell", "negative_sim_p_d2d", "negative_window_on_solve"])
+            "zero_sim_p_cell", "negative_sim_p_d2d", "negative_window_on_solve",
+            "empty_per_band_list", "first_fault_in_key_order"])
     def test_malformed_numbers_rejected_by_name(self, command, doc, field, tmp_path, capsys):
         # Python's json reads NaN and Infinity
         cfg_path = tmp_path / "cfg.json"
@@ -280,9 +284,14 @@ class TestConfig:
          "config field 'sim.band': must be a band index in [0, 5)"),
         (["sweep", "--sweep-var", "lambda_d_ref", "--sweep-grid", "1e-4,abc"], "{}",
          "argument --sweep-grid: expected comma-separated numbers, got '1e-4,abc'"),
+        # every per-band value a scalar, broadcast to more entries than a list holds
+        (["solve"], json.dumps({"num_bands": 10**400, "d2d_link_distance_m": 10.0,
+                                "cell_link_distance_m": 50.0, "multiplier_d2d": 1.0,
+                                "multiplier_cell": 1.0}),
+         "config field 'num_bands': too many bands to build"),
     ], ids=["malformed_json", "top_level_not_object", "band_rejected", "db_not_number",
             "band_flag_out_of_range", "sim_band_out_of_range", "sim_band_on_solve",
-            "sweep_grid_not_numbers"])
+            "sweep_grid_not_numbers", "band_count_beyond_any_list"])
     def test_rejected_document_named(self, command, text, names, tmp_path, capsys):
         # the document as written, without acc5_overrides: each error names the
         # document, the band, the key or the flag at fault

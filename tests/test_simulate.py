@@ -385,6 +385,14 @@ class TestChunkPool:
             chunks = min(trials, workers)  # non-empty chunks
             assert 1 <= _pool_size(trials, workers) == min(cpus, chunks)
 
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        # where the platform has no CPU affinity, the CPU count, or 1 unknown
+        monkeypatch.delattr(simulate.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)
+        assert _usable_cpus() == 3
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: None)
+        assert _usable_cpus() == 1
+
     def test_pool_size_with_fewer_trials_than_workers(self, monkeypatch):
         monkeypatch.setattr(simulate, "_usable_cpus", lambda: 64)
         assert _pool_size(3, 10) == 3
