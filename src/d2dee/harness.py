@@ -20,6 +20,8 @@ type that carries them:
 CSV files start with a comment line embedding the resolved config
 (``_write_table``), and the JSON files carry it under ``config``
 (``_write_json``), so a result can always be traced back to its inputs.
+A sweep row's inputs are that config at the row's swept value (see
+``run_sweep``).
 CSV bodies follow RFC-4180; reruns with the same config and seed are
 byte-identical.
 
@@ -31,14 +33,13 @@ never load them.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import math
 from pathlib import Path
 
-from .config import DENSITY_FIELDS, SWEEP_KEYS, ExperimentConfig
-from .model import PowerAllocation, SystemParams, metrics
+from .config import SWEEP_KEYS, ExperimentConfig
+from .model import PowerAllocation, metrics
 from .solver import (AllocationResult, InfeasibleProblem, _alternate, _fixed_cell_phase,
                      optimize_powers)
 
@@ -61,51 +62,6 @@ VALIDATE_Z_LIMIT = 3.3
 VALIDATE_ABS_LIMIT = 0.005
 # two-sided normal mass beyond the z limit, ~9.7e-4
 VALIDATE_TAIL_MASS = math.erfc(VALIDATE_Z_LIMIT / math.sqrt(2.0))
-
-
-def _band_text(fields: dict) -> str:
-    """One band's JSON text, as the band hash lists it."""
-    return json.dumps(fields, sort_keys=True)
-
-
-def _bands_text(bands) -> str:
-    """The JSON list of the bands whose fields are ``bands``, as the band hash hashes it."""
-    return f"[{', '.join(map(_band_text, bands))}]"
-
-
-def _band_hash(system: SystemParams) -> str:
-    return hashlib.md5(_bands_text(vars(b) for b in system.bands).encode()).hexdigest()
-
-
-def _point_hash(system: SystemParams, key: str):
-    """``_band_hash`` as a function of a sweep point's system, for points
-    that set ``key`` of the config whose system is ``system``.  A budget
-    point shares its bands, and so their md5.  A density point differs only
-    in each band's one density: the text of the bands is rendered once,
-    with that density cut out, and hashed up to the first band's density.
-    Each point copies that md5 state and feeds it only its densities, from
-    one ``json.dumps`` of their list (as the full text has them,
-    ``Infinity`` included), and the constant bytes between them."""
-    if key not in DENSITY_FIELDS:
-        md5 = _band_hash(system)
-        return lambda point: md5
-    density = DENSITY_FIELDS[key][0]
-    label = f'"{density}": '
-    blank = _bands_text({**vars(b), density: None} for b in system.bands)
-    head, *rests = blank.split(label + "null")
-    prefix = hashlib.md5((head + label).encode())
-    gaps = [(rest + label).encode() for rest in rests[:-1]] + [rests[-1].encode()]
-
-    def band_hash(point: SystemParams) -> str:
-        # a rendered number holds no ", ", so the list splits into its items
-        values = json.dumps([getattr(b, density) for b in point.bands])[1:-1].split(", ")
-        md5 = prefix.copy()
-        for value, gap in zip(values, gaps):
-            md5.update(value.encode())
-            md5.update(gap)
-        return md5.hexdigest()
-
-    return band_hash
 
 
 def _cell(value: float) -> str:
@@ -300,7 +256,6 @@ def sweep_fieldnames(num_bands: int) -> list[str]:
         "iterations",
         "converged",
         "infeasible_bands",
-        "band_params_md5",
     ]
 
 
@@ -325,8 +280,10 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     density point copies the bands with their one density changed and
     derives only their outage margins and phase constants, and a budget
     point shares them.  Every point solves with ``cfg``'s options and
-    baseline cellular power, and its band md5 renders only the swept
-    densities anew, in one ``json.dumps`` (see ``_point_hash``).
+    baseline cellular power.  So a row's bands are
+    ``cfg.point_system(SWEEP_KEYS[swept_variable], float(swept_value))``:
+    the CSV's config line and the row's swept value name them, and
+    ``swept_value`` is a ``repr`` that ``float`` reads back exactly.
 
     A row reads only the joint solve's last iterate and the baseline's D2D
     EE total.  So a point runs ``solver._alternate``, the loop of
@@ -350,7 +307,6 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     fields = sweep_fieldnames(cfg["num_bands"])
     columns = _shared_columns(cfg["num_bands"])
     options = cfg.options
-    band_hash = _point_hash(cfg.system, key)
     rows = []
     for index, value in enumerate(grid):
         row = dict.fromkeys(fields, "")
@@ -361,7 +317,6 @@ def run_sweep(cfg: ExperimentConfig) -> list[dict]:
             _note(row, exc)
             rows.append(row)
             continue
-        row["band_params_md5"] = band_hash(system)
         try:
             for iterations, (phase_d, phase_c, _, _, converged) in enumerate(
                     _alternate(system, options), 1):

@@ -84,11 +84,14 @@ class SimScenario:
     workers: int = 1
 
     def __post_init__(self):
+        # numbers and integers as config documents take them: a bool is neither
+        for name in ("p_cell_w", "p_d2d_w"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, not a bool")
         if self.p_cell_w <= 0 or self.p_d2d_w <= 0:
             raise ValueError("transmit powers must be strictly positive")
         if not (math.isfinite(self.p_cell_w) and math.isfinite(self.p_d2d_w)):
             raise ValueError("transmit powers must be finite")
-        # integers as config documents take them: a bool does not count
         for name in ("trials", "seed", "workers"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):

@@ -45,6 +45,22 @@ iterate's two PhaseResults, power changes and stopping verdict.
 optimize_powers keeps each iterate as one Iterate record: both phases,
 both changes and its EE totals.  A caller that needs only the last
 iterate, as a sweep row does, reads the same loop and builds no record.
+
+One outer step is a map T of the cellular powers q: the cellular phase at
+the D2D phase's powers at q.  Its behaviour, and so what ``converged``
+says, depends on whether a budget binds:
+
+- slack budgets: each band's output is its input times the product of the
+  two phases' clamp factors, so T is monotone and homogeneous of degree 1
+  (test_slack_budget_outer_map_is_monotone_and_homogeneous).  The ratio
+  Pc/Pd is final after the first iterate, and each later iterate only
+  rescales it; ``converged`` says only that the power scale fell below
+  ``eps_power_w``, not that a fixed point was reached;
+- binding budgets: a budget moves power between bands, so raising every
+  input can lower some band's output, and T is not monotone
+  (test_budget_bound_outer_map_is_not_monotone).  No convergence argument
+  applies; ``converged`` says only that both power changes of the last
+  iterate fell to ``eps_power_w`` or below.
 """
 
 from __future__ import annotations
@@ -102,6 +118,8 @@ class SolveOptions:
     max_outer_iters: int = 10
 
     def __post_init__(self):
+        if isinstance(self.eps_power_w, bool):  # as in config documents
+            raise ValueError("eps_power_w must be a number, not a bool")
         if not self.eps_power_w > 0:
             raise ValueError("eps_power_w must be positive")
         if self.eps_power_w == math.inf:

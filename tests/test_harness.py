@@ -319,12 +319,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="solver.budget_tol_rel"):
             load_config(path)
 
-    def test_band_hash_pinned(self):
-        # the md5 of the default config's bands, as every sweep CSV has it
-        from d2dee.harness import _band_hash
-
-        assert _band_hash(build_system(ExperimentConfig())) == "edef9468991123b99912deb41c93f648"
-
     def test_build_system_applies_multipliers(self):
         system = build_system(ExperimentConfig())
         assert system.num_bands == 5
@@ -730,7 +724,6 @@ class TestSweep:
         assert [r["index"] for r in rows] == [0, 1]
         for row in rows:
             assert list(row) == fields or set(row) == set(fields)
-            assert row["band_params_md5"]
 
     @staticmethod
     def density_sweep_md5(tmp_path, points: int) -> str:
@@ -748,13 +741,15 @@ class TestSweep:
 
     def test_sweep_body_pinned(self, tmp_path):
         # the md5 of a 10-point criterion-6 sweep body, pinned when each
-        # band's constants moved out of the phase calls
-        assert self.density_sweep_md5(tmp_path, 10) == "c3032d089a485f9bd0f59e11f315f6cf"
+        # band's constants moved out of the phase calls and re-pinned when
+        # the band md5 column was dropped, its other cells unchanged
+        assert self.density_sweep_md5(tmp_path, 10) == "c9ed2e0348c05d14fbc362dc17cf19c9"
 
     def test_large_sweep_body_pinned(self, tmp_path):
         # the md5 of a 100-point criterion-6 sweep body, pinned before each
-        # mu = 0 phase became one pass over the bands
-        assert self.density_sweep_md5(tmp_path, 100) == "3f643a1f5019367d89d767581a085a15"
+        # mu = 0 phase became one pass over the bands and re-pinned when the
+        # band md5 column was dropped, its other cells unchanged
+        assert self.density_sweep_md5(tmp_path, 100) == "35d68684c1cccf4dbf773c1e48993680"
 
     def test_vanishing_density_point_solves(self, tmp_path):
         # at lambda_d_ref = 1e-300 each D2D interference exponent underflows
@@ -790,16 +785,17 @@ class TestSweep:
     @pytest.mark.parametrize("variable, grid, digest", [
         # a negative density is an error row; the two densest points fail qos_cell
         ("lambda_c_ref", "1e-06,-1e-05,1e-05,0.0001,0.001,0.01",
-         "01a4c26faa60f743ac61f4e1c816d0e8"),
+         "f9e46d51ee99c214e63c4ebbc012f9b7"),
         # the smallest budgets fail the joint solve's and the baseline's lower
         # ends; zero and negative budgets are error rows
         ("budget_d2d", "1e-05,3e-05,5e-05,0.0001,0.0,0.001,-0.01,0.08",
-         "1d7553c4c867669e9293a43002a124e4"),
+         "a56289d0be50641a62fce348da046a34"),
     ], ids=["lambda_c_ref", "budget_d2d"])
     def test_sweep_bodies_pinned(self, variable, grid, digest, tmp_path):
         # the md5 of small sweep bodies over the other two sweep variables, on
         # test_sweep_body_pinned's config, pinned while each point was still
-        # resolved from a whole document
+        # resolved from a whole document and re-pinned when the band md5
+        # column was dropped, its other cells unchanged
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(dict(
             sir_threshold_d2d=1e-6, sir_threshold_cell=1e-6, budget_d2d_w=0.08,
@@ -910,7 +906,7 @@ class TestSweep:
         # numpy 2 scalars repr as "np.float64(...)"; every numeric cell must
         # still read back with float()
         rows = run_sweep(self.sweep_cfg(grid=np.geomspace(1e-5, 1e-3, 3), threshold=1e-6))
-        text = {"swept_variable", "converged", "infeasible_bands", "band_params_md5"}
+        text = {"swept_variable", "converged", "infeasible_bands"}
         for row in rows:
             assert row["infeasible_bands"] == ""
             for key in sweep_fieldnames(5):
@@ -937,15 +933,33 @@ class TestSweep:
         assert rows[1]["ee_d2d_total"] == "" and rows[1]["baseline_ee_d2d_total"] == ""
         assert all(r["infeasible_bands"].startswith("band=") for r in (rows[0], rows[2]))
 
-    def test_joint_and_baseline_share_band_hash(self):
-        rows = run_sweep(self.sweep_cfg())
+    @pytest.mark.parametrize("variable, grid", [
+        ("lambda_d_ref", "1e-05,3.1622776601683795e-05,0.0001,-1e-05"),
+        ("budget_d2d", "1e-05,0.001,0.08,0.0"),
+    ])
+    def test_row_bands_from_the_csv_alone(self, variable, grid, tmp_path):
+        # the CSV's config line, resolved with the swept key at a row's
+        # swept value, gives the system the sweep solved that row on
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(self.CRITERION6))
+        assert main(["sweep", "--config", str(cfg_path), "--sweep-var", variable,
+                     "--sweep-grid", grid, "--out", str(tmp_path)]) == EXIT_OK
+        header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
+        header_path = tmp_path / "header.json"
+        header_path.write_text(header.removeprefix("# config: "))
+        base = load_config(cfg_path)
+        rows = read_csv(tmp_path / "sweep.csv")
+        assert [float(r["swept_value"]) for r in rows] == list(map(float, grid.split(",")))
         for row in rows:
-            system = build_system(
-                self.sweep_cfg().with_overrides(lambda_d_ref=float(row["swept_value"]))
-            )
-            from d2dee.harness import _band_hash
-
-            assert row["band_params_md5"] == _band_hash(system)
+            key, value = SWEEP_KEYS[row["swept_variable"]], float(row["swept_value"])
+            try:
+                point = base.point_system(key, value)
+            except ValueError as exc:
+                assert row["infeasible_bands"] == f"error={exc}"
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    load_config(header_path, **{key: value})
+                continue
+            assert load_config(header_path, **{key: value}).system == point
 
     def test_missing_sweep_config_rejected(self):
         with pytest.raises(ValueError, match="sweep"):
@@ -1008,9 +1022,7 @@ swept_values = st.one_of(
        value=swept_values)
 def test_point_system_matches_full_resolution(cfg, key, value):
     # a sweep point derived from the resolved base is the point resolved in
-    # full: the same system, number types and band md5, or the same error
-    from d2dee.harness import _band_hash, _point_hash
-
+    # full: the same system and number types, or the same error
     with np.errstate(over="ignore"):  # a numpy density may overflow to inf, as it should
         try:
             full = cfg.with_overrides(**{key: value}).system
@@ -1025,10 +1037,9 @@ def test_point_system_matches_full_resolution(cfg, key, value):
         [list(map(type, vars(b).values())) for b in full.bands]
     assert type(point.budget_d2d_w) is type(full.budget_d2d_w)
     # the derived constants too, which == on the fields cannot see
-    slots = ("_coeffs", "_rates", "_margins", "_phase")
+    slots = ("_coeffs", "_rates", "_cap_exps", "_margins", "_phase")
     assert [[repr(getattr(b, s)) for s in slots] for b in point.bands] == \
         [[repr(getattr(b, s)) for s in slots] for b in full.bands]
-    assert _point_hash(cfg.system, key)(point) == _band_hash(full)
 
 
 @pytest.mark.parametrize("fieldnames, rows", [
@@ -1059,7 +1070,7 @@ def test_cli_import_loads_no_pool_or_logging():
 
     src = str(Path(d2dee.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import d2dee.cli; "
-            "print([m for m in ('multiprocessing', 'concurrent.futures', 'logging') "
+            "print([m for m in ('multiprocessing', 'concurrent.futures', 'logging', 'hashlib') "
             "if m in sys.modules])")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, check=True)

@@ -295,9 +295,12 @@ class TestEstimateLinks:
         ("seed", -1, "seed must be nonnegative"),
         ("trials", 0, "trials must be at least 1"),
         ("workers", 0, "workers must be at least 1"),
+        ("p_cell_w", True, "p_cell_w must be a number, not a bool"),
+        ("p_d2d_w", False, "p_d2d_w must be a number, not a bool"),
     ])
     def test_counts_checked_by_name(self, band1, field, value, message):
-        # numpy once rejected these itself, with errors that named no field
+        # numpy once rejected these itself, with errors that named no field;
+        # a bool power once built and read as 1.0
         with pytest.raises(ValueError, match=f"^{message}$"):
             scenario(band1, **{field: value})
 

@@ -1079,6 +1079,12 @@ class TestApi:
         with pytest.raises(ValueError, match="^eps_power_w must be finite$"):
             SolveOptions(eps_power_w=math.inf)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_power_tolerance_is_not_a_bool(self, value):
+        # as in a config document: True once built and read as 1.0 W
+        with pytest.raises(ValueError, match="^eps_power_w must be a number, not a bool$"):
+            SolveOptions(eps_power_w=value)
+
     @pytest.mark.parametrize("value", [2.5, math.nan, True, "3"])
     def test_max_outer_iters_is_a_count(self, value):
         # as in a config document: 2.5 and nan once built and failed in
