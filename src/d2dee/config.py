@@ -6,14 +6,16 @@ of length ``num_bands``.  SIR thresholds may be given in dB through the
 ``*_db`` variants, converted to linear at the boundary.
 
 Each key has one rule, and ``_fault`` applies it, to a resolved document
-and to a single sweep value alike: counts must be integers and every other
-number finite (a bool is neither), and a key of ``_RANGES`` must then pass
-its range test, a per-band list entry by entry.  ``_validate`` makes one
-pass over the document in ``DEFAULTS`` order, a section's entries in
-theirs, and names the first fault it meets.  Only the checks that compare
-two fields come after it: ``sim.band`` against ``num_bands``, and the
-sweep's variable against its grid.  A per-band list's length is checked
-where the bands are built (``_per_band``).
+and to a single sweep value alike: a count must be an integer and any
+other number finite (a bool is neither), and then pass its rule, a
+per-band list entry by entry.  A key that names a field of a type takes
+that field's rule from ``model._RULES``, as the type does, and fails as
+``config field '<key>': <why>`` with the type's why.  ``_validate`` makes
+one pass in ``DEFAULTS`` order, a section's entries in theirs, and names
+the first fault it meets.  Only checks of two fields come after it:
+``sim.band`` against ``num_bands``, the sweep's variable against its grid,
+a per-band list's length, and what a band forms of several fields
+(``config band <i>:``), such as a coefficient that is not finite.
 
 A retired key still loads from older saved configs, but only at its one old
 meaning, which the toolkit now always runs; any other value is rejected by
@@ -38,11 +40,10 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .model import BandParams, SystemParams
+from .model import _RULES as _FIELD_RULES, BandParams, SystemParams, _fault as _rule_fault
 from .solver import BUDGET_TOL_REL, SolveOptions
 
 __all__ = ["ExperimentConfig", "DEFAULTS", "load_config", "save_config", "build_system"]
@@ -84,9 +85,6 @@ _DB_KEYS = ("sir_threshold_d2d", "sir_threshold_cell")
 _PER_BAND = ("bandwidth_hz", "sir_threshold_d2d", "sir_threshold_cell", "outage_cap_d2d",
              "outage_cap_cell", "d2d_link_distance_m", "cell_link_distance_m",
              "multiplier_d2d", "multiplier_cell", "max_power_d2d_w", "max_power_cell_w")
-# (key, None) or (section, key) of each count
-_INT_KEYS = {("num_bands", None), ("sim", "trials"), ("sim", "workers"), ("sim", "seed"),
-             ("sim", "band"), ("solver", "max_outer_iters")}
 # sweep variable -> the config key that each sweep point sets
 SWEEP_KEYS = {"lambda_d_ref": "lambda_d_ref", "lambda_c_ref": "lambda_c_ref",
               "budget_d2d": "budget_d2d_w"}
@@ -100,29 +98,19 @@ _SECTION_OF = {"trials": "sim", "seed": "sim", "workers": "sim", "band": "sim",
 # grid/golden-section search's knobs, which all asked for the per-band maximum
 _RETIRED = {("solver", "grid_points"): None, ("solver", "line_search_tol_rel"): None,
             ("solver", "phase2_mode"): "coupled", ("solver", "budget_tol_rel"): BUDGET_TOL_REL}
-_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
-_POSITIVE = (lambda v: v > 0, "must be positive")
-_AT_LEAST_ONE = (lambda v: v >= 1, "must be at least 1")
-# (key, None) or (section, key) -> the range rule its value must pass once it
-# is a number of the right type: (the test, the message if not).  A per-band
-# list passes if each entry does.  Each band's densities are lambda_*_ref
-# times multiplier_*, so those are checked here: BandParams would name the
-# density, a field the document does not have.  SolveOptions and SimScenario
-# would not name the section either.
-_RANGES = {
-    ("num_bands", None): (lambda v: v >= 1, "must be a positive integer"),
-    ("pathloss_exponent", None): (
-        lambda v: v > 2.0,
-        "pathloss exponent must exceed 2 (interference Laplace functional diverges)"),
-    ("lambda_d_ref", None): _NONNEGATIVE, ("lambda_c_ref", None): _NONNEGATIVE,
-    ("multiplier_d2d", None): _NONNEGATIVE, ("multiplier_cell", None): _NONNEGATIVE,
-    ("budget_d2d_w", None): _POSITIVE, ("budget_cell_w", None): _POSITIVE,
-    ("baseline_p_cell_w", None): _POSITIVE,
-    ("solver", "eps_power_w"): _POSITIVE, ("solver", "max_outer_iters"): _POSITIVE,
-    ("sim", "trials"): _AT_LEAST_ONE, ("sim", "workers"): _AT_LEAST_ONE,
-    ("sim", "seed"): _NONNEGATIVE, ("sim", "p_cell_w"): _POSITIVE,
-    ("sim", "p_d2d_w"): _POSITIVE, ("sim", "window_radius_m"): _POSITIVE,
+# (key, None) or (section, key) -> its rule, as model._RULES has them; a
+# band's densities are lambda_*_ref times multiplier_*, so those have the
+# density rule.  A key without an entry has no rule but its type (_NUMBER).
+_RULES = {
+    ("num_bands", None): (True, ((lambda v: v >= 1, "must be a positive integer"),)),
+    **{(key, None): _FIELD_RULES["density_d2d"]
+       for key in ("lambda_d_ref", "lambda_c_ref", "multiplier_d2d", "multiplier_cell")},
+    ("sim", "band"): (True, ()),
+    **{(key, None): _FIELD_RULES[key] for key in DEFAULTS if key in _FIELD_RULES},
+    **{(section, sub): _FIELD_RULES[sub] for section in ("sim", "solver")
+       for sub in DEFAULTS[section] if sub in _FIELD_RULES},
 }
+_NUMBER = (False, ())
 
 
 @dataclass
@@ -154,9 +142,9 @@ class ExperimentConfig:
         ``with_overrides(**{key: value}).system`` and fails with the same
         message, but resolves nothing.  A density point copies each band
         with that one density set to the product ``build_system`` forms
-        (``BandParams._with_density``), which no band rejects: the value
-        passed its rule here and each multiplier at resolution, so it is
-        nonnegative or +inf."""
+        (``BandParams._with_density``, which checks nothing): the value
+        passed its rule here and each multiplier at resolution, so the
+        product passes the density rule, nonnegative or +inf."""
         why = _fault(key, None, value)
         if why is not None:
             _fail(key, why)
@@ -257,20 +245,21 @@ def _finite(values: list) -> bool:
 
 def _fault(key: str, sub: str | None, v) -> str | None:
     """What is wrong with value ``v`` of ``key`` (of its entry ``sub`` in a
-    section), or None: first its number type, then its ``_RANGES`` rule.
-    The common cases, an int count and a float, are settled by type."""
-    if (key, sub) in _INT_KEYS:
-        if not (type(v) is int or (not isinstance(v, bool) and isinstance(v, numbers.Integral))):
-            return "must be an integer"
-    elif (key, sub) == ("sweep", "grid") or (key in _PER_BAND and isinstance(v, list)):
+    section), or None: a count's rule, or else its number type and then its
+    rule.  The common case, a float, is settled by type."""
+    rule = _RULES.get((key, sub), _NUMBER)
+    if rule[0]:
+        return _rule_fault(rule, v)
+    if (key, sub) == ("sweep", "grid") or (key in _PER_BAND and isinstance(v, list)):
         if not (isinstance(v, list) and _finite(v)):
             return "must be a list of finite numbers"
-    elif (key, sub) != ("sweep", "variable") and not (
-            math.isfinite(v) if type(v) is float else _finite([v])):
+    elif (key, sub) == ("sweep", "variable"):
+        return None
+    elif not (math.isfinite(v) if type(v) is float else _finite([v])):
         return "must be a finite number"
-    if (key, sub) in _RANGES:
-        test, why = _RANGES[key, sub]
-        if not all(map(test, v if isinstance(v, list) else (v,))):
+    for x in v if isinstance(v, list) else (v,):
+        why = _rule_fault(rule, x)
+        if why is not None:
             return why
     return None
 

@@ -7,6 +7,9 @@ interferer densities and the transmit-power ratio, which makes STP, ASR
 and EE per band cheap closed forms.  All quantities are SI (W, Hz, m,
 per m^2); SIR thresholds are linear, not dB.
 
+Each numeric field has one rule, in ``_RULES``, which every type and the
+config apply; a value that breaks it fails as ``<field> <why>``.
+
 Every function here is pure.  Bands and systems are frozen: a band
 computes its interference coefficients, each class's rate per unit
 bandwidth log2(1+T) and outage exponent -ln(1-theta), and the constants
@@ -22,6 +25,7 @@ thread.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 __all__ = [
@@ -39,6 +43,70 @@ __all__ = [
 ]
 
 
+def _finite(value) -> bool:
+    """math.isfinite, and False for an int too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+# (test, why) pairs, each failing NaN
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+_FINITE = (_finite, "must be finite")
+# The one rule of each numeric field of BandParams, SystemParams,
+# solver.SolveOptions, simulate.SimScenario and the baseline power, by field
+# name: (whether it is a count, its (test, why) pairs in order).  An
+# infinite bandwidth would give a class without density a NaN ASR.
+_RULES = {
+    **dict.fromkeys(("sir_threshold_d2d", "sir_threshold_cell", "d2d_link_distance_m",
+                     "cell_link_distance_m", "max_power_d2d_w", "max_power_cell_w",
+                     "budget_d2d_w", "budget_cell_w"), (False, (_POSITIVE,))),
+    **dict.fromkeys(("bandwidth_hz", "eps_power_w", "p_cell_w", "p_d2d_w", "window_radius_m",
+                     "baseline_p_cell_w"), (False, (_POSITIVE, _FINITE))),
+    **dict.fromkeys(("outage_cap_d2d", "outage_cap_cell"),
+                    (False, ((lambda v: 0.0 < v < 1.0, "must lie strictly inside (0, 1)"),))),
+    "pathloss_exponent": (False, (
+        (lambda v: v > 2.0, "must exceed 2 (interference Laplace functional diverges)"), _FINITE)),
+    **dict.fromkeys(("density_d2d", "density_cell"), (False, (_NONNEGATIVE,))),
+    **dict.fromkeys(("trials", "workers"), (True, ((lambda v: v >= 1, "must be at least 1"),))),
+    "seed": (True, (_NONNEGATIVE,)),
+    "max_outer_iters": (True, (_POSITIVE,)),
+}
+
+
+def _fault(rule: tuple, value) -> str | None:
+    """What ``value`` breaks of ``rule``, an entry of ``_RULES``, or None.
+    A count must be an integer and any other field a number, and a bool is
+    neither; then each test must pass, in order."""
+    count, tests = rule
+    if count:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            return "must be an integer"
+    elif type(value) is bool:
+        return "must be a number, not a bool"
+    for test, why in tests:
+        if not test(value):
+            return why
+    return None
+
+
+def _check(name: str, value, label: str | None = None) -> None:
+    """Raise ``ValueError('<label> <why>')`` where ``value`` breaks the rule
+    of field ``name``; the label is the field's name unless given."""
+    why = _fault(_RULES[name], value)
+    if why is not None:
+        raise ValueError(f"{label or name} {why}")
+
+
+def _check_fields(obj) -> None:
+    """Check each field of dataclass ``obj`` that has a rule, in field order."""
+    for name, value in vars(obj).items():
+        if name in _RULES:
+            _check(name, value)
+
+
 def gamma_product(alpha: float) -> float:
     """Gamma(1 + 2/alpha) * Gamma(1 - 2/alpha) for path-loss exponent alpha.
 
@@ -47,12 +115,7 @@ def gamma_product(alpha: float) -> float:
     a general gamma evaluation.  Diverges as alpha -> 2 (pole of the second
     factor), which is why the model requires alpha > 2.
     """
-    if not alpha > 2.0:  # NaN fails it
-        raise ValueError(
-            "pathloss exponent must exceed 2 (interference Laplace functional diverges)"
-        )
-    if alpha == math.inf:  # x = 0 would divide by sin(0)
-        raise ValueError("pathloss exponent must be finite")
+    _check("pathloss_exponent", alpha)  # at alpha = inf, x = 0 would divide by sin(0)
     x = 2.0 / alpha
     return math.pi * x / math.sin(math.pi * x)
 
@@ -134,22 +197,7 @@ class BandParams:
     max_power_cell_w: float
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
-        if not self.pathloss_exponent > 2.0:
-            raise ValueError(
-                "pathloss exponent must exceed 2 (interference Laplace functional diverges)"
-            )
-        for name in ("bandwidth_hz", "sir_threshold_d2d", "sir_threshold_cell",
-                     "d2d_link_distance_m", "cell_link_distance_m",
-                     "max_power_d2d_w", "max_power_cell_w"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
-        if self.bandwidth_hz == math.inf:  # a class without density would read a NaN ASR
-            raise ValueError("bandwidth_hz must be finite")
-        for name in ("outage_cap_d2d", "outage_cap_cell"):
-            cap = getattr(self, name)
-            if not 0.0 < cap < 1.0:
-                raise ValueError(f"{name} must lie strictly inside (0, 1)")
+        _check_fields(self)
         a = self.pathloss_exponent
         object.__setattr__(self, "_coeffs", (
             interference_coeff(self.sir_threshold_d2d, self.d2d_link_distance_m, a),
@@ -161,12 +209,9 @@ class BandParams:
         self._set_density_constants()
 
     def _set_density_constants(self) -> None:
-        """Check both densities and set what they reach: the outage margins
-        and the phase constants, from the density-free ``_coeffs``,
-        ``_rates`` and ``_cap_exps``."""
-        for name in ("density_d2d", "density_cell"):
-            if not getattr(self, name) >= 0:  # NaN fails it
-                raise ValueError(f"{name} must be nonnegative")
+        """Set what the densities reach: the outage margins and the phase
+        constants, from the density-free ``_coeffs``, ``_rates`` and
+        ``_cap_exps``."""
         (cd, cc), (rate_d, rate_c), (exp_d, exp_c) = self._coeffs, self._rates, self._cap_exps
         used_d, used_c = cd * self.density_d2d, cc * self.density_cell
         cross_d, cross_c = cd * self.density_cell, cc * self.density_d2d
@@ -193,7 +238,7 @@ class BandParams:
         """This band with the density field ``name`` set to ``value``: the
         other fields and the density-free ``_coeffs``, ``_rates`` and
         ``_cap_exps`` are copied, and only the density constants are derived
-        anew."""
+        anew; ``value`` is not checked."""
         band = object.__new__(type(self))
         band.__dict__.update(self.__dict__)
         band.__dict__[name] = value
@@ -227,8 +272,7 @@ class SystemParams:
         object.__setattr__(self, "bands", tuple(self.bands))
         if len(self.bands) < 1:
             raise ValueError("at least one band is required")
-        if not (self.budget_d2d_w > 0 and self.budget_cell_w > 0):
-            raise ValueError("power budgets must be positive")
+        _check_fields(self)
 
     @property
     def num_bands(self) -> int:

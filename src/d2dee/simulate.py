@@ -45,14 +45,13 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import os
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .model import BandParams, stp_cell, stp_d2d
+from .model import BandParams, _check_fields, stp_cell, stp_d2d
 
 __all__ = [
     "SimScenario",
@@ -84,24 +83,7 @@ class SimScenario:
     workers: int = 1
 
     def __post_init__(self):
-        # numbers and integers as config documents take them: a bool is neither
-        for name in ("p_cell_w", "p_d2d_w"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, not a bool")
-        if self.p_cell_w <= 0 or self.p_d2d_w <= 0:
-            raise ValueError("transmit powers must be strictly positive")
-        if not (math.isfinite(self.p_cell_w) and math.isfinite(self.p_d2d_w)):
-            raise ValueError("transmit powers must be finite")
-        for name in ("trials", "seed", "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        _check_fields(self)
 
 
 @dataclass
@@ -262,8 +244,6 @@ def _check(scenario: SimScenario) -> None:
     """Reject a scenario whose window or trial count cannot carry an estimate."""
     band = scenario.band
     max_link = max(band.d2d_link_distance_m, band.cell_link_distance_m)
-    if not math.isfinite(scenario.window_radius_m):
-        raise ValueError("window radius must be finite")
     if scenario.window_radius_m < 10.0 * max_link:
         raise ValueError(f"window too small for edge-effect control: "
                          f"window_radius_m={scenario.window_radius_m!r} is below "

@@ -66,7 +66,6 @@ says, depends on whether a budget binds:
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import sys
 from dataclasses import asdict, dataclass, field
@@ -74,7 +73,9 @@ from typing import NamedTuple
 
 from .model import (
     BandParams,
+    _check,
     _check_band_count,
+    _check_fields,
     _ratio_power,
     MetricsReport,
     PowerAllocation,
@@ -118,17 +119,7 @@ class SolveOptions:
     max_outer_iters: int = 10
 
     def __post_init__(self):
-        if isinstance(self.eps_power_w, bool):  # as in config documents
-            raise ValueError("eps_power_w must be a number, not a bool")
-        if not self.eps_power_w > 0:
-            raise ValueError("eps_power_w must be positive")
-        if self.eps_power_w == math.inf:
-            raise ValueError("eps_power_w must be finite")
-        n = self.max_outer_iters
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral):  # as in config documents
-            raise ValueError("max_outer_iters must be an integer")
-        if n < 1:
-            raise ValueError("max_outer_iters must be positive")
+        _check_fields(self)
 
 
 @dataclass
@@ -550,14 +541,9 @@ def _fixed_cell_phase(
     system: SystemParams, p_cell_fixed_w: float, opts: SolveOptions | None
 ) -> tuple[list[float], PhaseResult]:
     """The baseline's cellular powers, ``p_cell_fixed_w`` on every band, and
-    the D2D phase at them.  The fixed power must be a positive, finite
-    number; a bool is not one, as in SolveOptions."""
-    if isinstance(p_cell_fixed_w, bool):
-        raise ValueError("fixed cellular power must be a number, not a bool")
-    if not p_cell_fixed_w > 0:  # NaN fails it
-        raise ValueError("fixed cellular power must be positive")
-    if p_cell_fixed_w == math.inf:
-        raise ValueError("fixed cellular power must be finite")
+    the D2D phase at them.  The fixed power must pass the rule of
+    ``baseline_p_cell_w``, the config key that sets it."""
+    _check("baseline_p_cell_w", p_cell_fixed_w, "fixed cellular power")
     p_cell = [p_cell_fixed_w] * system.num_bands
     return p_cell, solve_d2d_phase(system, p_cell, opts)
 

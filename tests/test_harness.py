@@ -64,7 +64,8 @@ class TestConfig:
     def test_alpha_two_rejected_with_gamma_message(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"pathloss_exponent": 2.0}))
-        with pytest.raises(ValueError, match="pathloss exponent must exceed 2"):
+        with pytest.raises(ValueError,
+                           match="config field 'pathloss_exponent': must exceed 2 \\(interference"):
             load_config(path)
 
     def test_unknown_key_named(self, tmp_path):
@@ -253,13 +254,15 @@ class TestConfig:
         (["solve"], {"multiplier_d2d": []}, "multiplier_d2d"),
         # each key's whole rule, type then range, key by key in DEFAULTS order
         (["solve"], {"lambda_d_ref": -1, "sim": {"workers": 2.0}}, "lambda_d_ref"),
+        # a band key's rule is checked with the others, not when bands are built
+        (["solve"], {"lambda_d_ref": -1, "outage_cap_d2d": 1.5}, "outage_cap_d2d"),
     ], ids=["scalar", "per_band_entry", "sim_trials", "sim_workers", "bool_count", "sweep_grid",
             "int_beyond_float", "unhashable_variable", "negative_multiplier_d2d",
             "negative_multiplier_cell", "zero_eps_power", "zero_outer_iters", "db_non_threshold",
             "section_not_mapping", "per_band_length", "empty_sweep_grid", "mapping_for_number",
             "mapping_for_per_band", "zero_sim_trials", "zero_workers_flag", "negative_seed_flag",
             "zero_sim_p_cell", "negative_sim_p_d2d", "negative_window_on_solve",
-            "empty_per_band_list", "first_fault_in_key_order"])
+            "empty_per_band_list", "first_fault_in_key_order", "band_key_in_key_order"])
     def test_malformed_numbers_rejected_by_name(self, command, doc, field, tmp_path, capsys):
         # Python's json reads NaN and Infinity
         cfg_path = tmp_path / "cfg.json"
@@ -272,7 +275,7 @@ class TestConfig:
         (["solve"], "{", "malformed config document {path}: Expecting property name"),
         (["solve"], "[1e-4]", "malformed config document {path}: top level must be an object"),
         (["solve"], '{"outage_cap_d2d": 1.5}',
-         "config band 0: outage_cap_d2d must lie strictly inside (0, 1)"),
+         "config field 'outage_cap_d2d': must lie strictly inside (0, 1)"),
         # a dB threshold is read only without its linear form, which acc5_overrides sets
         (["solve"], '{"sir_threshold_cell_db": "low"}',
          "config field 'sir_threshold_cell_db': must be a finite number of dB"),

@@ -45,7 +45,7 @@ class TestGammaProduct:
 
     @pytest.mark.parametrize("alpha", [2.0, 1.5, -1.0])
     def test_domain_error_at_or_below_two(self, alpha):
-        with pytest.raises(ValueError, match="pathloss exponent must exceed 2"):
+        with pytest.raises(ValueError, match="pathloss_exponent must exceed 2"):
             gamma_product(alpha)
 
     @pytest.mark.parametrize("call, alpha, message", [
@@ -59,7 +59,7 @@ class TestGammaProduct:
         calls = {"gamma_product": gamma_product,
                  "interference_coeff": lambda a: interference_coeff(1.0, 10.0, a),
                  "BandParams": lambda a: make_band(pathloss_exponent=a)}
-        with pytest.raises(ValueError, match=f"^pathloss exponent {message}"):
+        with pytest.raises(ValueError, match=f"^pathloss_exponent {message}"):
             calls[call](alpha)
 
 
@@ -316,7 +316,7 @@ class TestNanPower:
 
 class TestBandParamsValidation:
     def test_alpha_at_two_rejected(self, make_band):
-        with pytest.raises(ValueError, match="pathloss exponent must exceed 2"):
+        with pytest.raises(ValueError, match="pathloss_exponent must exceed 2"):
             make_band(pathloss_exponent=2.0)
 
     def test_outage_cap_bounds(self, make_band):
@@ -330,8 +330,8 @@ class TestBandParamsValidation:
             make_band(density_d2d=-1e-6)
 
     NAN_MESSAGES = {
-        "pathloss_exponent": "pathloss exponent must exceed 2",
-        **{name: f"{name} must be strictly positive" for name in (
+        "pathloss_exponent": "pathloss_exponent must exceed 2",
+        **{name: f"{name} must be positive" for name in (
             "bandwidth_hz", "sir_threshold_d2d", "sir_threshold_cell", "d2d_link_distance_m",
             "cell_link_distance_m", "max_power_d2d_w", "max_power_cell_w")},
         **{name: f"{name} must be nonnegative" for name in ("density_d2d", "density_cell")},
@@ -351,7 +351,7 @@ class TestBandParamsValidation:
     @pytest.mark.parametrize("budget", ["budget_d2d_w", "budget_cell_w"])
     def test_nan_budget_rejected(self, make_system, budget):
         # a NaN D2D budget once solved to converged=True on an infeasible allocation
-        with pytest.raises(ValueError, match="^power budgets must be positive$"):
+        with pytest.raises(ValueError, match=f"^{budget} must be positive$"):
             make_system(**{budget: math.nan})
 
 
